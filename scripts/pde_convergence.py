@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Extinction-rate measurement under grid refinement.
 
-Evolves self-similar initial data u(0,x) = T^alpha f(x T^beta) with the
-conservative finite-volume scheme on a sequence of grids and reports the
-fitted sup-norm and L1 extinction exponents against their exact values
-alpha and alpha - N beta, plus the self-similar shape error at the end
-of the run.  The time steps are lagged-mobility implicit with
-dt = 1e-4 (T-t), so the step count does not grow with M.  The shape
-error should shrink as M grows; the exponent fits saturate early
-because they average over checkpoints.
+Drives the `extinction` command line: `constants` and `find` once for the
+profile, then `pde` on each grid of --M, and reports the fitted sup-norm
+and L1 extinction exponents against their exact values alpha and
+alpha - N beta, plus the self-similar shape error at the end of the run.
+The time steps are lagged-mobility implicit with dt = 1e-4 (T-t), so the
+step count does not grow with M.  The shape error should shrink as M
+grows; the exponent fits saturate early because they average over
+checkpoints.  Artifacts land in --outdir: constants.json, the `find`
+files, metrics_M<M>.json per grid, and sweep.json.
 """
 
 import argparse
@@ -17,16 +18,7 @@ import pathlib
 import sys
 import time
 
-from extinction import (
-    ExponentParams,
-    RadialGrid,
-    build_initial,
-    derive_constants,
-    find_bracket,
-    find_profile,
-    metrics_json,
-    run_and_measure,
-)
+from extinction import cli
 
 
 def main():
@@ -43,31 +35,37 @@ def main():
 
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-
-    params = ExponentParams(args.N, args.p, args.q)
-    consts = derive_constants(params)
-    bracket = find_bracket(params, consts, r_max=100.0)
-    a_star, traj, _ = find_profile(params, consts, bracket,
-                                   a_tol=1e-10, r_max=100.0)
-    print(f"profile: a* = {a_star:.12f}, exact alpha = {consts.alpha}, "
-          f"exact L1 exponent = {consts.alpha - args.N * consts.beta}")
+    triple = ["--N", str(args.N), "--p", repr(args.p), "--q", repr(args.q)]
+    rc = cli.main(["constants", *triple, "--out", str(out / "constants.json")])
+    if rc:
+        return rc
+    rc = cli.main(["find", *triple, "--rmax", "100", "--outdir", str(out)])
+    if rc:
+        return rc
+    c = json.loads((out / "constants.json").read_text())
+    a_star = json.loads((out / "certify.json").read_text())["a_star"]
+    print(f"profile: a* = {a_star:.12f}, exact alpha = {c['alpha']}, "
+          f"exact L1 exponent = {c['alpha'] - args.N * c['beta']}")
     print(f"{'M':>6} {'alpha_est':>10} {'l1_est':>10} {'selfsim':>9} "
           f"{'steps':>9} {'wall':>7}")
 
     rows = []
     for M in args.M:
-        grid = RadialGrid(L=args.L, M=M, N=args.N)
-        fld = build_initial(traj, consts, T=args.T, grid=grid)
+        mfile = out / f"metrics_M{M}.json"
         t0 = time.perf_counter()
-        m = run_and_measure(fld, grid, params, consts,
-                            t_end=args.tend * args.T)
+        rc = cli.main(["pde", "--profile", str(out / "profile.csv"),
+                       "--M", str(M), "--L", repr(args.L),
+                       "--T", repr(args.T), "--tend", repr(args.tend * args.T),
+                       "--out", str(mfile)])
         wall = time.perf_counter() - t0
-        print(f"{M:>6} {m.alpha_est:>10.4f} {m.l1_exponent_est:>10.4f} "
-              f"{m.selfsim_error:>9.4f} {m.steps:>9} {wall:>6.1f}s")
-        row = json.loads(metrics_json(m))
+        if rc:
+            return rc
+        row = json.loads(mfile.read_text())
+        print(f"{M:>6} {row['alpha_est']:>10.4f} "
+              f"{row['l1_exponent_est']:>10.4f} {row['selfsim_error']:>9.4f} "
+              f"{row['steps']:>9} {wall:>6.1f}s")
         row["M"] = M
         rows.append(row)
-        (out / f"metrics_M{M}.json").write_text(metrics_json(m))
 
     (out / "sweep.json").write_text(json.dumps(rows, indent=1,
                                                sort_keys=True))

@@ -1,42 +1,37 @@
 #!/usr/bin/env python
 """Full certification chain for one exponent triple.
 
-Shoots for the fast-decay profile, certifies the tail band, fits the
-second-order correction, maps the profile into the autonomous phase
-coordinates and extracts the stable decay rates, then cross-checks the
-tail amplitude two independent ways.  Artifacts land in --outdir:
+Drives the `extinction` command line: `constants`, then `find` (shoot for
+the fast-decay profile, certify the tail band, fit the second-order
+correction), then `phase --from-profile` (map the profile into the
+autonomous phase coordinates and extract the stable decay rates), and
+prints a summary that cross-checks the tail amplitude two independent
+ways.  Artifacts land in --outdir:
 
     constants.json   every derived constant and the spectrum
     profile.csv      sampled (r, f, f', F) with events
-    certify.json     bisection transcript and the five-check report
+    certify.json     the five-check report
     tailfit.json     (K_est, A_est, theta_est) plus windows
     phasepath.csv    mapped (eta, X, Y, Z)
     ratefit.json     lambda2/lambda3 estimates, Uinf, A-from-Vinf
 """
 
 import argparse
+import contextlib
+import io
 import json
 import pathlib
 import sys
 
-from extinction import (
-    ExponentParams,
-    certify_B,
-    constants_json,
-    derive_constants,
-    extract_rates,
-    find_bracket,
-    find_profile,
-    fit_tail,
-    map_to_phase,
-    path_dynamics_residual,
-    phasepath_csv,
-    ratefit_json,
-    spectral_data,
-    tailfit_json,
-    trajectory_csv,
-    w_transform,
-)
+from extinction import cli
+
+
+def _run(*argv):
+    """cli.main with its stdout report captured and parsed."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(list(argv))
+    return rc, json.loads(buf.getvalue() or "{}")
 
 
 def main():
@@ -51,58 +46,44 @@ def main():
 
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-
-    params = ExponentParams(args.N, args.p, args.q)
-    consts = derive_constants(params)
-    (out / "constants.json").write_text(
-        constants_json(consts, spectral_data(consts)))
+    triple = ["--N", str(args.N), "--p", repr(args.p), "--q", repr(args.q)]
+    rc, rep = _run("constants", *triple, "--out", str(out / "constants.json"))
+    if rc:
+        print(json.dumps(rep, indent=1, sort_keys=True), file=sys.stderr)
+        return rc
+    c = json.loads((out / "constants.json").read_text())
     print(f"(N,p,q) = ({args.N}, {args.p}, {args.q}): "
-          f"alpha = {consts.alpha:.6f}, mu = {consts.mu:.6f}, "
-          f"K* = {consts.Kstar:.6f}")
+          f"alpha = {c['alpha']:.6f}, mu = {c['mu']:.6f}, "
+          f"K* = {c['Kstar']:.6f}")
 
-    bracket = find_bracket(params, consts, r_max=min(args.rmax, 30.0)
-                           if args.N > 1 else args.rmax)
-    a_star, traj, transcript = find_profile(params, consts, bracket,
-                                            a_tol=args.a_tol,
-                                            r_max=args.rmax)
-    print(f"a* = {a_star!r}  ({len(transcript['steps'])} bisection steps, "
-          f"{transcript['n_heuristic']} heuristic)")
-    (out / "profile.csv").write_text(trajectory_csv(traj, params, consts))
-
-    report = certify_B(traj, consts)
-    (out / "certify.json").write_text(json.dumps(
-        {"a_star": a_star, "ok": report.ok, "checks": report.checks,
-         "r_end": report.r_end, "w_end": report.w_end,
-         "transcript": transcript}, indent=1, sort_keys=True))
-    tag = "certified" if report.ok else "NOT certified"
+    rc, rep = _run("find", *triple, "--rmax", repr(args.rmax),
+                   "--a-tol", repr(args.a_tol), "--outdir", str(out))
+    if "error" in rep:
+        print(f"find failed: {rep['error']}", file=sys.stderr)
+        return rc
+    cert = json.loads((out / "certify.json").read_text())
+    fit = json.loads((out / "tailfit.json").read_text())
+    print(f"a* = {cert['a_star']!r}  "
+          f"({cert['n_heuristic_steps']} heuristic bisection steps)")
+    tag = "certified" if cert["ok"] else "NOT certified"
     print(f"tail band: {tag}  " + " ".join(
-        f"{k}={'ok' if v else 'FAIL'}" for k, v in report.checks.items()))
+        f"{k}={'ok' if v else 'FAIL'}" for k, v in cert["checks"].items()))
+    print(f"second order: theta_est = {fit['theta_est']:.6f} "
+          f"(exact {c['theta']:.6f}), A_est = {fit['A_est']:.6e}")
 
-    states = w_transform(traj, consts)
-    fit = fit_tail(states, consts)
-    (out / "tailfit.json").write_text(tailfit_json(fit))
-    print(f"second order: theta_est = {fit.theta_est:.6f} "
-          f"(exact {consts.theta:.6f}), A_est = {fit.A_est:.6e}")
-
-    path = map_to_phase(traj, consts)
-    (out / "phasepath.csv").write_text(phasepath_csv(path))
-    res = path_dynamics_residual(path, consts)
-    print(f"phase: rms dynamics residual = {res:.2e}")
-    try:
-        rates = extract_rates(path, consts)
-    except ValueError as e:
-        print(f"  rate extraction skipped: {e}")
+    rc, rates = _run("phase", "--from-profile", str(out / "profile.csv"),
+                     "--outdir", str(out))
+    if rc:
+        print(f"phase: rate extraction skipped: {rates.get('error')}")
     else:
-        (out / "ratefit.json").write_text(ratefit_json(rates))
-        spec = spectral_data(consts)
-        print(f"  lambda2_est = {rates.lambda2_est:.6f} "
-              f"(exact {spec.lambda2:.6f})")
-        print(f"  lambda3_est = {rates.lambda3_est:.6f} "
-              f"(exact {spec.lambda3:.6f})")
-        ratio = rates.A_from_Vinf / fit.A_est
+        print(f"phase: lambda2_est = {rates['lambda2_est']:.6f} "
+              f"(exact {c['lambda2']:.6f})")
+        print(f"  lambda3_est = {rates['lambda3_est']:.6f} "
+              f"(exact {c['lambda3']:.6f})")
+        ratio = rates["A_from_Vinf"] / fit["A_est"]
         print(f"  A from Vinf / A from tail fit = {ratio:.4f}")
 
-    if not report.ok:
+    if not cert["ok"]:
         print("warning: profile not certified; downstream artifacts are "
               "exploratory", file=sys.stderr)
         return 1

@@ -4,10 +4,12 @@ singular diffusion equation with gradient absorption
     u_t - div(|grad u|^{p-2} grad u) + |grad u|^q = 0,
     2N/(N+1) < p < 2,  p-1 < q < p/2.
 
-Modules: exponents (closed-form constants and spectra), shooter (profile
-ODE shooting and classification), tail (w-transform, certification, tail
-fitting), phase (autonomous phase-space system and rate extraction), pde
-(radial solver verifying the extinction rates), cli (pipeline front end).
+Modules: exponents (closed-form constants and spectra, plus the shared
+numerics: the 5-point ln-r derivative and the pinned-basis log
+regression), shooter (profile ODE shooting and classification), tail
+(w-transform, certification, tail fitting), phase (autonomous phase-space
+system and rate extraction), pde (radial solver verifying the extinction
+rates), cli (the pipeline driver; the scripts only call it).
 """
 
 from .exponents import (
@@ -20,6 +22,8 @@ from .exponents import (
     spectral_data,
     lambdastar,
     constants_json,
+    deta,
+    log_fit,
 )
 from .shooter import (
     ProfileTrajectory,
@@ -47,7 +51,6 @@ from .tail import (
     tailfit_json,
 )
 from .phase import (
-    PhasePoint,
     PhasePath,
     RateFit,
     map_to_phase,

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import exponents, phase, pde, shooter, tail
 
@@ -91,10 +90,10 @@ def _auto_rmax(consts) -> float:
 def _load_profile(path):
     meta, cols, events = shooter.read_profile_csv(Path(path).read_text())
     pr = exponents.ExponentParams(N=int(meta["N"]), p=meta["p"], q=meta["q"])
-    traj = SimpleNamespace(a=meta["a"], r=cols["r"], f=cols["f"],
-                           fprime=cols["fprime"], F=cols["F"],
-                           energy=cols["E"], events=events,
-                           r0=meta["r0"], tol=meta["tol"])
+    traj = shooter.ProfileTrajectory(
+        a=meta["a"], r=cols["r"], f=cols["f"], fprime=cols["fprime"],
+        F=cols["F"], energy=cols["E"], events=events, r0=meta["r0"],
+        tol=meta["tol"])
     return pr, exponents.derive_constants(pr), traj
 
 

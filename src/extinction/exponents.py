@@ -7,7 +7,9 @@ PDE check) is parametrized by the triple (N, p, q) with
 
 This module computes the derived constants and the spectrum of the
 phase-space linearization, and cross-checks them against exact algebraic
-identities.  Pure functions on value types throughout.
+identities.  It also holds the two numerical kernels the tail and phase
+analyses share: the 5-point derivative in ln r and the pinned-basis log
+regression.  Pure functions on value types throughout.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+
+import numpy as np
 
 __all__ = [
     "ExponentParams",
@@ -26,6 +30,8 @@ __all__ = [
     "spectral_data",
     "lambdastar",
     "constants_json",
+    "deta",
+    "log_fit",
 ]
 
 # q within this distance of p-1 or p/2 still validates, but with a warning:
@@ -182,11 +188,23 @@ def spectral_data(consts: DerivedConstants) -> Spectrum:
 
 def constants_json(consts: DerivedConstants, spec: Spectrum) -> str:
     """Flat key-value JSON of DerivedConstants + Spectrum."""
-    d = asdict(consts)
-    d.update(
-        lambda1=spec.lambda1, lambda2=spec.lambda2, lambda3=spec.lambda3,
-        V1=list(spec.V1), V2=list(spec.V2), V3=list(spec.V3),
-        LambdaMax=spec.LambdaMax, lambdastar=spec.lambdastar,
-        qstar=spec.qstar,
-    )
-    return json.dumps(d, sort_keys=True, indent=1)
+    return json.dumps({**asdict(consts), **asdict(spec)}, sort_keys=True,
+                      indent=1)
+
+
+def deta(y: np.ndarray, h: float) -> np.ndarray:
+    """d/d(ln r) by 5-point central differences on samples uniform in ln r
+    with spacing h; returns the len(y) - 4 interior values."""
+    return (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12.0 * h)
+
+
+def log_fit(x: np.ndarray, y: np.ndarray, rates=()) -> np.ndarray:
+    """Least-squares coefficients of y on the basis [1, x, e^{rate x} ...].
+
+    With x = ln r and y the log of a decaying quantity, the x coefficient
+    is its power-law exponent, and each closed-form rate pins a known
+    subleading mode without adding a nonlinear parameter.
+    """
+    cols = np.column_stack([np.ones_like(x), x]
+                           + [np.exp(rate * x) for rate in rates])
+    return np.linalg.lstsq(cols, y, rcond=None)[0]

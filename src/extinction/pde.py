@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -311,9 +311,11 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
     decay, so the step count ~ ln(T/(T-t_end))/dt_frac is independent of
     the grid.  Slopes of ln sup u and ln of the r^{N-1}-weighted L1 norm
     against ln(T-t) are taken over checkpoints with T-t < 0.9 T, past
-    initial transients.  The default dt_frac = 1e-4 (16101 steps to
-    t_end = 0.8 T) moves the self-similar error by under 0.003 from its
-    dt -> 0 value at M = 400 and 800 (time error O(dt_frac)).
+    initial transients; a t_end that leaves fewer than two of them raises
+    ValueError before any step is taken.  The default dt_frac = 1e-4
+    (16101 steps to t_end = 0.8 T) moves the self-similar error by under
+    0.003 from its dt -> 0 value at M = 400 and 800 (time error
+    O(dt_frac)).
 
     n_clipped counts, over all steps, the cells clipped from below
     -1e-10 ||u||_inf, as step() does.  The clipping is not rounding-scale:
@@ -334,6 +336,11 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
     cks = sorted(set((T - np.geomspace(T * 0.999999, T - t_end,
                                        n_checkpoints)).tolist()))
     cks[-1] = t_end
+    n_fit = sum(math.log(T - c) < math.log(0.9 * T) for c in cks)
+    if n_fit < 2:
+        raise ValueError(
+            f"t_end={t_end:.3g} leaves {n_fit} checkpoint(s) with "
+            "T-t < 0.9 T; the exponent fits need at least 2")
     out = []
     ick = 0
     nst = 0
@@ -391,18 +398,9 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
 
 
 def metrics_json(m: ExtinctionMetrics) -> str:
+    d = asdict(m)
     # wall_s stays out: serialized artifacts must be byte-identical
     # across reruns
-    d = {
-        "alpha_est": m.alpha_est,
-        "l1_exponent_est": m.l1_exponent_est,
-        "selfsim_error": m.selfsim_error,
-        "stable": m.stable,
-        "grid": {"L": m.grid_L, "M": m.grid_M},
-        "eps_reg": m.eps_reg,
-        "kappa": m.kappa,
-        "t_end": m.t_end,
-        "steps": m.steps,
-        "n_clipped": m.n_clipped,
-    }
+    d.pop("wall_s")
+    d["grid"] = {"L": d.pop("grid_L"), "M": d.pop("grid_M")}
     return json.dumps(d, sort_keys=True, indent=1)

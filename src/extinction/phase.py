@@ -18,15 +18,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .exponents import DerivedConstants
+from .exponents import DerivedConstants, deta, log_fit, spectral_data
 
 __all__ = [
-    "PhasePoint",
     "PhasePath",
     "RateFit",
     "map_to_phase",
@@ -45,15 +44,6 @@ BLOWUP_GUARD = 1e12
 ZGAP_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    eta: float
-    X: float
-    Y: float
-    Z: float
-    Wshift: float
-
-
 @dataclass
 class PhasePath:
     eta: np.ndarray
@@ -66,13 +56,6 @@ class PhasePath:
 
     def __len__(self) -> int:
         return len(self.eta)
-
-    @property
-    def points(self) -> list[PhasePoint]:
-        return [PhasePoint(float(self.eta[i]), float(self.X[i]),
-                           float(self.Y[i]), float(self.Z[i]),
-                           float(self.Wshift[i]))
-                for i in range(len(self.eta))]
 
 
 @dataclass(frozen=True)
@@ -108,13 +91,18 @@ def map_to_phase(traj, consts: DerivedConstants) -> PhasePath:
                      detail=f"skipped={n_bad}" if n_bad else "")
 
 
+def _ycoeffs(consts: DerivedConstants) -> tuple[float, float]:
+    # c0, c1 of the Y equation, Ydot = c0 Y + c1 (alpha X - beta Y - Z) Y
+    N, p = consts.N, consts.p
+    return 2.0 - (2.0 - p) * (N - 1.0) / (p - 1.0), (2.0 - p) / (p - 1.0)
+
+
 def vector_field(pt, consts: DerivedConstants):
     """Velocity (Xdot, Ydot, Zdot) of the autonomous system."""
     X, Y, Z = _coords(pt)
-    N, p = consts.N, consts.p
+    N = consts.N
     al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
-    c0 = 2.0 - (2.0 - p) * (N - 1.0) / (p - 1.0)
-    c1 = (2.0 - p) / (p - 1.0)
+    c0, c1 = _ycoeffs(consts)
     dX = N * X - Y - al * X * X + be * X * Y + X * Z
     dY = c0 * Y + c1 * (al * X - be * Y - Z) * Y
     dZ = nu * Z * (Zst - Z) + nu * (al * X - be * Y) * Z
@@ -122,19 +110,16 @@ def vector_field(pt, consts: DerivedConstants):
 
 
 def _coords(pt):
-    # accepts PhasePoint, 3-sequence, or (3, n) array; stays vectorized
-    if hasattr(pt, "X"):
-        return pt.X, pt.Y, pt.Z
+    # accepts a 3-sequence or a (3, n) array; stays vectorized
     return pt[0], pt[1], pt[2]
 
 
 def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
     """Analytic Jacobian of the vector field at an arbitrary point."""
     X, Y, Z = _coords(pt)
-    N, p = consts.N, consts.p
+    N = consts.N
     al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
-    c0 = 2.0 - (2.0 - p) * (N - 1.0) / (p - 1.0)
-    c1 = (2.0 - p) / (p - 1.0)
+    c0, c1 = _ycoeffs(consts)
     return np.array([
         [N - 2.0 * al * X + be * Y + Z, -1.0 + be * X, X],
         [c1 * al * Y, c0 + c1 * (al * X - 2.0 * be * Y - Z), -c1 * Y],
@@ -149,14 +134,15 @@ def jacobian_origin(consts: DerivedConstants) -> np.ndarray:
         [[N + Z*, -1, 0],
          [0, -(p-2q)/(q-p+1), 0],
          [alpha nu Z*, -beta nu Z*, -nu Z*]]
+
+    with the diagonal taken from spectral_data.
     """
-    N, p, q = consts.N, consts.p, consts.q
     al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
-    lam2 = -(p - 2.0 * q) / (q - p + 1.0)
+    spec = spectral_data(consts)
     return np.array([
-        [N + Zst, -1.0, 0.0],
-        [0.0, lam2, 0.0],
-        [al * nu * Zst, -be * nu * Zst, -nu * Zst],
+        [spec.lambda1, -1.0, 0.0],
+        [0.0, spec.lambda2, 0.0],
+        [al * nu * Zst, -be * nu * Zst, spec.lambda3],
     ])
 
 
@@ -195,8 +181,7 @@ def exact_orbit(consts: DerivedConstants, rho: float,
     """One-parameter explicit orbit through (rho beta, rho alpha, Zstar):
     both X and Y decay like e^{lambda2 eta} while Z stays pinned at
     Zstar."""
-    p, q = consts.p, consts.q
-    lam2 = -(p - 2.0 * q) / (q - p + 1.0)
+    lam2 = spectral_data(consts).lambda2
     amp = np.exp(lam2 * np.asarray(eta, float))
     X = rho * consts.beta * amp
     Y = rho * consts.alpha * amp
@@ -211,16 +196,15 @@ def extract_rates(path: PhasePath, consts: DerivedConstants,
     ln Y is regressed linearly on eta over a short late window (Y carries
     a single clean mode); ln|Z - Zstar| is regressed on the pinned basis
     [1, eta, e^{lambda2 eta}, e^{2 lambda2 eta}, e^{(lambda1+theta) eta}]
-    over the final decade, which removes the known subleading
+    (log_fit) over the final decade, which removes the known subleading
     contamination without adding nonlinear parameters.  Intercepts give
     Uinf (via Y ~ (p-q) Uinf e^{lambda2 eta}) and Vinf (sign taken from
     the data; fast-decay paths approach Zstar from below).
     """
-    N, p, q = consts.N, consts.p, consts.q
+    p, q = consts.p, consts.q
     Zst, th, mu = consts.Zstar, consts.theta, consts.mu
-    lam1 = N + Zst
-    lam2c = -(p - 2.0 * q) / (q - p + 1.0)
-    lam3c = -th
+    spec = spectral_data(consts)
+    lam2c = spec.lambda2
     eta, Y, Z = path.eta, path.Y, path.Z
     dist = math.sqrt((path.X[-1]) ** 2 + (Y[-1]) ** 2
                      + (Z[-1] - Zst) ** 2)
@@ -238,9 +222,7 @@ def extract_rates(path: PhasePath, consts: DerivedConstants,
     m2 = (eta >= win2[0]) & (eta <= win2[1]) & (Y > 0.0)
     if m2.sum() < 10:
         raise ValueError("lambda2 window holds fewer than 10 samples")
-    co2, *_ = np.linalg.lstsq(
-        np.column_stack([np.ones(m2.sum()), eta[m2]]),
-        np.log(Y[m2]), rcond=None)
+    co2 = log_fit(eta[m2], np.log(Y[m2]))
     lam2 = float(co2[1])
     Uinf = math.exp(co2[0]) / (p - q)
 
@@ -249,18 +231,15 @@ def extract_rates(path: PhasePath, consts: DerivedConstants,
     if m3.sum() < 10:
         raise ValueError("lambda3 window holds fewer than 10 usable "
                          "samples above the |Z - Zstar| floor")
-    e3 = eta[m3]
-    cols = np.column_stack([np.ones_like(e3), e3, np.exp(lam2c * e3),
-                            np.exp(2.0 * lam2c * e3),
-                            np.exp((lam1 + th) * e3)])
-    co3, *_ = np.linalg.lstsq(cols, np.log(np.abs(gap[m3])), rcond=None)
+    co3 = log_fit(eta[m3], np.log(np.abs(gap[m3])),
+                  (lam2c, 2.0 * lam2c, spec.lambda1 + th))
     lam3 = float(co3[1])
     sgn = -1.0 if np.median(gap[m3]) < 0.0 else 1.0
     Vinf = sgn * math.exp(co3[0])
     A_from_Vinf = -Vinf * Zst ** mu / ((mu - lam3) * (q - p + 1.0))
 
     flags = []
-    if abs(abs(lam2c) - abs(lam3c)) < 0.1:
+    if abs(abs(lam2c) - abs(spec.lambda3)) < 0.1:
         flags.append("near-crossover: |lambda2| and |lambda3| within 0.1, "
                      "lambda3 extraction unreliable (mode mixing)")
     return RateFit(lambda2_est=lam2, lambda3_est=lam3, Uinf_est=Uinf,
@@ -283,13 +262,9 @@ def path_dynamics_residual(path: PhasePath, consts: DerivedConstants,
     if eta_min is None:
         eta_min = eta[-1] - math.log(10.0)
     hs = float(h[0])
-
-    def dln(y):
-        return (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12.0 * hs)
-
     Xm, Ym, Zm = path.X[2:-2], path.Y[2:-2], path.Z[2:-2]
     em = eta[2:-2]
-    dX, dY, dZ = dln(path.X), dln(path.Y), dln(path.Z)
+    dX, dY, dZ = deta(path.X, hs), deta(path.Y, hs), deta(path.Z, hs)
     fX, fY, fZ = vector_field(np.vstack([Xm, Ym, Zm]), consts)
     scale = np.maximum.reduce([np.abs(fX), np.abs(fY), np.abs(fZ),
                                np.abs(dX), np.abs(dY), np.abs(dZ),
@@ -308,13 +283,4 @@ def phasepath_csv(path: PhasePath) -> str:
 
 
 def ratefit_json(fit: RateFit) -> str:
-    d = {
-        "lambda2_est": fit.lambda2_est,
-        "lambda3_est": fit.lambda3_est,
-        "Uinf_est": fit.Uinf_est,
-        "Vinf_est": fit.Vinf_est,
-        "A_from_Vinf": fit.A_from_Vinf,
-        "windows": fit.windows,
-        "flags": list(fit.flags),
-    }
-    return json.dumps(d, sort_keys=True, indent=1)
+    return json.dumps(asdict(fit), sort_keys=True, indent=1)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .exponents import ExponentParams, DerivedConstants, validate_range
+from .exponents import ExponentParams, DerivedConstants, deta, validate_range
 
 __all__ = [
     "ProfileState",
@@ -368,16 +368,13 @@ def ode_residual(traj: ProfileTrajectory, params: ExponentParams,
     p, q, N = params.p, params.q, params.N
     al, be = consts.alpha, consts.beta
     h = math.log(r[1] / r[0])
-    # d/dlnr via 5-point stencil, interior only
-    def dln(y):
-        return (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12.0 * h)
     rm = r[2:-2]
     fm, Fm = f[2:-2], F[2:-2]
     slope = -np.sign(Fm) * np.abs(Fm) ** (1.0 / (p - 1.0))
     dF_rhs = al * fm - (N - 1.0) * Fm / rm + be * rm * slope \
         - np.abs(slope) ** q
-    dF_num = dln(F) / rm
-    df_num = dln(f) / rm
+    dF_num = deta(F, h) / rm
+    df_num = deta(f, h) / rm
     scale_F = np.maximum.reduce([np.abs(al * fm), np.abs(dF_num),
                                  np.full_like(fm, 1e-300)])
     scale_f = np.maximum(np.abs(slope), 1e-300)

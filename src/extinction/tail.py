@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .exponents import DerivedConstants
+from .exponents import DerivedConstants, deta, log_fit, spectral_data
 
 __all__ = [
     "WState",
@@ -34,13 +34,11 @@ class WState:
     """Vectorized sample sequence of the tail variables.
 
     Wtail = r w' - mu w = r^{mu+1} f' (signed, negative on a decreasing
-    profile); gamma_term = beta r^{gamma+1} w' is the drift diagnostic
-    entering the w-equation.
+    profile).
     """
     r: np.ndarray
     w: np.ndarray
     Wtail: np.ndarray
-    gamma_term: np.ndarray
 
     def __len__(self) -> int:
         return len(self.r)
@@ -76,12 +74,10 @@ def w_transform(traj, consts: DerivedConstants) -> WState:
     r = np.asarray(traj.r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("samples must have r > 0")
-    mu, be, ga = consts.mu, consts.beta, consts.gamma
+    mu = consts.mu
     w = r ** mu * np.asarray(traj.f, dtype=float)
     Wtail = r ** (mu + 1.0) * np.asarray(traj.fprime, dtype=float)
-    wprime = (mu * w + Wtail) / r
-    gamma_term = be * r ** (ga + 1.0) * wprime
-    return WState(r=r, w=w, Wtail=Wtail, gamma_term=gamma_term)
+    return WState(r=r, w=w, Wtail=Wtail)
 
 
 def w_residual(states: WState, consts: DerivedConstants) -> float:
@@ -115,10 +111,6 @@ def w_residual(states: WState, consts: DerivedConstants) -> float:
     if not np.allclose(h, h[0], rtol=1e-8):
         raise ValueError("samples must be uniform in ln r")
     hs = float(h[0])
-
-    def deta(y):
-        return (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12.0 * hs)
-
     rm, wm, Wm = r[2:-2], w[2:-2], W[2:-2]
     aW = np.abs(Wm)
     rhs1 = mu * wm + Wm
@@ -126,7 +118,7 @@ def w_residual(states: WState, consts: DerivedConstants) -> float:
         -(N - 1.0) * Wm + aW ** (q - p + 2.0)
         - (al * wm + be * Wm) * aW ** (2.0 - p)
         * rm ** (Zst + N - mu)) / (p - 1.0)
-    d1, d2 = deta(w), deta(W)
+    d1, d2 = deta(w, hs), deta(W, hs)
     s1 = np.maximum.reduce([np.abs(d1), np.abs(mu * wm), np.abs(Wm),
                             np.full_like(wm, 1e-300)])
     s2 = np.maximum.reduce([np.abs(d2), np.abs((mu + 1.0) * Wm),
@@ -191,13 +183,13 @@ def _ratio_refine(st: WState, consts: DerivedConstants, mask):
     with relative contamination r^{lambda2} and a departure term
     r^{lambda1+theta} -- all with exponents known in closed form.  A
     linear regression of ln s on [1, ln r, r^{lambda2}, r^{2 lambda2},
-    r^{lambda1+theta}] pins the nuisance shapes and leaves theta in the
-    ln r coefficient; A follows from A = Kstar mu(mu+1)/(mu+theta) s0.
+    r^{lambda1+theta}] (log_fit) pins the nuisance shapes and leaves theta
+    in the ln r coefficient; A follows from
+    A = Kstar mu(mu+1)/(mu+theta) s0.
     """
-    p, q, N = consts.p, consts.q, consts.N
+    p, q = consts.p, consts.q
     mu, Kst, Zst, th0 = consts.mu, consts.Kstar, consts.Zstar, consts.theta
-    lam1 = N + Zst
-    lam2 = -(p - 2.0 * q) / (q - p + 1.0)
+    spec = spectral_data(consts)
     r = st.r[mask]
     fp = st.Wtail[mask] * st.r[mask] ** (-(mu + 1.0))
     Z = r * np.maximum(-fp, 0.0) ** (q - p + 1.0)
@@ -206,10 +198,9 @@ def _ratio_refine(st: WState, consts: DerivedConstants, mask):
     if len(r) < 10:
         return None
     s = Zst / Z - 1.0
-    lr = np.log(r)
-    cols = np.column_stack([np.ones_like(lr), lr, r ** lam2,
-                            r ** (2.0 * lam2), r ** (lam1 + th0)])
-    co, *_ = np.linalg.lstsq(cols, np.log(s), rcond=None)
+    lam2 = spec.lambda2
+    co = log_fit(np.log(r), np.log(s),
+                 (lam2, 2.0 * lam2, spec.lambda1 + th0))
     theta = -co[1]
     s0 = math.exp(co[0])
     A = Kst * mu * (mu + 1.0) / (mu + theta) * s0
@@ -245,8 +236,7 @@ def fit_tail(states: WState, consts: DerivedConstants,
 
     # stage 1: pinned-K log-linear
     lr = np.log(r)
-    M = np.column_stack([np.ones_like(lr), lr])
-    co, *_ = np.linalg.lstsq(M, np.log(gap), rcond=None)
+    co = log_fit(lr, np.log(gap))
     A1, th1 = math.exp(co[0]), -co[1]
 
     # stage 2: release K
@@ -275,13 +265,4 @@ def fit_tail(states: WState, consts: DerivedConstants,
 
 
 def tailfit_json(fit: TailFit) -> str:
-    d = {
-        "K_est": fit.K_est,
-        "A_est": fit.A_est,
-        "theta_est": fit.theta_est,
-        "window": [fit.window[0], fit.window[1]],
-        "residual_rms": fit.residual_rms,
-        "accepted": fit.accepted,
-        "stage2": fit.stage2,
-    }
-    return json.dumps(d, sort_keys=True, indent=1)
+    return json.dumps(asdict(fit), sort_keys=True, indent=1)

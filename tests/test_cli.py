@@ -206,6 +206,14 @@ class TestPde:
         assert d["stable"]
         assert d["alpha_est"] == pytest.approx(3.67, abs=0.05)
 
+    def test_too_short_is_3(self, capsys, find_dir):
+        code, d, _ = run_json(capsys, "pde", "--profile",
+                              str(find_dir / "profile.csv"),
+                              "--M", "50", "--tend", "0.05")
+        assert code == 3
+        assert not d["ok"]
+        assert "checkpoint" in d["error"]
+
 
 class TestConfig:
     def test_config_supplies_params(self, capsys, tmp_path):

@@ -38,6 +38,13 @@ def field1(star1, consts1):
 
 
 @pytest.fixture(scope="module")
+def run200(field1, params1, consts1):
+    """The M=200, t_end=0.8 run shared by the TestRunAndMeasure checks."""
+    fld, grid = field1
+    return run_and_measure(fld, grid, params1, consts1, t_end=0.8)
+
+
+@pytest.fixture(scope="module")
 def field100(star1, consts1):
     _, traj, _ = star1
     grid = RadialGrid(L=40.0, M=100, N=1)
@@ -307,9 +314,8 @@ class TestRunAndMeasure:
     # dt = 0.35 dx^2 eps^{2-p}), the dt -> 0 reference of the implicit
     # run: with dt_frac = 1e-5 it reproduces them to 1e-4, and at the
     # default 1e-4 it stays within the tolerances below.
-    def test_frozen_coarse_run(self, field1, params1, consts1):
-        fld, grid = field1
-        m = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
+    def test_frozen_coarse_run(self, run200):
+        m = run200
         assert m.stable
         assert m.alpha_est == pytest.approx(3.6353, abs=5e-3)
         assert m.l1_exponent_est == pytest.approx(2.0163, abs=5e-3)
@@ -342,24 +348,30 @@ class TestRunAndMeasure:
         assert m.n_clipped > 0
         assert json.loads(metrics_json(m))["n_clipped"] == m.n_clipped
 
-    def test_l1_exponent_matches_closed_form(self, field1, params1,
+    def test_l1_exponent_matches_closed_form(self, run200, params1,
                                              consts1):
         # integral exponent alpha - N beta = 3.5 - 1.5 = 2 in dimension 1
-        fld, grid = field1
-        m = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
+        m = run200
         want = consts1.alpha - params1.N * consts1.beta
         assert m.l1_exponent_est == pytest.approx(want, abs=0.2)
 
-    def test_deterministic_rerun(self, field1, params1, consts1):
+    def test_deterministic_rerun(self, run200, field1, params1, consts1):
         fld, grid = field1
-        m1 = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
         m2 = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
-        assert metrics_json(m1) == metrics_json(m2)
+        assert metrics_json(run200) == metrics_json(m2)
 
     def test_t_end_validation(self, field1, params1, consts1):
         fld, grid = field1
         with pytest.raises(ValueError, match="t_end"):
             run_and_measure(fld, grid, params1, consts1, t_end=0.9)
+
+    @pytest.mark.parametrize("t_end", [0.05, 0.1])
+    def test_too_short_for_the_exponent_fit(self, field100, params1,
+                                            consts1, t_end):
+        # no checkpoint has T-t < 0.9 T: the fits would have no points
+        fld, grid = field100
+        with pytest.raises(ValueError, match="checkpoint"):
+            run_and_measure(fld, grid, params1, consts1, t_end=t_end)
 
     def test_snapshots_written(self, field1, params1, consts1, tmp_path):
         fld, grid = field1
@@ -372,11 +384,9 @@ class TestRunAndMeasure:
         assert lines[1] == "x,u"
         assert len(lines) == 2 + grid.M
 
-    def test_metrics_json_schema(self, field1, params1, consts1):
+    def test_metrics_json_schema(self, run200):
         import json
-        fld, grid = field1
-        m = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
-        d = json.loads(metrics_json(m))
+        d = json.loads(metrics_json(run200))
         assert {"alpha_est", "l1_exponent_est", "selfsim_error", "stable",
                 "steps", "kappa", "t_end"} <= set(d)
         assert "wall_s" not in d
