@@ -1,14 +1,24 @@
 """Command-line pipeline: constants -> bracket -> bisection -> certificate
 -> tail fit -> phase rates -> PDE check.
 
-Exit codes: 0 success, 1 usage error, 2 parameter-range violation,
-3 algorithmic failure (bracket scan, certification, non-convergence).
-All commands are deterministic; reruns produce byte-identical files.
+Exit codes; commands raise, and `main` maps every exception through
+`_report`:
+
+  0  success
+  1  usage: bad flags or config, an unreadable or malformed profile
+  2  exponents outside the admissible box; the library's own input checks
+     (--a <= 0, --rmax below the series start, bad --L/--M)
+  3  algorithmic failure: no bracket, fit, certification, phase
+     non-convergence, PDE
+
+Explicit flags always win over --config.  All commands are deterministic;
+reruns produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -46,73 +56,104 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def config_text(cfg: dict) -> str:
-    return "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
+class UsageError(Exception):
+    """Exit 1, reported as `error: ...` on stderr."""
 
 
-def _apply_config(args, parser_defaults: dict, parser_types: dict):
-    """Config file supplies values for flags the user left at default."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = parse_config(Path(args.config).read_text())
-    for key, raw in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown config key: {key}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            cast = parser_types.get(attr)
-            if cast is None:
-                cur = parser_defaults.get(attr)
-                cast = type(cur) if cur is not None else str
-            if cast is bool:
-                setattr(args, attr, raw.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, attr, cast(raw))
-    return args
+class RangeViolation(Exception):
+    """Exponents outside the admissible box: exit 2.  The one argument is
+    a dict of report fields (`violations`, and `warnings` where known)."""
+
+
+@contextlib.contextmanager
+def _algorithmic():
+    """A ValueError raised inside is an algorithmic failure (exit 3);
+    outside, it is one of the library's own input checks (exit 2)."""
+    try:
+        yield
+    except ValueError as e:
+        raise RuntimeError(str(e)) from e
+
+
+def _report(exc: Exception) -> int:
+    """The one failure path: print the report for `exc` and return its
+    exit code."""
+    if isinstance(exc, UsageError):
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(exc, RangeViolation):
+        report, code = exc.args[0], EXIT_RANGE
+    else:
+        report = {"error": str(exc)}
+        code = EXIT_ALGO if isinstance(exc, RuntimeError) else EXIT_RANGE
+    print(json.dumps({"ok": False, **report}, sort_keys=True, indent=1))
+    return code
+
+
+def _config_defaults(args) -> dict:
+    """--config as parser defaults: keys are flag names, values strings
+    that argparse converts with each flag's type."""
+    try:
+        cfg = parse_config(Path(args.config).read_text())
+    except (OSError, ValueError) as e:
+        raise UsageError(f"bad config: {e}") from e
+    known = set(vars(args)) - {"command", "config", "fn"}
+    for key in cfg:
+        if key.replace("-", "_") not in known:
+            raise UsageError(f"bad config: unknown config key: {key}")
+    return {k.replace("-", "_"): v for k, v in cfg.items()}
+
+
+def _require(args, *flags):
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
 
 
 def _params(args):
+    """Exponents from --N/--p/--q, checked against the box.  Where the
+    command takes --rmax and it was left out, fills in the default."""
+    _require(args, "N", "p", "q")
     rep = exponents.validate_range(args.N, args.p, args.q)
     if not rep.ok:
-        print(json.dumps({"ok": False, "violations": rep.violations,
-                          "warnings": rep.warnings}, sort_keys=True,
-                         indent=1))
-        return None, None
+        raise RangeViolation({"violations": rep.violations,
+                              "warnings": rep.warnings})
     pr = exponents.ExponentParams(N=args.N, p=args.p, q=args.q)
-    return pr, exponents.derive_constants(pr)
-
-
-def _auto_rmax(consts) -> float:
-    # radius where the second-order tail term has decayed to 1% of Kstar
-    return 100.0 ** (1.0 / consts.theta)
+    consts = exponents.derive_constants(pr)
+    if "rmax" in vars(args) and not args.rmax:
+        # radius where the second-order tail term has decayed to 1% of Kstar
+        args.rmax = 100.0 ** (1.0 / consts.theta)
+    return pr, consts
 
 
 def _load_profile(path):
-    meta, cols, events = shooter.read_profile_csv(Path(path).read_text())
-    pr = exponents.ExponentParams(N=int(meta["N"]), p=meta["p"], q=meta["q"])
-    traj = shooter.ProfileTrajectory(
-        a=meta["a"], r=cols["r"], f=cols["f"], fprime=cols["fprime"],
-        F=cols["F"], energy=cols["E"], events=events, r0=meta["r0"],
-        tol=meta["tol"])
-    return pr, exponents.derive_constants(pr), traj
+    """Exponents, constants and trajectory of a profile CSV.  An unreadable
+    or malformed file is a usage error: "error: cannot read profile: ..."."""
+    try:
+        meta, cols, events = shooter.read_profile_csv(Path(path).read_text())
+        pr = exponents.ExponentParams(N=int(meta["N"]), p=meta["p"],
+                                      q=meta["q"])
+        traj = shooter.ProfileTrajectory(
+            a=meta["a"], r=cols["r"], f=cols["f"], fprime=cols["fprime"],
+            F=cols["F"], energy=cols["E"], events=events, r0=meta["r0"],
+            tol=meta["tol"])
+        return pr, exponents.derive_constants(pr), traj
+    except (OSError, KeyError, ValueError) as e:
+        raise UsageError(f"cannot read profile: {e}") from e
 
 
 def cmd_constants(args) -> int:
     pr, consts = _params(args)
-    if pr is None:
-        return EXIT_RANGE
     spec = exponents.spectral_data(consts)
-    out = exponents.constants_json(consts, spec)
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, exponents.constants_json(consts, spec))
     return EXIT_OK
 
 
 def cmd_qstar(args) -> int:
+    _require(args, "N", "p")
     if not (2.0 * args.N / (args.N + 1.0) < args.p < 2.0):
-        print(json.dumps({"ok": False,
-                          "violations": ["p outside (2N/(N+1), 2)"]},
-                         sort_keys=True, indent=1))
-        return EXIT_RANGE
+        raise RangeViolation({"violations": ["p outside (2N/(N+1), 2)"]})
     lam = exponents.lambdastar(args.N, args.p)
     out = json.dumps({"N": args.N, "p": args.p, "lambdastar": lam,
                       "qstar": lam + args.p - 1.0}, sort_keys=True, indent=1)
@@ -122,10 +163,7 @@ def cmd_qstar(args) -> int:
 
 def cmd_classify(args) -> int:
     pr, consts = _params(args)
-    if pr is None:
-        return EXIT_RANGE
-    rmax = args.rmax if args.rmax else _auto_rmax(consts)
-    cl = shooter.classify(pr, consts, args.a, rmax, args.tol)
+    cl = shooter.classify(pr, consts, args.a, args.rmax, args.tol)
     print(json.dumps({"a": args.a, "label": cl.label,
                       "witness_r": cl.witness_r, "detail": cl.detail},
                      sort_keys=True, indent=1))
@@ -134,36 +172,26 @@ def cmd_classify(args) -> int:
 
 def cmd_shoot(args) -> int:
     pr, consts = _params(args)
-    if pr is None:
-        return EXIT_RANGE
-    rmax = args.rmax if args.rmax else _auto_rmax(consts)
-    traj = shooter.integrate_profile(pr, consts, args.a, rmax, args.tol)
+    traj = shooter.integrate_profile(pr, consts, args.a, args.rmax, args.tol)
     _write_or_print(args.out, shooter.trajectory_csv(traj, pr, consts))
     return EXIT_OK
 
 
 def cmd_find(args) -> int:
     pr, consts = _params(args)
-    if pr is None:
-        return EXIT_RANGE
-    rmax = args.rmax if args.rmax else _auto_rmax(consts)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        br = shooter.find_bracket(pr, consts, rmax, args.tol)
-    except RuntimeError as e:
-        print(json.dumps({"ok": False, "error": str(e)}, sort_keys=True,
-                         indent=1))
-        return EXIT_ALGO
+    br = shooter.find_bracket(pr, consts, args.rmax, args.tol)
     a_star, traj, rec = shooter.find_profile(
-        pr, consts, br, a_tol=args.a_tol, r_max=rmax, tol=args.tol)
-    cert = tail.certify_B(traj, consts)
-    fit = tail.fit_tail(tail.w_transform(traj, consts), consts)
+        pr, consts, br, a_tol=args.a_tol, r_max=args.rmax, tol=args.tol)
+    with _algorithmic():
+        cert = tail.certify_B(traj, consts)
+        fit = tail.fit_tail(tail.w_transform(traj, consts), consts)
     report = {
         "a_star": a_star,
         "bracket": [rec["lo"], rec["hi"]],
         "a_tol": args.a_tol,
-        "r_max": rmax,
+        "r_max": args.rmax,
         "n_heuristic_steps": rec["n_heuristic"],
         "ok": cert.ok,
         "checks": cert.checks,
@@ -189,58 +217,31 @@ def cmd_find(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    try:
-        pr, consts, traj = _load_profile(args.profile)
-    except (OSError, KeyError, ValueError) as e:
-        print(f"error: cannot read profile: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    pr, consts, traj = _load_profile(args.profile)
     st = tail.w_transform(traj, consts)
-    window = None
-    if args.window:
-        lo, hi = (float(s) for s in args.window.split(","))
-        window = (lo, hi)
-    try:
-        fit = tail.fit_tail(st, consts, window)
-    except ValueError as e:
-        print(json.dumps({"ok": False, "error": str(e)}, sort_keys=True,
-                         indent=1))
-        return EXIT_ALGO
-    out = tail.tailfit_json(fit)
-    _write_or_print(args.out, out)
+    with _algorithmic():
+        fit = tail.fit_tail(st, consts, args.window)
+    _write_or_print(args.out, tail.tailfit_json(fit))
     return EXIT_OK
 
 
 def cmd_phase(args) -> int:
     if bool(args.from_profile) == bool(args.x0):
-        print("error: need exactly one of --from-profile / --x0",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("need exactly one of --from-profile / --x0")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.from_profile:
-        try:
-            pr, consts, traj = _load_profile(args.from_profile)
-        except (OSError, KeyError, ValueError) as e:
-            print(f"error: cannot read profile: {e}", file=sys.stderr)
-            return EXIT_USAGE
+        pr, consts, traj = _load_profile(args.from_profile)
         path = phase.map_to_phase(traj, consts)
         (outdir / "phasepath.csv").write_text(phase.phasepath_csv(path))
-        try:
+        with _algorithmic():
             rates = phase.extract_rates(path, consts)
-        except ValueError as e:
-            print(json.dumps({"ok": False, "error": str(e)},
-                             sort_keys=True, indent=1))
-            return EXIT_ALGO
         (outdir / "ratefit.json").write_text(
             phase.ratefit_json(rates) + "\n")
         print(phase.ratefit_json(rates))
         return EXIT_OK
     pr, consts = _params(args)
-    if pr is None:
-        return EXIT_RANGE
-    x0 = tuple(float(s) for s in args.x0.split(","))
-    span = tuple(float(s) for s in args.span.split(","))
-    pth = phase.integrate_phase(x0, span, consts, tol=args.tol)
+    pth = phase.integrate_phase(args.x0, args.span, consts, tol=args.tol)
     (outdir / "phasepath.csv").write_text(phase.phasepath_csv(pth))
     print(json.dumps({"source": pth.source, "detail": pth.detail,
                       "n": len(pth)}, sort_keys=True, indent=1))
@@ -248,23 +249,14 @@ def cmd_phase(args) -> int:
 
 
 def cmd_pde(args) -> int:
-    try:
-        pr, consts, traj = _load_profile(args.profile)
-    except (OSError, KeyError, ValueError) as e:
-        print(f"error: cannot read profile: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    pr, consts, traj = _load_profile(args.profile)
     grid = pde.RadialGrid(L=args.L, M=args.M, N=pr.N)
-    try:
+    with _algorithmic():
         fld = pde.build_initial(traj, consts, args.T, grid)
         metrics = pde.run_and_measure(
             fld, grid, pr, consts, t_end=args.tend, kappa=args.kappa,
             snapshot_dir=args.snapshots)
-    except ValueError as e:
-        print(json.dumps({"ok": False, "error": str(e)}, sort_keys=True,
-                         indent=1))
-        return EXIT_ALGO
-    out = pde.metrics_json(metrics)
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, pde.metrics_json(metrics))
     print(f"wall: {metrics.wall_s}s, steps: {metrics.steps}",
           file=sys.stderr)
     return EXIT_OK if metrics.stable else EXIT_ALGO
@@ -280,13 +272,26 @@ def _write_or_print(out, text: str):
 
 
 # Exponent flags default to None rather than required=True so that a
-# --config file can supply them; presence is enforced after the merge.
+# --config file can supply them; `_require` checks them after the merge.
 def _add_params(sp, with_q=True):
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--p", type=float, default=None)
     if with_q:
         sp.add_argument("--q", type=float, default=None)
-    sp.set_defaults(needs_params=True)
+
+
+def _floats(names: str):
+    """argparse type: comma-separated numbers, as many as in `names`."""
+    def parse(text):
+        try:
+            vals = tuple(float(s) for s in text.split(","))
+        except ValueError:
+            vals = ()
+        if len(vals) != names.count(",") + 1:
+            raise argparse.ArgumentTypeError(f"expected {names}, "
+                                             f"got {text!r}")
+        return vals
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -297,6 +302,7 @@ def build_parser() -> _Parser:
     ap.add_argument("--config", default=None,
                     help="flat key=value file; explicit flags override")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices   # name -> subparser, for --config defaults
 
     sp = sub.add_parser("constants", help="derived exponents and spectrum")
     _add_params(sp)
@@ -336,20 +342,21 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("tail", help="fit the second-order tail of a "
                                      "profile CSV")
     sp.add_argument("--profile", required=True)
-    sp.add_argument("--window", default=None, help="lo,hi")
+    sp.add_argument("--window", type=_floats("lo,hi"), default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_tail)
 
     sp = sub.add_parser("phase", help="map a profile into phase space / "
                                       "integrate the autonomous system")
     sp.add_argument("--from-profile", default=None)
-    sp.add_argument("--x0", default=None, help="X,Y,Z")
-    sp.add_argument("--span", default="0,10", help="eta_lo,eta_hi")
+    sp.add_argument("--x0", type=_floats("X,Y,Z"), default=None)
+    sp.add_argument("--span", type=_floats("eta_lo,eta_hi"),
+                    default="0,10")
     _add_params(sp)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--outdir", default=".")
     # profile mode takes the exponents from the CSV header
-    sp.set_defaults(fn=cmd_phase, needs_params="unless_profile")
+    sp.set_defaults(fn=cmd_phase)
 
     sp = sub.add_parser("pde", help="evolve the reconstructed solution and "
                                     "measure extinction exponents")
@@ -370,39 +377,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.config:
+            # config values become defaults, so every explicit flag wins
+            ap.commands[args.command].set_defaults(**_config_defaults(args))
+            args = ap.parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
-        # argparse raises on usage errors and -h; report as a return code
+        # argparse exits on usage errors and -h; report as a return code
         # so in-process callers see the same contract as the shell.
         return int(e.code or 0)
-    actions = [a for g in ap._subparsers._group_actions
-               for a in g.choices[args.command]._actions]
-    defaults = {a.dest: a.default for a in actions}
-    types = {a.dest: a.type for a in actions}
-    try:
-        args = _apply_config(args, defaults, types)
-    except (OSError, ValueError) as e:
-        print(f"error: bad config: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    need = getattr(args, "needs_params", False)
-    if need == "unless_profile":
-        need = not args.from_profile
-    if need:
-        missing = [f"--{n}" for n in ("N", "p", "q")
-                   if hasattr(args, n) and getattr(args, n) is None]
-        if missing:
-            print("error: the following arguments are required: "
-                  + ", ".join(missing), file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        return args.fn(args)
-    except ValueError as e:
-        print(json.dumps({"ok": False, "error": str(e)}, sort_keys=True,
-                         indent=1))
-        return EXIT_RANGE
-    except RuntimeError as e:
-        print(json.dumps({"ok": False, "error": str(e)}, sort_keys=True,
-                         indent=1))
-        return EXIT_ALGO
+    except (UsageError, RangeViolation, ValueError, RuntimeError) as e:
+        return _report(e)
 
 
 if __name__ == "__main__":

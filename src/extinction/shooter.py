@@ -428,7 +428,9 @@ def read_profile_csv(text: str):
             continue
         if line[0].isalpha():   # header
             continue
-        rows.append([float(s) for s in line.split(",")])
-    arr = np.asarray(rows)
+        rows.append(line)
+    if not rows:
+        raise ValueError("no data rows")
+    arr = np.loadtxt(rows, delimiter=",", ndmin=2)
     cols = dict(zip(("r", "f", "fprime", "F", "w", "Wtail", "E"), arr.T))
     return meta, cols, events

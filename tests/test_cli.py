@@ -5,6 +5,8 @@ stdout can be asserted without subprocess overhead.
 """
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,42 @@ class TestExitCodes:
 
     def test_help_is_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    # One case per row of the exit-code table beyond the tests above.
+    # {profile} and {certify} are files of the shared `find` run; {empty}
+    # is a profile header without data; {short} is a profile shot to
+    # r = 10 only, too short for the phase rates.
+    @pytest.mark.parametrize("code, argv, needle", [
+        (1, ("phase", "--x0", "0.1,0.2", *N1, "--outdir", "{tmp}"), "--x0"),
+        (1, ("phase", "--x0", "0.1,0.1,0.6", "--span", "5", *N1,
+             "--outdir", "{tmp}"), "--span"),
+        (1, ("tail", "--profile", "{profile}", "--window", "5"), "--window"),
+        (1, ("tail", "--profile", "{certify}"), "cannot read profile"),
+        (1, ("tail", "--profile", "{empty}"), "no data rows"),
+        (2, ("classify", *N1, "--a", "-1"), "a must be positive"),
+        (2, ("classify", *N1, "--a", "1", "--rmax", "1e-9"),
+         "series-start radius"),
+        (2, ("pde", "--profile", "{profile}", "--M", "0"), "M >= 1"),
+        (3, ("find", "--N", "1", "--p", "1.15", "--q", "0.2774999999999999",
+             "--outdir", "{tmp}"), "Kstar - w"),
+        (3, ("find", "--N", "1", "--p", "1.85", "--q", "0.8575",
+             "--outdir", "{tmp}"), "bracket scan exhausted"),
+        (3, ("phase", "--from-profile", "{short}", "--outdir", "{tmp}"),
+         "does not converge"),
+    ])
+    def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
+                             needle):
+        files = {"profile": find_dir / "profile.csv",
+                 "certify": find_dir / "certify.json",
+                 "empty": tmp_path / "empty.csv",
+                 "short": tmp_path / "short.csv", "tmp": tmp_path}
+        files["empty"].write_text("# N,1\nr,f,fprime,F,w,Wtail,E\n")
+        if "{short}" in argv:
+            assert cli.main(["shoot", *N1, "--a", "2.3", "--rmax", "10",
+                             "--out", str(files["short"])]) == 0
+        got, out, err = run(capsys, *(a.format(**files) for a in argv))
+        assert got == code
+        assert needle in (err if code == 1 else json.loads(out)["error"])
 
 
 class TestQstar:
@@ -231,6 +269,19 @@ class TestConfig:
         assert code == 0
         assert d["q"] == 0.55
 
+    @pytest.mark.parametrize("flags, tol", [((), "0.001"),
+                                            (("--tol", "1e-10"), "1e-10")])
+    def test_explicit_default_valued_flag_wins(self, capsys, tmp_path,
+                                               flags, tol):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-3\n")
+        out = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, "--config", str(cfg), "shoot", *N1,
+                         "--a", "2.3", "--rmax", "10", *flags,
+                         "--out", str(out))
+        assert code == 0
+        assert f"# tol,{tol}\n" in out.read_text()
+
     def test_unknown_key_is_1(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("N = 1\nbogus = 2\n")
@@ -239,6 +290,13 @@ class TestConfig:
         assert code == 1
         assert "bogus" in err
 
-    def test_config_text_round_trip(self):
-        cfg = {"N": "1", "p": "1.2", "a-tol": "1e-12"}
-        assert cli.parse_config(cli.config_text(cfg)) == cfg
+
+def readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [ln for ln in block.splitlines() if ln.startswith("extinction ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    cli.build_parser().parse_args(shlex.split(line)[1:])
