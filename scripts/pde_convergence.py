@@ -18,7 +18,7 @@ import pathlib
 import sys
 import time
 
-from extinction import cli
+from extinction import cli, exponents
 
 
 def main():
@@ -67,8 +67,7 @@ def main():
         row["M"] = M
         rows.append(row)
 
-    (out / "sweep.json").write_text(json.dumps(rows, indent=1,
-                                               sort_keys=True))
+    (out / "sweep.json").write_text(exponents.json_text(rows))
     errs = [r["selfsim_error"] for r in rows]
     if len(errs) > 1 and not all(a > b for a, b in zip(errs, errs[1:])):
         print("warning: self-similar error not monotone under refinement",

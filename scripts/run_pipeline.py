@@ -23,7 +23,7 @@ import json
 import pathlib
 import sys
 
-from extinction import cli
+from extinction import cli, exponents
 
 
 def _run(*argv):
@@ -49,7 +49,7 @@ def main():
     triple = ["--N", str(args.N), "--p", repr(args.p), "--q", repr(args.q)]
     rc, rep = _run("constants", *triple, "--out", str(out / "constants.json"))
     if rc:
-        print(json.dumps(rep, indent=1, sort_keys=True), file=sys.stderr)
+        sys.stderr.write(exponents.json_text(rep))
         return rc
     c = json.loads((out / "constants.json").read_text())
     print(f"(N,p,q) = ({args.N}, {args.p}, {args.q}): "

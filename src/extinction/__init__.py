@@ -4,9 +4,10 @@ singular diffusion equation with gradient absorption
     u_t - div(|grad u|^{p-2} grad u) + |grad u|^q = 0,
     2N/(N+1) < p < 2,  p-1 < q < p/2.
 
-Modules: exponents (closed-form constants and spectra, plus the shared
-numerics: the 5-point ln-r derivative and the pinned-basis log
-regression), shooter (profile ODE shooting and classification), tail
+Modules: exponents (closed-form constants and spectra, plus what the
+other modules share: the 5-point ln-r derivative, the pinned-basis log
+regression, and the JSON and CSV writers that fix the byte format of
+every artifact), shooter (profile ODE shooting and classification), tail
 (w-transform, certification, tail fitting), phase (autonomous phase-space
 system and rate extraction), pde (radial solver verifying the extinction
 rates), cli (the pipeline driver; the scripts only call it).

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from pathlib import Path
 
@@ -86,7 +85,7 @@ def _report(exc: Exception) -> int:
     else:
         report = {"error": str(exc)}
         code = EXIT_ALGO if isinstance(exc, RuntimeError) else EXIT_RANGE
-    print(json.dumps({"ok": False, **report}, sort_keys=True, indent=1))
+    _write_or_print(None, exponents.json_text({"ok": False, **report}))
     return code
 
 
@@ -155,18 +154,18 @@ def cmd_qstar(args) -> int:
     if not (2.0 * args.N / (args.N + 1.0) < args.p < 2.0):
         raise RangeViolation({"violations": ["p outside (2N/(N+1), 2)"]})
     lam = exponents.lambdastar(args.N, args.p)
-    out = json.dumps({"N": args.N, "p": args.p, "lambdastar": lam,
-                      "qstar": lam + args.p - 1.0}, sort_keys=True, indent=1)
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, exponents.json_text(
+        {"N": args.N, "p": args.p, "lambdastar": lam,
+         "qstar": lam + args.p - 1.0}))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     pr, consts = _params(args)
     cl = shooter.classify(pr, consts, args.a, args.rmax, args.tol)
-    print(json.dumps({"a": args.a, "label": cl.label,
-                      "witness_r": cl.witness_r, "detail": cl.detail},
-                     sort_keys=True, indent=1))
+    _write_or_print(None, exponents.json_text(
+        {"a": args.a, "label": cl.label, "witness_r": cl.witness_r,
+         "detail": cl.detail}))
     return EXIT_OK
 
 
@@ -186,7 +185,6 @@ def cmd_find(args) -> int:
         pr, consts, br, a_tol=args.a_tol, r_max=args.rmax, tol=args.tol)
     with _algorithmic():
         cert = tail.certify_B(traj, consts)
-        fit = tail.fit_tail(tail.w_transform(traj, consts), consts)
     report = {
         "a_star": a_star,
         "bracket": [rec["lo"], rec["hi"]],
@@ -205,14 +203,16 @@ def cmd_find(args) -> int:
             "regime, and the asymptotic certificate checks are out of "
             "reach at bisection-limited radii (double-precision parameter "
             "resolution departs from the tail branch before it settles)")
+    # the certificate is written before the tail fit, which can fail
     (outdir / "profile.csv").write_text(
         shooter.trajectory_csv(traj, pr, consts))
-    (outdir / "certify.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1) + "\n")
-    (outdir / "tailfit.json").write_text(tail.tailfit_json(fit) + "\n")
-    print(json.dumps({"a_star": a_star, "certified": cert.ok,
-                      "theta_est": fit.theta_est, "A_est": fit.A_est},
-                     sort_keys=True, indent=1))
+    (outdir / "certify.json").write_text(exponents.json_text(report))
+    with _algorithmic():
+        fit = tail.fit_tail(tail.w_transform(traj, consts), consts)
+    (outdir / "tailfit.json").write_text(tail.tailfit_json(fit))
+    _write_or_print(None, exponents.json_text(
+        {"a_star": a_star, "certified": cert.ok,
+         "theta_est": fit.theta_est, "A_est": fit.A_est}))
     return EXIT_OK if cert.ok else EXIT_ALGO
 
 
@@ -236,15 +236,15 @@ def cmd_phase(args) -> int:
         (outdir / "phasepath.csv").write_text(phase.phasepath_csv(path))
         with _algorithmic():
             rates = phase.extract_rates(path, consts)
-        (outdir / "ratefit.json").write_text(
-            phase.ratefit_json(rates) + "\n")
-        print(phase.ratefit_json(rates))
+        text = phase.ratefit_json(rates)
+        (outdir / "ratefit.json").write_text(text)
+        _write_or_print(None, text)
         return EXIT_OK
     pr, consts = _params(args)
     pth = phase.integrate_phase(args.x0, args.span, consts, tol=args.tol)
     (outdir / "phasepath.csv").write_text(phase.phasepath_csv(pth))
-    print(json.dumps({"source": pth.source, "detail": pth.detail,
-                      "n": len(pth)}, sort_keys=True, indent=1))
+    _write_or_print(None, exponents.json_text(
+        {"source": pth.source, "detail": pth.detail, "n": len(pth)}))
     return EXIT_OK
 
 
@@ -263,8 +263,7 @@ def cmd_pde(args) -> int:
 
 
 def _write_or_print(out, text: str):
-    if not text.endswith("\n"):
-        text += "\n"
+    """Write an artifact's text to the file `out`, or to stdout."""
     if out:
         Path(out).write_text(text)
     else:

@@ -7,9 +7,11 @@ PDE check) is parametrized by the triple (N, p, q) with
 
 This module computes the derived constants and the spectrum of the
 phase-space linearization, and cross-checks them against exact algebraic
-identities.  It also holds the two numerical kernels the tail and phase
-analyses share: the 5-point derivative in ln r and the pinned-basis log
-regression.  Pure functions on value types throughout.
+identities.  It also holds what every other module shares: the two
+numerical kernels of the tail and phase analyses (the 5-point derivative
+in ln r and the pinned-basis log regression) and the two writers that fix
+the byte format of every artifact (`json_text`, `csv_text`).  Pure
+functions on value types throughout.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "constants_json",
     "deta",
     "log_fit",
+    "json_text",
+    "csv_text",
 ]
 
 # q within this distance of p-1 or p/2 still validates, but with a warning:
@@ -186,10 +190,32 @@ def spectral_data(consts: DerivedConstants) -> Spectrum:
                     lamstar, qstar)
 
 
+def json_text(obj) -> str:
+    """The JSON byte format of every artifact and report: sorted keys (so
+    reruns are byte-identical), indent 1, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def csv_text(comments, columns: dict, trailer) -> str:
+    """The CSV byte format of every artifact: `# f1,f2,...` per comment,
+    the names of `columns`, one row per sample of those equal-length
+    numeric columns, `# f1,f2,...` per trailer, one trailing newline.
+    Strings go as-is, numbers with 17 digits (they read back exactly)."""
+    num = "%.17g"
+
+    def fields(vals):
+        return ",".join(v if isinstance(v, str) else num % v for v in vals)
+    row = ",".join([num] * len(columns))
+    lines = ["# " + fields(c) for c in comments]
+    lines.append(",".join(columns))
+    lines += [row % r for r in zip(*columns.values())]
+    lines += ["# " + fields(c) for c in trailer]
+    return "\n".join(lines) + "\n"
+
+
 def constants_json(consts: DerivedConstants, spec: Spectrum) -> str:
     """Flat key-value JSON of DerivedConstants + Spectrum."""
-    return json.dumps({**asdict(consts), **asdict(spec)}, sort_keys=True,
-                      indent=1)
+    return json_text({**asdict(consts), **asdict(spec)})
 
 
 def deta(y: np.ndarray, h: float) -> np.ndarray:

@@ -25,20 +25,24 @@ The mobility floor eps under-transports wherever the true |s| < eps, so a
 fixed eps stalls refinement; eps shrinks with both the mesh and the
 solution scale, eps(t) = kappa dx (T-t)^{alpha+beta}, matching the decay
 of the self-similar slope field.
+
+SelfSimilarField.exact is the one reconstruction of the exact solution
+(initial data, Dirichlet ghost, reference of the self-similar error);
+metrics_json and the snapshots go through the writers of `exponents`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgtsv
 
-from .exponents import ExponentParams, DerivedConstants
+from .exponents import DerivedConstants, ExponentParams, csv_text, json_text
 from .tail import certify_B, fit_tail, w_transform
 
 __all__ = [
@@ -173,13 +177,13 @@ def build_initial(traj, consts: DerivedConstants, T: float,
             raise ValueError(f"profile not certified fast-decay: {bad}")
     fit = fit_tail(w_transform(traj, consts), consts)
     f_of = profile_interpolant(traj, consts, fit.A_est)
-    al, be = consts.alpha, consts.beta
-    u0 = T ** al * f_of(grid.centers() * T ** be)
+    fld = SelfSimilarField(T=T, t=0.0, values=None, grid=grid, profile=f_of,
+                           consts=consts)
+    u0 = fld.values = fld.exact()
     if u0[-1] > 1e-3 * u0[0]:
         raise ValueError(
             f"L too small: u(0,L)/u(0,0) = {u0[-1] / u0[0]:.3g} > 1e-3")
-    return SelfSimilarField(T=T, t=0.0, values=u0, grid=grid,
-                            profile=f_of, consts=consts)
+    return fld
 
 
 def _fluxes(u, grid: RadialGrid, p: float, eps: float, ghost: float | None):
@@ -300,14 +304,13 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid,
 
 def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
                     params: ExponentParams, consts: DerivedConstants,
-                    t_end: float, n_checkpoints: int = 24,
-                    kappa: float = 0.016, dt_frac: float = 1e-4,
+                    t_end: float, kappa: float = 0.016, dt_frac: float = 1e-4,
                     snapshot_dir=None) -> ExtinctionMetrics:
     """Evolve to t_end with implicit_step and measure exponents.
 
     eps(t) = kappa dx (T-t)^{alpha+beta}; dt = dt_frac (T-t), cut short
-    at geometric checkpoints clustered toward t_end, where snapshots are
-    taken.  The step follows the time scale T-t of the self-similar
+    at 24 geometric checkpoints clustered toward t_end, where snapshots
+    are taken.  The step follows the time scale T-t of the self-similar
     decay, so the step count ~ ln(T/(T-t_end))/dt_frac is independent of
     the grid.  Slopes of ln sup u and ln of the r^{N-1}-weighted L1 norm
     against ln(T-t) are taken over checkpoints with T-t < 0.9 T, past
@@ -330,13 +333,12 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
     al, be = consts.alpha, consts.beta
     xc = grid.centers()
     eps0 = kappa * grid.dx
-    f_of = fld0.profile
 
     fld = fld0
-    cks = sorted(set((T - np.geomspace(T * 0.999999, T - t_end,
-                                       n_checkpoints)).tolist()))
+    cks = sorted(set((T - np.geomspace(T * 0.999999, T - t_end, 24)).tolist()))
     cks[-1] = t_end
-    n_fit = sum(math.log(T - c) < math.log(0.9 * T) for c in cks)
+    in_fit = np.log(T - np.asarray(cks)) < math.log(0.9 * T)
+    n_fit = int(in_fit.sum())
     if n_fit < 2:
         raise ValueError(
             f"t_end={t_end:.3g} leaves {n_fit} checkpoint(s) with "
@@ -369,25 +371,23 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
     sup = []
     ts = []
     for tt, uu in out:
-        uex = (T - tt) ** al * f_of(xc * (T - tt) ** be)
+        uex = fld0.exact(tt, xc)
         sel = max(sel, float(np.max(np.abs(uu - uex)) / uex.max()))
         l1.append(float(np.sum(uu * vol)))
         sup.append(float(uu.max()))
         ts.append(tt)
     if snapshot_dir is not None:
-        from pathlib import Path
         d = Path(snapshot_dir)
         d.mkdir(parents=True, exist_ok=True)
         for k, (tt, uu) in enumerate(out):
-            rows = ["x,u"] + [f"{x:.17g},{v:.17g}" for x, v in zip(xc, uu)]
             (d / f"snapshot_{k:03d}.csv").write_text(
-                f"# t,{tt:.17g}\n" + "\n".join(rows) + "\n")
+                csv_text([("t", tt)], {"x": xc, "u": uu}, ()))
     alpha_est = l1_est = math.nan
     if stable and len(out) >= 4:
+        # every checkpoint was reached, so `in_fit` lines up with `ts`
         lt = np.log(T - np.asarray(ts))
-        msk = lt < math.log(0.9 * T)
-        alpha_est = float(np.polyfit(lt[msk], np.log(sup)[msk], 1)[0])
-        l1_est = float(np.polyfit(lt[msk], np.log(l1)[msk], 1)[0])
+        alpha_est = float(np.polyfit(lt[in_fit], np.log(sup)[in_fit], 1)[0])
+        l1_est = float(np.polyfit(lt[in_fit], np.log(l1)[in_fit], 1)[0])
     else:
         stable = False
     return ExtinctionMetrics(
@@ -403,4 +403,4 @@ def metrics_json(m: ExtinctionMetrics) -> str:
     # across reruns
     d.pop("wall_s")
     d["grid"] = {"L": d.pop("grid_L"), "M": d.pop("grid_M")}
-    return json.dumps(d, sort_keys=True, indent=1)
+    return json_text(d)

@@ -15,7 +15,6 @@ Uinf, Vinf.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -23,7 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .exponents import DerivedConstants, deta, log_fit, spectral_data
+from .exponents import (DerivedConstants, csv_text, deta, json_text,
+                        log_fit, spectral_data)
 
 __all__ = [
     "PhasePath",
@@ -147,10 +147,10 @@ def jacobian_origin(consts: DerivedConstants) -> np.ndarray:
 
 
 def integrate_phase(x0, eta_span, consts: DerivedConstants,
-                    tol: float = 1e-10, n_samples: int = 2001) -> PhasePath:
-    """Free integration of the autonomous system.  The right side is
-    quadratic with no singularity; a |x| >= 1e12 guard stops runaway
-    along the unstable direction."""
+                    tol: float = 1e-10) -> PhasePath:
+    """Free integration of the autonomous system, sampled at 2001 points
+    uniform in eta.  The right side is quadratic with no singularity; a
+    |x| >= 1e12 guard stops runaway along the unstable direction."""
     X0, Y0, Z0 = _coords(x0)
 
     def rhs(eta, x):
@@ -169,7 +169,7 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     detail = ""
     if sol.status == 1:
         detail = f"blow-up guard at eta={sol.t[-1]:.6g}"
-    etas = np.linspace(sol.t[0], sol.t[-1], n_samples)
+    etas = np.linspace(sol.t[0], sol.t[-1], 2001)
     xs = sol.sol(etas)
     return PhasePath(eta=etas, X=xs[0], Y=xs[1], Z=xs[2],
                      Wshift=xs[2] - consts.Zstar,
@@ -189,8 +189,7 @@ def exact_orbit(consts: DerivedConstants, rho: float,
     return X, Y, Z
 
 
-def extract_rates(path: PhasePath, consts: DerivedConstants,
-                  fit_window: tuple[float, float] | None = None) -> RateFit:
+def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     """Read off the stable rates from a converging path.
 
     ln Y is regressed linearly on eta over a short late window (Y carries
@@ -213,11 +212,8 @@ def extract_rates(path: PhasePath, consts: DerivedConstants,
             f"path does not converge to the critical point "
             f"(terminal distance {dist:.3g} > 0.05*Zstar)")
     e_max = eta[-1]
-    if fit_window is None:
-        win2 = (e_max - 2.5, e_max - 0.05)
-        win3 = (e_max - math.log(10.0), e_max)
-    else:
-        win2 = win3 = (float(fit_window[0]), float(fit_window[1]))
+    win2 = (e_max - 2.5, e_max - 0.05)
+    win3 = (e_max - math.log(10.0), e_max)
 
     m2 = (eta >= win2[0]) & (eta <= win2[1]) & (Y > 0.0)
     if m2.sum() < 10:
@@ -248,19 +244,15 @@ def extract_rates(path: PhasePath, consts: DerivedConstants,
                    flags=tuple(flags))
 
 
-def path_dynamics_residual(path: PhasePath, consts: DerivedConstants,
-                           eta_min: float | None = None) -> float:
+def path_dynamics_residual(path: PhasePath, consts: DerivedConstants) -> float:
     """rms mismatch between the numerical eta-derivative of a mapped path
-    and the analytic vector field, on the segment eta >= eta_min
-    (default: final decade).  Requires uniform eta spacing; uses 5-point
-    central differences.  Residuals are measured relative to the local
-    velocity scale."""
+    and the analytic vector field, on the final decade of r.  Requires
+    uniform eta spacing; uses 5-point central differences.  Residuals are
+    measured relative to the local velocity scale."""
     eta = path.eta
     h = np.diff(eta)
     if len(eta) < 9 or not np.allclose(h, h[0], rtol=1e-8):
         raise ValueError("need >= 9 uniformly spaced samples in eta")
-    if eta_min is None:
-        eta_min = eta[-1] - math.log(10.0)
     hs = float(h[0])
     Xm, Ym, Zm = path.X[2:-2], path.Y[2:-2], path.Z[2:-2]
     em = eta[2:-2]
@@ -269,18 +261,16 @@ def path_dynamics_residual(path: PhasePath, consts: DerivedConstants,
     scale = np.maximum.reduce([np.abs(fX), np.abs(fY), np.abs(fZ),
                                np.abs(dX), np.abs(dY), np.abs(dZ),
                                np.full_like(Xm, 1e-30)])
-    sel = em >= eta_min
+    sel = em >= eta[-1] - math.log(10.0)
     res = ((dX - fX) ** 2 + (dY - fY) ** 2 + (dZ - fZ) ** 2) / scale ** 2
     return float(np.sqrt(np.mean(res[sel])))
 
 
 def phasepath_csv(path: PhasePath) -> str:
-    lines = [f"# source,{path.source}", "eta,X,Y,Z,Wshift"]
-    for i in range(len(path.eta)):
-        lines.append(",".join(f"{v:.17g}" for v in (
-            path.eta[i], path.X[i], path.Y[i], path.Z[i], path.Wshift[i])))
-    return "\n".join(lines) + "\n"
+    return csv_text([("source", path.source)],
+                    {"eta": path.eta, "X": path.X, "Y": path.Y,
+                     "Z": path.Z, "Wshift": path.Wshift}, ())
 
 
 def ratefit_json(fit: RateFit) -> str:
-    return json.dumps(asdict(fit), sort_keys=True, indent=1)
+    return json_text(asdict(fit))

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .exponents import ExponentParams, DerivedConstants, deta, validate_range
+from .exponents import (ExponentParams, DerivedConstants, csv_text, deta,
+                        validate_range)
 
 __all__ = [
     "ProfileState",
@@ -303,14 +304,13 @@ def _heuristic_side(params, consts, a, r_max, tol):
 
 def find_profile(params: ExponentParams, consts: DerivedConstants,
                  bracket: Bracket, a_tol: float = 1e-10,
-                 r_max: float = 100.0, tol: float = 1e-10,
-                 max_doublings: int = 4,
-                 n_samples: int = 16000):
+                 r_max: float = 100.0, tol: float = 1e-10):
     """Bisect the bracket until hi - lo <= a_tol * lo.
 
-    UNDETERMINED midpoints are re-classified with doubled r_max up to
-    max_doublings, then assigned by the gap-contraction heuristic (flagged
-    in the transcript).  Returns (a_star, trajectory at r_max, transcript).
+    UNDETERMINED midpoints are re-classified with r_max doubled up to 4
+    times, then assigned by the gap-contraction heuristic (flagged in the
+    transcript).  Returns (a_star, trajectory at r_max with
+    integrate_profile's default sampling, transcript).
     """
     lo, hi = bracket.lo, bracket.hi
     transcript = []
@@ -320,14 +320,13 @@ def find_profile(params: ExponentParams, consts: DerivedConstants,
         if m <= lo or m >= hi:
             break   # double precision exhausted
         lab = None
-        rm = r_max
-        for d in range(max_doublings + 1):
+        rm = 0.5 * r_max
+        for _ in range(5):   # r_max, then up to 4 doublings
+            rm *= 2.0
             cl = classify(params, consts, m, rm, tol)
             if cl.label != "UNDETERMINED":
                 lab = cl.label
                 break
-            if d < max_doublings:
-                rm *= 2.0
         heuristic = False
         if lab is None:
             lab = _heuristic_side(params, consts, m, rm, tol)
@@ -340,7 +339,7 @@ def find_profile(params: ExponentParams, consts: DerivedConstants,
         else:
             hi = m
     a_star = 0.5 * (lo + hi)
-    traj = integrate_profile(params, consts, a_star, r_max, tol, n_samples)
+    traj = integrate_profile(params, consts, a_star, r_max, tol)
     if n_heuristic:
         traj.detail = (f"{n_heuristic} bisection step(s) resolved by the "
                        "gap-contraction heuristic (undecidable at finite r)")
@@ -388,26 +387,15 @@ def ode_residual(traj: ProfileTrajectory, params: ExponentParams,
 
 def trajectory_csv(traj: ProfileTrajectory, params: ExponentParams,
                    consts: DerivedConstants) -> str:
-    """CSV with 17 significant digits; events appended as comment lines."""
+    """Profile CSV: the run's parameters as comments, one row per sample,
+    events appended as comment lines."""
     mu = consts.mu
-    lines = [
-        f"# a,{traj.a:.17g}",
-        f"# N,{params.N}",
-        f"# p,{params.p:.17g}",
-        f"# q,{params.q:.17g}",
-        f"# r0,{traj.r0:.17g}",
-        f"# tol,{traj.tol:.17g}",
-        "r,f,fprime,F,w,Wtail,E",
-    ]
-    w = traj.r ** mu * traj.f
-    Wtail = traj.r ** (mu + 1.0) * traj.fprime
-    for i in range(len(traj.r)):
-        lines.append(",".join(f"{v:.17g}" for v in (
-            traj.r[i], traj.f[i], traj.fprime[i], traj.F[i],
-            w[i], Wtail[i], traj.energy[i])))
-    for kind, r_e in traj.events:
-        lines.append(f"# event,{kind},{r_e:.17g}")
-    return "\n".join(lines) + "\n"
+    meta = [("a", traj.a), ("N", params.N), ("p", params.p),
+            ("q", params.q), ("r0", traj.r0), ("tol", traj.tol)]
+    cols = {"r": traj.r, "f": traj.f, "fprime": traj.fprime, "F": traj.F,
+            "w": traj.r ** mu * traj.f,
+            "Wtail": traj.r ** (mu + 1.0) * traj.fprime, "E": traj.energy}
+    return csv_text(meta, cols, [("event", *ev) for ev in traj.events])
 
 
 def read_profile_csv(text: str):

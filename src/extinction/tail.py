@@ -8,14 +8,14 @@ shot trajectory follows the fast-decay branch and estimates (A, theta).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .exponents import DerivedConstants, deta, log_fit, spectral_data
+from .exponents import (DerivedConstants, deta, json_text, log_fit,
+                        spectral_data)
 
 __all__ = [
     "WState",
@@ -128,23 +128,16 @@ def w_residual(states: WState, consts: DerivedConstants) -> float:
                                  + ((d2 - rhs2) / s2) ** 2)))
 
 
-def certify_B(traj, consts: DerivedConstants,
-              tol_K: float | None = None,
-              tol_slope: float | None = None,
-              tol_deriv: float | None = None) -> CertReport:
+def certify_B(traj, consts: DerivedConstants) -> CertReport:
     """Five-point certificate that a trajectory follows the fast-decay
     branch: (i) 0 < w < Kstar throughout, (ii) w' > 0 throughout,
-    (iii) w(r_end) within tol_K of Kstar, (iv) |r w'| at r_end below
-    tol_slope, (v) r^{mu+1} f' at r_end within tol_deriv of -mu Kstar.
-    Defaults: tol_K = 0.01 Kstar, tol_slope = tol_deriv = 0.05 mu Kstar.
+    (iii) w(r_end) within tol_K = 0.01 Kstar of Kstar, (iv) |r w'| at
+    r_end below tol_slope = 0.05 mu Kstar, (v) r^{mu+1} f' at r_end
+    within tol_deriv = 0.05 mu Kstar of -mu Kstar.
     """
     Kst, mu = consts.Kstar, consts.mu
-    if tol_K is None:
-        tol_K = 0.01 * Kst
-    if tol_slope is None:
-        tol_slope = 0.05 * mu * Kst
-    if tol_deriv is None:
-        tol_deriv = 0.05 * mu * Kst
+    tol_K = 0.01 * Kst
+    tol_slope = tol_deriv = 0.05 * mu * Kst
     st = w_transform(traj, consts)
     wp = _wprime(st, mu)
     w_end = float(st.w[-1])
@@ -265,4 +258,4 @@ def fit_tail(states: WState, consts: DerivedConstants,
 
 
 def tailfit_json(fit: TailFit) -> str:
-    return json.dumps(asdict(fit), sort_keys=True, indent=1)
+    return json_text(asdict(fit))

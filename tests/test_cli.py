@@ -5,6 +5,7 @@ stdout can be asserted without subprocess overhead.
 """
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -166,6 +167,20 @@ class TestFind:
             assert ((tmp_path / name).read_bytes()
                     == (find_dir / name).read_bytes()), name
 
+    def test_fit_failure_keeps_the_certificate(self, capsys, tmp_path):
+        # fit_tail raises here ("Kstar - w must stay positive"); the
+        # profile and the certificate are written before the fit
+        code, d, _ = run_json(capsys, "find", "--N", "1", "--p", "1.15",
+                              "--q", "0.2774999999999999",
+                              "--outdir", str(tmp_path))
+        assert code == 3
+        assert "Kstar - w" in d["error"]
+        assert (tmp_path / "profile.csv").exists()
+        cert = json.loads((tmp_path / "certify.json").read_text())
+        assert set(cert["checks"]) == {"w_in_band", "w_monotone", "w_limit",
+                                       "slope_decay", "deriv_limit"}
+        assert not (tmp_path / "tailfit.json").exists()
+
     def test_n2_candidate_exits_3_with_caveat(self, capsys, tmp_path):
         code, d, _ = run_json(capsys, "find", "--N", "2", "--p", "1.5",
                               "--q", "0.6", "--rmax", "60",
@@ -289,6 +304,76 @@ class TestConfig:
                            "--p", "1.2", "--q", "0.5")
         assert code == 1
         assert "bogus" in err
+
+
+def assert_json_format(text):
+    """Sorted keys, indent 1, exactly one trailing newline."""
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=1) + "\n"
+
+
+def assert_csv_format(text):
+    """`# ` comment lines, one header, data rows of 17-digit numbers,
+    `# ` trailer lines, exactly one trailing newline."""
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text[:-1].split("\n")
+    kinds = "".join("c" if ln.startswith("# ") else
+                    "h" if ln[:1].isalpha() else "d" for ln in lines)
+    assert re.fullmatch("c*hd+c*", kinds), kinds
+    n_cols = len(lines[kinds.index("h")].split(","))
+    for ln, kind in zip(lines, kinds):
+        if kind == "d":
+            fields = ln.split(",")
+            assert len(fields) == n_cols, ln
+            assert all(format(float(s), ".17g") == s for s in fields), ln
+
+
+def assert_artifact_format(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        assert_json_format(text)
+    else:
+        assert_csv_format(text)
+
+
+class TestArtifactFormat:
+    """The byte format of every artifact kind the commands write."""
+
+    @pytest.mark.parametrize("name", ["profile.csv", "certify.json",
+                                      "tailfit.json"])
+    def test_find_files(self, find_dir, name):
+        assert_artifact_format(find_dir / name)
+
+    # argv, exit code, files written under {tmp}; stdout is a JSON
+    # report unless the command writes its report with --out
+    @pytest.mark.parametrize("argv, code, files", [
+        (("constants", *N1), 0, ()),
+        (("qstar", "--N", "1", "--p", "1.2"), 0, ()),
+        (("classify", *N1, "--a", "0.5"), 0, ()),
+        (("constants", "--N", "1", "--p", "2.5", "--q", "0.5"), 2, ()),
+        (("tail", "--profile", "{profile}", "--out", "{tmp}/t.json"), 0,
+         ("t.json",)),
+        (("phase", "--from-profile", "{profile}", "--outdir", "{tmp}"), 0,
+         ("phasepath.csv", "ratefit.json")),
+        (("phase", "--x0", "0.15,0.35,0.6667", *N1, "--outdir", "{tmp}"),
+         0, ("phasepath.csv",)),
+        (("pde", "--profile", "{profile}", "--M", "20", "--tend", "0.3",
+          "--snapshots", "{tmp}/snaps", "--out", "{tmp}/metrics.json"), 0,
+         ("metrics.json", "snaps/snapshot_000.csv",
+          "snaps/snapshot_023.csv")),
+    ], ids=["constants", "qstar", "classify", "report", "tail",
+            "phase-profile", "phase-x0", "pde"])
+    def test_command_artifacts(self, capsys, profile_csv1, tmp_path, argv,
+                               code, files):
+        got, out, _ = run(capsys, *(a.format(profile=profile_csv1,
+                                             tmp=tmp_path) for a in argv))
+        assert got == code
+        if "--out" in argv:
+            assert out == ""
+        else:
+            assert_json_format(out)
+        for name in files:
+            assert_artifact_format(tmp_path / name)
 
 
 def readme_commands():
