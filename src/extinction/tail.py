@@ -28,6 +28,9 @@ __all__ = [
     "tailfit_json",
 ]
 
+# fit_tail rejects a theta_est this far from consts.theta, relatively
+THETA_REL_TOL = 0.5
+
 
 @dataclass
 class WState:
@@ -211,7 +214,9 @@ def fit_tail(states: WState, consts: DerivedConstants,
     its residual stays well above rounding; in that case theta and A are
     replaced by the closed-form-pinned ratio regression, which is immune
     to the known next-order contamination.  Stage-2 results are always
-    reported verbatim in `stage2`.
+    reported verbatim in `stage2`.  A theta_est more than THETA_REL_TOL
+    (50 %) from the closed-form consts.theta raises ValueError: no stage
+    has measured the second-order term there.
     """
     r_all = states.r
     if window is None:
@@ -252,6 +257,10 @@ def fit_tail(states: WState, consts: DerivedConstants,
             th, A = ref
             K = Kst
         rms = float(np.sqrt(np.mean((w - (K - A * r ** (-th))) ** 2)))
+    if abs(th / consts.theta - 1.0) > THETA_REL_TOL:
+        raise ValueError(
+            f"tail exponent off theory: theta_est = {th:.6g} is more than "
+            f"{THETA_REL_TOL:.0%} from theta = {consts.theta:.6g}")
     return TailFit(K_est=K, A_est=A, theta_est=th, window=(float(lo),
                    float(hi)), residual_rms=rms,
                    accepted=bool(rms <= 1e-3 * abs(K)), stage2=stage2)

@@ -95,6 +95,8 @@ class TestExitCodes:
              "--outdir", "{tmp}"), "bracket scan exhausted"),
         (3, ("phase", "--from-profile", "{short}", "--outdir", "{tmp}"),
          "does not converge"),
+        (3, ("find", "--N", "1", "--p", "1.5", "--q", "0.525",
+             "--outdir", "{tmp}"), "tail exponent off theory"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):

@@ -384,6 +384,56 @@ class TestRunAndMeasure:
         assert lines[1] == "x,u"
         assert len(lines) == 2 + grid.M
 
+    def test_loop_equals_public_step(self, star1, params1, consts1,
+                                     tmp_path):
+        # the planned loop and implicit_step share one kernel: replaying
+        # the schedule (dt = 1e-4 (T-t), cut at the checkpoints the
+        # snapshots record) through implicit_step gives the same bits
+        _, traj, _ = star1
+        grid = RadialGrid(L=40.0, M=50, N=1)
+        fld = build_initial(traj, consts1, T=1.0, grid=grid)
+        m = run_and_measure(fld, grid, params1, consts1, t_end=0.3,
+                            snapshot_dir=tmp_path)
+        snaps = sorted(tmp_path.glob("snapshot_*.csv"))
+        cks = [float(f.read_text().splitlines()[0].split(",")[1])
+               for f in snaps]
+        u_last = np.loadtxt(snaps[-1], delimiter=",", comments="#",
+                            skiprows=2)[:, 1]
+        eps0 = 0.016 * grid.dx
+        expo = consts1.alpha + consts1.beta
+        cur, k, n = fld, 0, 0
+        while cur.t < 0.3 - 1e-14:
+            dt = 1e-4 * (1.0 - cur.t)
+            if k < len(cks) and cur.t + dt >= cks[k] - 1e-14:
+                dt = cks[k] - cur.t
+                k += 1
+            cur = implicit_step(cur, grid, params1,
+                                eps0 * (1.0 - cur.t) ** expo, dt)
+            n += 1
+        assert k == len(cks)
+        assert cur.t == cks[-1]
+        assert n == m.steps
+        assert np.array_equal(cur.values, u_last)
+        assert cur.n_clipped == m.n_clipped
+
+    @pytest.mark.parametrize("M", [25, 100])
+    def test_profile_calls_per_run(self, star1, params1, consts1, M):
+        # one call for every Dirichlet ghost of the run, plus one per
+        # checkpoint for the self-similar error: nothing per step
+        _, traj, _ = star1
+        grid = RadialGrid(L=40.0, M=M, N=1)
+        fld = build_initial(traj, consts1, T=1.0, grid=grid)
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return fld.profile(x)
+
+        m = run_and_measure(dataclasses.replace(fld, profile=counting),
+                            grid, params1, consts1, t_end=0.8)
+        assert m.steps == 16101
+        assert len(calls) <= 1 + 24
+
     def test_metrics_json_schema(self, run200):
         import json
         d = json.loads(metrics_json(run200))

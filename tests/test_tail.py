@@ -192,6 +192,13 @@ class TestFitTail:
         with pytest.raises(ValueError):
             fit_tail(stt, consts1, window=(10.0, 100.0))
 
+    def test_theta_far_from_theory_raises(self, consts1):
+        # exact-model data with theta 60 % above consts.theta = 1: the fit
+        # recovers it, and it is named a failure instead of returned
+        stt = model_states(consts1, consts1.Kstar, 0.7, 1.6)
+        with pytest.raises(ValueError, match="tail exponent off theory"):
+            fit_tail(stt, consts1, window=(10.0, 100.0))
+
     @settings(max_examples=40, deadline=None)
     @given(theta=st.floats(0.6, 1.4), A=st.floats(0.1, 1.0),
            frac=st.floats(0.0, 0.25))
