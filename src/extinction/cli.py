@@ -120,7 +120,7 @@ def _params(args):
                               "warnings": rep.warnings})
     pr = exponents.ExponentParams(N=args.N, p=args.p, q=args.q)
     consts = exponents.derive_constants(pr)
-    if "rmax" in vars(args) and not args.rmax:
+    if "rmax" in vars(args) and args.rmax is None:
         # radius where the second-order tail term has decayed to 1% of Kstar
         args.rmax = 100.0 ** (1.0 / consts.theta)
     return pr, consts

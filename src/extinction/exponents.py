@@ -229,8 +229,10 @@ def log_fit(x: np.ndarray, y: np.ndarray, rates=()) -> np.ndarray:
 
     With x = ln r and y the log of a decaying quantity, the x coefficient
     is its power-law exponent, and each closed-form rate pins a known
-    subleading mode without adding a nonlinear parameter.
+    subleading mode without adding a nonlinear parameter.  Each column is
+    scaled to unit maximum for the solve: e^{rate x} spans many decades.
     """
     cols = np.column_stack([np.ones_like(x), x]
                            + [np.exp(rate * x) for rate in rates])
-    return np.linalg.lstsq(cols, y, rcond=None)[0]
+    scale = np.abs(cols).max(axis=0)
+    return np.linalg.lstsq(cols / scale, y, rcond=None)[0] / scale

@@ -12,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .exponents import (DerivedConstants, deta, json_text, log_fit,
                         spectral_data)
@@ -68,7 +67,6 @@ class TailFit:
     window: tuple[float, float]
     residual_rms: float
     accepted: bool
-    stage2: dict
 
 
 def w_transform(traj, consts: DerivedConstants) -> WState:
@@ -205,18 +203,16 @@ def _ratio_refine(st: WState, consts: DerivedConstants, mask):
 
 def fit_tail(states: WState, consts: DerivedConstants,
              window: tuple[float, float] | None = None) -> TailFit:
-    """Fit w = K - A r^{-theta} on the window (default [r_max/10, r_max]).
+    """Fit w = Kstar - A r^{-theta} on the window (default [r_max/10,
+    r_max]); K_est is always Kstar.
 
-    Stage 1 pins K at Kstar and regresses ln(Kstar - w) on ln r; stage 2
-    releases K in a 3-parameter Levenberg-Marquardt refinement.  When the
-    data carry curvature beyond the pure power model (every real
-    trajectory does), the released-K stage absorbs it into a biased K and
-    its residual stays well above rounding; in that case theta and A are
-    replaced by the closed-form-pinned ratio regression, which is immune
-    to the known next-order contamination.  Stage-2 results are always
-    reported verbatim in `stage2`.  A theta_est more than THETA_REL_TOL
-    (50 %) from the closed-form consts.theta raises ValueError: no stage
-    has measured the second-order term there.
+    Stage 1 regresses ln(Kstar - w) on ln r.  Its residual is at rounding
+    level (rms <= 1e-9 Kstar) only on an exact power law.  Every real
+    trajectory carries curvature beyond it; there theta and A come from
+    the closed-form-pinned ratio regression, immune to the known
+    next-order contamination (stage 1 again if it has too few samples).
+    A theta_est more than THETA_REL_TOL (50 %) from consts.theta raises
+    ValueError: neither estimator has measured the second-order term.
     """
     r_all = states.r
     if window is None:
@@ -232,38 +228,24 @@ def fit_tail(states: WState, consts: DerivedConstants,
     if np.any(gap <= 0.0):
         raise ValueError("Kstar - w must stay positive inside the window")
 
+    def rms_of(A, th):
+        return float(np.sqrt(np.mean((w - (Kst - A * r ** (-th))) ** 2)))
+
     # stage 1: pinned-K log-linear
-    lr = np.log(r)
-    co = log_fit(lr, np.log(gap))
-    A1, th1 = math.exp(co[0]), -co[1]
-
-    # stage 2: release K
-    def resid(x):
-        K, A, th = x
-        return w - (K - A * np.exp(-th * lr))
-    ls = least_squares(resid, x0=(Kst, A1, th1), method="lm")
-    K2, A2, th2 = (float(v) for v in ls.x)
-    rms2 = float(np.sqrt(np.mean(ls.fun ** 2)))
-    stage2 = {"K_est": K2, "A_est": A2, "theta_est": th2,
-              "residual_rms": rms2, "converged": bool(ls.success)}
-
-    if ls.success and rms2 <= 1e-9 * abs(K2):
-        K, A, th, rms = K2, A2, th2, rms2
-    else:
+    co = log_fit(np.log(r), np.log(gap))
+    A, th = math.exp(co[0]), -co[1]
+    if rms_of(A, th) > 1e-9 * Kst:
         ref = _ratio_refine(states, consts, mask)
-        if ref is None:
-            K, A, th = Kst, A1, th1
-        else:
+        if ref is not None:
             th, A = ref
-            K = Kst
-        rms = float(np.sqrt(np.mean((w - (K - A * r ** (-th))) ** 2)))
+    rms = rms_of(A, th)
     if abs(th / consts.theta - 1.0) > THETA_REL_TOL:
         raise ValueError(
             f"tail exponent off theory: theta_est = {th:.6g} is more than "
             f"{THETA_REL_TOL:.0%} from theta = {consts.theta:.6g}")
-    return TailFit(K_est=K, A_est=A, theta_est=th, window=(float(lo),
+    return TailFit(K_est=Kst, A_est=A, theta_est=th, window=(float(lo),
                    float(hi)), residual_rms=rms,
-                   accepted=bool(rms <= 1e-3 * abs(K)), stage2=stage2)
+                   accepted=bool(rms <= 1e-3 * Kst))
 
 
 def tailfit_json(fit: TailFit) -> str:

@@ -95,8 +95,10 @@ class TestExitCodes:
              "--outdir", "{tmp}"), "bracket scan exhausted"),
         (3, ("phase", "--from-profile", "{short}", "--outdir", "{tmp}"),
          "does not converge"),
-        (3, ("find", "--N", "1", "--p", "1.5", "--q", "0.525",
+        (3, ("find", "--N", "1", "--p", "1.15", "--q", "0.5324999999999999",
              "--outdir", "{tmp}"), "tail exponent off theory"),
+        (2, ("classify", *N1, "--a", "1", "--rmax", "0"),
+         "series-start radius"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -182,6 +184,17 @@ class TestFind:
         assert set(cert["checks"]) == {"w_in_band", "w_monotone", "w_limit",
                                        "slope_decay", "deriv_limit"}
         assert not (tmp_path / "tailfit.json").exists()
+
+    def test_uncertified_fit_near_theory(self, capsys, tmp_path):
+        # mu = 39: the ratio regression pins r^-18, r^-36 and r^22 over a
+        # decade of r, and must still measure theta near 1 (uncertified)
+        code, d, _ = run_json(capsys, "find", "--N", "1", "--p", "1.5",
+                              "--q", "0.525", "--outdir", str(tmp_path))
+        assert code == 3
+        assert not d["certified"]
+        fit = json.loads((tmp_path / "tailfit.json").read_text())
+        assert abs(fit["theta_est"] - 1.0) < 0.01
+        assert fit["theta_est"] == d["theta_est"]
 
     def test_n2_candidate_exits_3_with_caveat(self, capsys, tmp_path):
         code, d, _ = run_json(capsys, "find", "--N", "2", "--p", "1.5",

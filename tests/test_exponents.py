@@ -19,6 +19,7 @@ from extinction import (
     spectral_data,
     lambdastar,
     constants_json,
+    log_fit,
     jacobian_origin,
 )
 
@@ -247,3 +248,15 @@ def test_constants_json_flat_and_sorted():
     assert d["qstar"] == pytest.approx(0.4666666666666666, rel=1e-13)
     assert list(d) == sorted(d)
     assert txt == constants_json(c, s)
+
+
+def test_log_fit_recovers_a_wide_pinned_basis():
+    # the N=2 ratio basis of tail._ratio_refine: r^-3, r^-6, r^6.8 on
+    # r in [6, 60] span 17 decades; each term contributes O(1) to y
+    x = np.log(np.geomspace(6.0, 60.0, 200))
+    rates = (-3.0, -6.0, 6.8)
+    basis = np.column_stack([np.ones_like(x), x]
+                            + [np.exp(rate * x) for rate in rates])
+    c = np.array([1.0, -0.5, 0.7, -0.3, 0.2]) / np.abs(basis).max(axis=0)
+    got = log_fit(x, basis @ c, rates)
+    assert np.allclose(got, c, rtol=1e-9, atol=0.0)

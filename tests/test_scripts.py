@@ -4,6 +4,7 @@ Each script runs in a subprocess with PYTHONPATH=src, as from a checkout,
 at small sizes.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -46,3 +47,14 @@ def test_run_pipeline_n1(tmp_path):
         "phasepath.csv", "ratefit.json"}
     assert "tail band: certified" in res.stdout
     assert "A from Vinf / A from tail fit" in res.stdout
+
+
+def test_crossover_scan(capsys):
+    res = run_script("crossover_scan.py", "--N", "1", "--p", "1.2")
+    assert res.returncode == 0, res.stderr
+    assert " -- crossover, q* = 0.466667 --" in res.stdout.splitlines()
+    # the printed q* is the one `extinction qstar` reports
+    assert cli.main(["qstar", "--N", "1", "--p", "1.2"]) == 0
+    qstar = json.loads(capsys.readouterr().out)["qstar"]
+    assert res.stdout.splitlines()[-1] == f"q*(N=1, p=1.2) = {qstar:.10f}"
+    assert f"{qstar:.10f}" == "0.4666666667"
