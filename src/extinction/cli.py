@@ -213,7 +213,7 @@ def cmd_find(args) -> int:
     _write_or_print(None, exponents.json_text(
         {"a_star": a_star, "certified": cert.ok,
          "theta_est": fit.theta_est, "A_est": fit.A_est}))
-    return EXIT_OK if cert.ok else EXIT_ALGO
+    return EXIT_OK if cert.ok and fit.accepted else EXIT_ALGO
 
 
 def cmd_tail(args) -> int:
@@ -222,7 +222,7 @@ def cmd_tail(args) -> int:
     with _algorithmic():
         fit = tail.fit_tail(st, consts, args.window)
     _write_or_print(args.out, tail.tailfit_json(fit))
-    return EXIT_OK
+    return EXIT_OK if fit.accepted else EXIT_ALGO
 
 
 def cmd_phase(args) -> int:

@@ -189,13 +189,11 @@ def energy(params: ExponentParams, consts: DerivedConstants,
     return (p - 1.0) / p * np.abs(fprime) ** p + 0.5 * consts.alpha * f ** 2
 
 
-def integrate_profile(params: ExponentParams, consts: DerivedConstants,
-                      a: float, r_max: float, tol: float = 1e-10,
-                      n_samples: int = 16000) -> ProfileTrajectory:
-    """Adaptive integration from the series start to the first decisive
-    event or r_max.  Samples are geometric in r (uniform in ln r) from the
-    dense output, so downstream log-log fits and finite differences in
-    ln r see a uniform grid.
+def _shoot(params: ExponentParams, consts: DerivedConstants, a: float,
+           r_max: float, tol: float, dense: bool):
+    """One DOP853 solve from the series start to the first decisive event
+    or r_max.  Returns (sol, r0, events, r_end, detail); `sol.sol` is the
+    dense interpolant only when `dense` is set.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -212,7 +210,7 @@ def integrate_profile(params: ExponentParams, consts: DerivedConstants,
     sol = solve_ivp(_make_rhs(params, consts), (r0, r_max),
                     (state0.f, state0.F), method="DOP853",
                     rtol=tol, atol=0.0,
-                    events=_make_events(params, consts), dense_output=True)
+                    events=_make_events(params, consts), dense_output=dense)
     events: list[tuple[str, float]] = []
     r_end = sol.t[-1]
     detail = ""
@@ -227,7 +225,19 @@ def integrate_profile(params: ExponentParams, consts: DerivedConstants,
         events.append(("RMAX_REACHED", float(r_end)))
     else:
         detail = f"integrator failure: {sol.message}"
+    return sol, r0, events, r_end, detail
 
+
+def integrate_profile(params: ExponentParams, consts: DerivedConstants,
+                      a: float, r_max: float, tol: float = 1e-10,
+                      n_samples: int = 16000) -> ProfileTrajectory:
+    """Adaptive integration from the series start to the first decisive
+    event or r_max.  Samples are geometric in r (uniform in ln r) from the
+    dense output, so downstream log-log fits and finite differences in
+    ln r see a uniform grid.
+    """
+    sol, r0, events, r_end, detail = _shoot(params, consts, a, r_max, tol,
+                                            dense=True)
     rs = np.geomspace(r0, r_end, n_samples)
     ys = sol.sol(rs)
     f, F = ys[0], ys[1]
@@ -242,18 +252,20 @@ def integrate_profile(params: ExponentParams, consts: DerivedConstants,
 
 def classify(params: ExponentParams, consts: DerivedConstants, a: float,
              r_max: float, tol: float = 1e-10) -> Classification:
-    """Map the first decisive event to the shooting class."""
-    traj = integrate_profile(params, consts, a, r_max, tol, n_samples=64)
-    if traj.detail:
-        return Classification("UNDETERMINED", traj.r_end, traj.detail)
-    kind, r_e = traj.events[0]
+    """Map the first decisive event to the shooting class.  Only the
+    endpoint is read, so the solve keeps no dense output."""
+    sol, _, events, r_end, detail = _shoot(params, consts, a, r_max, tol,
+                                           dense=False)
+    if detail:
+        return Classification("UNDETERMINED", float(r_end), detail)
+    kind, r_e = events[0]
     if kind in ("W_PRIME_VANISHES", "F_HITS_ZERO", "PROFILE_HITS_ZERO"):
         return Classification("A", r_e, kind)
     if kind == "W_EXCEEDS_KSTAR":
         return Classification("C", r_e, kind)
     if kind == "OVERFLOW_GUARD":
         return Classification("UNDETERMINED", r_e, "overflow guard tripped")
-    w_end = r_e ** consts.mu * traj.f[-1]
+    w_end = r_e ** consts.mu * sol.y[0, -1]
     return Classification(
         "UNDETERMINED", r_e,
         f"r_max reached, w={w_end:.6g} in (0, Kstar), w' > 0")
@@ -285,10 +297,10 @@ def find_bracket(params: ExponentParams, consts: DerivedConstants,
 
 def _heuristic_side(params, consts, a, r_max, tol):
     """Nearness-to-Kstar heuristic for bisection midpoints that stay
-    undetermined after r_max doubling: compare the gap Kstar - w at r_max
-    against the pure-power contraction of the gap at r_max/2.  A gap
-    closing faster than r^{-theta} is heading across Kstar (C side);
-    slower means the profile is falling away (A side).
+    undetermined out to 16 times the bisection radius: compare the gap
+    Kstar - w at r_max against the pure-power contraction of the gap at
+    r_max/2.  A gap closing faster than r^{-theta} is heading across Kstar
+    (C side); slower means the profile is falling away (A side).
     """
     traj = integrate_profile(params, consts, a, r_max, tol, n_samples=512)
     mu, Kst, th = consts.mu, consts.Kstar, consts.theta
@@ -307,31 +319,34 @@ def find_profile(params: ExponentParams, consts: DerivedConstants,
                  r_max: float = 100.0, tol: float = 1e-10):
     """Bisect the bracket until hi - lo <= a_tol * lo.
 
-    UNDETERMINED midpoints are re-classified with r_max doubled up to 4
-    times, then assigned by the gap-contraction heuristic (flagged in the
-    transcript).  Returns (a_star, trajectory at r_max with
-    integrate_profile's default sampling, transcript).
+    Each midpoint is classified by one solve out to 16 r_max.  The solve
+    stops at the first decisive event, so its label is the first one the
+    radii r_max, 2 r_max, ..., 16 r_max would give, and the transcript
+    records the smallest of those radii at or above the witness.  Midpoints
+    still undetermined at 16 r_max are assigned by the gap-contraction
+    heuristic there (flagged in the transcript).  Returns (a_star,
+    trajectory at r_max with integrate_profile's default sampling,
+    transcript).
     """
     lo, hi = bracket.lo, bracket.hi
+    r_top = 16.0 * r_max
     transcript = []
     n_heuristic = 0
     while hi - lo > a_tol * lo:
         m = 0.5 * (lo + hi)
         if m <= lo or m >= hi:
             break   # double precision exhausted
-        lab = None
-        rm = 0.5 * r_max
-        for _ in range(5):   # r_max, then up to 4 doublings
-            rm *= 2.0
-            cl = classify(params, consts, m, rm, tol)
-            if cl.label != "UNDETERMINED":
-                lab = cl.label
-                break
-        heuristic = False
-        if lab is None:
-            lab = _heuristic_side(params, consts, m, rm, tol)
-            heuristic = True
+        cl = classify(params, consts, m, r_top, tol)
+        heuristic = cl.label == "UNDETERMINED"
+        if heuristic:
+            lab = _heuristic_side(params, consts, m, r_top, tol)
+            rm = r_top
             n_heuristic += 1
+        else:
+            lab = cl.label
+            rm = r_max
+            while rm < cl.witness_r and rm < r_top:
+                rm *= 2.0
         transcript.append({"a": m, "label": lab, "r_max": rm,
                            "heuristic": heuristic})
         if lab == "C":

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extinction import cli
+from extinction import cli, trajectory_csv
 
 
 def run(capsys, *argv):
@@ -228,6 +228,22 @@ class TestTail:
         code, _, _ = run(capsys, "tail", "--profile",
                          str(tmp_path / "nope.csv"))
         assert code == 1
+
+    def test_unaccepted_fit_is_3(self, capsys, star2, params2, consts2,
+                                 tmp_path):
+        # the N=2 candidate of `find --rmax 60 --a-tol 3e-16`: theta is in
+        # band, but the residual is above 1e-3 K*, so the fit is not
+        # accepted; the fit is still written
+        prof = tmp_path / "profile.csv"
+        prof.write_text(trajectory_csv(star2[1], params2, consts2))
+        out = tmp_path / "tailfit.json"
+        code, printed, _ = run(capsys, "tail", "--profile", str(prof),
+                               "--out", str(out))
+        assert code == 3
+        assert printed == ""
+        fit = json.loads(out.read_text())
+        assert fit["accepted"] is False
+        assert 0.76 <= fit["theta_est"] <= 0.84
 
 
 class TestPhase:

@@ -22,6 +22,7 @@ from extinction import (
     series_start,
     trajectory_csv,
 )
+from extinction import shooter
 
 A_STAR_N1 = 2.3028967658101465
 
@@ -175,6 +176,49 @@ class TestBisection:
         assert np.all(traj.f > 0)
         assert np.all(traj.fprime < 0)
         assert traj.r_end == pytest.approx(100.0, rel=1e-12)
+
+    def test_one_classify_per_step(self, params1, consts1, monkeypatch):
+        br = find_bracket(params1, consts1, r_max=100.0)
+        calls = []
+        orig = shooter.classify
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(shooter, "classify", counted)
+        _, _, rec = find_profile(params1, consts1, br, a_tol=1e-10,
+                                 r_max=100.0)
+        steps = rec["steps"]
+        assert len(calls) == len(steps)
+        # each midpoint is solved once, out to 16 r_max
+        assert calls == [(s["a"], 1600.0) for s in steps]
+        rungs = {100.0 * 2.0 ** k for k in range(5)}
+        assert all(s["r_max"] in rungs for s in steps)
+        # some midpoints are decided only beyond the bisection radius
+        assert any(s["r_max"] > 100.0 for s in steps)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_one_solve_matches_the_doubling_ladder(self, params1, consts1,
+                                                   star1, k):
+        # one solve to 16 r_max stops at the first decisive event, so it
+        # gives the first decided label of r_max, 2 r_max, ..., 16 r_max,
+        # and its witness falls in the rung that decides the ladder
+        a_star, _, _ = star1
+        r_max = 100.0
+        rungs = [r_max * 2.0 ** j for j in range(5)]
+        for a in (a_star * (1 - 10.0 ** -k), a_star * (1 + 10.0 ** -k)):
+            ladder = ("UNDETERMINED", None)
+            for rm in rungs:
+                lab = classify(params1, consts1, a, rm).label
+                if lab != "UNDETERMINED":
+                    ladder = (lab, rm)
+                    break
+            one = classify(params1, consts1, a, rungs[-1])
+            assert one.label == ladder[0], (a, ladder)
+            if ladder[1] is not None:
+                assert min(rm for rm in rungs
+                           if rm >= one.witness_r) == ladder[1]
 
 
 def test_ode_residual_small_on_profile(star1, params1, consts1):
