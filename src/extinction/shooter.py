@@ -17,15 +17,29 @@ w(r) = r^mu f(r):
     UNDETERMINED  r_max reached with 0 < w < Kstar, w' > 0
 
 The fast-decay profile sits on the A/C boundary and is located by bisection.
+
+Every solve runs through one scalar DOP853 kernel, `_dop853`: a plain
+Python loop over the two floats (f, F) that keeps scipy's DOP853 method
+(Hairer, Norsett & Wanner, Solving ODEs I, II.5) -- its initial step,
+error norm, step control and event location.  On a two-component system
+scipy's array-based driver spends most of its time on numpy call
+overhead (array wrapping, small dot products, event bookkeeping) rather
+than arithmetic.  The Butcher tableau is read from the class attributes
+of scipy.integrate.DOP853, not copied: some 200 coefficients to 16 digits
+are scipy's by construction, and the kernel can be checked against
+scipy's own solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import fsum
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .exponents import (ExponentParams, DerivedConstants, csv_text, deta,
                         validate_range)
@@ -48,7 +62,7 @@ __all__ = [
 
 OVERFLOW_GUARD = 1e12
 
-# event kinds, in solve_ivp event-list order
+# event kinds, in the order of _make_events' values
 _EVENT_KINDS = (
     "W_PRIME_VANISHES",   # w' crosses 0 downward: interior maximum of w -> A
     "W_EXCEEDS_KSTAR",    # w crosses Kstar upward -> C
@@ -132,54 +146,45 @@ def _default_r0(params: ExponentParams, a: float) -> float:
 
 
 def _make_rhs(params: ExponentParams, consts: DerivedConstants):
+    """The right side (f', F') of the first-order system, on floats."""
     p, q, N = params.p, params.q, params.N
     al, be = consts.alpha, consts.beta
     e1 = 1.0 / (p - 1.0)
     e2 = q / (p - 1.0)
 
-    def rhs(r, y):
-        f, F = y
+    def rhs(r, f, F):
         aF = abs(F)
         slope = -math.copysign(aF ** e1, F)
         dF = al * f - (N - 1.0) * F / r + be * r * slope - aF ** e2
-        return (slope, dF)
+        return slope, dF
 
     return rhs
 
 
+def _pow(x: float, e: float) -> float:
+    """x ** e for x >= 0, inf where the float power overflows."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
 def _make_events(params: ExponentParams, consts: DerivedConstants):
+    """The five event functions, in _EVENT_KINDS order, as one function
+    of (r, f, F), and the direction of the sign change that fires each
+    (+1 upward, -1 downward).  Every event is terminal."""
     mu, Kst = consts.mu, consts.Kstar
     e1 = 1.0 / (params.p - 1.0)
 
-    def ev_wprime(r, y):
-        # sign of w' = r^{mu-1}(mu f + r f')
-        f, F = y
-        slope = -math.copysign(abs(F) ** e1, F)
-        return r * slope + mu * f
-    ev_wprime.terminal = True
-    ev_wprime.direction = -1
+    def events(r, f, F):
+        slope = -math.copysign(_pow(abs(F), e1), F)
+        return (r * slope + mu * f,   # sign of w' = r^{mu-1}(mu f + r f')
+                _pow(r, mu) * f - Kst,
+                F,
+                f,
+                abs(f) + abs(F) - OVERFLOW_GUARD)
 
-    def ev_wK(r, y):
-        return r ** mu * y[0] - Kst
-    ev_wK.terminal = True
-    ev_wK.direction = 1
-
-    def ev_F0(r, y):
-        return y[1]
-    ev_F0.terminal = True
-    ev_F0.direction = -1
-
-    def ev_f0(r, y):
-        return y[0]
-    ev_f0.terminal = True
-    ev_f0.direction = -1
-
-    def ev_guard(r, y):
-        return abs(y[0]) + abs(y[1]) - OVERFLOW_GUARD
-    ev_guard.terminal = True
-    ev_guard.direction = 1
-
-    return [ev_wprime, ev_wK, ev_F0, ev_f0, ev_guard]
+    return events, (-1, 1, -1, -1, 1)
 
 
 def energy(params: ExponentParams, consts: DerivedConstants,
@@ -189,43 +194,236 @@ def energy(params: ExponentParams, consts: DerivedConstants,
     return (p - 1.0) / p * np.abs(fprime) ** p + 0.5 * consts.alpha * f ** 2
 
 
+# scipy's DOP853 tableau as tuples of floats; row s of A is cut to the s
+# stages it combines.  Read from the class, so the kernel steps with the
+# coefficients scipy's own DOP853 solver uses and cannot drift from them.
+_A = tuple(tuple(map(float, row[:s])) for s, row in enumerate(DOP853.A))
+_C = tuple(map(float, DOP853.C))
+_B = tuple(map(float, DOP853.B))
+_E3 = tuple(map(float, DOP853.E3))
+_E5 = tuple(map(float, DOP853.E5))
+_D = tuple(tuple(map(float, row)) for row in DOP853.D)
+_A_EXTRA = tuple(tuple(map(float, row[:s])) for s, row in
+                 enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1))
+_C_EXTRA = tuple(map(float, DOP853.C_EXTRA))
+_EPS = float(np.finfo(float).eps)
+
+
+def _dot(u, v):
+    """Correctly rounded sum of u[i] * v[i] over the shorter of the two.
+
+    The tableau's error rows sum to zero, so on a near-constant
+    derivative the error estimate is a cancelling sum: fsum makes it
+    independent of summation order (and of the Python version, whose
+    sum() changed algorithm in 3.12)."""
+    return fsum(map(mul, u, v))
+
+
+def _rms(u, v):
+    return math.sqrt(u * u + v * v) / 2 ** 0.5
+
+
+def _initial_step(rhs, r0, f0, F0, k0f, k0F, r_bound, rtol):
+    """scipy's select_initial_step for an error estimator of order 7 and
+    atol = 0, on the two components."""
+    span = r_bound - r0
+    sf, sF = abs(f0) * rtol, abs(F0) * rtol
+    d0 = _rms(f0 / sf, F0 / sF)
+    d1 = _rms(k0f / sf, k0F / sF)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    k1f, k1F = rhs(r0 + h0, f0 + h0 * k0f, F0 + h0 * k0F)
+    d2 = _rms((k1f - k0f) / sf, (k1F - k0F) / sF) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, span)
+
+
+def _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF):
+    """The 7th-order interpolant of the step of size h from (r, f, F) to
+    (f_new, F_new), whose 13 stages are in Kf, KF: the tuple (r, h, f, F,
+    seven f coefficients, seven F coefficients)."""
+    for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA),
+                               start=DOP853.n_stages + 1):
+        Kf[s], KF[s] = rhs(r + c * h, f + _dot(Kf, a) * h,
+                           F + _dot(KF, a) * h)
+    df, dF = f_new - f, F_new - F
+    return (r, h, f, F,
+            df, h * Kf[0] - df, 2 * df - h * (Kf[12] + Kf[0]),
+            *(h * _dot(d, Kf) for d in _D),
+            dF, h * KF[0] - dF, 2 * dF - h * (KF[12] + KF[0]),
+            *(h * _dot(d, KF) for d in _D))
+
+
+def _interpolate(seg, r):
+    """One step's interpolant at r, evaluated as scipy's Dop853DenseOutput
+    does: from the highest coefficient down, times x and 1 - x in turn.
+    Also takes arrays: seg as columns, one step per radius in r."""
+    x = (r - seg[0]) / seg[1]
+    yf = yF = 0.0
+    for i in range(6, -1, -1):
+        yf += seg[4 + i]
+        yF += seg[11 + i]
+        w = x if i % 2 == 0 else 1 - x
+        yf *= w
+        yF *= w
+    return yf + seg[2], yF + seg[3]
+
+
+def _sample(segments, r_end, rs):
+    """(f, F) at the ascending radii rs, vectorised: each radius takes the
+    earliest step whose closed interval holds it, as scipy's OdeSolution
+    picks."""
+    seg = np.array(segments)
+    ts = np.append(seg[:, 0], r_end)
+    k = np.clip(np.searchsorted(ts, rs, side="left") - 1, 0, len(seg) - 1)
+    return _interpolate(seg[k].T, rs)
+
+
+def _event_root(events, k, seg, r_old, r_new):
+    return brentq(lambda r: events(r, *_interpolate(seg, r))[k],
+                  r_old, r_new, xtol=4 * _EPS, rtol=4 * _EPS)
+
+
+def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
+    """Integrate (f, F)' = rhs(r, f, F) from r towards r_bound with
+    DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5), on floats.
+
+    This is scipy's DOP853 solver, driven the way scipy drives it with
+    atol = 0 and every event terminal: the same initial step, error
+    norm, step factors and step-size floor, and the same event rule.
+    Event k fires when events(r, f, F)[k] changes sign in directions[k]
+    over a step; its root is found by brentq on the step's interpolant,
+    and the earliest root among the events that fired ends the solve.
+    The one departure: tableau combinations are correctly rounded (_dot).
+    A trial step that overflows is rejected, as scipy rejects the NaN
+    error such a step gives it.
+
+    Returns (status, r_end, f_end, F_end, k, segments): status 0 when
+    r_bound is reached, 1 when event k fires at r_end, -1 when the step
+    size falls below ten ulps of r.  segments holds every step's
+    interpolant (for _sample) when `dense` is set, else is None.
+    """
+    rtol = max(rtol, 100 * _EPS)
+    A, C, B, E3, E5 = _A, _C, _B, _E3, _E5
+    Kf, KF = [0.0] * 16, [0.0] * 16
+    Kf[0], KF[0] = rhs(r, f, F)
+    h_abs = _initial_step(rhs, r, f, F, Kf[0], KF[0], r_bound, rtol)
+    g = events(r, f, F)
+    segments = [] if dense else None
+    while True:
+        min_step = 10 * abs(math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return -1, r, f, F, None, segments
+            r_new = min(r + h_abs, r_bound)
+            h = r_new - r
+            h_abs = abs(h)
+            try:
+                # _dot written out: this loop is the hot path
+                for s in range(1, 12):
+                    a = A[s]
+                    Kf[s], KF[s] = rhs(r + C[s] * h,
+                                       f + fsum(map(mul, Kf, a)) * h,
+                                       F + fsum(map(mul, KF, a)) * h)
+                f_new = f + h * fsum(map(mul, Kf, B))
+                F_new = F + h * fsum(map(mul, KF, B))
+                Kf[12], KF[12] = rhs(r + h, f_new, F_new)
+                sf = max(abs(f), abs(f_new)) * rtol
+                sF = max(abs(F), abs(F_new)) * rtol
+                e5f = fsum(map(mul, Kf, E5)) / sf
+                e5F = fsum(map(mul, KF, E5)) / sF
+                e3f = fsum(map(mul, Kf, E3)) / sf
+                e3F = fsum(map(mul, KF, E3)) / sF
+                e5 = e5f * e5f + e5F * e5F
+                e3 = e3f * e3f + e3F * e3F
+                if e5 == 0 and e3 == 0:
+                    err = 0.0
+                else:
+                    err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+            except (OverflowError, ZeroDivisionError, ValueError):
+                err = math.nan   # inf - inf in fsum is a ValueError
+            # scipy's SAFETY 0.9, MIN_FACTOR 0.2, MAX_FACTOR 10 and error
+            # exponent -1/(7 + 1)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        g_new = events(r_new, f_new, F_new)
+        fired = [k for k, d in enumerate(directions)
+                 if (d > 0 and g[k] <= 0 <= g_new[k])
+                 or (d < 0 and g[k] >= 0 >= g_new[k])]
+        if dense or fired:
+            seg = _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF)
+            if dense:
+                segments.append(seg)
+        if fired:
+            r_end, k = min((_event_root(events, k, seg, r, r_new), k)
+                           for k in fired)
+            return (1, r_end, *_interpolate(seg, r_end), k, segments)
+        if r_new >= r_bound:
+            return 0, r_new, f_new, F_new, None, segments
+        r, f, F, g = r_new, f_new, F_new, g_new
+        Kf[0], KF[0] = Kf[12], KF[12]
+
+
 def _shoot(params: ExponentParams, consts: DerivedConstants, a: float,
            r_max: float, tol: float, dense: bool):
-    """One DOP853 solve from the series start to the first decisive event
-    or r_max.  Returns (sol, r0, events, r_end, detail); `sol.sol` is the
-    dense interpolant only when `dense` is set.
+    """One solve of the scalar DOP853 kernel `_dop853` from the series
+    start to the first decisive event or r_max.
+
+    The kernel loops over the two floats (f, F) instead of numpy arrays,
+    which is where the time of an array-based solve of a 2-component
+    system goes.  Its coefficients are read from scipy.integrate.DOP853
+    rather than copied, so they cannot drift from scipy's, and its event
+    radii match scipy's solver to about 1e-9 relative (its step sizes
+    follow a cancelling error estimate, so they agree only to rounding
+    noise).  The 7th-order interpolant is kept per step only when
+    `dense` is set: it keeps the sampled trajectory at the integration
+    tolerance, where lower-order interpolants would dominate the
+    ODE-residual check.
+
+    Kstar must be finite: where it overflows (q close to p-1) the C
+    event cannot be tested, and the solve is refused.
+
+    Returns (r0, events, r_end, f_end, detail, segments); f_end is f at
+    r_end, and segments (for _sample) is None unless `dense`.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     rep = validate_range(params.N, params.p, params.q)
     if not rep.ok:
         raise ValueError("; ".join(rep.violations))
+    if not math.isfinite(consts.Kstar):
+        raise ValueError(
+            "Kstar overflows double precision (q too close to p-1): the "
+            "C event w > Kstar cannot be tested")
     r0 = _default_r0(params, a)
     if r_max <= r0:
         raise ValueError("r_max must exceed the series-start radius")
     state0, _ = series_start(params, consts, a, r0)
-    # DOP853: its 7th-order dense output keeps the sampled trajectory at
-    # the integration tolerance; lower-order interpolants dominate the
-    # ODE-residual check otherwise
-    sol = solve_ivp(_make_rhs(params, consts), (r0, r_max),
-                    (state0.f, state0.F), method="DOP853",
-                    rtol=tol, atol=0.0,
-                    events=_make_events(params, consts), dense_output=dense)
-    events: list[tuple[str, float]] = []
-    r_end = sol.t[-1]
+    events, directions = _make_events(params, consts)
+    status, r_end, f_end, _, k, segments = _dop853(
+        _make_rhs(params, consts), events, directions, r0, state0.f,
+        state0.F, r_max, tol, dense)
     detail = ""
-    if sol.status == 1:
-        first = None
-        for kind, te in zip(_EVENT_KINDS, sol.t_events):
-            if len(te) and (first is None or te[0] < first[1]):
-                first = (kind, float(te[0]))
-        events.append(first)
-        r_end = first[1]
-    elif sol.status == 0:
-        events.append(("RMAX_REACHED", float(r_end)))
+    if status == 1:
+        events = [(_EVENT_KINDS[k], r_end)]
+    elif status == 0:
+        events = [("RMAX_REACHED", r_end)]
     else:
-        detail = f"integrator failure: {sol.message}"
-    return sol, r0, events, r_end, detail
+        events = []
+        detail = ("integrator failure: Required step size is less than "
+                  "spacing between numbers.")
+    return r0, events, r_end, f_end, detail, segments
 
 
 def integrate_profile(params: ExponentParams, consts: DerivedConstants,
@@ -236,11 +434,10 @@ def integrate_profile(params: ExponentParams, consts: DerivedConstants,
     dense output, so downstream log-log fits and finite differences in
     ln r see a uniform grid.
     """
-    sol, r0, events, r_end, detail = _shoot(params, consts, a, r_max, tol,
-                                            dense=True)
+    r0, events, r_end, _, detail, segments = _shoot(params, consts, a,
+                                                    r_max, tol, dense=True)
     rs = np.geomspace(r0, r_end, n_samples)
-    ys = sol.sol(rs)
-    f, F = ys[0], ys[1]
+    f, F = _sample(segments, r_end, rs)
     p = params.p
     fprime = -np.sign(F) * np.abs(F) ** (1.0 / (p - 1.0))
     traj = ProfileTrajectory(
@@ -254,10 +451,10 @@ def classify(params: ExponentParams, consts: DerivedConstants, a: float,
              r_max: float, tol: float = 1e-10) -> Classification:
     """Map the first decisive event to the shooting class.  Only the
     endpoint is read, so the solve keeps no dense output."""
-    sol, _, events, r_end, detail = _shoot(params, consts, a, r_max, tol,
-                                           dense=False)
+    _, events, r_end, f_end, detail, _ = _shoot(params, consts, a, r_max,
+                                                tol, dense=False)
     if detail:
-        return Classification("UNDETERMINED", float(r_end), detail)
+        return Classification("UNDETERMINED", r_end, detail)
     kind, r_e = events[0]
     if kind in ("W_PRIME_VANISHES", "F_HITS_ZERO", "PROFILE_HITS_ZERO"):
         return Classification("A", r_e, kind)
@@ -265,7 +462,7 @@ def classify(params: ExponentParams, consts: DerivedConstants, a: float,
         return Classification("C", r_e, kind)
     if kind == "OVERFLOW_GUARD":
         return Classification("UNDETERMINED", r_e, "overflow guard tripped")
-    w_end = r_e ** consts.mu * sol.y[0, -1]
+    w_end = _pow(r_e, consts.mu) * f_end
     return Classification(
         "UNDETERMINED", r_e,
         f"r_max reached, w={w_end:.6g} in (0, Kstar), w' > 0")
@@ -305,7 +502,7 @@ def _heuristic_side(params, consts, a, r_max, tol):
     traj = integrate_profile(params, consts, a, r_max, tol, n_samples=512)
     mu, Kst, th = consts.mu, consts.Kstar, consts.theta
     r_end = traj.r_end
-    w_end = r_end ** mu * traj.f[-1]
+    w_end = _pow(r_end, mu) * traj.f[-1]
     i_half = int(np.searchsorted(traj.r, 0.5 * r_end))
     r_h = traj.r[i_half]
     w_h = r_h ** mu * traj.f[i_half]

@@ -99,6 +99,8 @@ class TestExitCodes:
              "--outdir", "{tmp}"), "tail exponent off theory"),
         (2, ("classify", *N1, "--a", "1", "--rmax", "0"),
          "series-start radius"),
+        (2, ("find", "--N", "2", "--p", "1.5", "--q", "0.5001",
+             "--outdir", "{tmp}"), "Kstar overflows"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):

@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from extinction import (
+    ExponentParams,
     classify,
+    derive_constants,
     energy,
     find_bracket,
     find_profile,
@@ -25,6 +28,7 @@ from extinction import (
 from extinction import shooter
 
 A_STAR_N1 = 2.3028967658101465
+A_STAR_N2 = 1.0571865673537144
 
 
 class TestSeriesStart:
@@ -157,6 +161,11 @@ class TestBisection:
         a_star, _, _ = star1
         assert a_star == pytest.approx(A_STAR_N1, rel=1e-9)
 
+    def test_a_star_frozen_bits(self, star1):
+        # the scalar DOP853 kernel keeps every bisection label of the
+        # reference run, so a* is the frozen value to the last bit
+        assert star1[0] == A_STAR_N1
+
     def test_bracket_width_contract(self, star1):
         a_star, _, transcript = star1
         assert transcript["hi"] - transcript["lo"] <= 1e-10 * transcript["lo"]
@@ -218,6 +227,91 @@ class TestBisection:
             if ladder[1] is not None:
                 assert min(rm for rm in rungs
                            if rm >= one.witness_r) == ladder[1]
+
+
+def _reference_solve(params, consts, a, r_max, dense=False):
+    """The same right side and events through scipy's solve_ivp DOP853:
+    (first event kind, its radius, the solution)."""
+    rhs = shooter._make_rhs(params, consts)
+    events, directions = shooter._make_events(params, consts)
+    fns = []
+    for k, d in enumerate(directions):
+        def ev(r, y, k=k):
+            return events(r, y[0], y[1])[k]
+        ev.terminal, ev.direction = True, d
+        fns.append(ev)
+    r0 = shooter._default_r0(params, a)
+    st, _ = series_start(params, consts, a, r0)
+    sol = solve_ivp(lambda r, y: rhs(r, y[0], y[1]), (r0, r_max),
+                    (st.f, st.F), method="DOP853", rtol=1e-10, atol=0.0,
+                    events=fns, dense_output=dense)
+    assert sol.status in (0, 1)
+    if sol.status == 0:
+        return "RMAX_REACHED", float(sol.t[-1]), sol
+    r_e, k = min((te[0], k) for k, te in enumerate(sol.t_events) if len(te))
+    return shooter._EVENT_KINDS[k], float(r_e), sol
+
+
+_LABELS = {"W_PRIME_VANISHES": "A", "F_HITS_ZERO": "A",
+           "PROFILE_HITS_ZERO": "A", "W_EXCEEDS_KSTAR": "C"}
+_TRIPLES = {1: (ExponentParams(N=1, p=1.2, q=0.5), 100.0, A_STAR_N1),
+            2: (ExponentParams(N=2, p=1.5, q=0.6), 60.0, A_STAR_N2)}
+
+
+class TestKernelAgainstSolveIvp:
+    """The scalar DOP853 kernel against scipy's solve_ivp as reference."""
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_labels_and_witnesses(self, N):
+        params, r_max, _ = _TRIPLES[N]
+        consts = derive_constants(params)
+        worst = 0.0
+        for a in np.geomspace(1e-3, 1e3, 60):
+            kind, r_e, _ = _reference_solve(params, consts, a, r_max)
+            _, events, r_end, _, detail, _ = shooter._shoot(
+                params, consts, a, r_max, 1e-10, dense=False)
+            assert detail == ""
+            assert events[0][0] == kind, a
+            cl = classify(params, consts, a, r_max)
+            assert cl.label == _LABELS.get(kind, "UNDETERMINED"), a
+            assert cl.witness_r == r_end
+            worst = max(worst, abs(r_end - r_e) / r_e)
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_dense_samples_at_a_star(self, N):
+        params, r_max, a_star = _TRIPLES[N]
+        consts = derive_constants(params)
+        traj = integrate_profile(params, consts, a_star, r_max)
+        _, r_e, sol = _reference_solve(params, consts, a_star, r_max,
+                                       dense=True)
+        assert traj.r_end == pytest.approx(r_e, rel=1e-8)
+        near = traj.r <= 10.0
+        f_ref, F_ref = sol.sol(traj.r[near])
+        assert np.max(np.abs(traj.f[near] / f_ref - 1.0)) <= 1e-10
+        assert np.max(np.abs(traj.F[near] / F_ref - 1.0)) <= 1e-10
+
+
+class TestKstarOverflow:
+    # in the box, but K* = exp(ln(mu K*)) / mu overflows: q is close to p-1
+    @pytest.mark.parametrize("N, p, q", [(2, 1.5, 0.5001), (1, 1.2, 0.205)])
+    def test_solve_is_refused(self, N, p, q):
+        params = ExponentParams(N=N, p=p, q=q)
+        consts = derive_constants(params)
+        assert consts.Kstar == math.inf
+        with pytest.raises(ValueError, match="Kstar overflows"):
+            classify(params, consts, 1.0, 50.0)
+        with pytest.raises(ValueError, match="Kstar overflows"):
+            integrate_profile(params, consts, 1.0, 50.0)
+
+    def test_events_do_not_raise(self):
+        # mu = 99 with a finite K*: r^mu and |F|^{1/(p-1)} overflow floats
+        params = ExponentParams(N=1, p=1.5, q=0.51)
+        consts = derive_constants(params)
+        assert math.isfinite(consts.Kstar)
+        events, _ = shooter._make_events(params, consts)
+        g = events(1e6, 1.0, 1e300)
+        assert g[0] == -math.inf and g[1] == math.inf
 
 
 def test_ode_residual_small_on_profile(star1, params1, consts1):
