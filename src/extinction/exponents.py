@@ -190,10 +190,24 @@ def spectral_data(consts: DerivedConstants) -> Spectrum:
                     lamstar, qstar)
 
 
+def _finite_or_null(obj):
+    """`obj` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def json_text(obj) -> str:
     """The JSON byte format of every artifact and report: sorted keys (so
-    reruns are byte-identical), indent 1, one trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    reruns are byte-identical), indent 1, one trailing newline.  A
+    non-finite float is written as null, so strict parsers read every
+    file."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
 
 
 def csv_text(comments, columns: dict, trailer) -> str:

@@ -77,7 +77,8 @@ class TestExitCodes:
     # One case per row of the exit-code table beyond the tests above.
     # {profile} and {certify} are files of the shared `find` run; {empty}
     # is a profile header without data; {short} is a profile shot to
-    # r = 10 only, too short for the phase rates.
+    # r = 10 only, too short for the phase rates; {swapped} is the shared
+    # profile with the names of its f and F columns swapped.
     @pytest.mark.parametrize("code, argv, needle", [
         (1, ("phase", "--x0", "0.1,0.2", *N1, "--outdir", "{tmp}"), "--x0"),
         (1, ("phase", "--x0", "0.1,0.1,0.6", "--span", "5", *N1,
@@ -101,20 +102,41 @@ class TestExitCodes:
          "series-start radius"),
         (2, ("find", "--N", "2", "--p", "1.5", "--q", "0.5001",
              "--outdir", "{tmp}"), "Kstar overflows"),
+        (1, ("tail", "--profile", "{swapped}"), "cannot read profile"),
+        (1, ("phase", "--from-profile", "{swapped}", "--outdir", "{tmp}"),
+         "cannot read profile"),
+        (1, ("pde", "--profile", "{swapped}", "--M", "10"),
+         "cannot read profile"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
         files = {"profile": find_dir / "profile.csv",
                  "certify": find_dir / "certify.json",
                  "empty": tmp_path / "empty.csv",
-                 "short": tmp_path / "short.csv", "tmp": tmp_path}
+                 "short": tmp_path / "short.csv",
+                 "swapped": tmp_path / "swapped.csv", "tmp": tmp_path}
         files["empty"].write_text("# N,1\nr,f,fprime,F,w,Wtail,E\n")
+        files["swapped"].write_text(files["profile"].read_text().replace(
+            "\nr,f,fprime,F,", "\nr,F,fprime,f,", 1))
         if "{short}" in argv:
             assert cli.main(["shoot", *N1, "--a", "2.3", "--rmax", "10",
                              "--out", str(files["short"])]) == 0
         got, out, err = run(capsys, *(a.format(**files) for a in argv))
         assert got == code
         assert needle in (err if code == 1 else json.loads(out)["error"])
+
+
+def test_non_finite_is_strict_json_null(capsys):
+    # K* overflows at this triple, which is inside the box
+    code, out, _ = run(capsys, "constants", "--N", "1", "--p", "1.2",
+                       "--q", "0.205")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    d = json.loads(out, parse_constant=reject)
+    assert d["Kstar"] is None
+    assert d["alpha"] == pytest.approx((1.2 - 0.205) / (1.2 - 0.41))
 
 
 class TestQstar:

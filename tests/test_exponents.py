@@ -22,6 +22,7 @@ from extinction import (
     log_fit,
     jacobian_origin,
 )
+from extinction.exponents import json_text
 
 
 def sample_params(rng):
@@ -248,6 +249,22 @@ def test_constants_json_flat_and_sorted():
     assert d["qstar"] == pytest.approx(0.4666666666666666, rel=1e-13)
     assert list(d) == sorted(d)
     assert txt == constants_json(c, s)
+
+
+def test_json_text_writes_non_finite_as_null():
+    finite = {"b": [1.0, -2.5e-300, (0.1, 3)], "a": {"x": 7.0e300},
+              "s": "Infinity", "t": True, "n": None,
+              "v": np.float64(2.3028967658101465)}
+    # finite values keep json.dumps' bytes
+    assert json_text(finite) == json.dumps(finite, sort_keys=True,
+                                           indent=1) + "\n"
+    txt = json_text({"k": math.inf, "l": [-math.inf, {"m": math.nan}],
+                     "t": (math.nan, 1.5)})
+
+    def reject(name):
+        raise ValueError(name)
+    assert json.loads(txt, parse_constant=reject) == {
+        "k": None, "l": [None, {"m": None}], "t": [None, 1.5]}
 
 
 def test_log_fit_recovers_a_wide_pinned_basis():

@@ -6,6 +6,7 @@ rate of the tail; everything else is checked against structure (event kinds,
 monotonicity, energy decay) rather than numbers.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -17,13 +18,17 @@ from extinction import (
     classify,
     derive_constants,
     energy,
+    extract_rates,
     find_bracket,
     find_profile,
+    fit_tail,
     integrate_profile,
+    map_to_phase,
     ode_residual,
     read_profile_csv,
     series_start,
     trajectory_csv,
+    w_transform,
 )
 from extinction import shooter
 
@@ -326,6 +331,23 @@ def test_ode_residual_flags_corruption(star1, params1, consts1):
     bad = copy.copy(traj)
     bad.f = traj.f * 1.01
     assert ode_residual(bad, params1, consts1) > 1e-4
+
+
+def test_default_sample_count_converged(star1, params1, consts1):
+    # the downstream values of find's profile move by less than their
+    # reporting accuracy when the default sample count is doubled
+    a_star, traj, _ = star1
+    n = inspect.signature(integrate_profile).parameters["n_samples"].default
+    assert len(traj.r) == n
+    fine = integrate_profile(params1, consts1, a_star, 100.0, traj.tol,
+                             n_samples=2 * n)
+    fits = [fit_tail(w_transform(t, consts1), consts1) for t in (traj, fine)]
+    rates = [extract_rates(map_to_phase(t, consts1), consts1)
+             for t in (traj, fine)]
+    assert fits[0].theta_est == pytest.approx(fits[1].theta_est, rel=1e-6)
+    assert fits[0].A_est == pytest.approx(fits[1].A_est, rel=1e-5)
+    assert rates[0].lambda3_est == pytest.approx(rates[1].lambda3_est,
+                                                 rel=1e-6)
 
 
 class TestCsvRoundTrip:
