@@ -25,6 +25,8 @@ from .exponents import (
     constants_json,
     deta,
     log_fit,
+    json_text,
+    csv_text,
 )
 from .shooter import (
     ProfileTrajectory,
@@ -71,7 +73,6 @@ from .pde import (
     ExtinctionMetrics,
     profile_interpolant,
     build_initial,
-    step,
     implicit_step,
     run_and_measure,
     metrics_json,

@@ -20,9 +20,7 @@ explicit absorption.  run_and_measure takes the same step, through the
 same kernel, at dt = dt_frac (T-t).  That schedule depends on t alone,
 so it is fixed before the first step: every Dirichlet ghost comes from
 one `exact` call and the grid geometry is computed once, and the loop
-advances a bare array.  step() is the explicit reference kernel with the
-same fluxes; its diffusion bound dt ~ dx^2 eps^{2-p} made the step count
-grow like M^2.8.
+advances a bare array.
 
 The mobility floor eps under-transports wherever the true |s| < eps, so a
 fixed eps stalls refinement; eps shrinks with both the mesh and the
@@ -54,7 +52,6 @@ __all__ = [
     "ExtinctionMetrics",
     "profile_interpolant",
     "build_initial",
-    "step",
     "implicit_step",
     "run_and_measure",
     "metrics_json",
@@ -189,22 +186,19 @@ def build_initial(traj, consts: DerivedConstants, T: float,
     return fld
 
 
-def _fluxes(u, grid: RadialGrid, p: float, eps: float, ghost: float | None):
+def _fluxes(u, grid: RadialGrid, p: float, eps: float, ghost: float):
     """Face slopes s and regularized mobilities (s^2 + eps^2)^{(p-2)/2}.
 
     The flux through a face is mobility * slope.  Face 0 (symmetry at
-    r = 0) carries no flux, and neither does face M when ghost is None
-    (zero outer flux): their mobilities are zero.
+    r = 0) carries no flux: its mobility is zero.  Face M takes its slope
+    from the Dirichlet ghost value.
     """
     M, dx = grid.M, grid.dx
     s = np.zeros(M + 1)
     s[1:M] = (u[1:] - u[:-1]) / dx
-    if ghost is not None:
-        s[M] = (ghost - u[-1]) / dx
+    s[M] = (ghost - u[-1]) / dx
     mob = (s * s + eps * eps) ** (0.5 * (p - 2.0))
     mob[0] = 0.0
-    if ghost is None:
-        mob[M] = 0.0
     return s, mob
 
 
@@ -224,45 +218,6 @@ def _clip(new, old) -> int:
     n_clip = int(np.count_nonzero(new < -NEG_CLIP_TOL * sup))
     np.maximum(new, 0.0, out=new)
     return n_clip
-
-
-def step(fld: SelfSimilarField, grid: RadialGrid, params: ExponentParams,
-         eps_reg: float, dt: float, absorb: bool = True,
-         outer_bc: str = "dirichlet") -> SelfSimilarField:
-    """One explicit conservative update (the reference kernel).
-
-    Enforces the stability preconditions
-    dt <= 0.4 dx^2 / ((p-1) eps^{p-2}) and dt <= 0.4 dx / (q G^{q-1})
-    (G the current max slope magnitude), then
-
-        u <- u + dt [ (A_{i+1} Phi_{i+1} - A_i Phi_i) / V_i - |s_i|^q ]
-
-    with face areas A = r^{N-1} and exact cell volumes
-    V = (r_{i+1}^N - r_i^N)/N.  Negative values below
-    -1e-10 ||u||_inf are counted before all negatives are clipped.
-    """
-    p, q = params.p, params.q
-    u = fld.values
-    dx = grid.dx
-    cfl_diff = 0.4 * dx * dx / ((p - 1.0) * eps_reg ** (p - 2.0))
-    if dt > cfl_diff:
-        raise ValueError(f"dt={dt:.3g} violates diffusion CFL {cfl_diff:.3g}")
-    ghost = fld.exact(fld.t, np.array([grid.L + 0.5 * dx]))[0] \
-        if outer_bc == "dirichlet" else None
-    s, mob = _fluxes(u, grid, p, eps_reg, ghost)
-    if absorb:
-        _check_absorption_cfl(s, dx, q, dt)
-    fl = mob * s
-    A = grid.face_areas()
-    V = grid.cell_volumes()
-    div = (A[1:] * fl[1:] - A[:-1] * fl[:-1]) / V
-    new = u + dt * div
-    if absorb:
-        new -= dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q
-    n_clip = _clip(new, u)
-    return SelfSimilarField(T=fld.T, t=fld.t + dt, values=new, grid=grid,
-                            profile=fld.profile, consts=fld.consts,
-                            n_clipped=fld.n_clipped + n_clip)
 
 
 def _implicit(u, grid: RadialGrid, params: ExponentParams, eps: float,
@@ -299,9 +254,10 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid,
     with s' the face slopes of u' and, at face M, the Dirichlet ghost at
     the new time.  The diffusion matrix is a symmetric M-matrix, so it
     sets no step bound; the explicit absorption keeps its bound
-    dt <= 0.4 dx / (q G^{q-1}), which is enforced.  Clipping is counted
-    as in step().  This is the lagged-diffusivity idea of Vogel & Oman
-    (SIAM J. Sci. Comput. 17, 1996), applied once per step.
+    dt <= 0.4 dx / (q G^{q-1}) (G the max slope magnitude), which is
+    enforced.  Negative values below -1e-10 ||u||_inf are counted before
+    all negatives are clipped.  This is the lagged-diffusivity idea of
+    Vogel & Oman (SIAM J. Sci. Comput. 17, 1996), applied once per step.
     """
     t_new = fld.t + dt
     # Dirichlet ghost at the old and the new time, in one profile call
@@ -339,10 +295,10 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
     O(dt_frac)).
 
     n_clipped counts, over all steps, the cells clipped from below
-    -1e-10 ||u||_inf, as step() does.  The clipping is not rounding-scale:
-    in the far field, where u is near 1e-8 of its sup, the explicit
-    absorption undershoots by up to a few 1e-8 sup per step (tens of
-    thousands of cell-steps at M = 100-400 with the default dt_frac).
+    -1e-10 ||u||_inf.  The clipping is not rounding-scale: in the far
+    field, where u is near 1e-8 of its sup, the explicit absorption
+    undershoots by up to a few 1e-8 sup per step (tens of thousands of
+    cell-steps at M = 100-400 with the default dt_frac).
     A step that violates the absorption bound raises ValueError.
     """
     T = fld0.T

@@ -29,6 +29,8 @@ __all__ = [
 
 # fit_tail rejects a theta_est this far from consts.theta, relatively
 THETA_REL_TOL = 0.5
+# w within this relative distance of Kstar is Kstar up to rounding
+K_ROUND = 1e-12
 
 
 @dataclass
@@ -146,7 +148,7 @@ def certify_B(traj, consts: DerivedConstants) -> CertReport:
     W_end = float(st.Wtail[-1])
     # upper bound closed within rounding: the exact singular profile
     # K* r^{-mu} sits on the boundary and must not fail the band
-    in_band = bool(np.all((st.w > 0.0) & (st.w <= Kst * (1.0 + 1e-12))))
+    in_band = bool(np.all((st.w > 0.0) & (st.w <= Kst * (1.0 + K_ROUND))))
     monotone = bool(np.all(wp > 0.0))
     # A trajectory cut at a decisive event ends exactly where the checked
     # quantity crosses, so the sampled sign there is rounding noise; the
@@ -206,6 +208,11 @@ def fit_tail(states: WState, consts: DerivedConstants,
     """Fit w = Kstar - A r^{-theta} on the window (default [r_max/10,
     r_max]); K_est is always Kstar.
 
+    Samples with |Kstar - w| <= K_ROUND Kstar are left out: a profile cut
+    at the W_EXCEEDS_KSTAR event ends on one, where the sign of the gap
+    is rounding (certify_B's allowance).  Any other Kstar - w <= 0 in the
+    window raises ValueError.
+
     Stage 1 regresses ln(Kstar - w) on ln r.  Its residual is at rounding
     level (rms <= 1e-9 Kstar) only on an exact power law.  Every real
     trajectory carries curvature beyond it; there theta and A come from
@@ -218,12 +225,13 @@ def fit_tail(states: WState, consts: DerivedConstants,
     if window is None:
         window = (r_all[-1] / 10.0, r_all[-1])
     lo, hi = window
-    mask = (r_all >= lo) & (r_all <= hi)
+    Kst = consts.Kstar
+    mask = ((r_all >= lo) & (r_all <= hi)
+            & (np.abs(Kst - states.w) > K_ROUND * Kst))
     if int(mask.sum()) < 10:
         raise ValueError("fit window holds fewer than 10 samples")
     r = r_all[mask]
     w = states.w[mask]
-    Kst = consts.Kstar
     gap = Kst - w
     if np.any(gap <= 0.0):
         raise ValueError("Kstar - w must stay positive inside the window")

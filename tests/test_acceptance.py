@@ -21,12 +21,12 @@ from extinction import (
     find_bracket,
     find_profile,
     fit_tail,
+    implicit_step,
     integrate_profile,
     map_to_phase,
     metrics_json,
     path_dynamics_residual,
     run_and_measure,
-    step,
     trajectory_csv,
     w_transform,
 )
@@ -171,8 +171,8 @@ def test_criterion_8_property_suites(star1, params1, consts1):
     eps = 0.016 * grid.dx
     step_dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
     for _ in range(100):
-        lo = step(lo, grid, params1, eps, step_dt)
-        hi = step(hi, grid, params1, eps, step_dt)
+        lo = implicit_step(lo, grid, params1, eps, step_dt)
+        hi = implicit_step(hi, grid, params1, eps, step_dt)
         assert np.all(lo.values <= hi.values + 1e-14)
     # determinism: byte-identical reruns
     t1 = integrate_profile(params1, consts1, 1.0, 10.0, n_samples=512)

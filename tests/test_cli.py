@@ -78,7 +78,9 @@ class TestExitCodes:
     # {profile} and {certify} are files of the shared `find` run; {empty}
     # is a profile header without data; {short} is a profile shot to
     # r = 10 only, too short for the phase rates; {swapped} is the shared
-    # profile with the names of its f and F columns swapped.
+    # profile with the names of its f and F columns swapped.  A failure
+    # prints its needle in "error"; a run that ends with a written but
+    # unaccepted result has no "error" and prints the needle itself.
     @pytest.mark.parametrize("code, argv, needle", [
         (1, ("phase", "--x0", "0.1,0.2", *N1, "--outdir", "{tmp}"), "--x0"),
         (1, ("phase", "--x0", "0.1,0.1,0.6", "--span", "5", *N1,
@@ -91,7 +93,7 @@ class TestExitCodes:
          "series-start radius"),
         (2, ("pde", "--profile", "{profile}", "--M", "0"), "M >= 1"),
         (3, ("find", "--N", "1", "--p", "1.15", "--q", "0.2774999999999999",
-             "--outdir", "{tmp}"), "Kstar - w"),
+             "--outdir", "{tmp}"), '"certified": false'),
         (3, ("find", "--N", "1", "--p", "1.85", "--q", "0.8575",
              "--outdir", "{tmp}"), "bracket scan exhausted"),
         (3, ("phase", "--from-profile", "{short}", "--outdir", "{tmp}"),
@@ -123,7 +125,8 @@ class TestExitCodes:
                              "--out", str(files["short"])]) == 0
         got, out, err = run(capsys, *(a.format(**files) for a in argv))
         assert got == code
-        assert needle in (err if code == 1 else json.loads(out)["error"])
+        assert needle in (err if code == 1
+                          else json.loads(out).get("error", out))
 
 
 def test_non_finite_is_strict_json_null(capsys):
@@ -196,18 +199,22 @@ class TestFind:
                     == (find_dir / name).read_bytes()), name
 
     def test_fit_failure_keeps_the_certificate(self, capsys, tmp_path):
-        # fit_tail raises here ("Kstar - w must stay positive"); the
-        # profile and the certificate are written before the fit
+        # the profile is cut where w reaches Kstar, so its last sample has
+        # Kstar - w = 0 up to rounding; fit_tail leaves it out and writes
+        # a fit it does not accept, next to the failed certificate
         code, d, _ = run_json(capsys, "find", "--N", "1", "--p", "1.15",
                               "--q", "0.2774999999999999",
                               "--outdir", str(tmp_path))
         assert code == 3
-        assert "Kstar - w" in d["error"]
+        assert not d["certified"]
         assert (tmp_path / "profile.csv").exists()
         cert = json.loads((tmp_path / "certify.json").read_text())
         assert set(cert["checks"]) == {"w_in_band", "w_monotone", "w_limit",
                                        "slope_decay", "deriv_limit"}
-        assert not (tmp_path / "tailfit.json").exists()
+        assert not cert["checks"]["w_in_band"]
+        fit = json.loads((tmp_path / "tailfit.json").read_text())
+        assert not fit["accepted"]
+        assert fit["theta_est"] == d["theta_est"]
 
     def test_uncertified_fit_near_theory(self, capsys, tmp_path):
         # mu = 39: the ratio regression pins r^-18, r^-36 and r^22 over a

@@ -1,5 +1,6 @@
 """w-transform, fast-decay certificate, and second-order tail fitting."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -184,6 +185,24 @@ class TestFitTail:
     def test_gap_must_stay_positive(self, consts1):
         stt = model_states(consts1, consts1.Kstar * 1.5, 0.7, 1.0)
         with pytest.raises(ValueError):
+            fit_tail(stt, consts1, window=(10.0, 100.0))
+
+    @pytest.mark.parametrize("rel", [-5e-13, 0.0, 2.1e-16, 5e-13])
+    def test_sample_at_kstar_within_rounding_is_left_out(self, consts1, rel):
+        # the last sample of a profile cut where w reaches Kstar
+        stt = model_states(consts1, consts1.Kstar, 0.7, 1.0)
+        w_end = consts1.Kstar * (1.0 - rel)
+        cut = dataclasses.replace(stt, r=np.append(stt.r, 101.0),
+                                  w=np.append(stt.w, w_end),
+                                  Wtail=np.append(stt.Wtail, stt.Wtail[-1]))
+        fit = fit_tail(cut, consts1, window=(10.0, 101.0))
+        ref = fit_tail(stt, consts1, window=(10.0, 100.0))
+        assert (fit.A_est, fit.theta_est) == (ref.A_est, ref.theta_est)
+
+    def test_sample_past_kstar_beyond_rounding_raises(self, consts1):
+        stt = model_states(consts1, consts1.Kstar, 0.7, 1.0)
+        stt.w[-1] = consts1.Kstar * (1.0 + 1e-11)
+        with pytest.raises(ValueError, match="Kstar - w"):
             fit_tail(stt, consts1, window=(10.0, 100.0))
 
     def test_theta_far_from_theory_raises(self, consts1):
