@@ -7,7 +7,8 @@ Exit codes; commands raise, and `main` maps every exception through
   0  success
   1  usage: bad flags or config, an unreadable or malformed profile
   2  exponents outside the admissible box; the library's own input checks
-     (--a <= 0, --rmax below the series start, bad --L/--M)
+     (--a <= 0, --rmax below the series start, bad --L/--M, a triple in
+     the box whose K* overflows double precision)
   3  algorithmic failure: no bracket, fit, certification, phase
      non-convergence, PDE
 
@@ -111,39 +112,40 @@ def _require(args, *flags):
 
 
 def _params(args):
-    """Exponents from --N/--p/--q, checked against the box.  Where the
-    command takes --rmax and it was left out, fills in the default."""
+    """Constants of the exponents --N/--p/--q, checked against the box.
+    Where the command takes --rmax and it was left out, fills in the
+    default."""
     _require(args, "N", "p", "q")
     rep = exponents.validate_range(args.N, args.p, args.q)
     if not rep.ok:
         raise RangeViolation({"violations": rep.violations,
                               "warnings": rep.warnings})
-    pr = exponents.ExponentParams(N=args.N, p=args.p, q=args.q)
-    consts = exponents.derive_constants(pr)
+    consts = exponents.derive_constants(
+        exponents.ExponentParams(N=args.N, p=args.p, q=args.q))
     if "rmax" in vars(args) and args.rmax is None:
         # radius where the second-order tail term has decayed to 1% of Kstar
         args.rmax = 100.0 ** (1.0 / consts.theta)
-    return pr, consts
+    return consts
 
 
 def _load_profile(path):
-    """Exponents, constants and trajectory of a profile CSV.  An unreadable
-    or malformed file is a usage error: "error: cannot read profile: ..."."""
+    """Constants and trajectory of a profile CSV.  An unreadable or
+    malformed file is a usage error: "error: cannot read profile: ..."."""
     try:
         meta, cols, events = shooter.read_profile_csv(Path(path).read_text())
-        pr = exponents.ExponentParams(N=int(meta["N"]), p=meta["p"],
-                                      q=meta["q"])
+        consts = exponents.derive_constants(exponents.ExponentParams(
+            N=int(meta["N"]), p=meta["p"], q=meta["q"]))
         traj = shooter.ProfileTrajectory(
             a=meta["a"], r=cols["r"], f=cols["f"], fprime=cols["fprime"],
             F=cols["F"], energy=cols["E"], events=events, r0=meta["r0"],
             tol=meta["tol"])
-        return pr, exponents.derive_constants(pr), traj
+        return consts, traj
     except (OSError, KeyError, ValueError) as e:
         raise UsageError(f"cannot read profile: {e}") from e
 
 
 def cmd_constants(args) -> int:
-    pr, consts = _params(args)
+    consts = _params(args)
     spec = exponents.spectral_data(consts)
     _write_or_print(args.out, exponents.constants_json(consts, spec))
     return EXIT_OK
@@ -161,8 +163,8 @@ def cmd_qstar(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    pr, consts = _params(args)
-    cl = shooter.classify(pr, consts, args.a, args.rmax, args.tol)
+    consts = _params(args)
+    cl = shooter.classify(consts, args.a, args.rmax, args.tol)
     _write_or_print(None, exponents.json_text(
         {"a": args.a, "label": cl.label, "witness_r": cl.witness_r,
          "detail": cl.detail}))
@@ -170,19 +172,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    pr, consts = _params(args)
-    traj = shooter.integrate_profile(pr, consts, args.a, args.rmax, args.tol)
-    _write_or_print(args.out, shooter.trajectory_csv(traj, pr, consts))
+    consts = _params(args)
+    traj = shooter.integrate_profile(consts, args.a, args.rmax, args.tol)
+    _write_or_print(args.out, shooter.trajectory_csv(traj, consts))
     return EXIT_OK
 
 
 def cmd_find(args) -> int:
-    pr, consts = _params(args)
+    consts = _params(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    br = shooter.find_bracket(pr, consts, args.rmax, args.tol)
+    br = shooter.find_bracket(consts, args.rmax, args.tol)
     a_star, traj, rec = shooter.find_profile(
-        pr, consts, br, a_tol=args.a_tol, r_max=args.rmax, tol=args.tol)
+        consts, br, a_tol=args.a_tol, r_max=args.rmax, tol=args.tol)
     with _algorithmic():
         cert = tail.certify_B(traj, consts)
     report = {
@@ -205,7 +207,7 @@ def cmd_find(args) -> int:
             "resolution departs from the tail branch before it settles)")
     # the certificate is written before the tail fit, which can fail
     (outdir / "profile.csv").write_text(
-        shooter.trajectory_csv(traj, pr, consts))
+        shooter.trajectory_csv(traj, consts))
     (outdir / "certify.json").write_text(exponents.json_text(report))
     with _algorithmic():
         fit = tail.fit_tail(tail.w_transform(traj, consts), consts)
@@ -217,7 +219,7 @@ def cmd_find(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    pr, consts, traj = _load_profile(args.profile)
+    consts, traj = _load_profile(args.profile)
     st = tail.w_transform(traj, consts)
     with _algorithmic():
         fit = tail.fit_tail(st, consts, args.window)
@@ -228,10 +230,13 @@ def cmd_tail(args) -> int:
 def cmd_phase(args) -> int:
     if bool(args.from_profile) == bool(args.x0):
         raise UsageError("need exactly one of --from-profile / --x0")
+    if args.from_profile and (args.N, args.p, args.q) != (None, None, None):
+        raise UsageError("--N/--p/--q do not apply to --from-profile: "
+                         "the exponents come from the profile")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.from_profile:
-        pr, consts, traj = _load_profile(args.from_profile)
+        consts, traj = _load_profile(args.from_profile)
         path = phase.map_to_phase(traj, consts)
         (outdir / "phasepath.csv").write_text(phase.phasepath_csv(path))
         with _algorithmic():
@@ -240,7 +245,7 @@ def cmd_phase(args) -> int:
         (outdir / "ratefit.json").write_text(text)
         _write_or_print(None, text)
         return EXIT_OK
-    pr, consts = _params(args)
+    consts = _params(args)
     pth = phase.integrate_phase(args.x0, args.span, consts, tol=args.tol)
     (outdir / "phasepath.csv").write_text(phase.phasepath_csv(pth))
     _write_or_print(None, exponents.json_text(
@@ -249,12 +254,12 @@ def cmd_phase(args) -> int:
 
 
 def cmd_pde(args) -> int:
-    pr, consts, traj = _load_profile(args.profile)
-    grid = pde.RadialGrid(L=args.L, M=args.M, N=pr.N)
+    consts, traj = _load_profile(args.profile)
+    grid = pde.RadialGrid(L=args.L, M=args.M, N=consts.N)
     with _algorithmic():
         fld = pde.build_initial(traj, consts, args.T, grid)
         metrics = pde.run_and_measure(
-            fld, grid, pr, consts, t_end=args.tend, kappa=args.kappa,
+            fld, grid, t_end=args.tend, kappa=args.kappa,
             snapshot_dir=args.snapshots)
     _write_or_print(args.out, pde.metrics_json(metrics))
     print(f"wall: {metrics.wall_s}s, steps: {metrics.steps}",

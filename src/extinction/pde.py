@@ -43,7 +43,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgtsv
 
-from .exponents import DerivedConstants, ExponentParams, csv_text, json_text
+from .exponents import DerivedConstants, csv_text, json_text
 from .tail import certify_B, fit_tail, w_transform
 
 __all__ = [
@@ -91,18 +91,12 @@ class SelfSimilarField:
     T: float
     t: float
     values: np.ndarray
-    grid: RadialGrid
     profile: object        # callable f(r), vectorized
     consts: DerivedConstants
     n_clipped: int = 0
 
-    def exact(self, t: float | None = None,
-              x: np.ndarray | None = None) -> np.ndarray:
-        """Exact self-similar solution on the grid (or given x) at time t."""
-        if t is None:
-            t = self.t
-        if x is None:
-            x = self.grid.centers()
+    def exact(self, t, x) -> np.ndarray:
+        """Exact self-similar solution at the times t and radii x."""
         al, be = self.consts.alpha, self.consts.beta
         return (self.T - t) ** al * self.profile(x * (self.T - t) ** be)
 
@@ -177,9 +171,9 @@ def build_initial(traj, consts: DerivedConstants, T: float,
             raise ValueError(f"profile not certified fast-decay: {bad}")
     fit = fit_tail(w_transform(traj, consts), consts)
     f_of = profile_interpolant(traj, consts, fit.A_est)
-    fld = SelfSimilarField(T=T, t=0.0, values=None, grid=grid, profile=f_of,
+    fld = SelfSimilarField(T=T, t=0.0, values=None, profile=f_of,
                            consts=consts)
-    u0 = fld.values = fld.exact()
+    u0 = fld.values = fld.exact(0.0, grid.centers())
     if u0[-1] > 1e-3 * u0[0]:
         raise ValueError(
             f"L too small: u(0,L)/u(0,0) = {u0[-1] / u0[0]:.3g} > 1e-3")
@@ -220,13 +214,13 @@ def _clip(new, old) -> int:
     return n_clip
 
 
-def _implicit(u, grid: RadialGrid, params: ExponentParams, eps: float,
+def _implicit(u, grid: RadialGrid, consts: DerivedConstants, eps: float,
               dt: float, g_old: float, g_new: float, V: np.ndarray,
               Af: np.ndarray) -> tuple[np.ndarray, int]:
     """The implicit_step update of the bare values u: (new values, clipped
     cells).  g_old/g_new are the Dirichlet ghosts at the old and the new
     time, V and Af the grid's cell volumes and face areas."""
-    p, q = params.p, params.q
+    p, q = consts.p, consts.q
     M, dx = grid.M, grid.dx
     s, mob = _fluxes(u, grid, p, eps, g_old)
     _check_absorption_cfl(s, dx, q, dt)
@@ -240,8 +234,7 @@ def _implicit(u, grid: RadialGrid, params: ExponentParams, eps: float,
     return new, _clip(new, u)
 
 
-def implicit_step(fld: SelfSimilarField, grid: RadialGrid,
-                  params: ExponentParams, eps_reg: float,
+def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
                   dt: float) -> SelfSimilarField:
     """One linearly implicit update with lagged mobility.
 
@@ -263,16 +256,16 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid,
     # Dirichlet ghost at the old and the new time, in one profile call
     g_old, g_new = fld.exact(np.array([fld.t, t_new]),
                              grid.L + 0.5 * grid.dx)
-    new, n_clip = _implicit(fld.values, grid, params, eps_reg, dt, g_old,
-                            g_new, grid.cell_volumes(), grid.face_areas())
-    return SelfSimilarField(T=fld.T, t=t_new, values=new, grid=grid,
+    new, n_clip = _implicit(fld.values, grid, fld.consts, eps_reg, dt,
+                            g_old, g_new, grid.cell_volumes(),
+                            grid.face_areas())
+    return SelfSimilarField(T=fld.T, t=t_new, values=new,
                             profile=fld.profile, consts=fld.consts,
                             n_clipped=fld.n_clipped + n_clip)
 
 
-def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
-                    params: ExponentParams, consts: DerivedConstants,
-                    t_end: float, kappa: float = 0.016, dt_frac: float = 1e-4,
+def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
+                    kappa: float = 0.016, dt_frac: float = 1e-4,
                     snapshot_dir=None) -> ExtinctionMetrics:
     """Evolve to t_end with implicit_step's kernel and measure exponents.
 
@@ -304,6 +297,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
     T = fld0.T
     if not (0.0 < t_end <= 0.8 * T):
         raise ValueError("t_end must lie in (0, 0.8 T]")
+    consts = fld0.consts
     al, be = consts.alpha, consts.beta
     xc = grid.centers()
     eps0 = kappa * grid.dx
@@ -343,7 +337,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid,
     u = fld0.values
     for k, (dt, hit) in enumerate(zip(dts, hits)):
         eps = eps0 * (T - times[k]) ** (al + be)
-        u, n_clip = _implicit(u, grid, params, eps, dt, ghosts[k],
+        u, n_clip = _implicit(u, grid, consts, eps, dt, ghosts[k],
                               ghosts[k + 1], V, Af)
         n_clipped += n_clip
         nst += 1

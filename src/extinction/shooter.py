@@ -41,8 +41,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from .exponents import (ExponentParams, DerivedConstants, csv_text, deta,
-                        validate_range)
+from .exponents import DerivedConstants, csv_text, deta, validate_range
 
 __all__ = [
     "ProfileState",
@@ -115,8 +114,8 @@ class Bracket:
     tol: float
 
 
-def series_start(params: ExponentParams, consts: DerivedConstants,
-                 a: float, r0: float) -> tuple[ProfileState, dict]:
+def series_start(consts: DerivedConstants, a: float,
+                 r0: float) -> tuple[ProfileState, dict]:
     """Local expansion at the singular center.
 
     F grows linearly, F'(0) = alpha*a/N, and the profile bends like
@@ -125,7 +124,7 @@ def series_start(params: ExponentParams, consts: DerivedConstants,
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    p, q, N = params.p, params.q, params.N
+    p, q, N = consts.p, consts.q, consts.N
     c0 = consts.alpha * a / N
     f0 = a - (p - 1.0) / p * c0 ** (1.0 / (p - 1.0)) * r0 ** (p / (p - 1.0))
     F0 = c0 * r0
@@ -142,15 +141,15 @@ def series_start(params: ExponentParams, consts: DerivedConstants,
     return ProfileState(r0, f0, F0, fp0), trunc
 
 
-def _default_r0(params: ExponentParams, a: float) -> float:
+def _default_r0(consts: DerivedConstants, a: float) -> float:
     # a-dependent scale keeps the series bend ~1e-30*a across the whole
     # bracket scan range
-    return 1e-5 * a ** (-(2.0 - params.p) / params.p)
+    return 1e-5 * a ** (-(2.0 - consts.p) / consts.p)
 
 
-def _make_rhs(params: ExponentParams, consts: DerivedConstants):
+def _make_rhs(consts: DerivedConstants):
     """The right side (f', F') of the first-order system, on floats."""
-    p, q, N = params.p, params.q, params.N
+    p, q, N = consts.p, consts.q, consts.N
     al, be = consts.alpha, consts.beta
     e1 = 1.0 / (p - 1.0)
     e2 = q / (p - 1.0)
@@ -172,12 +171,12 @@ def _pow(x: float, e: float) -> float:
         return math.inf
 
 
-def _make_events(params: ExponentParams, consts: DerivedConstants):
+def _make_events(consts: DerivedConstants):
     """The five event functions, in _EVENT_KINDS order, as one function
     of (r, f, F), and the direction of the sign change that fires each
     (+1 upward, -1 downward).  Every event is terminal."""
     mu, Kst = consts.mu, consts.Kstar
-    e1 = 1.0 / (params.p - 1.0)
+    e1 = 1.0 / (consts.p - 1.0)
 
     def events(r, f, F):
         slope = -math.copysign(_pow(abs(F), e1), F)
@@ -190,10 +189,10 @@ def _make_events(params: ExponentParams, consts: DerivedConstants):
     return events, (-1, 1, -1, -1, 1)
 
 
-def energy(params: ExponentParams, consts: DerivedConstants,
-           f: np.ndarray, fprime: np.ndarray) -> np.ndarray:
+def energy(consts: DerivedConstants, f: np.ndarray,
+           fprime: np.ndarray) -> np.ndarray:
     """E = ((p-1)/p)|f'|^p + (alpha/2) f^2, non-increasing while f > 0."""
-    p = params.p
+    p = consts.p
     return (p - 1.0) / p * np.abs(fprime) ** p + 0.5 * consts.alpha * f ** 2
 
 
@@ -378,8 +377,8 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
         Kf[0], KF[0] = Kf[12], KF[12]
 
 
-def _shoot(params: ExponentParams, consts: DerivedConstants, a: float,
-           r_max: float, tol: float, dense: bool):
+def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
+           dense: bool):
     """One solve of the scalar DOP853 kernel `_dop853` from the series
     start to the first decisive event or r_max.
 
@@ -402,20 +401,20 @@ def _shoot(params: ExponentParams, consts: DerivedConstants, a: float,
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    rep = validate_range(params.N, params.p, params.q)
+    rep = validate_range(consts.N, consts.p, consts.q)
     if not rep.ok:
         raise ValueError("; ".join(rep.violations))
     if not math.isfinite(consts.Kstar):
         raise ValueError(
             "Kstar overflows double precision (q too close to p-1): the "
             "C event w > Kstar cannot be tested")
-    r0 = _default_r0(params, a)
+    r0 = _default_r0(consts, a)
     if r_max <= r0:
         raise ValueError("r_max must exceed the series-start radius")
-    state0, _ = series_start(params, consts, a, r0)
-    events, directions = _make_events(params, consts)
+    state0, _ = series_start(consts, a, r0)
+    events, directions = _make_events(consts)
     status, r_end, f_end, _, k, segments = _dop853(
-        _make_rhs(params, consts), events, directions, r0, state0.f,
+        _make_rhs(consts), events, directions, r0, state0.f,
         state0.F, r_max, tol, dense)
     detail = ""
     if status == 1:
@@ -429,8 +428,8 @@ def _shoot(params: ExponentParams, consts: DerivedConstants, a: float,
     return r0, events, r_end, f_end, detail, segments
 
 
-def integrate_profile(params: ExponentParams, consts: DerivedConstants,
-                      a: float, r_max: float, tol: float = 1e-10,
+def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
+                      tol: float = 1e-10,
                       n_samples: int = 4000) -> ProfileTrajectory:
     """Adaptive integration from the series start to the first decisive
     event or r_max.  Samples are geometric in r (uniform in ln r) from the
@@ -442,25 +441,25 @@ def integrate_profile(params: ExponentParams, consts: DerivedConstants,
     2,000 gives 1.9e-8) and puts the tail, phase and PDE values within
     1.5e-6 relative of their 32,000-sample values.
     """
-    r0, events, r_end, _, detail, segments = _shoot(params, consts, a,
-                                                    r_max, tol, dense=True)
+    r0, events, r_end, _, detail, segments = _shoot(consts, a, r_max, tol,
+                                                    dense=True)
     rs = np.geomspace(r0, r_end, n_samples)
     f, F = _sample(segments, r_end, rs)
-    p = params.p
+    p = consts.p
     fprime = -np.sign(F) * np.abs(F) ** (1.0 / (p - 1.0))
     traj = ProfileTrajectory(
         a=a, r=rs, f=f, fprime=fprime, F=F,
-        energy=energy(params, consts, f, fprime),
+        energy=energy(consts, f, fprime),
         events=events, r0=r0, tol=tol, detail=detail)
     return traj
 
 
-def classify(params: ExponentParams, consts: DerivedConstants, a: float,
-             r_max: float, tol: float = 1e-10) -> Classification:
+def classify(consts: DerivedConstants, a: float, r_max: float,
+             tol: float = 1e-10) -> Classification:
     """Map the first decisive event to the shooting class.  Only the
     endpoint is read, so the solve keeps no dense output."""
-    _, events, r_end, f_end, detail, _ = _shoot(params, consts, a, r_max,
-                                                tol, dense=False)
+    _, events, r_end, f_end, detail, _ = _shoot(consts, a, r_max, tol,
+                                                dense=False)
     if detail:
         return Classification("UNDETERMINED", r_end, detail)
     kind, r_e = events[0]
@@ -476,13 +475,13 @@ def classify(params: ExponentParams, consts: DerivedConstants, a: float,
         f"r_max reached, w={w_end:.6g} in (0, Kstar), w' > 0")
 
 
-def find_bracket(params: ExponentParams, consts: DerivedConstants,
-                 r_max: float, tol: float = 1e-10) -> Bracket:
+def find_bracket(consts: DerivedConstants, r_max: float,
+                 tol: float = 1e-10) -> Bracket:
     """Scan a over powers of ten until one C (low side) and one A (high
     side) are found."""
     lo = hi = None
     for k in range(0, 13):
-        lab = classify(params, consts, 10.0 ** k, r_max, tol).label
+        lab = classify(consts, 10.0 ** k, r_max, tol).label
         if lab == "A":
             hi = 10.0 ** k
             break
@@ -491,7 +490,7 @@ def find_bracket(params: ExponentParams, consts: DerivedConstants,
     for k in range(0, -13, -1):
         if lo is not None:
             break
-        lab = classify(params, consts, 10.0 ** k, r_max, tol).label
+        lab = classify(consts, 10.0 ** k, r_max, tol).label
         if lab == "C":
             lo = 10.0 ** k
     if lo is None or hi is None:
@@ -500,14 +499,14 @@ def find_bracket(params: ExponentParams, consts: DerivedConstants,
     return Bracket(lo=lo, hi=hi, tol=tol)
 
 
-def _heuristic_side(params, consts, a, r_max, tol):
+def _heuristic_side(consts, a, r_max, tol):
     """Nearness-to-Kstar heuristic for bisection midpoints that stay
     undetermined out to 16 times the bisection radius: compare the gap
     Kstar - w at r_max against the pure-power contraction of the gap at
     r_max/2.  A gap closing faster than r^{-theta} is heading across Kstar
     (C side); slower means the profile is falling away (A side).
     """
-    traj = integrate_profile(params, consts, a, r_max, tol, n_samples=512)
+    traj = integrate_profile(consts, a, r_max, tol, n_samples=512)
     mu, Kst, th = consts.mu, consts.Kstar, consts.theta
     r_end = traj.r_end
     w_end = _pow(r_end, mu) * traj.f[-1]
@@ -519,9 +518,9 @@ def _heuristic_side(params, consts, a, r_max, tol):
     return "C" if gap_end < gap_pred else "A"
 
 
-def find_profile(params: ExponentParams, consts: DerivedConstants,
-                 bracket: Bracket, a_tol: float = 1e-10,
-                 r_max: float = 100.0, tol: float = 1e-10):
+def find_profile(consts: DerivedConstants, bracket: Bracket,
+                 a_tol: float = 1e-10, r_max: float = 100.0,
+                 tol: float = 1e-10):
     """Bisect the bracket until hi - lo <= a_tol * lo.
 
     Each midpoint is classified by one solve out to 16 r_max.  The solve
@@ -541,10 +540,10 @@ def find_profile(params: ExponentParams, consts: DerivedConstants,
         m = 0.5 * (lo + hi)
         if m <= lo or m >= hi:
             break   # double precision exhausted
-        cl = classify(params, consts, m, r_top, tol)
+        cl = classify(consts, m, r_top, tol)
         heuristic = cl.label == "UNDETERMINED"
         if heuristic:
-            lab = _heuristic_side(params, consts, m, r_top, tol)
+            lab = _heuristic_side(consts, m, r_top, tol)
             rm = r_top
             n_heuristic += 1
         else:
@@ -559,7 +558,7 @@ def find_profile(params: ExponentParams, consts: DerivedConstants,
         else:
             hi = m
     a_star = 0.5 * (lo + hi)
-    traj = integrate_profile(params, consts, a_star, r_max, tol)
+    traj = integrate_profile(consts, a_star, r_max, tol)
     if n_heuristic:
         traj.detail = (f"{n_heuristic} bisection step(s) resolved by the "
                        "gap-contraction heuristic (undecidable at finite r)")
@@ -567,8 +566,7 @@ def find_profile(params: ExponentParams, consts: DerivedConstants,
                           "n_heuristic": n_heuristic}
 
 
-def ode_residual(traj: ProfileTrajectory, params: ExponentParams,
-                 consts: DerivedConstants) -> float:
+def ode_residual(traj: ProfileTrajectory, consts: DerivedConstants) -> float:
     """Relative residual of the first-order system on the sampled grid.
 
     Differentiates the geometric samples with 4th-order central
@@ -584,7 +582,7 @@ def ode_residual(traj: ProfileTrajectory, params: ExponentParams,
     enter through the F-equation only.
     """
     r, f, F = traj.r, traj.f, traj.F
-    p, q, N = params.p, params.q, params.N
+    p, q, N = consts.p, consts.q, consts.N
     al, be = consts.alpha, consts.beta
     h = math.log(r[1] / r[0])
     rm = r[2:-2]
@@ -605,13 +603,12 @@ def ode_residual(traj: ProfileTrajectory, params: ExponentParams,
     return float(np.sqrt((np.sum(res_F ** 2) + np.sum(res_f ** 2)) / n))
 
 
-def trajectory_csv(traj: ProfileTrajectory, params: ExponentParams,
-                   consts: DerivedConstants) -> str:
+def trajectory_csv(traj: ProfileTrajectory, consts: DerivedConstants) -> str:
     """Profile CSV: the run's parameters as comments, one row per sample,
     events appended as comment lines."""
     mu = consts.mu
-    meta = [("a", traj.a), ("N", params.N), ("p", params.p),
-            ("q", params.q), ("r0", traj.r0), ("tol", traj.tol)]
+    meta = [("a", traj.a), ("N", consts.N), ("p", consts.p),
+            ("q", consts.q), ("r0", traj.r0), ("tol", traj.tol)]
     vals = (traj.r, traj.f, traj.fprime, traj.F, traj.r ** mu * traj.f,
             traj.r ** (mu + 1.0) * traj.fprime, traj.energy)
     return csv_text(meta, dict(zip(PROFILE_COLUMNS, vals)),
@@ -619,7 +616,7 @@ def trajectory_csv(traj: ProfileTrajectory, params: ExponentParams,
 
 
 def read_profile_csv(text: str):
-    """Parse trajectory_csv output back into (params_dict, arrays, events).
+    """Parse trajectory_csv output back into (meta, arrays, events).
     The first line that is not a comment must name PROFILE_COLUMNS in order.
     """
     meta = {}

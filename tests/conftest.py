@@ -39,22 +39,22 @@ def consts2(params2):
 
 
 @pytest.fixture(scope="session")
-def star1(params1, consts1):
+def star1(consts1):
     """(a_star, trajectory, transcript) for the N=1 fast-decay profile."""
-    br = find_bracket(params1, consts1, r_max=100.0)
-    return find_profile(params1, consts1, br, a_tol=1e-10, r_max=100.0)
+    br = find_bracket(consts1, r_max=100.0)
+    return find_profile(consts1, br, a_tol=1e-10, r_max=100.0)
 
 
 @pytest.fixture(scope="session")
-def star2(params2, consts2):
+def star2(consts2):
     """N=2 candidate at the radius where the tail window is clean."""
-    br = find_bracket(params2, consts2, r_max=30.0)
-    return find_profile(params2, consts2, br, a_tol=3e-16, r_max=60.0)
+    br = find_bracket(consts2, r_max=30.0)
+    return find_profile(consts2, br, a_tol=3e-16, r_max=60.0)
 
 
 @pytest.fixture(scope="session")
-def profile_csv1(star1, params1, consts1, tmp_path_factory):
+def profile_csv1(star1, consts1, tmp_path_factory):
     _, traj, _ = star1
     path = tmp_path_factory.mktemp("prof") / "profile.csv"
-    path.write_text(trajectory_csv(traj, params1, consts1))
+    path.write_text(trajectory_csv(traj, consts1))
     return path

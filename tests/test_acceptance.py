@@ -46,17 +46,17 @@ def test_criterion_1_constant_identities():
           f"{dt:.2f}s")
 
 
-def test_criterion_2_shooting_classification(params1, consts1):
+def test_criterion_2_shooting_classification(consts1):
     t0 = time.perf_counter()
-    assert classify(params1, consts1, 0.01, 100.0).label == "C"
-    assert classify(params1, consts1, 100.0, 100.0).label == "A"
-    br = find_bracket(params1, consts1, r_max=100.0)
-    a_star, _, transcript = find_profile(params1, consts1, br,
+    assert classify(consts1, 0.01, 100.0).label == "C"
+    assert classify(consts1, 100.0, 100.0).label == "A"
+    br = find_bracket(consts1, r_max=100.0)
+    a_star, _, transcript = find_profile(consts1, br,
                                          a_tol=1e-10, r_max=100.0)
     width = (transcript["hi"] - transcript["lo"]) / transcript["lo"]
     assert width <= 1e-10
-    assert classify(params1, consts1, 0.99 * a_star, 100.0).label == "C"
-    assert classify(params1, consts1, 1.01 * a_star, 100.0).label == "A"
+    assert classify(consts1, 0.99 * a_star, 100.0).label == "C"
+    assert classify(consts1, 1.01 * a_star, 100.0).label == "A"
     dt = time.perf_counter() - t0
     assert dt < 30.0, f"classification suite took {dt:.1f}s (bound 30s)"
     print(f"criterion 2 PASS: a* = {a_star:.12f}, bracket rel width "
@@ -120,7 +120,7 @@ def test_criterion_6_exact_orbit(consts1):
     print(f"criterion 6 PASS: max relative deviation {err:.2e}")
 
 
-def test_criterion_7_extinction_rates(star1, params1, consts1):
+def test_criterion_7_extinction_rates(star1, consts1):
     t0 = time.perf_counter()
     _, traj, _ = star1
     sel = {}
@@ -128,7 +128,7 @@ def test_criterion_7_extinction_rates(star1, params1, consts1):
     for M in (200, 400, 800):
         grid = RadialGrid(L=40.0, M=M, N=1)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
-        m = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
+        m = run_and_measure(fld, grid, t_end=0.8)
         assert m.stable
         sel[M] = m.selfsim_error
         if M == 800:
@@ -148,7 +148,7 @@ def test_criterion_8_property_suites(star1, params1, consts1):
     _, btraj, _ = star1
     # energy monotone on A-, B- and C-class trajectories
     for a in (0.01, 0.5, btraj.a, 10.0, 100.0):
-        tr = integrate_profile(params1, consts1, a, 100.0, n_samples=2048)
+        tr = integrate_profile(consts1, a, 100.0, n_samples=2048)
         e = tr.energy[tr.f > 0]
         assert np.all(np.diff(e) <= 1e-12 * e[0]), f"energy rises at a={a}"
     # mapped phase coordinates nonnegative
@@ -171,17 +171,17 @@ def test_criterion_8_property_suites(star1, params1, consts1):
     eps = 0.016 * grid.dx
     step_dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
     for _ in range(100):
-        lo = implicit_step(lo, grid, params1, eps, step_dt)
-        hi = implicit_step(hi, grid, params1, eps, step_dt)
+        lo = implicit_step(lo, grid, eps, step_dt)
+        hi = implicit_step(hi, grid, eps, step_dt)
         assert np.all(lo.values <= hi.values + 1e-14)
     # determinism: byte-identical reruns
-    t1 = integrate_profile(params1, consts1, 1.0, 10.0, n_samples=512)
-    t2 = integrate_profile(params1, consts1, 1.0, 10.0, n_samples=512)
-    assert (trajectory_csv(t1, params1, consts1)
-            == trajectory_csv(t2, params1, consts1))
+    t1 = integrate_profile(consts1, 1.0, 10.0, n_samples=512)
+    t2 = integrate_profile(consts1, 1.0, 10.0, n_samples=512)
+    assert (trajectory_csv(t1, consts1)
+            == trajectory_csv(t2, consts1))
     f1 = build_initial(btraj, consts1, T=1.0, grid=grid)
-    m1 = run_and_measure(f1, grid, params1, consts1, t_end=0.8)
-    m2 = run_and_measure(f1, grid, params1, consts1, t_end=0.8)
+    m1 = run_and_measure(f1, grid, t_end=0.8)
+    m2 = run_and_measure(f1, grid, t_end=0.8)
     assert metrics_json(m1) == metrics_json(m2)
     print("criterion 8 PASS: energy monotone (5 trajectories), "
           "phase coords nonnegative, exact-model recovery 1e-6, "

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main(argv) so exit codes and
 stdout can be asserted without subprocess overhead.
 """
 
+import hashlib
 import json
 import re
 import shlex
@@ -109,6 +110,9 @@ class TestExitCodes:
          "cannot read profile"),
         (1, ("pde", "--profile", "{swapped}", "--M", "10"),
          "cannot read profile"),
+        (1, ("phase", "--from-profile", "{profile}", "--N", "2", "--p", "1.5",
+             "--q", "0.6", "--outdir", "{tmp}"),
+         "the exponents come from the profile"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -260,13 +264,12 @@ class TestTail:
                          str(tmp_path / "nope.csv"))
         assert code == 1
 
-    def test_unaccepted_fit_is_3(self, capsys, star2, params2, consts2,
-                                 tmp_path):
+    def test_unaccepted_fit_is_3(self, capsys, star2, consts2, tmp_path):
         # the N=2 candidate of `find --rmax 60 --a-tol 3e-16`: theta is in
         # band, but the residual is above 1e-3 K*, so the fit is not
         # accepted; the fit is still written
         prof = tmp_path / "profile.csv"
-        prof.write_text(trajectory_csv(star2[1], params2, consts2))
+        prof.write_text(trajectory_csv(star2[1], consts2))
         out = tmp_path / "tailfit.json"
         code, printed, _ = run(capsys, "tail", "--profile", str(prof),
                                "--out", str(out))
@@ -307,6 +310,40 @@ class TestPhase:
                          str(find_dir / "profile.csv"),
                          "--x0", "1,1,1", *N1, "--outdir", str(tmp_path))
         assert code == 1
+
+
+# sha256 of the N=1 artifacts, frozen at commit 188ddb4 (numpy 2.4.6,
+# scipy 1.17.1): `find` at (1, 1.2, 0.5) and `pde --M 100` on its profile.
+# A refactor must leave every byte of them as it was.  A change that
+# alters one of these outputs on purpose re-freezes its digest here and
+# records the change in CHANGES.md.
+FROZEN_SHA256 = {
+    "profile.csv":
+        "a92fe33ae346e60569a97dfad12018a9e9a428eb3d1202e88c754338c1067d0f",
+    "certify.json":
+        "0a83aee02a090b8caaa3ba3f6cd3af26aaaf8db50c1fdd4eebd72cf7850d66ca",
+    "tailfit.json":
+        "abd8a33184b4142c491418743c34c86df862e8ff6fe0a59c161ab85d82d809d9",
+    "metrics.json":
+        "e83ba12d1de576a4b0dba679a99bc357ed0bcc59239e44207442ace443a290d1",
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestFrozenDigests:
+    @pytest.mark.parametrize("name", ["profile.csv", "certify.json",
+                                      "tailfit.json"])
+    def test_find_artifact(self, find_dir, name):
+        assert sha256_of(find_dir / name) == FROZEN_SHA256[name]
+
+    def test_pde_metrics(self, find_dir, tmp_path):
+        out = tmp_path / "metrics.json"
+        assert cli.main(["pde", "--profile", str(find_dir / "profile.csv"),
+                         "--M", "100", "--out", str(out)]) == 0
+        assert sha256_of(out) == FROZEN_SHA256["metrics.json"]
 
 
 class TestPde:

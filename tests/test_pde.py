@@ -37,10 +37,10 @@ def field1(star1, consts1):
 
 
 @pytest.fixture(scope="module")
-def run200(field1, params1, consts1):
+def run200(field1, consts1):
     """The M=200, t_end=0.8 run shared by the TestRunAndMeasure checks."""
     fld, grid = field1
-    return run_and_measure(fld, grid, params1, consts1, t_end=0.8)
+    return run_and_measure(fld, grid, t_end=0.8)
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +140,8 @@ class TestBuildInitial:
         with pytest.raises(ValueError, match="L too small"):
             build_initial(traj, consts1, 1.0, RadialGrid(L=4.0, M=40, N=1))
 
-    def test_uncertified_profile_rejected(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 0.9 * A_STAR_N1, 100.0,
+    def test_uncertified_profile_rejected(self, consts1):
+        traj = integrate_profile(consts1, 0.9 * A_STAR_N1, 100.0,
                                  n_samples=2048)
         with pytest.raises(ValueError, match="not certified"):
             build_initial(traj, consts1, 1.0, RadialGrid(L=40.0, M=100, N=1))
@@ -161,9 +161,9 @@ class TestStep:
         grid = RadialGrid(L=40.0, M=100, N=1)
         zero = lambda r: np.zeros_like(np.asarray(r, float))
         fld = SelfSimilarField(T=1.0, t=0.0, values=np.zeros(100),
-                               grid=grid, profile=zero, consts=consts1)
+                               profile=zero, consts=consts1)
         eps = 0.016 * grid.dx
-        new = implicit_step(fld, grid, params1, eps, dt=0.3 * grid.dx ** 2
+        new = implicit_step(fld, grid, eps, dt=0.3 * grid.dx ** 2
                             * eps ** (2.0 - params1.p))
         assert np.all(new.values == 0.0)
         assert new.n_clipped == 0
@@ -172,7 +172,7 @@ class TestStep:
         fld, grid = field1
         eps = 0.016 * grid.dx
         dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
-        new = implicit_step(fld, grid, params1, eps, dt)
+        new = implicit_step(fld, grid, eps, dt)
         assert new.values.max() < fld.values.max()
         assert new.t == pytest.approx(dt, rel=1e-14)
 
@@ -182,7 +182,7 @@ class TestStep:
         dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
         cur = fld
         for _ in range(20):
-            cur = implicit_step(cur, grid, params1, eps, dt)
+            cur = implicit_step(cur, grid, eps, dt)
         assert cur.n_clipped == 0
 
     def test_ordering_preserved(self, field1, params1):
@@ -194,8 +194,8 @@ class TestStep:
         dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
         lo, hi = fld, hi0
         for _ in range(100):
-            lo = implicit_step(lo, grid, params1, eps, dt)
-            hi = implicit_step(hi, grid, params1, eps, dt)
+            lo = implicit_step(lo, grid, eps, dt)
+            hi = implicit_step(hi, grid, eps, dt)
             assert np.all(lo.values <= hi.values + 1e-14)
 
     @pytest.mark.parametrize("N", [1, 2])
@@ -215,7 +215,7 @@ class TestStep:
         p, q, dx, M = params.p, params.q, grid.dx, grid.M
         eps = 0.016 * dx
         dt = 0.3 * dx ** 2 * eps ** (2.0 - p)
-        new = implicit_step(fld, grid, params, eps, dt)
+        new = implicit_step(fld, grid, eps, dt)
         assert new.n_clipped == 0
 
         u, V = fld.values, grid.cell_volumes()
@@ -262,7 +262,7 @@ class TestImplicitStep:
         for k in (1, 4):
             im = fld
             for _ in range(k * n):
-                im = implicit_step(im, grid, params1, eps, dt / k)
+                im = implicit_step(im, grid, eps, dt / k)
             assert im.t == pytest.approx(t_ex, abs=1e-14)
             diffs.append(abs(im.values[0] - sup) / sup)
         assert diffs[0] <= 1e-4
@@ -276,16 +276,16 @@ class TestImplicitStep:
         eps = 0.016 * grid.dx
         dt = 100 * 0.4 * grid.dx ** 2 / ((params1.p - 1.0)
                                          * eps ** (params1.p - 2.0))
-        new = implicit_step(fld, grid, params1, eps, dt)
+        new = implicit_step(fld, grid, eps, dt)
         assert np.all(np.isfinite(new.values))
         assert new.values.min() >= 0.0
         assert new.values.max() < fld.values.max()
 
-    def test_absorption_cfl_violation_raises(self, field1, params1):
+    def test_absorption_cfl_violation_raises(self, field1):
         fld, grid = field1
         eps = 0.016 * grid.dx
         with pytest.raises(ValueError, match="absorption CFL"):
-            implicit_step(fld, grid, params1, eps, dt=1.0)
+            implicit_step(fld, grid, eps, dt=1.0)
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_dense_reference_and_clip_count(self, params1, consts1, N):
@@ -295,10 +295,10 @@ class TestImplicitStep:
         grid = RadialGrid(L=100.0, M=10, N=N)
         zero = lambda r: np.zeros_like(np.asarray(r, float))
         u = np.where(np.arange(10) < 5, 1.0, 0.0)
-        fld = SelfSimilarField(T=1.0, t=0.0, values=u, grid=grid,
+        fld = SelfSimilarField(T=1.0, t=0.0, values=u,
                                profile=zero, consts=consts1, n_clipped=3)
         eps, dt, dx = 0.016 * grid.dx, 0.1, grid.dx
-        new = implicit_step(fld, grid, params1, eps, dt)
+        new = implicit_step(fld, grid, eps, dt)
 
         s = np.zeros(11)
         s[1:10] = np.diff(u) / dx
@@ -335,27 +335,25 @@ class TestRunAndMeasure:
         # the 24 checkpoints
         assert m.steps == 16101
 
-    def test_matches_explicit_limit_m100(self, field100, params1,
-                                         consts1):
+    def test_matches_explicit_limit_m100(self, field100, consts1):
         # explicit-scheme values at M=100 (42002 steps)
         fld, grid = field100
-        m = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
+        m = run_and_measure(fld, grid, t_end=0.8)
         assert m.alpha_est == pytest.approx(3.6725, abs=5e-3)
         assert m.l1_exponent_est == pytest.approx(1.9821, abs=5e-3)
         assert m.selfsim_error == pytest.approx(0.27851, rel=1e-2)
 
-    def test_absorption_cfl_violation_raises(self, field1, params1,
-                                             consts1):
+    def test_absorption_cfl_violation_raises(self, field1, consts1):
         fld, grid = field1
         with pytest.raises(ValueError, match="absorption CFL"):
-            run_and_measure(fld, grid, params1, consts1, t_end=0.8,
+            run_and_measure(fld, grid, t_end=0.8,
                             dt_frac=0.05)
 
-    def test_clipped_cells_reported(self, field100, params1, consts1):
+    def test_clipped_cells_reported(self, field100, consts1):
         # far-field undershoot of the explicit absorption at M=100
         import json
         fld, grid = field100
-        m = run_and_measure(fld, grid, params1, consts1, t_end=0.2)
+        m = run_and_measure(fld, grid, t_end=0.2)
         assert m.n_clipped > 0
         assert json.loads(metrics_json(m))["n_clipped"] == m.n_clipped
 
@@ -366,27 +364,26 @@ class TestRunAndMeasure:
         want = consts1.alpha - params1.N * consts1.beta
         assert m.l1_exponent_est == pytest.approx(want, abs=0.2)
 
-    def test_deterministic_rerun(self, run200, field1, params1, consts1):
+    def test_deterministic_rerun(self, run200, field1, consts1):
         fld, grid = field1
-        m2 = run_and_measure(fld, grid, params1, consts1, t_end=0.8)
+        m2 = run_and_measure(fld, grid, t_end=0.8)
         assert metrics_json(run200) == metrics_json(m2)
 
-    def test_t_end_validation(self, field1, params1, consts1):
+    def test_t_end_validation(self, field1, consts1):
         fld, grid = field1
         with pytest.raises(ValueError, match="t_end"):
-            run_and_measure(fld, grid, params1, consts1, t_end=0.9)
+            run_and_measure(fld, grid, t_end=0.9)
 
     @pytest.mark.parametrize("t_end", [0.05, 0.1])
-    def test_too_short_for_the_exponent_fit(self, field100, params1,
-                                            consts1, t_end):
+    def test_too_short_for_the_exponent_fit(self, field100, consts1, t_end):
         # no checkpoint has T-t < 0.9 T: the fits would have no points
         fld, grid = field100
         with pytest.raises(ValueError, match="checkpoint"):
-            run_and_measure(fld, grid, params1, consts1, t_end=t_end)
+            run_and_measure(fld, grid, t_end=t_end)
 
-    def test_snapshots_written(self, field1, params1, consts1, tmp_path):
+    def test_snapshots_written(self, field1, consts1, tmp_path):
         fld, grid = field1
-        run_and_measure(fld, grid, params1, consts1, t_end=0.5,
+        run_and_measure(fld, grid, t_end=0.5,
                         snapshot_dir=tmp_path)
         files = sorted(tmp_path.glob("snapshot_*.csv"))
         assert len(files) >= 4
@@ -395,15 +392,14 @@ class TestRunAndMeasure:
         assert lines[1] == "x,u"
         assert len(lines) == 2 + grid.M
 
-    def test_loop_equals_public_step(self, star1, params1, consts1,
-                                     tmp_path):
+    def test_loop_equals_public_step(self, star1, consts1, tmp_path):
         # the planned loop and implicit_step share one kernel: replaying
         # the schedule (dt = 1e-4 (T-t), cut at the checkpoints the
         # snapshots record) through implicit_step gives the same bits
         _, traj, _ = star1
         grid = RadialGrid(L=40.0, M=50, N=1)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
-        m = run_and_measure(fld, grid, params1, consts1, t_end=0.3,
+        m = run_and_measure(fld, grid, t_end=0.3,
                             snapshot_dir=tmp_path)
         snaps = sorted(tmp_path.glob("snapshot_*.csv"))
         cks = [float(f.read_text().splitlines()[0].split(",")[1])
@@ -418,8 +414,7 @@ class TestRunAndMeasure:
             if k < len(cks) and cur.t + dt >= cks[k] - 1e-14:
                 dt = cks[k] - cur.t
                 k += 1
-            cur = implicit_step(cur, grid, params1,
-                                eps0 * (1.0 - cur.t) ** expo, dt)
+            cur = implicit_step(cur, grid, eps0 * (1.0 - cur.t) ** expo, dt)
             n += 1
         assert k == len(cks)
         assert cur.t == cks[-1]
@@ -428,7 +423,7 @@ class TestRunAndMeasure:
         assert cur.n_clipped == m.n_clipped
 
     @pytest.mark.parametrize("M", [25, 100])
-    def test_profile_calls_per_run(self, star1, params1, consts1, M):
+    def test_profile_calls_per_run(self, star1, consts1, M):
         # one call for every Dirichlet ghost of the run, plus one per
         # checkpoint for the self-similar error: nothing per step
         _, traj, _ = star1
@@ -441,7 +436,7 @@ class TestRunAndMeasure:
             return fld.profile(x)
 
         m = run_and_measure(dataclasses.replace(fld, profile=counting),
-                            grid, params1, consts1, t_end=0.8)
+                            grid, t_end=0.8)
         assert m.steps == 16101
         assert len(calls) <= 1 + 24
 

@@ -37,57 +37,57 @@ A_STAR_N2 = 1.0571865673537144
 
 
 class TestSeriesStart:
-    def test_limit_recovers_initial_condition(self, params1, consts1):
-        st, _ = series_start(params1, consts1, a=1.0, r0=1e-10)
+    def test_limit_recovers_initial_condition(self, consts1):
+        st, _ = series_start(consts1, a=1.0, r0=1e-10)
         assert st.f == pytest.approx(1.0, abs=1e-20)
         assert st.F == pytest.approx(3.5e-10, rel=1e-6)
 
-    def test_linear_term(self, params1, consts1):
-        st, _ = series_start(params1, consts1, a=1.0, r0=1e-4)
+    def test_linear_term(self, consts1):
+        st, _ = series_start(consts1, a=1.0, r0=1e-4)
         assert st.F == pytest.approx(3.5e-4, rel=1e-3)
 
-    def test_bend_term(self, params1, consts1):
+    def test_bend_term(self, consts1):
         # a - f = ((p-1)/p) (alpha a/N)^{1/(p-1)} r0^{p/(p-1)}
-        st, _ = series_start(params1, consts1, a=1.0, r0=1e-4)
+        st, _ = series_start(consts1, a=1.0, r0=1e-4)
         want = (1.0 / 6.0) * 3.5 ** 5 * 1e-24
         assert 1.0 - st.f == pytest.approx(want, rel=0.05)
 
-    def test_truncation_reported_small(self, params1, consts1):
-        _, trunc = series_start(params1, consts1, a=1.0, r0=1e-5)
+    def test_truncation_reported_small(self, consts1):
+        _, trunc = series_start(consts1, a=1.0, r0=1e-5)
         assert trunc
         assert all(abs(v) < 1e-6 for v in trunc.values())
 
-    def test_rejects_bad_r0(self, params1, consts1):
+    def test_rejects_bad_r0(self, consts1):
         with pytest.raises(ValueError):
-            series_start(params1, consts1, a=1.0, r0=0.0)
+            series_start(consts1, a=1.0, r0=0.0)
 
 
 class TestClassify:
-    def test_small_a_is_C(self, params1, consts1):
-        c = classify(params1, consts1, 0.01, r_max=50.0)
+    def test_small_a_is_C(self, consts1):
+        c = classify(consts1, 0.01, r_max=50.0)
         assert c.label == "C"
         assert c.detail == "W_EXCEEDS_KSTAR"
         assert c.witness_r > 0
 
-    def test_large_a_is_A(self, params1, consts1):
-        c = classify(params1, consts1, 100.0, r_max=50.0)
+    def test_large_a_is_A(self, consts1):
+        c = classify(consts1, 100.0, r_max=50.0)
         assert c.label == "A"
         assert c.detail in ("W_PRIME_VANISHES", "F_HITS_ZERO",
                             "PROFILE_HITS_ZERO")
 
-    def test_boundary_is_undetermined(self, params1, consts1):
-        c = classify(params1, consts1, A_STAR_N1, r_max=50.0)
+    def test_boundary_is_undetermined(self, consts1):
+        c = classify(consts1, A_STAR_N1, r_max=50.0)
         assert c.label == "UNDETERMINED"
         assert "r_max" in c.detail
 
-    def test_witness_stable_under_tol(self, params1, consts1):
-        r1 = classify(params1, consts1, 0.01, 50.0, tol=1e-10).witness_r
-        r2 = classify(params1, consts1, 0.01, 50.0, tol=1e-12).witness_r
+    def test_witness_stable_under_tol(self, consts1):
+        r1 = classify(consts1, 0.01, 50.0, tol=1e-10).witness_r
+        r2 = classify(consts1, 0.01, 50.0, tol=1e-12).witness_r
         assert abs(r1 - r2) <= 1e-6 * r1
 
-    def test_no_C_above_an_A(self, params1, consts1):
+    def test_no_C_above_an_A(self, consts1):
         # C contains (0, a*) and A contains (a*, inf) in dimension 1
-        labels = [classify(params1, consts1, a, 50.0).label
+        labels = [classify(consts1, a, 50.0).label
                   for a in np.geomspace(0.01, 100.0, 9)]
         seen_A = False
         for lab in labels:
@@ -96,36 +96,36 @@ class TestClassify:
 
 
 class TestIntegrateProfile:
-    def test_input_validation(self, params1, consts1):
+    def test_input_validation(self, consts1):
         with pytest.raises(ValueError):
-            integrate_profile(params1, consts1, a=-1.0, r_max=10.0)
+            integrate_profile(consts1, a=-1.0, r_max=10.0)
         with pytest.raises(ValueError):
-            integrate_profile(params1, consts1, a=1.0, r_max=1e-9)
+            integrate_profile(consts1, a=1.0, r_max=1e-9)
 
-    def test_C_event_recorded(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 0.01, 50.0,
+    def test_C_event_recorded(self, consts1):
+        traj = integrate_profile(consts1, 0.01, 50.0,
                                  n_samples=256)
         kinds = [k for k, _ in traj.events]
         assert kinds == ["W_EXCEEDS_KSTAR"]
         assert traj.r_end == pytest.approx(traj.events[0][1], rel=1e-12)
 
-    def test_sampling_grid(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 1.0, 10.0, n_samples=512)
+    def test_sampling_grid(self, consts1):
+        traj = integrate_profile(consts1, 1.0, 10.0, n_samples=512)
         assert traj.r[0] == pytest.approx(traj.r0, rel=1e-12)
         assert np.all(np.diff(traj.r) > 0)
         # uniform in ln r
         assert np.allclose(np.diff(np.log(traj.r)),
                            np.diff(np.log(traj.r))[0], rtol=1e-8)
 
-    def test_profile_decreasing_while_positive(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 1.0, 10.0, n_samples=512)
+    def test_profile_decreasing_while_positive(self, consts1):
+        traj = integrate_profile(consts1, 1.0, 10.0, n_samples=512)
         assert np.all(traj.f > 0)
         assert np.all(traj.fprime < 0)
 
     def test_slope_lower_bound(self, params1, consts1):
         # f' >= -(a alpha)^{1/q} wherever f > 0
         for a in (0.01, 1.0, 100.0):
-            traj = integrate_profile(params1, consts1, a, 50.0,
+            traj = integrate_profile(consts1, a, 50.0,
                                      n_samples=512)
             bound = (a * consts1.alpha) ** (1.0 / params1.q)
             ok = traj.f > 0
@@ -133,14 +133,14 @@ class TestIntegrateProfile:
 
 
 class TestEnergy:
-    def test_formula(self, params1, consts1):
-        e = energy(params1, consts1, np.array([2.0]), np.array([-1.0]))
+    def test_formula(self, consts1):
+        e = energy(consts1, np.array([2.0]), np.array([-1.0]))
         assert e[0] == pytest.approx((0.2 / 1.2) * 1.0 + 0.5 * 3.5 * 4.0,
                                      rel=1e-12)
 
     @pytest.mark.parametrize("a", [0.01, A_STAR_N1, 100.0])
-    def test_monotone_decay(self, params1, consts1, a):
-        traj = integrate_profile(params1, consts1, a, 50.0, n_samples=2048)
+    def test_monotone_decay(self, consts1, a):
+        traj = integrate_profile(consts1, a, 50.0, n_samples=2048)
         ok = traj.f > 0
         e = traj.energy[ok]
         assert np.all(np.diff(e) <= 1e-12 * e[0])
@@ -148,7 +148,7 @@ class TestEnergy:
     @pytest.mark.parametrize("a", [0.01, A_STAR_N1, 100.0])
     def test_growth_bound(self, params1, consts1, a):
         # E(r) <= E(r0) + (beta r0)^{-(q+1)/(1-q)} r for sampled r >= r0
-        traj = integrate_profile(params1, consts1, a, 50.0, n_samples=2048)
+        traj = integrate_profile(consts1, a, 50.0, n_samples=2048)
         k = len(traj.r) // 3
         r0, e0 = traj.r[k], traj.energy[k]
         coef = (consts1.beta * r0) ** (-(params1.q + 1.0) / (1.0 - params1.q))
@@ -156,11 +156,11 @@ class TestEnergy:
 
 
 class TestBisection:
-    def test_bracket_invariant(self, params1, consts1):
-        br = find_bracket(params1, consts1, r_max=100.0)
+    def test_bracket_invariant(self, consts1):
+        br = find_bracket(consts1, r_max=100.0)
         assert 0 < br.lo < br.hi
-        assert classify(params1, consts1, br.lo, 100.0).label == "C"
-        assert classify(params1, consts1, br.hi, 100.0).label == "A"
+        assert classify(consts1, br.lo, 100.0).label == "C"
+        assert classify(consts1, br.hi, 100.0).label == "A"
 
     def test_a_star_value(self, star1):
         a_star, _, _ = star1
@@ -180,10 +180,10 @@ class TestBisection:
         assert 25 <= len(steps) <= 50
         assert all(s["label"] in ("A", "C") for s in steps)
 
-    def test_neighbors_classify_across(self, params1, consts1, star1):
+    def test_neighbors_classify_across(self, consts1, star1):
         a_star, _, _ = star1
-        assert classify(params1, consts1, 0.99 * a_star, 100.0).label == "C"
-        assert classify(params1, consts1, 1.01 * a_star, 100.0).label == "A"
+        assert classify(consts1, 0.99 * a_star, 100.0).label == "C"
+        assert classify(consts1, 1.01 * a_star, 100.0).label == "A"
 
     def test_trajectory_positive_decreasing(self, star1):
         _, traj, _ = star1
@@ -191,17 +191,17 @@ class TestBisection:
         assert np.all(traj.fprime < 0)
         assert traj.r_end == pytest.approx(100.0, rel=1e-12)
 
-    def test_one_classify_per_step(self, params1, consts1, monkeypatch):
-        br = find_bracket(params1, consts1, r_max=100.0)
+    def test_one_classify_per_step(self, consts1, monkeypatch):
+        br = find_bracket(consts1, r_max=100.0)
         calls = []
         orig = shooter.classify
 
         def counted(*args, **kwargs):
-            calls.append(args[2:4])
+            calls.append(args[1:3])
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(shooter, "classify", counted)
-        _, _, rec = find_profile(params1, consts1, br, a_tol=1e-10,
+        _, _, rec = find_profile(consts1, br, a_tol=1e-10,
                                  r_max=100.0)
         steps = rec["steps"]
         # each midpoint is solved once, out to 16 r_max
@@ -212,8 +212,7 @@ class TestBisection:
         assert any(s["r_max"] > 100.0 for s in steps)
 
     @pytest.mark.parametrize("k", range(2, 10))
-    def test_one_solve_matches_the_doubling_ladder(self, params1, consts1,
-                                                   star1, k):
+    def test_one_solve_matches_the_doubling_ladder(self, consts1, star1, k):
         # one solve to 16 r_max stops at the first decisive event, so it
         # gives the first decided label of r_max, 2 r_max, ..., 16 r_max,
         # and its witness falls in the rung that decides the ladder
@@ -223,30 +222,30 @@ class TestBisection:
         for a in (a_star * (1 - 10.0 ** -k), a_star * (1 + 10.0 ** -k)):
             ladder = ("UNDETERMINED", None)
             for rm in rungs:
-                lab = classify(params1, consts1, a, rm).label
+                lab = classify(consts1, a, rm).label
                 if lab != "UNDETERMINED":
                     ladder = (lab, rm)
                     break
-            one = classify(params1, consts1, a, rungs[-1])
+            one = classify(consts1, a, rungs[-1])
             assert one.label == ladder[0], (a, ladder)
             if ladder[1] is not None:
                 assert min(rm for rm in rungs
                            if rm >= one.witness_r) == ladder[1]
 
 
-def _reference_solve(params, consts, a, r_max, dense=False):
+def _reference_solve(consts, a, r_max, dense=False):
     """The same right side and events through scipy's solve_ivp DOP853:
     (first event kind, its radius, the solution)."""
-    rhs = shooter._make_rhs(params, consts)
-    events, directions = shooter._make_events(params, consts)
+    rhs = shooter._make_rhs(consts)
+    events, directions = shooter._make_events(consts)
     fns = []
     for k, d in enumerate(directions):
         def ev(r, y, k=k):
             return events(r, y[0], y[1])[k]
         ev.terminal, ev.direction = True, d
         fns.append(ev)
-    r0 = shooter._default_r0(params, a)
-    st, _ = series_start(params, consts, a, r0)
+    r0 = shooter._default_r0(consts, a)
+    st, _ = series_start(consts, a, r0)
     sol = solve_ivp(lambda r, y: rhs(r, y[0], y[1]), (r0, r_max),
                     (st.f, st.F), method="DOP853", rtol=1e-10, atol=0.0,
                     events=fns, dense_output=dense)
@@ -272,12 +271,12 @@ class TestKernelAgainstSolveIvp:
         consts = derive_constants(params)
         worst = 0.0
         for a in np.geomspace(1e-3, 1e3, 60):
-            kind, r_e, _ = _reference_solve(params, consts, a, r_max)
+            kind, r_e, _ = _reference_solve(consts, a, r_max)
             _, events, r_end, _, detail, _ = shooter._shoot(
-                params, consts, a, r_max, 1e-10, dense=False)
+                consts, a, r_max, 1e-10, dense=False)
             assert detail == ""
             assert events[0][0] == kind, a
-            cl = classify(params, consts, a, r_max)
+            cl = classify(consts, a, r_max)
             assert cl.label == _LABELS.get(kind, "UNDETERMINED"), a
             assert cl.witness_r == r_end
             worst = max(worst, abs(r_end - r_e) / r_e)
@@ -287,8 +286,8 @@ class TestKernelAgainstSolveIvp:
     def test_dense_samples_at_a_star(self, N):
         params, r_max, a_star = _TRIPLES[N]
         consts = derive_constants(params)
-        traj = integrate_profile(params, consts, a_star, r_max)
-        _, r_e, sol = _reference_solve(params, consts, a_star, r_max,
+        traj = integrate_profile(consts, a_star, r_max)
+        _, r_e, sol = _reference_solve(consts, a_star, r_max,
                                        dense=True)
         assert traj.r_end == pytest.approx(r_e, rel=1e-8)
         near = traj.r <= 10.0
@@ -305,41 +304,41 @@ class TestKstarOverflow:
         consts = derive_constants(params)
         assert consts.Kstar == math.inf
         with pytest.raises(ValueError, match="Kstar overflows"):
-            classify(params, consts, 1.0, 50.0)
+            classify(consts, 1.0, 50.0)
         with pytest.raises(ValueError, match="Kstar overflows"):
-            integrate_profile(params, consts, 1.0, 50.0)
+            integrate_profile(consts, 1.0, 50.0)
 
     def test_events_do_not_raise(self):
         # mu = 99 with a finite K*: r^mu and |F|^{1/(p-1)} overflow floats
         params = ExponentParams(N=1, p=1.5, q=0.51)
         consts = derive_constants(params)
         assert math.isfinite(consts.Kstar)
-        events, _ = shooter._make_events(params, consts)
+        events, _ = shooter._make_events(consts)
         g = events(1e6, 1.0, 1e300)
         assert g[0] == -math.inf and g[1] == math.inf
 
 
-def test_ode_residual_small_on_profile(star1, params1, consts1):
+def test_ode_residual_small_on_profile(star1, consts1):
     _, traj, _ = star1
-    res = ode_residual(traj, params1, consts1)
+    res = ode_residual(traj, consts1)
     assert res <= 100.0 * traj.tol
 
 
-def test_ode_residual_flags_corruption(star1, params1, consts1):
+def test_ode_residual_flags_corruption(star1, consts1):
     _, traj, _ = star1
     import copy
     bad = copy.copy(traj)
     bad.f = traj.f * 1.01
-    assert ode_residual(bad, params1, consts1) > 1e-4
+    assert ode_residual(bad, consts1) > 1e-4
 
 
-def test_default_sample_count_converged(star1, params1, consts1):
+def test_default_sample_count_converged(star1, consts1):
     # the downstream values of find's profile move by less than their
     # reporting accuracy when the default sample count is doubled
     a_star, traj, _ = star1
     n = inspect.signature(integrate_profile).parameters["n_samples"].default
     assert len(traj.r) == n
-    fine = integrate_profile(params1, consts1, a_star, 100.0, traj.tol,
+    fine = integrate_profile(consts1, a_star, 100.0, traj.tol,
                              n_samples=2 * n)
     fits = [fit_tail(w_transform(t, consts1), consts1) for t in (traj, fine)]
     rates = [extract_rates(map_to_phase(t, consts1), consts1)
@@ -352,9 +351,9 @@ def test_default_sample_count_converged(star1, params1, consts1):
 
 class TestCsvRoundTrip:
     def test_header_and_exact_floats(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 0.01, 50.0,
+        traj = integrate_profile(consts1, 0.01, 50.0,
                                  n_samples=128)
-        text = trajectory_csv(traj, params1, consts1)
+        text = trajectory_csv(traj, consts1)
         header = next(ln for ln in text.splitlines()
                       if not ln.startswith("#"))
         assert header == "r,f,fprime,F,w,Wtail,E"
@@ -368,8 +367,8 @@ class TestCsvRoundTrip:
         assert np.array_equal(cols["F"], traj.F)
         assert events == traj.events
 
-    def test_w_column_consistent(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 1.0, 10.0, n_samples=64)
-        _, cols, _ = read_profile_csv(trajectory_csv(traj, params1, consts1))
+    def test_w_column_consistent(self, consts1):
+        traj = integrate_profile(consts1, 1.0, 10.0, n_samples=64)
+        _, cols, _ = read_profile_csv(trajectory_csv(traj, consts1))
         assert np.allclose(cols["w"], cols["r"] ** consts1.mu * cols["f"],
                            rtol=1e-15)

@@ -120,15 +120,15 @@ class TestCertifyB:
                                    "slope_decay", "deriv_limit"}
         assert rep.w_end == pytest.approx(consts1.Kstar, rel=0.01)
 
-    def test_above_star_fails_band_or_monotone(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 1.1 * A_STAR_N1, 100.0,
+    def test_above_star_fails_band_or_monotone(self, consts1):
+        traj = integrate_profile(consts1, 1.1 * A_STAR_N1, 100.0,
                                  n_samples=2048)
         rep = certify_B(traj, consts1)
         assert not rep.ok
         assert (not rep.checks["w_in_band"]) or (not rep.checks["w_monotone"])
 
-    def test_below_star_fails_band(self, params1, consts1):
-        traj = integrate_profile(params1, consts1, 0.9 * A_STAR_N1, 100.0,
+    def test_below_star_fails_band(self, consts1):
+        traj = integrate_profile(consts1, 0.9 * A_STAR_N1, 100.0,
                                  n_samples=2048)
         assert not certify_B(traj, consts1).checks["w_in_band"]
 
