@@ -22,6 +22,7 @@ from .exponents import (
     derive_constants,
     spectral_data,
     lambdastar,
+    nuisance_rates,
     constants_json,
     deta,
     log_fit,

@@ -6,9 +6,9 @@ Exit codes; commands raise, and `main` maps every exception through
 
   0  success
   1  usage: bad flags or config, an unreadable or malformed profile
-  2  exponents outside the admissible box; the library's own input checks
-     (--a <= 0, --rmax below the series start, bad --L/--M, a triple in
-     the box whose K* overflows double precision)
+  2  exponents outside the admissible box (N and p alone for qstar); the
+     library's own input checks (--a <= 0, --rmax below the series start,
+     bad --L/--M, a triple in the box whose K* overflows double precision)
   3  algorithmic failure: no bracket, fit, certification, phase
      non-convergence, PDE
 
@@ -111,15 +111,20 @@ def _require(args, *flags):
                          + ", ".join(missing))
 
 
+def _check_range(N, p, q=None):
+    """Exit 2 with the named violations where (N, p[, q]) leaves the box."""
+    rep = exponents.validate_range(N, p, q)
+    if not rep.ok:
+        raise RangeViolation({"violations": rep.violations,
+                              "warnings": rep.warnings})
+
+
 def _params(args):
     """Constants of the exponents --N/--p/--q, checked against the box.
     Where the command takes --rmax and it was left out, fills in the
     default."""
     _require(args, "N", "p", "q")
-    rep = exponents.validate_range(args.N, args.p, args.q)
-    if not rep.ok:
-        raise RangeViolation({"violations": rep.violations,
-                              "warnings": rep.warnings})
+    _check_range(args.N, args.p, args.q)
     consts = exponents.derive_constants(
         exponents.ExponentParams(N=args.N, p=args.p, q=args.q))
     if "rmax" in vars(args) and args.rmax is None:
@@ -153,8 +158,7 @@ def cmd_constants(args) -> int:
 
 def cmd_qstar(args) -> int:
     _require(args, "N", "p")
-    if not (2.0 * args.N / (args.N + 1.0) < args.p < 2.0):
-        raise RangeViolation({"violations": ["p outside (2N/(N+1), 2)"]})
+    _check_range(args.N, args.p)
     lam = exponents.lambdastar(args.N, args.p)
     _write_or_print(args.out, exponents.json_text(
         {"N": args.N, "p": args.p, "lambdastar": lam,

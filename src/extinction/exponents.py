@@ -9,9 +9,9 @@ This module computes the derived constants and the spectrum of the
 phase-space linearization, and cross-checks them against exact algebraic
 identities.  It also holds what every other module shares: the two
 numerical kernels of the tail and phase analyses (the 5-point derivative
-in ln r and the pinned-basis log regression) and the two writers that fix
-the byte format of every artifact (`json_text`, `csv_text`).  Pure
-functions on value types throughout.
+in ln r and the pinned-basis log regression, with the rates it pins) and
+the two writers that fix the byte format of every artifact (`json_text`,
+`csv_text`).  Pure functions on value types throughout.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "derive_constants",
     "spectral_data",
     "lambdastar",
+    "nuisance_rates",
     "constants_json",
     "deta",
     "log_fit",
@@ -57,10 +58,11 @@ class RangeReport:
     warnings: tuple[str, ...] = ()
 
 
-def validate_range(N, p, q) -> RangeReport:
+def validate_range(N, p, q=None) -> RangeReport:
     """Check the admissible exponent box; never raises.
 
-    Returns a structured report naming each violated inequality.
+    Returns a structured report naming each violated inequality.  With q
+    left out, only N and p are checked (the domain of `lambdastar`).
     """
     violations = []
     warnings = []
@@ -76,6 +78,8 @@ def validate_range(N, p, q) -> RangeReport:
             violations.append(f"p > 2N/(N+1) fails (p={p}, threshold={pc})")
         if not p < 2.0:
             violations.append("p < 2 fails")
+        if q is None:
+            return RangeReport(not violations, tuple(violations))
         if not q > p - 1.0:
             violations.append("q > p-1 fails")
         if not q < p / 2.0:
@@ -188,6 +192,13 @@ def spectral_data(consts: DerivedConstants) -> Spectrum:
     qstar = lamstar + p - 1.0
     return Spectrum(lam1, lam2, lam3, V1, V2, V3, max(lam2, lam3),
                     lamstar, qstar)
+
+
+def nuisance_rates(consts: DerivedConstants) -> tuple[float, float, float]:
+    """The rates (lambda2, 2 lambda2, lambda1 + theta) of the subleading
+    modes that `log_fit` pins beside a tail or phase-space decay."""
+    spec = spectral_data(consts)
+    return spec.lambda2, 2.0 * spec.lambda2, spec.lambda1 + consts.theta
 
 
 def _finite_or_null(obj):

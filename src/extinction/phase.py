@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .exponents import (DerivedConstants, csv_text, deta, json_text,
-                        log_fit, spectral_data)
+                        log_fit, nuisance_rates, spectral_data)
 
 __all__ = [
     "PhasePath",
@@ -201,9 +201,8 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     the data; fast-decay paths approach Zstar from below).
     """
     p, q = consts.p, consts.q
-    Zst, th, mu = consts.Zstar, consts.theta, consts.mu
+    Zst, mu = consts.Zstar, consts.mu
     spec = spectral_data(consts)
-    lam2c = spec.lambda2
     eta, Y, Z = path.eta, path.Y, path.Z
     dist = math.sqrt((path.X[-1]) ** 2 + (Y[-1]) ** 2
                      + (Z[-1] - Zst) ** 2)
@@ -227,15 +226,14 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     if m3.sum() < 10:
         raise ValueError("lambda3 window holds fewer than 10 usable "
                          "samples above the |Z - Zstar| floor")
-    co3 = log_fit(eta[m3], np.log(np.abs(gap[m3])),
-                  (lam2c, 2.0 * lam2c, spec.lambda1 + th))
+    co3 = log_fit(eta[m3], np.log(np.abs(gap[m3])), nuisance_rates(consts))
     lam3 = float(co3[1])
     sgn = -1.0 if np.median(gap[m3]) < 0.0 else 1.0
     Vinf = sgn * math.exp(co3[0])
     A_from_Vinf = -Vinf * Zst ** mu / ((mu - lam3) * (q - p + 1.0))
 
     flags = []
-    if abs(abs(lam2c) - abs(spec.lambda3)) < 0.1:
+    if abs(abs(spec.lambda2) - abs(spec.lambda3)) < 0.1:
         flags.append("near-crossover: |lambda2| and |lambda3| within 0.1, "
                      "lambda3 extraction unreliable (mode mixing)")
     return RateFit(lambda2_est=lam2, lambda3_est=lam3, Uinf_est=Uinf,

@@ -17,6 +17,9 @@ w(r) = r^mu f(r):
     UNDETERMINED  r_max reached with 0 < w < Kstar, w' > 0
 
 The fast-decay profile sits on the A/C boundary and is located by bisection.
+A midpoint still undetermined at the bisection's largest radius is put on
+a side by the end-state rule: C when the gap Kstar - w closes there faster
+than the pure power r^{-theta}, i.e. r w' > theta (Kstar - w), else A.
 
 Every solve runs through one scalar DOP853 kernel, `_dop853`: a plain
 Python loop over the two floats (f, F) that keeps scipy's DOP853 method
@@ -79,7 +82,6 @@ class ProfileState:
     r: float
     f: float
     F: float
-    fprime: float
 
 
 @dataclass
@@ -93,7 +95,6 @@ class ProfileTrajectory:
     events: list[tuple[str, float]]
     r0: float
     tol: float
-    detail: str = ""
 
     @property
     def r_end(self) -> float:
@@ -105,13 +106,15 @@ class Classification:
     label: str                 # "A" | "C" | "UNDETERMINED"
     witness_r: float
     detail: str = ""
+    # r w' / (Kstar - w) at an UNDETERMINED end, inf if the gap is closed:
+    # the gap's local decay exponent, which the end-state rule tests > theta
+    gap_exponent: float = math.nan
 
 
 @dataclass(frozen=True)
 class Bracket:
     lo: float   # classified C
     hi: float   # classified A
-    tol: float
 
 
 def series_start(consts: DerivedConstants, a: float,
@@ -137,8 +140,7 @@ def series_start(consts: DerivedConstants, a: float,
                        * r0 ** (p / (p - 1.0)),
         "f_abs_bend": a - f0,
     }
-    fp0 = -abs(F0) ** ((2.0 - p) / (p - 1.0)) * F0
-    return ProfileState(r0, f0, F0, fp0), trunc
+    return ProfileState(r0, f0, F0), trunc
 
 
 def _default_r0(consts: DerivedConstants, a: float) -> float:
@@ -396,8 +398,9 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
     Kstar must be finite: where it overflows (q close to p-1) the C
     event cannot be tested, and the solve is refused.
 
-    Returns (r0, events, r_end, f_end, detail, segments); f_end is f at
-    r_end, and segments (for _sample) is None unless `dense`.
+    Returns (r0, events, r_end, f_end, F_end, segments): events is
+    [(kind, r_end)] for the event, RMAX_REACHED or INTEGRATOR_FAILURE that
+    ended the solve, and segments (for _sample) is None unless `dense`.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -413,19 +416,14 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
         raise ValueError("r_max must exceed the series-start radius")
     state0, _ = series_start(consts, a, r0)
     events, directions = _make_events(consts)
-    status, r_end, f_end, _, k, segments = _dop853(
+    status, r_end, f_end, F_end, k, segments = _dop853(
         _make_rhs(consts), events, directions, r0, state0.f,
         state0.F, r_max, tol, dense)
-    detail = ""
     if status == 1:
-        events = [(_EVENT_KINDS[k], r_end)]
-    elif status == 0:
-        events = [("RMAX_REACHED", r_end)]
+        kind = _EVENT_KINDS[k]
     else:
-        events = []
-        detail = ("integrator failure: Required step size is less than "
-                  "spacing between numbers.")
-    return r0, events, r_end, f_end, detail, segments
+        kind = "RMAX_REACHED" if status == 0 else "INTEGRATOR_FAILURE"
+    return r0, [(kind, r_end)], r_end, f_end, F_end, segments
 
 
 def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
@@ -439,40 +437,48 @@ def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
     The default count is the smallest rung of the ladder 2,000 ... 32,000
     at (1, 1.2, 0.5) that keeps `ode_residual` below 100 tol (3.0e-9;
     2,000 gives 1.9e-8) and puts the tail, phase and PDE values within
-    1.5e-6 relative of their 32,000-sample values.
+    1.5e-6 relative of their 32,000-sample values.  A solve the integrator
+    gives up on ends in an INTEGRATOR_FAILURE event, in profile.csv too.
     """
-    r0, events, r_end, _, detail, segments = _shoot(consts, a, r_max, tol,
-                                                    dense=True)
+    r0, events, r_end, _, _, segments = _shoot(consts, a, r_max, tol,
+                                               dense=True)
     rs = np.geomspace(r0, r_end, n_samples)
     f, F = _sample(segments, r_end, rs)
     p = consts.p
     fprime = -np.sign(F) * np.abs(F) ** (1.0 / (p - 1.0))
-    traj = ProfileTrajectory(
+    return ProfileTrajectory(
         a=a, r=rs, f=f, fprime=fprime, F=F,
         energy=energy(consts, f, fprime),
-        events=events, r0=r0, tol=tol, detail=detail)
-    return traj
+        events=events, r0=r0, tol=tol)
 
 
 def classify(consts: DerivedConstants, a: float, r_max: float,
              tol: float = 1e-10) -> Classification:
     """Map the first decisive event to the shooting class.  Only the
-    endpoint is read, so the solve keeps no dense output."""
-    _, events, r_end, f_end, detail, _ = _shoot(consts, a, r_max, tol,
-                                                dense=False)
-    if detail:
-        return Classification("UNDETERMINED", r_end, detail)
-    kind, r_e = events[0]
+    endpoint is read, so the solve keeps no dense output.  An UNDETERMINED
+    end (r, f, F) carries gap_exponent = r w' / (Kstar - w), where w = r^mu f
+    and r w' = mu w + r^{mu+1} f' (as in tail._wprime)."""
+    _, events, r_end, f_end, F_end, _ = _shoot(consts, a, r_max, tol,
+                                               dense=False)
+    kind = events[0][0]
     if kind in ("W_PRIME_VANISHES", "F_HITS_ZERO", "PROFILE_HITS_ZERO"):
-        return Classification("A", r_e, kind)
+        return Classification("A", r_end, kind)
     if kind == "W_EXCEEDS_KSTAR":
-        return Classification("C", r_e, kind)
-    if kind == "OVERFLOW_GUARD":
-        return Classification("UNDETERMINED", r_e, "overflow guard tripped")
-    w_end = _pow(r_e, consts.mu) * f_end
-    return Classification(
-        "UNDETERMINED", r_e,
-        f"r_max reached, w={w_end:.6g} in (0, Kstar), w' > 0")
+        return Classification("C", r_end, kind)
+    mu = consts.mu
+    w = _pow(r_end, mu) * f_end
+    fprime = -math.copysign(_pow(abs(F_end), 1.0 / (consts.p - 1.0)), F_end)
+    rwp = mu * w + _pow(r_end, mu + 1.0) * fprime
+    gap = consts.Kstar - w
+    if kind == "RMAX_REACHED":
+        detail = f"r_max reached, w={w:.6g} in (0, Kstar), w' > 0"
+    elif kind == "OVERFLOW_GUARD":
+        detail = "overflow guard tripped"
+    else:
+        detail = ("integrator failure: Required step size is less than "
+                  "spacing between numbers.")
+    return Classification("UNDETERMINED", r_end, detail,
+                          rwp / gap if gap > 0 else math.inf)
 
 
 def find_bracket(consts: DerivedConstants, r_max: float,
@@ -487,7 +493,8 @@ def find_bracket(consts: DerivedConstants, r_max: float,
             break
         if lab == "C":
             lo = 10.0 ** k
-    for k in range(0, -13, -1):
+    # a = 1 (k = 0) was classified by the upward pass
+    for k in range(-1, -13, -1):
         if lo is not None:
             break
         lab = classify(consts, 10.0 ** k, r_max, tol).label
@@ -496,26 +503,7 @@ def find_bracket(consts: DerivedConstants, r_max: float,
     if lo is None or hi is None:
         raise RuntimeError(
             f"bracket scan exhausted (|k| <= 12): lo={lo}, hi={hi}")
-    return Bracket(lo=lo, hi=hi, tol=tol)
-
-
-def _heuristic_side(consts, a, r_max, tol):
-    """Nearness-to-Kstar heuristic for bisection midpoints that stay
-    undetermined out to 16 times the bisection radius: compare the gap
-    Kstar - w at r_max against the pure-power contraction of the gap at
-    r_max/2.  A gap closing faster than r^{-theta} is heading across Kstar
-    (C side); slower means the profile is falling away (A side).
-    """
-    traj = integrate_profile(consts, a, r_max, tol, n_samples=512)
-    mu, Kst, th = consts.mu, consts.Kstar, consts.theta
-    r_end = traj.r_end
-    w_end = _pow(r_end, mu) * traj.f[-1]
-    i_half = int(np.searchsorted(traj.r, 0.5 * r_end))
-    r_h = traj.r[i_half]
-    w_h = r_h ** mu * traj.f[i_half]
-    gap_end = Kst - w_end
-    gap_pred = (Kst - w_h) * (r_end / r_h) ** (-th)
-    return "C" if gap_end < gap_pred else "A"
+    return Bracket(lo=lo, hi=hi)
 
 
 def find_profile(consts: DerivedConstants, bracket: Bracket,
@@ -527,8 +515,10 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
     stops at the first decisive event, so its label is the first one the
     radii r_max, 2 r_max, ..., 16 r_max would give, and the transcript
     records the smallest of those radii at or above the witness.  Midpoints
-    still undetermined at 16 r_max are assigned by the gap-contraction
-    heuristic there (flagged in the transcript).  Returns (a_star,
+    still undetermined at 16 r_max are assigned by the end-state rule of
+    that same solve: C when the gap Kstar - w closes faster than r^{-theta}
+    there (classify's gap_exponent > theta), else A; the transcript flags
+    them.  The one dense solve is at a_star.  Returns (a_star,
     trajectory at r_max with integrate_profile's default sampling,
     transcript).
     """
@@ -543,7 +533,7 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
         cl = classify(consts, m, r_top, tol)
         heuristic = cl.label == "UNDETERMINED"
         if heuristic:
-            lab = _heuristic_side(consts, m, r_top, tol)
+            lab = "C" if cl.gap_exponent > consts.theta else "A"
             rm = r_top
             n_heuristic += 1
         else:
@@ -559,9 +549,6 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
             hi = m
     a_star = 0.5 * (lo + hi)
     traj = integrate_profile(consts, a_star, r_max, tol)
-    if n_heuristic:
-        traj.detail = (f"{n_heuristic} bisection step(s) resolved by the "
-                       "gap-contraction heuristic (undecidable at finite r)")
     return a_star, traj, {"lo": lo, "hi": hi, "steps": transcript,
                           "n_heuristic": n_heuristic}
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exponents import (DerivedConstants, deta, json_text, log_fit,
-                        spectral_data)
+                        nuisance_rates)
 
 __all__ = [
     "WState",
@@ -184,8 +184,7 @@ def _ratio_refine(st: WState, consts: DerivedConstants, mask):
     A = Kstar mu(mu+1)/(mu+theta) s0.
     """
     p, q = consts.p, consts.q
-    mu, Kst, Zst, th0 = consts.mu, consts.Kstar, consts.Zstar, consts.theta
-    spec = spectral_data(consts)
+    mu, Kst, Zst = consts.mu, consts.Kstar, consts.Zstar
     r = st.r[mask]
     fp = st.Wtail[mask] * st.r[mask] ** (-(mu + 1.0))
     Z = r * np.maximum(-fp, 0.0) ** (q - p + 1.0)
@@ -194,9 +193,7 @@ def _ratio_refine(st: WState, consts: DerivedConstants, mask):
     if len(r) < 10:
         return None
     s = Zst / Z - 1.0
-    lam2 = spec.lambda2
-    co = log_fit(np.log(r), np.log(s),
-                 (lam2, 2.0 * lam2, spec.lambda1 + th0))
+    co = log_fit(np.log(r), np.log(s), nuisance_rates(consts))
     theta = -co[1]
     s0 = math.exp(co[0])
     A = Kst * mu * (mu + 1.0) / (mu + theta) * s0

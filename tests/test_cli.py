@@ -113,6 +113,9 @@ class TestExitCodes:
         (1, ("phase", "--from-profile", "{profile}", "--N", "2", "--p", "1.5",
              "--q", "0.6", "--outdir", "{tmp}"),
          "the exponents come from the profile"),
+        (2, ("qstar", "--N", "-1", "--p", "1.5"), "N >= 1 fails"),
+        (2, ("qstar", "--N", "0", "--p", "1.5"), "N >= 1 fails"),
+        (2, ("qstar", "--N", "0", "--p", "0.5"), "N >= 1 fails"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -329,6 +332,19 @@ FROZEN_SHA256 = {
 }
 
 
+# sha256 of `find --N 1 --p 1.5 --q 0.675`, the one benchmark triple whose
+# bisection reaches the end-state rule (exit 3: not certified), frozen at
+# commit 1850253 on the same versions.  Same rules as above.
+FROZEN_SHA256_END_STATE = {
+    "profile.csv":
+        "ddd0939f256f5cfe7adffd5e507c2677f5513f24094777b1b7a4939a7d38f14a",
+    "certify.json":
+        "ddcde637c42e1d3a3ace1da6c4ad14bb2a01960dc04282707ca661d46acbd48b",
+    "tailfit.json":
+        "9fbd209c67f580986f21357e2e7f7125573b17169224a5fac8243330dff08c79",
+}
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -338,6 +354,12 @@ class TestFrozenDigests:
                                       "tailfit.json"])
     def test_find_artifact(self, find_dir, name):
         assert sha256_of(find_dir / name) == FROZEN_SHA256[name]
+
+    def test_end_state_rule_find_artifacts(self, tmp_path):
+        assert cli.main(["find", "--N", "1", "--p", "1.5", "--q", "0.675",
+                         "--outdir", str(tmp_path)]) == 3
+        for name, digest in FROZEN_SHA256_END_STATE.items():
+            assert sha256_of(tmp_path / name) == digest, name
 
     def test_pde_metrics(self, find_dir, tmp_path):
         out = tmp_path / "metrics.json"

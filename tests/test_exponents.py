@@ -206,6 +206,14 @@ class TestValidateRange:
         assert rep.ok
         assert any("p/2" in w for w in rep.warnings)
 
+    def test_without_q_checks_N_and_p(self):
+        # qstar's box: the (N, p) rules alone, also where N < 1
+        assert validate_range(2, 1.5).ok
+        assert validate_range(0, 1.5).violations == ("N >= 1 fails",)
+        assert validate_range(-1, 1.5).violations == ("N >= 1 fails",)
+        assert validate_range(2, 1.2).violations == (
+            "p > 2N/(N+1) fails (p=1.2, threshold=1.3333333333333333)",)
+
     def test_derive_constants_raises_out_of_range(self):
         with pytest.raises(ValueError):
             derive_constants(ExponentParams(1, 2.5, 0.5))

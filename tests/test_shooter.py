@@ -35,6 +35,17 @@ from extinction import shooter
 A_STAR_N1 = 2.3028967658101465
 A_STAR_N2 = 1.0571865673537144
 
+# the box-scan triple whose bisection reaches the end-state rule (three
+# midpoints undetermined out to 16 r_max); a* and the rule's labels frozen
+# at commit 1850253, where a second dense solve decided them
+HEURISTIC = ExponentParams(N=1, p=1.5, q=0.675)
+A_STAR_HEURISTIC = 0.000183491783308147
+BISECTION_TRIPLES = [ExponentParams(N=1, p=1.2, q=0.5), HEURISTIC]
+
+
+def _triple_id(pr):
+    return f"{pr.N}-{pr.p}-{pr.q}"
+
 
 class TestSeriesStart:
     def test_limit_recovers_initial_condition(self, consts1):
@@ -191,8 +202,10 @@ class TestBisection:
         assert np.all(traj.fprime < 0)
         assert traj.r_end == pytest.approx(100.0, rel=1e-12)
 
-    def test_one_classify_per_step(self, consts1, monkeypatch):
-        br = find_bracket(consts1, r_max=100.0)
+    @pytest.mark.parametrize("params", BISECTION_TRIPLES, ids=_triple_id)
+    def test_one_classify_per_step(self, params, monkeypatch):
+        consts = derive_constants(params)
+        br = find_bracket(consts, r_max=100.0)
         calls = []
         orig = shooter.classify
 
@@ -201,7 +214,7 @@ class TestBisection:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(shooter, "classify", counted)
-        _, _, rec = find_profile(consts1, br, a_tol=1e-10,
+        _, _, rec = find_profile(consts, br, a_tol=1e-10,
                                  r_max=100.0)
         steps = rec["steps"]
         # each midpoint is solved once, out to 16 r_max
@@ -210,6 +223,70 @@ class TestBisection:
         assert all(s["r_max"] in rungs for s in steps)
         # some midpoints are decided only beyond the bisection radius
         assert any(s["r_max"] > 100.0 for s in steps)
+
+    @pytest.mark.parametrize("params", BISECTION_TRIPLES, ids=_triple_id)
+    def test_each_a_solved_once(self, params, monkeypatch):
+        # across the bracket scan and the bisection, no shooting parameter
+        # is solved twice, and the one dense solve samples a*
+        consts = derive_constants(params)
+        solves = []
+        orig = shooter._shoot
+
+        def spy(c, a, r_max, tol, dense):
+            solves.append((a, dense))
+            return orig(c, a, r_max, tol, dense)
+
+        monkeypatch.setattr(shooter, "_shoot", spy)
+        br = find_bracket(consts, r_max=100.0)
+        a_star, _, _ = find_profile(consts, br, a_tol=1e-10, r_max=100.0)
+        sparse = [a for a, dense in solves if not dense]
+        assert len(set(sparse)) == len(sparse)
+        assert [a for a, dense in solves if dense] == [a_star]
+
+    def test_end_state_rule_labels(self, monkeypatch):
+        # the three undetermined midpoints are labelled C, A, A from their
+        # own solve: the gap's decay exponent r w'/(Kstar - w) against
+        # theta = 1
+        consts = derive_constants(HEURISTIC)
+        br = find_bracket(consts, r_max=100.0)
+        found = []
+        orig = shooter.classify
+
+        def kept(*args, **kwargs):
+            cl = orig(*args, **kwargs)
+            if cl.label == "UNDETERMINED":
+                found.append(cl.gap_exponent)
+            return cl
+
+        monkeypatch.setattr(shooter, "classify", kept)
+        a_star, _, rec = find_profile(consts, br, a_tol=1e-10, r_max=100.0)
+        assert a_star == A_STAR_HEURISTIC
+        steps = [s for s in rec["steps"] if s["heuristic"]]
+        assert rec["n_heuristic"] == 3
+        assert [s["label"] for s in steps] == ["C", "A", "A"]
+        assert all(s["r_max"] == 1600.0 for s in steps)
+        assert found == pytest.approx([1.2867, 0.4655, 0.8455], abs=1e-4)
+
+    def test_integrator_failure_is_an_event(self, consts1, monkeypatch):
+        # a solve the kernel gives up on (status -1) shows in the profile's
+        # events and so in profile.csv's trailer, and classifies as
+        # UNDETERMINED with the failure named
+        orig = shooter._dop853
+
+        def failing(*args):
+            _, r_end, f_end, F_end, _, segments = orig(*args)
+            return -1, r_end, f_end, F_end, None, segments
+
+        monkeypatch.setattr(shooter, "_dop853", failing)
+        traj = integrate_profile(consts1, 1.0, 10.0, n_samples=64)
+        assert traj.events == [("INTEGRATOR_FAILURE", traj.r_end)]
+        text = trajectory_csv(traj, consts1)
+        assert text.splitlines()[-1].startswith(
+            "# event,INTEGRATOR_FAILURE,")
+        cl = classify(consts1, 1.0, 10.0)
+        assert cl.label == "UNDETERMINED"
+        assert cl.detail.startswith("integrator failure")
+        assert cl.witness_r == traj.r_end
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_one_solve_matches_the_doubling_ladder(self, consts1, star1, k):
@@ -272,9 +349,8 @@ class TestKernelAgainstSolveIvp:
         worst = 0.0
         for a in np.geomspace(1e-3, 1e3, 60):
             kind, r_e, _ = _reference_solve(consts, a, r_max)
-            _, events, r_end, _, detail, _ = shooter._shoot(
+            _, events, r_end, _, _, _ = shooter._shoot(
                 consts, a, r_max, 1e-10, dense=False)
-            assert detail == ""
             assert events[0][0] == kind, a
             cl = classify(consts, a, r_max)
             assert cl.label == _LABELS.get(kind, "UNDETERMINED"), a
