@@ -40,8 +40,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg.lapack import dgtsv
 
 from .exponents import DerivedConstants, csv_text, json_text
 from .tail import certify_B, fit_tail, w_transform
@@ -125,6 +123,10 @@ def profile_interpolant(traj, consts: DerivedConstants, A_est: float):
     (pchip) in log-log.  r > r_max: the fitted tail
     Kstar r^{-mu} (1 - (A_est/Kstar) r^{-theta}).
     """
+    # scipy is imported where the PDE layer uses it, so that the commands
+    # that never reach it do not load it
+    from scipy.interpolate import PchipInterpolator
+
     p, N = consts.p, consts.N
     al, mu, Kst, th = consts.alpha, consts.mu, consts.Kstar, consts.theta
     r = np.asarray(traj.r, float)
@@ -216,10 +218,12 @@ def _clip(new, old) -> int:
 
 def _implicit(u, grid: RadialGrid, consts: DerivedConstants, eps: float,
               dt: float, g_old: float, g_new: float, V: np.ndarray,
-              Af: np.ndarray) -> tuple[np.ndarray, int]:
+              Af: np.ndarray, dgtsv) -> tuple[np.ndarray, int]:
     """The implicit_step update of the bare values u: (new values, clipped
     cells).  g_old/g_new are the Dirichlet ghosts at the old and the new
-    time, V and Af the grid's cell volumes and face areas."""
+    time, V and Af the grid's cell volumes and face areas, dgtsv LAPACK's
+    tridiagonal solver, which the caller imports once per run rather than
+    once per step."""
     p, q = consts.p, consts.q
     M, dx = grid.M, grid.dx
     s, mob = _fluxes(u, grid, p, eps, g_old)
@@ -252,13 +256,15 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
     all negatives are clipped.  This is the lagged-diffusivity idea of
     Vogel & Oman (SIAM J. Sci. Comput. 17, 1996), applied once per step.
     """
+    from scipy.linalg.lapack import dgtsv
+
     t_new = fld.t + dt
     # Dirichlet ghost at the old and the new time, in one profile call
     g_old, g_new = fld.exact(np.array([fld.t, t_new]),
                              grid.L + 0.5 * grid.dx)
     new, n_clip = _implicit(fld.values, grid, fld.consts, eps_reg, dt,
                             g_old, g_new, grid.cell_volumes(),
-                            grid.face_areas())
+                            grid.face_areas(), dgtsv)
     return SelfSimilarField(T=fld.T, t=t_new, values=new,
                             profile=fld.profile, consts=fld.consts,
                             n_clipped=fld.n_clipped + n_clip)
@@ -329,6 +335,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
         hits.append(hit)
     ghosts = fld0.exact(np.array(times), grid.L + 0.5 * grid.dx)
     V, Af = grid.cell_volumes(), grid.face_areas()
+    from scipy.linalg.lapack import dgtsv
 
     out = []
     nst = 0
@@ -338,7 +345,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     for k, (dt, hit) in enumerate(zip(dts, hits)):
         eps = eps0 * (T - times[k]) ** (al + be)
         u, n_clip = _implicit(u, grid, consts, eps, dt, ghosts[k],
-                              ghosts[k + 1], V, Af)
+                              ghosts[k + 1], V, Af, dgtsv)
         n_clipped += n_clip
         nst += 1
         if hit:

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exponents import (DerivedConstants, csv_text, deta, json_text,
                         log_fit, nuisance_rates, spectral_data)
@@ -151,6 +150,10 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     """Free integration of the autonomous system, sampled at 2001 points
     uniform in eta.  The right side is quadratic with no singularity; a
     |x| >= 1e12 guard stops runaway along the unstable direction."""
+    # imported here, not at module level, so that the commands that never
+    # integrate the phase system do not load scipy
+    from scipy.integrate import solve_ivp
+
     X0, Y0, Z0 = _coords(x0)
 
     def rhs(eta, x):

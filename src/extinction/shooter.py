@@ -27,10 +27,11 @@ Python loop over the two floats (f, F) that keeps scipy's DOP853 method
 error norm, step control and event location.  On a two-component system
 scipy's array-based driver spends most of its time on numpy call
 overhead (array wrapping, small dot products, event bookkeeping) rather
-than arithmetic.  The Butcher tableau is read from the class attributes
-of scipy.integrate.DOP853, not copied: some 200 coefficients to 16 digits
-are scipy's by construction, and the kernel can be checked against
-scipy's own solver.
+than arithmetic.  The Butcher tableau is scipy's (scipy.integrate.DOP853),
+written here as float literals and checked bit for bit by a test, and
+event roots are found by `_brent`, a port of scipy's brentq: the module
+imports no scipy, and the kernel can be checked against scipy's own
+solver.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from math import fsum
 from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .exponents import DerivedConstants, csv_text, deta, validate_range
 
@@ -198,18 +197,89 @@ def energy(consts: DerivedConstants, f: np.ndarray,
     return (p - 1.0) / p * np.abs(fprime) ** p + 0.5 * consts.alpha * f ** 2
 
 
-# scipy's DOP853 tableau as tuples of floats; row s of A is cut to the s
-# stages it combines.  Read from the class, so the kernel steps with the
-# coefficients scipy's own DOP853 solver uses and cannot drift from them.
-_A = tuple(tuple(map(float, row[:s])) for s, row in enumerate(DOP853.A))
-_C = tuple(map(float, DOP853.C))
-_B = tuple(map(float, DOP853.B))
-_E3 = tuple(map(float, DOP853.E3))
-_E5 = tuple(map(float, DOP853.E5))
-_D = tuple(tuple(map(float, row)) for row in DOP853.D)
-_A_EXTRA = tuple(tuple(map(float, row[:s])) for s, row in
-                 enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1))
-_C_EXTRA = tuple(map(float, DOP853.C_EXTRA))
+# scipy's DOP853 tableau (scipy.integrate.DOP853's class attributes) as
+# float literals, written with repr(float(x)); row s of A is cut to the s
+# stages it combines.  A test checks every literal against scipy's bit for
+# bit, so the kernel steps with the coefficients of scipy's own solver.
+_N_STAGES = 12
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+)
+_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
+_A_EXTRA = (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -250,7 +320,7 @@ def _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF):
     (f_new, F_new), whose 13 stages are in Kf, KF: the tuple (r, h, f, F,
     seven f coefficients, seven F coefficients)."""
     for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA),
-                               start=DOP853.n_stages + 1):
+                               start=_N_STAGES + 1):
         Kf[s], KF[s] = rhs(r + c * h, f + _dot(Kf, a) * h,
                            F + _dot(KF, a) * h)
     df, dF = f_new - f, F_new - F
@@ -286,8 +356,75 @@ def _sample(segments, r_end, rs):
     return _interpolate(seg[k].T, rs)
 
 
+def _brent(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of f in [xa, xb] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step as
+    scipy's C brentq: inverse quadratic interpolation, or the secant
+    through the two newest points, where that step is short enough, else
+    bisection; stop when the bracket half-width or the step is under
+    (xtol + rtol |x|) / 2, or f is exactly zero.  Raises ValueError when
+    f(xa) and f(xb) have the same sign or f returns NaN, RuntimeError
+    after maxiter iterations without convergence."""
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver "
+                             "cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C divides to inf or nan, which the test below rejects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _event_root(events, k, seg, r_old, r_new):
-    return brentq(lambda r: events(r, *_interpolate(seg, r))[k],
+    return _brent(lambda r: events(r, *_interpolate(seg, r))[k],
                   r_old, r_new, xtol=4 * _EPS, rtol=4 * _EPS)
 
 
@@ -299,7 +436,7 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
     atol = 0 and every event terminal: the same initial step, error
     norm, step factors and step-size floor, and the same event rule.
     Event k fires when events(r, f, F)[k] changes sign in directions[k]
-    over a step; its root is found by brentq on the step's interpolant,
+    over a step; its root is found by _brent on the step's interpolant,
     and the earliest root among the events that fired ends the solve.
     The one departure: tableau combinations are correctly rounded (_dot).
     A trial step that overflows is rejected, as scipy rejects the NaN
@@ -386,8 +523,8 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
 
     The kernel loops over the two floats (f, F) instead of numpy arrays,
     which is where the time of an array-based solve of a 2-component
-    system goes.  Its coefficients are read from scipy.integrate.DOP853
-    rather than copied, so they cannot drift from scipy's, and its event
+    system goes.  Its coefficients are scipy.integrate.DOP853's, as
+    literals checked bit for bit against scipy's by a test, and its event
     radii match scipy's solver to about 1e-9 relative (its step sizes
     follow a cancelling error estimate, so they agree only to rounding
     noise).  The 7th-order interpolant is kept per step only when

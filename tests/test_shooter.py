@@ -3,15 +3,22 @@
 The reference value a* = 2.3028967658101465 (N=1, p=1.2, q=0.5, a_tol=1e-10)
 was frozen from an independent run cross-checked against the gap-contraction
 rate of the tail; everything else is checked against structure (event kinds,
-monotonicity, energy decay) rather than numbers.
+monotonicity, energy decay) rather than numbers, or against scipy: the
+DOP853 tableau literals and the `_brent` root finder bit for bit, the
+kernel's event radii and samples against solve_ivp.
 """
 
+import contextlib
 import inspect
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from extinction import (
     ExponentParams,
@@ -30,7 +37,7 @@ from extinction import (
     trajectory_csv,
     w_transform,
 )
-from extinction import shooter
+from extinction import cli, shooter
 
 A_STAR_N1 = 2.3028967658101465
 A_STAR_N2 = 1.0571865673537144
@@ -370,6 +377,127 @@ class TestKernelAgainstSolveIvp:
         f_ref, F_ref = sol.sol(traj.r[near])
         assert np.max(np.abs(traj.f[near] / f_ref - 1.0)) <= 1e-10
         assert np.max(np.abs(traj.F[near] / F_ref - 1.0)) <= 1e-10
+
+
+def _bits(xs):
+    """The doubles of a flat sequence, as their IEEE-754 bit patterns."""
+    return [struct.pack("<d", float(x)) for x in xs]
+
+
+class TestTableau:
+    """The tableau literals are scipy's DOP853 coefficients, bit for bit."""
+
+    def test_stage_count(self):
+        assert shooter._N_STAGES == DOP853.n_stages
+
+    @pytest.mark.parametrize("name", ["C", "B", "E3", "E5", "C_EXTRA"])
+    def test_vectors(self, name):
+        lit = getattr(shooter, f"_{name}")
+        assert all(type(x) is float for x in lit)
+        assert _bits(lit) == _bits(getattr(DOP853, name))
+
+    def test_D(self):
+        assert len(shooter._D) == len(DOP853.D)
+        for lit, row in zip(shooter._D, DOP853.D):
+            assert _bits(lit) == _bits(row)
+
+    @pytest.mark.parametrize("name, start", [
+        ("A", 0), ("A_EXTRA", DOP853.n_stages + 1)])
+    def test_rows_cut_to_their_stages(self, name, start):
+        # row s combines the s stages before it; the cut-off entries are 0
+        lit, full = getattr(shooter, f"_{name}"), getattr(DOP853, name)
+        assert len(lit) == len(full)
+        for s, (row, ref) in enumerate(zip(lit, full), start=start):
+            assert _bits(row) == _bits(ref[:s])
+            assert not np.any(ref[s:])
+
+
+_TOL = {"xtol": 4 * shooter._EPS, "rtol": 4 * shooter._EPS}
+
+
+def _outcome(solver, f, a, b, **kw):
+    """The root's bits, or the exception's type and message."""
+    try:
+        return struct.pack("<d", solver(f, a, b, **kw))
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def _same_as_brentq(f, a, b, **kw):
+    kw = {**_TOL, **kw}
+    ref = _outcome(brentq, f, a, b, **kw)
+    assert _outcome(shooter._brent, f, a, b, **kw) == ref
+    return ref
+
+
+class TestBrent:
+    """_brent against scipy.optimize.brentq: the same root, bit for bit,
+    and the same errors."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--N", "1", "--p", "1.2", "--q", "0.5"],
+        ["--N", "2", "--p", "1.5", "--q", "0.6", "--a-tol", "3e-16",
+         "--rmax", "60"]], ids=["N1", "N2"])
+    def test_event_functions_of_find(self, flags, monkeypatch, tmp_path):
+        calls = []
+        root = shooter._event_root
+
+        def spy(events, k, seg, r_old, r_new):
+            calls.append((events, k, seg, r_old, r_new))
+            return root(events, k, seg, r_old, r_new)
+
+        monkeypatch.setattr(shooter, "_event_root", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["find", *flags, "--outdir", str(tmp_path)])
+        assert len(calls) > 20
+        for events, k, seg, r_old, r_new in calls:
+            def g(r):
+                return events(r, *shooter._interpolate(seg, r))[k]
+            assert isinstance(_same_as_brentq(g, r_old, r_new), bytes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+           kind=st.sampled_from(["cubic", "sin-exp", "atan-log"]),
+           a=st.floats(-5, 5), width=st.floats(1e-6, 10),
+           t=st.floats(0, 1),
+           xtol=st.sampled_from([4 * shooter._EPS, 2e-12, 1e-6]),
+           rtol=st.sampled_from([4 * shooter._EPS, 1e-10]))
+    def test_property(self, c, kind, a, width, t, xtol, rtol):
+        # g - g(x0) vanishes at x0 = a + t width inside the bracket, so
+        # most draws change sign; the rest check the same-sign error
+        if kind == "cubic":
+            def g(x):
+                return ((x + c[0]) * x + c[1]) * x + c[2]
+        elif kind == "sin-exp":
+            def g(x):
+                return math.sin(c[0] * x) + c[1] * math.exp(c[2] * x / 5)
+        else:
+            def g(x):
+                return math.atan(c[0] * (x - c[1])) + c[2] * math.log1p(
+                    x * x)
+        b = a + width
+        g0 = g(a + t * width)
+        _same_as_brentq(lambda x: g(x) - g0, a, b, xtol=xtol, rtol=rtol)
+
+    def test_exact_zero_at_an_end(self):
+        assert _same_as_brentq(lambda x: x - 0.3, 0.3, 2.0) == \
+            struct.pack("<d", 0.3)
+        assert _same_as_brentq(lambda x: x - 0.3, -1.0, 0.3) == \
+            struct.pack("<d", 0.3)
+
+    def test_same_sign_raises(self):
+        kind, msg = _same_as_brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+        assert kind is ValueError and "different signs" in msg
+
+    def test_no_convergence_raises(self):
+        kind, _ = _same_as_brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0,
+                                  maxiter=3)
+        assert kind is RuntimeError
+
+    def test_nan_raises(self):
+        kind, _ = _same_as_brentq(
+            lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+        assert kind is ValueError
 
 
 class TestKstarOverflow:
