@@ -8,7 +8,8 @@ Exit codes; commands raise, and `main` maps every exception through
   1  usage: bad flags or config, an unreadable or malformed profile
   2  exponents outside the admissible box (N and p alone for qstar); the
      library's own input checks (--a <= 0, --rmax below the series start,
-     bad --L/--M, a triple in the box whose K* overflows double precision)
+     bad --L/--M, a pde --T or --kappa that is not finite and > 0, a
+     triple in the box whose K* overflows double precision)
   3  algorithmic failure: no bracket, fit, certification, phase
      non-convergence, PDE
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from pathlib import Path
 
@@ -260,6 +262,11 @@ def cmd_phase(args) -> int:
 def cmd_pde(args) -> int:
     consts, traj = _load_profile(args.profile)
     grid = pde.RadialGrid(L=args.L, M=args.M, N=consts.N)
+    for flag in ("T", "kappa"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"--{flag} must be finite and > 0, "
+                             f"got {value!r}")
     with _algorithmic():
         fld = pde.build_initial(traj, consts, args.T, grid)
         metrics = pde.run_and_measure(

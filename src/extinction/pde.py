@@ -14,13 +14,15 @@ r = L + dx/2.  The absorption term uses the raw magnitude |s|^q: the
 regularized magnitude would make u = 0 a strict subsolution (a spurious
 sink -eps^q) and break nonnegativity of compactly supported data.
 
-Time: implicit_step is a linearly implicit Euler step with the mobility
-lagged at the old time level (one tridiagonal solve per step) and
-explicit absorption.  run_and_measure takes the same step, through the
-same kernel, at dt = dt_frac (T-t).  That schedule depends on t alone,
-so it is fixed before the first step: every Dirichlet ghost comes from
-one `exact` call and the grid geometry is computed once, and the loop
-advances a bare array.
+Time: implicit_step is a linearly implicit step with the mobility
+lagged (one tridiagonal solve per step) and explicit absorption:
+backward Euler with both taken at the old time level, or, given the
+level before, variable-step BDF2 with both taken at the extrapolated
+state.  run_and_measure takes BDF2 steps through the same kernel, at
+dt ~ dt_frac (T-t) planned in tau = ln(T/(T-t)), with a time error of
+O(dt_frac^2).  That schedule depends on t alone, so it is fixed before
+the first step: every Dirichlet ghost comes from one `exact` call and
+the grid geometry is computed once, and the loop advances a bare array.
 
 The mobility floor eps under-transports wherever the true |s| < eps, so a
 fixed eps stalls refinement; eps shrinks with both the mesh and the
@@ -56,6 +58,8 @@ __all__ = [
 ]
 
 NEG_CLIP_TOL = 1e-10
+# zero-stability limit of the variable-step BDF2 step ratio
+_OMEGA_MAX = 1.0 + math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,8 @@ class RadialGrid:
     dx: float = field(init=False)
 
     def __post_init__(self):
-        if self.L <= 0 or self.M < 1:
-            raise ValueError("need L > 0 and M >= 1")
+        if not (math.isfinite(self.L) and self.L > 0) or self.M < 1:
+            raise ValueError("need a finite L > 0 and M >= 1")
         object.__setattr__(self, "dx", self.L / self.M)
 
     def centers(self) -> np.ndarray:
@@ -218,20 +222,31 @@ def _clip(new, old) -> int:
 
 def _implicit(u, grid: RadialGrid, consts: DerivedConstants, eps: float,
               dt: float, g_old: float, g_new: float, V: np.ndarray,
-              Af: np.ndarray, dgtsv) -> tuple[np.ndarray, int]:
+              Af: np.ndarray, dgtsv, prev=None) -> tuple[np.ndarray, int]:
     """The implicit_step update of the bare values u: (new values, clipped
     cells).  g_old/g_new are the Dirichlet ghosts at the old and the new
     time, V and Af the grid's cell volumes and face areas, dgtsv LAPACK's
     tridiagonal solver, which the caller imports once per run rather than
-    once per step."""
+    once per step.  prev = (u_prev, dt_prev), the level before u and the
+    step that led from it to u, makes the update a BDF2 step with step
+    ratio omega = dt / dt_prev; without it the step is backward Euler."""
     p, q = consts.p, consts.q
     M, dx = grid.M, grid.dx
-    s, mob = _fluxes(u, grid, p, eps, g_old)
+    if prev is None:
+        a0, h, us, gs = 1.0, u, u, g_old
+    else:
+        u_prev, dt_prev = prev
+        om = dt / dt_prev
+        a0 = (1.0 + 2.0 * om) / (1.0 + om)
+        h = (1.0 + om) * u - (om * om / (1.0 + om)) * u_prev
+        us = (1.0 + om) * u - om * u_prev
+        gs = g_new
+    s, mob = _fluxes(us, grid, p, eps, gs)
     _check_absorption_cfl(s, dx, q, dt)
-    b = V * (u - dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q)
+    b = V * (h - dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q)
     w = (dt / dx) * Af * mob
     b[-1] += w[M] * g_new
-    _, _, _, new, info = dgtsv(-w[1:M], V + w[:-1] + w[1:], -w[1:M], b,
+    _, _, _, new, info = dgtsv(-w[1:M], a0 * V + w[:-1] + w[1:], -w[1:M], b,
                                overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise ValueError(f"tridiagonal solve failed: info={info}")
@@ -239,22 +254,38 @@ def _implicit(u, grid: RadialGrid, consts: DerivedConstants, eps: float,
 
 
 def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
-                  dt: float) -> SelfSimilarField:
+                  dt: float, prev: SelfSimilarField | None = None
+                  ) -> SelfSimilarField:
     """One linearly implicit update with lagged mobility.
 
-    The mobilities k (from _fluxes) and the absorption |s_i|^q are frozen
-    at the old time level; the new values u' solve the tridiagonal system
+    Without `prev` this is backward Euler: the mobilities k (from
+    _fluxes) and the absorption |s_i|^q are frozen at the old time level,
+    and the new values u' solve the tridiagonal system
 
         V_i (u'_i - u_i) = dt [ A_{i+1} k_{i+1} s'_{i+1} - A_i k_i s'_i
                                 - V_i |s_i|^q ]
 
     with s' the face slopes of u' and, at face M, the Dirichlet ghost at
-    the new time.  The diffusion matrix is a symmetric M-matrix, so it
-    sets no step bound; the explicit absorption keeps its bound
-    dt <= 0.4 dx / (q G^{q-1}) (G the max slope magnitude), which is
-    enforced.  Negative values below -1e-10 ||u||_inf are counted before
-    all negatives are clipped.  This is the lagged-diffusivity idea of
-    Vogel & Oman (SIAM J. Sci. Comput. 17, 1996), applied once per step.
+    the new time.  With `prev`, the field one step before `fld`, it is
+    the variable-step BDF2 update with ratio omega = dt / (t - t_prev):
+
+        a0 V u' + dt K(u*) u' = V h - dt V |s(u*)|^q + (ghost term),
+        a0 = (1 + 2 omega) / (1 + omega),
+        h  = (1 + omega) u - omega^2 / (1 + omega) u_prev,
+
+    where k and |s|^q are taken at the extrapolated state
+    u* = (1 + omega) u - omega u_prev, with the ghost at the new time.
+    BDF2 is zero-stable only for omega < 1 + sqrt(2) (Grigorieff, Numer.
+    Math. 1983); a larger ratio raises ValueError.  eps_reg is the
+    mobility floor of the step: run_and_measure passes the floor at the
+    old time to a BE step and at the new time to a BDF2 step, whose
+    lagged state stands for the new time.  Either way
+    a0 V + dt K is a symmetric M-matrix, so diffusion sets no step bound;
+    the explicit absorption keeps its bound dt <= 0.4 dx / (q G^{q-1})
+    (G the max slope magnitude), which is enforced.  Negative values
+    below -1e-10 ||u||_inf are counted before all negatives are clipped.
+    This is the lagged-diffusivity idea of Vogel & Oman (SIAM J. Sci.
+    Comput. 17, 1996), applied once per step.
     """
     from scipy.linalg.lapack import dgtsv
 
@@ -262,42 +293,81 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
     # Dirichlet ghost at the old and the new time, in one profile call
     g_old, g_new = fld.exact(np.array([fld.t, t_new]),
                              grid.L + 0.5 * grid.dx)
+    back = None
+    if prev is not None:
+        dt_prev = fld.t - prev.t
+        if not dt / dt_prev <= _OMEGA_MAX:
+            raise ValueError(f"BDF2 step ratio {dt / dt_prev:.3g} exceeds "
+                             "1 + sqrt(2)")
+        back = (prev.values, dt_prev)
     new, n_clip = _implicit(fld.values, grid, fld.consts, eps_reg, dt,
                             g_old, g_new, grid.cell_volumes(),
-                            grid.face_areas(), dgtsv)
+                            grid.face_areas(), dgtsv, back)
     return SelfSimilarField(T=fld.T, t=t_new, values=new,
                             profile=fld.profile, consts=fld.consts,
                             n_clipped=fld.n_clipped + n_clip)
 
 
+def _schedule(T: float, t0: float, cks, dt_frac: float):
+    """Step times from t0 through the checkpoints cks, and the BDF2 flag
+    of each step.
+
+    Each checkpoint interval is split into ceil(d tau / dt_frac) equal
+    steps of tau = ln(T / (T - t)), so dt ~ dt_frac (T - t) and a step
+    ratio omega ~ 1 - dt_frac.  A time advances with the float operations
+    of a step, t + dt, and the last step of an interval is dt = c - t, so
+    every checkpoint is hit exactly (c - t is exact when t >= c / 2).
+    The first step, and any step with omega > 1 + sqrt(2) (the one after
+    a short first interval), are backward Euler; the others are BDF2.
+    Returns (times, dts, bdf2, hits): step k goes from times[k] to
+    times[k+1] by dts[k], and hits[k] says it ends on a checkpoint.
+    """
+    times, dts, bdf2, hits = [t0], [], [], []
+    t = t0
+    for c in cks:
+        dtau = math.log((T - t) / (T - c))
+        n = math.ceil(dtau / dt_frac)
+        shrink = -math.expm1(-dtau / n)
+        for j in range(n):
+            dt = c - t if j == n - 1 else (T - t) * shrink
+            bdf2.append(bool(dts) and dt / (t - times[-2]) <= _OMEGA_MAX)
+            t = t + dt
+            times.append(t)
+            dts.append(dt)
+            hits.append(j == n - 1)
+    return times, dts, bdf2, hits
+
+
 def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
-                    kappa: float = 0.016, dt_frac: float = 1e-4,
+                    kappa: float = 0.016, dt_frac: float = 1e-3,
                     snapshot_dir=None) -> ExtinctionMetrics:
     """Evolve to t_end with implicit_step's kernel and measure exponents.
 
-    eps(t) = kappa dx (T-t)^{alpha+beta}; dt = dt_frac (T-t), cut short
-    at 24 geometric checkpoints clustered toward t_end, where snapshots
-    are taken.  The whole schedule (times, steps, checkpoint cuts) is
-    planned before the first step with the float operations of a step
-    (t + dt); then all its Dirichlet ghosts are taken in one `exact`
-    call and the cell volumes and face areas once, so a step costs one
-    kernel call and no profile evaluation.  The result is bit-identical
-    to calling implicit_step along the same schedule.  The step follows
-    the time scale T-t of the self-similar decay, so the step count
+    eps(t) = kappa dx (T-t)^{alpha+beta}.  _schedule plans the steps,
+    dt ~ dt_frac (T-t), through 24 geometric checkpoints clustered toward
+    t_end, where snapshots are taken: backward Euler for the first step
+    and the one after the 1e-6 T checkpoint, variable-step BDF2 with the
+    mobility floor at the new time for the rest.  The schedule depends on
+    t alone, so all its Dirichlet ghosts are taken in one `exact` call
+    and the cell volumes and face areas once, and a step costs one kernel
+    call and no profile evaluation.  The result is bit-identical to
+    calling implicit_step along the same schedule.  The step follows the
+    time scale T-t of the self-similar decay, so the step count
     ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
     ln sup u and ln of the r^{N-1}-weighted L1 norm against ln(T-t) are
     taken over checkpoints with T-t < 0.9 T, past initial transients; a
     t_end that leaves fewer than two of them raises ValueError before any
-    step is taken.  The default dt_frac = 1e-4
-    (16101 steps to t_end = 0.8 T) moves the self-similar error by under
-    0.003 from its dt -> 0 value at M = 400 and 800 (time error
-    O(dt_frac)).
+    step is taken.  The time error is O(dt_frac^2): the alpha differences
+    of a dt_frac ladder shrink by about 4 per halving.  The default
+    dt_frac = 1e-3 (1611 steps to t_end = 0.8 T) puts alpha within 1e-4
+    of its Richardson dt -> 0 value and the self-similar error within
+    1e-4 of every finer rung down to 1e-4, at M = 400 and 800.
 
     n_clipped counts, over all steps, the cells clipped from below
     -1e-10 ||u||_inf.  The clipping is not rounding-scale: in the far
     field, where u is near 1e-8 of its sup, the explicit absorption
     undershoots by up to a few 1e-8 sup per step (tens of thousands of
-    cell-steps at M = 100-400 with the default dt_frac).
+    cell-steps at M = 200-800 with the default dt_frac).
     A step that violates the absorption bound raises ValueError.
     """
     T = fld0.T
@@ -316,23 +386,8 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
         raise ValueError(
             f"t_end={t_end:.3g} leaves {n_fit} checkpoint(s) with "
             "T-t < 0.9 T; the exponent fits need at least 2")
-    # The schedule depends on t alone, so it is fixed before the first
-    # step, with the float operations of the step itself (t + dt, and
-    # dt = cks[k] - t at a cut): times[k] -> times[k+1] by dts[k].
     wall0 = time.perf_counter()
-    times, dts, hits = [fld0.t], [], []
-    ick = 0
-    t = fld0.t
-    while t < t_end - 1e-14:
-        dt = dt_frac * (T - t)
-        hit = ick < len(cks) and t + dt >= cks[ick] - 1e-14
-        if hit:
-            dt = cks[ick] - t
-            ick += 1
-        t = t + dt
-        times.append(t)
-        dts.append(dt)
-        hits.append(hit)
+    times, dts, bdf2, hits = _schedule(T, fld0.t, cks, dt_frac)
     ghosts = fld0.exact(np.array(times), grid.L + 0.5 * grid.dx)
     V, Af = grid.cell_volumes(), grid.face_areas()
     from scipy.linalg.lapack import dgtsv
@@ -341,11 +396,16 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     nst = 0
     n_clipped = fld0.n_clipped
     stable = True
-    u = fld0.values
+    u = u_prev = fld0.values
     for k, (dt, hit) in enumerate(zip(dts, hits)):
-        eps = eps0 * (T - times[k]) ** (al + be)
-        u, n_clip = _implicit(u, grid, consts, eps, dt, ghosts[k],
-                              ghosts[k + 1], V, Af, dgtsv)
+        # a BDF2 step lags its mobility at (an extrapolation to) the new
+        # time, so it takes that time's mobility floor
+        t_mob = times[k + 1] if bdf2[k] else times[k]
+        eps = eps0 * (T - t_mob) ** (al + be)
+        prev = (u_prev, times[k] - times[k - 1]) if bdf2[k] else None
+        new, n_clip = _implicit(u, grid, consts, eps, dt, ghosts[k],
+                                ghosts[k + 1], V, Af, dgtsv, prev)
+        u_prev, u = u, new
         n_clipped += n_clip
         nst += 1
         if hit:

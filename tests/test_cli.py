@@ -116,6 +116,17 @@ class TestExitCodes:
         (2, ("qstar", "--N", "-1", "--p", "1.5"), "N >= 1 fails"),
         (2, ("qstar", "--N", "0", "--p", "1.5"), "N >= 1 fails"),
         (2, ("qstar", "--N", "0", "--p", "0.5"), "N >= 1 fails"),
+        (2, ("pde", "--profile", "{profile}", "--kappa", "0"),
+         "--kappa must be finite and > 0"),
+        (2, ("pde", "--profile", "{profile}", "--kappa=-0.016"),
+         "--kappa must be finite and > 0"),
+        (2, ("pde", "--profile", "{profile}", "--kappa", "nan"),
+         "--kappa must be finite and > 0"),
+        (2, ("pde", "--profile", "{profile}", "--T", "-1"),
+         "--T must be finite and > 0"),
+        (2, ("pde", "--profile", "{profile}", "--T", "inf"),
+         "--T must be finite and > 0"),
+        (2, ("pde", "--profile", "{profile}", "--L", "nan"), "finite L > 0"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -315,11 +326,12 @@ class TestPhase:
         assert code == 1
 
 
-# sha256 of the N=1 artifacts, frozen at commit 188ddb4 (numpy 2.4.6,
-# scipy 1.17.1): `find` at (1, 1.2, 0.5) and `pde --M 100` on its profile.
-# A refactor must leave every byte of them as it was.  A change that
-# alters one of these outputs on purpose re-freezes its digest here and
-# records the change in CHANGES.md.
+# sha256 of the N=1 artifacts (numpy 2.4.6, scipy 1.17.1): `find` at
+# (1, 1.2, 0.5), frozen at commit 188ddb4, and `pde --M 100` on its
+# profile, re-frozen when run_and_measure moved to BDF2 steps at
+# dt_frac = 1e-3.  A refactor must leave every byte of them as it was.
+# A change that alters one of these outputs on purpose re-freezes its
+# digest here and records the change in CHANGES.md.
 FROZEN_SHA256 = {
     "profile.csv":
         "a92fe33ae346e60569a97dfad12018a9e9a428eb3d1202e88c754338c1067d0f",
@@ -328,7 +340,7 @@ FROZEN_SHA256 = {
     "tailfit.json":
         "abd8a33184b4142c491418743c34c86df862e8ff6fe0a59c161ab85d82d809d9",
     "metrics.json":
-        "e83ba12d1de576a4b0dba679a99bc357ed0bcc59239e44207442ace443a290d1",
+        "375022ef437eaa6a1366b49f7a5cc6d2062af227d96ea5ea6fa1673e53684666",
 }
 
 

@@ -18,6 +18,7 @@ from extinction import (
     run_and_measure,
     w_transform,
 )
+from extinction.pde import _schedule
 
 A_STAR_N1 = 2.3028967658101465
 
@@ -71,6 +72,9 @@ class TestRadialGrid:
             RadialGrid(L=0.0, M=10, N=1)
         with pytest.raises(ValueError):
             RadialGrid(L=1.0, M=0, N=1)
+        for L in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite L"):
+                RadialGrid(L=L, M=10, N=1)
 
 
 class TestProfileInterpolant:
@@ -319,21 +323,127 @@ class TestImplicitStep:
         assert new.values.min() == 0.0
 
 
+class TestBDF2Step:
+    def test_step_ratio_bound(self, field1):
+        # variable-step BDF2 is zero-stable only for omega < 1 + sqrt(2)
+        fld, grid = field1
+        eps = 0.016 * grid.dx
+        one = implicit_step(fld, grid, eps, 1e-4)
+        with pytest.raises(ValueError, match="step ratio"):
+            implicit_step(one, grid, eps, 2.5e-4, fld)
+        two = implicit_step(one, grid, eps, 2.4e-4, fld)
+        assert two.t == pytest.approx(3.4e-4, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_dense_reference_and_m_matrix(self, params1, consts1, N,
+                                               monkeypatch):
+        # the BDF2 update at omega = 0.8 matches a dense solve of
+        #   a0 V u' + dt K(u*) u' = V h - dt V |s(u*)|^q + (ghost term),
+        # with k and s at u* = (1+w) u - w u_prev and the ghost at the new
+        # time; the matrix handed to dgtsv is that a0 V + dt K, and it is
+        # an M-matrix
+        import scipy.linalg.lapack as lapack
+        p, q = params1.p, params1.q
+        grid = RadialGrid(L=100.0, M=10, N=N)
+        M, dx = grid.M, grid.dx
+        flat = lambda r: np.full_like(np.asarray(r, float), 0.05)
+        u_prev = np.where(np.arange(M) < 5, 1.1, 0.0)
+        u = np.where(np.arange(M) < 6, 1.0, 0.0)
+        prev = SelfSimilarField(T=1.0, t=0.0, values=u_prev, profile=flat,
+                                consts=consts1)
+        fld = dataclasses.replace(prev, t=0.125, values=u, n_clipped=3)
+        eps, dt = 0.016 * dx, 0.1
+        real, calls = lapack.dgtsv, []
+
+        def spy(dl, d, du, b, **kw):
+            calls.append((dl.copy(), d.copy(), du.copy(), b.copy()))
+            return real(dl, d, du, b, **kw)
+
+        monkeypatch.setattr(lapack, "dgtsv", spy)
+        new = implicit_step(fld, grid, eps, dt, prev)
+
+        om = dt / 0.125
+        a0 = (1.0 + 2.0 * om) / (1.0 + om)
+        h = (1.0 + om) * u - om ** 2 / (1.0 + om) * u_prev
+        us = (1.0 + om) * u - om * u_prev
+        g_new = fld.exact(fld.t + dt, grid.L + 0.5 * dx)
+        s = np.zeros(M + 1)
+        s[1:M] = np.diff(us) / dx
+        s[M] = (g_new - us[-1]) / dx
+        k = (s ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
+        k[0] = 0.0
+        w = dt / dx * grid.face_areas() * k
+        V = grid.cell_volumes()
+        A = (np.diag(a0 * V + w[:-1] + w[1:])
+             - np.diag(w[1:M], 1) - np.diag(w[1:M], -1))
+        rhs = V * (h - dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q)
+        rhs[-1] += w[M] * g_new
+        x = np.linalg.solve(A, rhs)
+
+        (dl, d, du, b), = calls
+        Ak = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
+        assert np.allclose(Ak, A, rtol=1e-14, atol=0.0)
+        assert np.allclose(b, rhs, rtol=1e-14, atol=0.0)
+        off = Ak - np.diag(d)
+        assert np.all(d > 0.0)
+        assert np.all(off <= 0.0)
+        assert np.all(d - np.abs(off).sum(axis=1) > 0.0)
+        n_neg = int(np.sum(x < -1e-10))
+        assert n_neg >= 1
+        assert new.n_clipped == 3 + n_neg
+        assert np.allclose(new.values, np.maximum(x, 0.0),
+                           rtol=1e-12, atol=1e-15)
+
+
+class TestSchedule:
+    @staticmethod
+    def checkpoints(t_end):
+        # run_and_measure's 24 geometric checkpoints, the last at t_end
+        cks = sorted(set((1.0 - np.geomspace(0.999999, 1.0 - t_end,
+                                             24)).tolist()))
+        cks[-1] = t_end
+        return cks
+
+    def test_hits_checkpoints_and_bounds_omega(self):
+        cks = self.checkpoints(0.8)
+        times, dts, bdf2, hits = _schedule(1.0, 0.0, cks, 1e-3)
+        assert len(dts) == 1611
+        assert [t for t, h in zip(times[1:], hits) if h] == cks
+        assert all(times[k + 1] == times[k] + dt for k, dt in enumerate(dts))
+        om = [math.nan] + [dts[k] / (times[k] - times[k - 1])
+                           for k in range(1, len(dts))]
+        # BE for the first step and the one after the 1e-6 checkpoint
+        assert [k for k, two in enumerate(bdf2) if not two] == [0, 1]
+        assert om[1] > 1.0 + math.sqrt(2.0)
+        # equal tau-steps of ~1e-3 everywhere else: omega ~ 1 - dt_frac
+        bdf_om = [o for o, two in zip(om, bdf2) if two]
+        assert max(bdf_om) <= 1.0 + math.sqrt(2.0)
+        assert 0.998 < min(bdf_om) and max(bdf_om) < 1.0
+
+    def test_second_order_in_dt(self, field100):
+        # alpha differences shrink by about 4 per halving of dt_frac
+        fld, grid = field100
+        a = [run_and_measure(fld, grid, t_end=0.8, dt_frac=d).alpha_est
+             for d in (4e-3, 2e-3, 1e-3)]
+        ratio = (a[1] - a[0]) / (a[2] - a[1])
+        assert 3.0 <= ratio <= 5.0
+
+
 class TestRunAndMeasure:
     # Oracles were frozen from the explicit conservative update at
     # dt = 0.35 dx^2 eps^{2-p}, a kernel since deleted, as the dt -> 0
-    # reference of the implicit run: with dt_frac = 1e-5 it reproduces
-    # them to 1e-4, and at the default 1e-4 it stays within the
-    # tolerances below.
+    # reference of the implicit run: the BDF2 run at dt_frac = 1e-4
+    # reproduces the M=200 exponents to 2e-4 and the M=100 ones to 1e-3,
+    # and at the default 1e-3 it stays within the tolerances below.
     def test_frozen_coarse_run(self, run200):
         m = run200
         assert m.stable
         assert m.alpha_est == pytest.approx(3.6353, abs=5e-3)
         assert m.l1_exponent_est == pytest.approx(2.0163, abs=5e-3)
         assert m.selfsim_error == pytest.approx(0.19304, rel=1e-2)
-        # dt = 1e-4 (T-t): about ln 5 / 1e-4 steps, plus the cuts at
-        # the 24 checkpoints
-        assert m.steps == 16101
+        # dt ~ 1e-3 (T-t): ceil(ln(5) / 23 / 1e-3) = 70 tau-steps in each
+        # of the 23 checkpoint intervals, plus the one step to the first
+        assert m.steps == 1611
 
     def test_matches_explicit_limit_m100(self, field100, consts1):
         # explicit-scheme values at M=100 (42002 steps)
@@ -394,8 +504,9 @@ class TestRunAndMeasure:
 
     def test_loop_equals_public_step(self, star1, consts1, tmp_path):
         # the planned loop and implicit_step share one kernel: replaying
-        # the schedule (dt = 1e-4 (T-t), cut at the checkpoints the
-        # snapshots record) through implicit_step gives the same bits
+        # the schedule through the checkpoints the snapshots record (BE,
+        # then BDF2 with the level before and eps at the new time) gives
+        # the same bits
         _, traj, _ = star1
         grid = RadialGrid(L=40.0, M=50, N=1)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
@@ -406,19 +517,18 @@ class TestRunAndMeasure:
                for f in snaps]
         u_last = np.loadtxt(snaps[-1], delimiter=",", comments="#",
                             skiprows=2)[:, 1]
+        times, dts, bdf2, hits = _schedule(1.0, 0.0, cks, 1e-3)
+        assert [t for t, h in zip(times[1:], hits) if h] == cks
         eps0 = 0.016 * grid.dx
         expo = consts1.alpha + consts1.beta
-        cur, k, n = fld, 0, 0
-        while cur.t < 0.3 - 1e-14:
-            dt = 1e-4 * (1.0 - cur.t)
-            if k < len(cks) and cur.t + dt >= cks[k] - 1e-14:
-                dt = cks[k] - cur.t
-                k += 1
-            cur = implicit_step(cur, grid, eps0 * (1.0 - cur.t) ** expo, dt)
-            n += 1
-        assert k == len(cks)
+        prev, cur = None, fld
+        for dt, two in zip(dts, bdf2):
+            t_mob = cur.t + dt if two else cur.t
+            prev, cur = cur, implicit_step(cur, grid,
+                                           eps0 * (1.0 - t_mob) ** expo,
+                                           dt, prev if two else None)
         assert cur.t == cks[-1]
-        assert n == m.steps
+        assert len(dts) == m.steps
         assert np.array_equal(cur.values, u_last)
         assert cur.n_clipped == m.n_clipped
 
@@ -437,7 +547,7 @@ class TestRunAndMeasure:
 
         m = run_and_measure(dataclasses.replace(fld, profile=counting),
                             grid, t_end=0.8)
-        assert m.steps == 16101
+        assert m.steps == 1611
         assert len(calls) <= 1 + 24
 
     def test_metrics_json_schema(self, run200):
