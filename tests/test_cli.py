@@ -329,7 +329,9 @@ class TestPhase:
 # sha256 of the N=1 artifacts (numpy 2.4.6, scipy 1.17.1): `find` at
 # (1, 1.2, 0.5), frozen at commit 188ddb4, and `pde --M 100` on its
 # profile, re-frozen when run_and_measure moved to BDF2 steps at
-# dt_frac = 1e-3.  A refactor must leave every byte of them as it was.
+# dt_frac = 1e-3 and again when the initial profile became the cubic
+# Hermite interpolant on the stored slopes.  A refactor must leave every
+# byte of them as it was.
 # A change that alters one of these outputs on purpose re-freezes its
 # digest here and records the change in CHANGES.md.
 FROZEN_SHA256 = {
@@ -340,7 +342,7 @@ FROZEN_SHA256 = {
     "tailfit.json":
         "abd8a33184b4142c491418743c34c86df862e8ff6fe0a59c161ab85d82d809d9",
     "metrics.json":
-        "375022ef437eaa6a1366b49f7a5cc6d2062af227d96ea5ea6fa1673e53684666",
+        "fbf9e66b0ee6dce10940236eb6a87e18cf2d0ca219ae913c994da8c0da2851c5",
 }
 
 

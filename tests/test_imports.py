@@ -1,7 +1,8 @@
 """scipy stays off the import path: the package, the command line and the
 commands that do not integrate the phase system or run the PDE load no
-scipy module.  Each check runs in a fresh interpreter, so no other test's
-imports count; nothing is timed.
+scipy module, and the PDE run loads only what scipy.linalg.lapack does.
+Each check runs in a fresh interpreter, so no other test's imports
+count; nothing is timed.
 """
 
 import json
@@ -44,6 +45,14 @@ run("pde", ["pde", "--profile", prof, "--M", "50", "--tend", "0.3",
 print(json.dumps(loaded))
 """
 
+# The scipy modules that importing scipy.linalg.lapack alone loads.
+LAPACK_ONLY = r"""
+import json, sys
+import scipy.linalg.lapack
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
 
 def test_scipy_is_loaded_only_by_the_pde_run(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -57,6 +66,10 @@ def test_scipy_is_loaded_only_by_the_pde_run(tmp_path):
     for step in ("import extinction", "import extinction.cli", "find",
                  "tail", "phase --from-profile"):
         assert loaded[step] == [], step
-    # the PDE run does use scipy: the check above can see a loaded module
-    assert "scipy.interpolate" in loaded["pde"]
+    # the PDE run loads scipy for LAPACK's dgtsv and for nothing else
+    lapack = subprocess.run([sys.executable, "-c", LAPACK_ONLY],
+                            capture_output=True, text=True, timeout=300)
+    assert lapack.returncode == 0, lapack.stderr
+    assert loaded["pde"] == json.loads(lapack.stdout)
     assert "scipy.linalg.lapack" in loaded["pde"]
+    assert "scipy.interpolate" not in loaded["pde"]

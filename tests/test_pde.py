@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,20 @@ class TestProfileInterpolant:
         r_t = traj.r[1::2][keep]
         err = np.abs(fn(r_t) - traj.f[1::2][keep]) / traj.f[1::2][keep]
         assert err.max() <= 1e-8
+
+    def test_dense_solve_accuracy(self, consts1):
+        # built from the even samples of a 7,999-sample solve (4,000, the
+        # default density), the interpolant meets the odd ones to 1e-10:
+        # its node slopes r f'/f are the solve's, not estimates
+        traj = integrate_profile(consts1, A_STAR_N1, 100.0, n_samples=7999)
+        even = dataclasses.replace(traj, **{
+            k: getattr(traj, k)[::2]
+            for k in ("r", "f", "fprime", "F", "energy")})
+        # the odd samples lie inside the even range: A_est goes unused
+        fn = profile_interpolant(even, consts1, A_est=0.0)
+        assert len(even.r) == 4000
+        assert np.abs(fn(traj.r[1::2]) / traj.f[1::2] - 1.0).max() <= 1e-10
+        assert np.abs(fn(even.r) / even.f - 1.0).max() <= 1e-14
 
     def test_tail_extension(self, interp1, consts1, star1, fit=None):
         _, traj, _ = star1
@@ -458,6 +473,17 @@ class TestRunAndMeasure:
         with pytest.raises(ValueError, match="absorption CFL"):
             run_and_measure(fld, grid, t_end=0.8,
                             dt_frac=0.05)
+
+    def test_kappa_zero(self, field100):
+        # no floor: face 0 carries no flux and takes no power of its zero
+        # slope, so nothing divides by zero
+        fld, grid = field100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = run_and_measure(fld, grid, t_end=0.8, kappa=0.0)
+        assert m.stable
+        assert m.n_clipped == 0
+        assert m.alpha_est == pytest.approx(3.82797, abs=5e-3)
 
     def test_clipped_cells_reported(self, field100, consts1):
         # far-field undershoot of the explicit absorption at M=100
