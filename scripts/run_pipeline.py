@@ -5,8 +5,13 @@ Drives the `extinction` command line: `constants`, then `find` (shoot for
 the fast-decay profile, certify the tail band, fit the second-order
 correction), then `phase --from-profile` (map the profile into the
 autonomous phase coordinates and extract the stable decay rates), and
-prints a summary that cross-checks the tail amplitude two independent
-ways.  Artifacts land in --outdir:
+prints a summary that sets the tail fit's amplitude A beside the one the
+phase rates give.  The two are not independent checks of A:
+tail._ratio_refine and phase.extract_rates run the same pinned-basis
+regression of the Z gap over the same last decade of samples, and only
+the regressand differs, ln(Z*/Z - 1) against ln|Z - Z*|.  At N=1 they
+agree to 2e-5 (A 4.153186e-4 against 4.153098e-4).  Artifacts land in
+--outdir:
 
     constants.json   every derived constant and the spectrum
     profile.csv      sampled (r, f, f', F) with events

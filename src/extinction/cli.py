@@ -7,9 +7,10 @@ Exit codes; commands raise, and `main` maps every exception through
   0  success
   1  usage: bad flags or config, an unreadable or malformed profile
   2  exponents outside the admissible box (N and p alone for qstar); the
-     library's own input checks (--a <= 0, --rmax below the series start,
-     bad --L/--M, a pde --T or --kappa that is not finite and > 0, a
-     triple in the box whose K* overflows double precision)
+     library's own input checks (a non-finite --a, --tol or --rmax,
+     --a <= 0, --rmax below the series start, a non-finite --a-tol, bad
+     --L/--M, a pde --T that is not finite and > 0, a --tend outside
+     (0, 0.8 T], a triple in the box whose K* overflows double precision)
   3  algorithmic failure: no bracket, fit, certification, phase
      non-convergence, PDE
 
@@ -262,16 +263,14 @@ def cmd_phase(args) -> int:
 def cmd_pde(args) -> int:
     consts, traj = _load_profile(args.profile)
     grid = pde.RadialGrid(L=args.L, M=args.M, N=consts.N)
-    for flag in ("T", "kappa"):
-        value = getattr(args, flag)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"--{flag} must be finite and > 0, "
-                             f"got {value!r}")
+    if not (math.isfinite(args.T) and args.T > 0.0):
+        raise ValueError(f"--T must be finite and > 0, got {args.T!r}")
+    if not 0.0 < args.tend <= 0.8 * args.T:
+        raise ValueError(f"--tend must lie in (0, 0.8 T], got {args.tend!r}")
     with _algorithmic():
         fld = pde.build_initial(traj, consts, args.T, grid)
-        metrics = pde.run_and_measure(
-            fld, grid, t_end=args.tend, kappa=args.kappa,
-            snapshot_dir=args.snapshots)
+        metrics = pde.run_and_measure(fld, grid, t_end=args.tend,
+                                      snapshot_dir=args.snapshots)
     _write_or_print(args.out, pde.metrics_json(metrics))
     print(f"wall: {metrics.wall_s}s, steps: {metrics.steps}",
           file=sys.stderr)
@@ -380,7 +379,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--L", type=float, default=40.0)
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--tend", type=float, default=0.8)
-    sp.add_argument("--kappa", type=float, default=0.016)
     sp.add_argument("--snapshots", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_pde)

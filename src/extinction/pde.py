@@ -14,20 +14,20 @@ r = L + dx/2.  The absorption term uses the raw magnitude |s|^q: the
 regularized magnitude would make u = 0 a strict subsolution (a spurious
 sink -eps^q) and break nonnegativity of compactly supported data.
 
-Time: implicit_step is a linearly implicit step with the mobility
-lagged (one tridiagonal solve per step) and explicit absorption:
-backward Euler with both taken at the old time level, or, given the
-level before, variable-step BDF2 with both taken at the extrapolated
-state.  run_and_measure takes BDF2 steps through the same kernel, at
-dt ~ dt_frac (T-t) planned in tau = ln(T/(T-t)), with a time error of
+Time: implicit_step is one update formula, variable-step BDF2 with the
+mobility lagged and the absorption explicit, both at the extrapolated
+state (one tridiagonal solve per step); at step ratio 0 it is backward
+Euler.  run_and_measure steps through the same kernel at
+dt ~ dt_frac (T-t), planned in tau = ln(T/(T-t)), with a time error of
 O(dt_frac^2).  That schedule depends on t alone, so it is fixed before
 the first step: every Dirichlet ghost comes from one `exact` call and
 the grid geometry is computed once, and the loop advances a bare array.
 
 The mobility floor eps under-transports wherever the true |s| < eps, so a
 fixed eps stalls refinement; eps shrinks with both the mesh and the
-solution scale, eps(t) = kappa dx (T-t)^{alpha+beta}, matching the decay
-of the self-similar slope field.
+solution scale, eps(t) = KAPPA dx (T-t)^{alpha+beta}, matching the decay
+of the self-similar slope field.  KAPPA is fixed, so metrics.json does
+not record it.
 
 SelfSimilarField.exact is the one reconstruction of the exact solution
 (initial data, Dirichlet ghost, reference of the self-similar error);
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 NEG_CLIP_TOL = 1e-10
+# mobility floor eps(t) = KAPPA dx (T-t)^{alpha+beta} of run_and_measure
+KAPPA = 0.016
 # zero-stability limit of the variable-step BDF2 step ratio
 _OMEGA_MAX = 1.0 + math.sqrt(2.0)
 
@@ -111,8 +113,6 @@ class ExtinctionMetrics:
     stable: bool
     grid_L: float
     grid_M: int
-    eps_reg: float
-    kappa: float
     t_end: float
     steps: int
     wall_s: float
@@ -228,32 +228,25 @@ def _clip(new, old) -> int:
     return n_clip
 
 
-def _implicit(u, grid: RadialGrid, consts: DerivedConstants, eps: float,
-              dt: float, g_old: float, g_new: float, V: np.ndarray,
-              Af: np.ndarray, dgtsv, prev=None) -> tuple[np.ndarray, int]:
+def _implicit(u, u_prev, om: float, grid: RadialGrid,
+              consts: DerivedConstants, eps: float, dt: float, ghost: float,
+              V: np.ndarray, Af: np.ndarray, dgtsv) -> tuple[np.ndarray, int]:
     """The implicit_step update of the bare values u: (new values, clipped
-    cells).  g_old/g_new are the Dirichlet ghosts at the old and the new
-    time, V and Af the grid's cell volumes and face areas, dgtsv LAPACK's
-    tridiagonal solver, which the caller imports once per run rather than
-    once per step.  prev = (u_prev, dt_prev), the level before u and the
-    step that led from it to u, makes the update a BDF2 step with step
-    ratio omega = dt / dt_prev; without it the step is backward Euler."""
+    cells).  u_prev is the level before u and om the step ratio omega;
+    at omega = 0 u_prev drops out and the step is backward Euler.  ghost
+    is the Dirichlet ghost at the new time, V and Af the grid's cell
+    volumes and face areas, dgtsv LAPACK's tridiagonal solver, which the
+    caller imports once per run rather than once per step."""
     p, q = consts.p, consts.q
     M, dx = grid.M, grid.dx
-    if prev is None:
-        a0, h, us, gs = 1.0, u, u, g_old
-    else:
-        u_prev, dt_prev = prev
-        om = dt / dt_prev
-        a0 = (1.0 + 2.0 * om) / (1.0 + om)
-        h = (1.0 + om) * u - (om * om / (1.0 + om)) * u_prev
-        us = (1.0 + om) * u - om * u_prev
-        gs = g_new
-    s, mob = _fluxes(us, grid, p, eps, gs)
+    a0 = (1.0 + 2.0 * om) / (1.0 + om)
+    h = (1.0 + om) * u - (om * om / (1.0 + om)) * u_prev
+    us = (1.0 + om) * u - om * u_prev
+    s, mob = _fluxes(us, grid, p, eps, ghost)
     _check_absorption_cfl(s, dx, q, dt)
     b = V * (h - dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q)
     w = (dt / dx) * Af * mob
-    b[-1] += w[M] * g_new
+    b[-1] += w[M] * ghost
     _, _, _, new, info = dgtsv(-w[1:M], a0 * V + w[:-1] + w[1:], -w[1:M], b,
                                overwrite_d=1, overwrite_b=1)
     if info != 0:
@@ -264,53 +257,47 @@ def _implicit(u, grid: RadialGrid, consts: DerivedConstants, eps: float,
 def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
                   dt: float, prev: SelfSimilarField | None = None
                   ) -> SelfSimilarField:
-    """One linearly implicit update with lagged mobility.
-
-    Without `prev` this is backward Euler: the mobilities k (from
-    _fluxes) and the absorption |s_i|^q are frozen at the old time level,
-    and the new values u' solve the tridiagonal system
-
-        V_i (u'_i - u_i) = dt [ A_{i+1} k_{i+1} s'_{i+1} - A_i k_i s'_i
-                                - V_i |s_i|^q ]
-
-    with s' the face slopes of u' and, at face M, the Dirichlet ghost at
-    the new time.  With `prev`, the field one step before `fld`, it is
-    the variable-step BDF2 update with ratio omega = dt / (t - t_prev):
+    """One linearly implicit update with lagged mobility: the
+    variable-step BDF2 update with ratio omega = dt / (t - t_prev),
 
         a0 V u' + dt K(u*) u' = V h - dt V |s(u*)|^q + (ghost term),
         a0 = (1 + 2 omega) / (1 + omega),
         h  = (1 + omega) u - omega^2 / (1 + omega) u_prev,
 
-    where k and |s|^q are taken at the extrapolated state
-    u* = (1 + omega) u - omega u_prev, with the ghost at the new time.
-    BDF2 is zero-stable only for omega < 1 + sqrt(2) (Grigorieff, Numer.
-    Math. 1983); a larger ratio raises ValueError.  eps_reg is the
-    mobility floor of the step: run_and_measure passes the floor at the
-    old time to a BE step and at the new time to a BDF2 step, whose
-    lagged state stands for the new time.  Either way
-    a0 V + dt K is a symmetric M-matrix, so diffusion sets no step bound;
-    the explicit absorption keeps its bound dt <= 0.4 dx / (q G^{q-1})
-    (G the max slope magnitude), which is enforced.  Negative values
-    below -1e-10 ||u||_inf are counted before all negatives are clipped.
-    This is the lagged-diffusivity idea of Vogel & Oman (SIAM J. Sci.
-    Comput. 17, 1996), applied once per step.
+    where the mobilities k of K (from _fluxes) and the absorption |s|^q
+    are taken at the extrapolated state u* = (1 + omega) u - omega u_prev,
+    and the Dirichlet ghost at face M at the new time.  `prev` is the
+    field one step before `fld`; without it omega = 0, a0 = 1 and
+    h = u* = u: backward Euler,
+
+        V_i (u'_i - u_i) = dt [ A_{i+1} k_{i+1} s'_{i+1} - A_i k_i s'_i
+                                - V_i |s_i|^q ],
+
+    with s' the face slopes of u'.  BDF2 is zero-stable only for
+    omega < 1 + sqrt(2) (Grigorieff, Numer. Math. 1983); a larger ratio
+    raises ValueError.  The lagged state of every step stands for the new
+    time, so eps_reg should be the mobility floor there.  a0 V + dt K is a
+    symmetric M-matrix, so diffusion sets no step bound; the explicit
+    absorption keeps its bound dt <= 0.4 dx / (q G^{q-1}) (G the max slope
+    magnitude), which is enforced.  Negative values below
+    -1e-10 ||u||_inf are counted before all negatives are clipped.  This
+    is the lagged-diffusivity idea of Vogel & Oman (SIAM J. Sci. Comput.
+    17, 1996), applied once per step.
     """
     from scipy.linalg.lapack import dgtsv
 
-    t_new = fld.t + dt
-    # Dirichlet ghost at the old and the new time, in one profile call
-    g_old, g_new = fld.exact(np.array([fld.t, t_new]),
-                             grid.L + 0.5 * grid.dx)
-    back = None
+    u_prev, om = fld.values, 0.0
     if prev is not None:
-        dt_prev = fld.t - prev.t
-        if not dt / dt_prev <= _OMEGA_MAX:
-            raise ValueError(f"BDF2 step ratio {dt / dt_prev:.3g} exceeds "
-                             "1 + sqrt(2)")
-        back = (prev.values, dt_prev)
-    new, n_clip = _implicit(fld.values, grid, fld.consts, eps_reg, dt,
-                            g_old, g_new, grid.cell_volumes(),
-                            grid.face_areas(), dgtsv, back)
+        om = dt / (fld.t - prev.t)
+        if not om <= _OMEGA_MAX:
+            raise ValueError(f"BDF2 step ratio {om:.3g} exceeds 1 + sqrt(2)")
+        u_prev = prev.values
+    t_new = fld.t + dt
+    # an array call, as run_and_measure's, so the ghost has the same bits
+    ghost = fld.exact(np.array([t_new]), grid.L + 0.5 * grid.dx)[0]
+    new, n_clip = _implicit(fld.values, u_prev, om, grid, fld.consts,
+                            eps_reg, dt, ghost, grid.cell_volumes(),
+                            grid.face_areas(), dgtsv)
     return SelfSimilarField(T=fld.T, t=t_new, values=new,
                             profile=fld.profile, consts=fld.consts,
                             n_clipped=fld.n_clipped + n_clip)
@@ -347,21 +334,21 @@ def _schedule(T: float, t0: float, cks, dt_frac: float):
 
 
 def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
-                    kappa: float = 0.016, dt_frac: float = 1e-3,
+                    dt_frac: float = 1e-3,
                     snapshot_dir=None) -> ExtinctionMetrics:
     """Evolve to t_end with implicit_step's kernel and measure exponents.
 
-    eps(t) = kappa dx (T-t)^{alpha+beta}.  _schedule plans the steps,
-    dt ~ dt_frac (T-t), through 24 geometric checkpoints clustered toward
-    t_end, where snapshots are taken: backward Euler for the first step
-    and the one after the 1e-6 T checkpoint, variable-step BDF2 with the
-    mobility floor at the new time for the rest.  The schedule depends on
-    t alone, so all its Dirichlet ghosts are taken in one `exact` call
-    and the cell volumes and face areas once, and a step costs one kernel
-    call and no profile evaluation.  The result is bit-identical to
-    calling implicit_step along the same schedule.  The step follows the
-    time scale T-t of the self-similar decay, so the step count
-    ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
+    eps(t) = KAPPA dx (T-t)^{alpha+beta}, taken at the end of each step.
+    _schedule plans the steps, dt ~ dt_frac (T-t), through 24 geometric
+    checkpoints clustered toward t_end, where snapshots are taken:
+    backward Euler (BDF2 at omega = 0) for the first step and the one
+    after the 1e-6 T checkpoint, variable-step BDF2 for the rest.  The
+    schedule depends on t alone, so all its Dirichlet ghosts are taken in
+    one `exact` call and the cell volumes and face areas once, and a step
+    costs one kernel call and no profile evaluation.  The result is
+    bit-identical to calling implicit_step along the same schedule.  The
+    step follows the time scale T-t of the self-similar decay, so the step
+    count ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
     ln sup u and ln of the r^{N-1}-weighted L1 norm against ln(T-t) are
     taken over checkpoints with T-t < 0.9 T, past initial transients; a
     t_end that leaves fewer than two of them raises ValueError before any
@@ -380,7 +367,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     planned steps cannot see the slopes, so the bound caps the grid: on
     the N=1 profile (1, 1.2, 0.5) with L = 40 and the default dt_frac it
     trips near t_end from M of about 7,800 (dx = 5.1e-3): M = 6,400 runs
-    and 9,600 trips at every kappa from 1e-6 to the default.  The limit
+    and 9,600 trips at every floor from KAPPA = 1e-6 to 0.016.  The limit
     on M scales like 1 / dt_frac (at 5e-4, 15,000 runs and 15,800 trips).
     """
     T = fld0.T
@@ -389,7 +376,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     consts = fld0.consts
     al, be = consts.alpha, consts.beta
     xc = grid.centers()
-    eps0 = kappa * grid.dx
+    eps0 = KAPPA * grid.dx
 
     cks = sorted(set((T - np.geomspace(T * 0.999999, T - t_end, 24)).tolist()))
     cks[-1] = t_end
@@ -404,7 +391,8 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
 
     wall0 = time.perf_counter()
     times, dts, bdf2, hits = _schedule(T, fld0.t, cks, dt_frac)
-    ghosts = fld0.exact(np.array(times), grid.L + 0.5 * grid.dx)
+    # the Dirichlet ghost at the end of each step
+    ghosts = fld0.exact(np.array(times[1:]), grid.L + 0.5 * grid.dx)
     V, Af = grid.cell_volumes(), grid.face_areas()
     out = []
     nst = 0
@@ -412,13 +400,11 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     stable = True
     u = u_prev = fld0.values
     for k, (dt, hit) in enumerate(zip(dts, hits)):
-        # a BDF2 step lags its mobility at (an extrapolation to) the new
-        # time, so it takes that time's mobility floor
-        t_mob = times[k + 1] if bdf2[k] else times[k]
-        eps = eps0 * (T - t_mob) ** (al + be)
-        prev = (u_prev, times[k] - times[k - 1]) if bdf2[k] else None
-        new, n_clip = _implicit(u, grid, consts, eps, dt, ghosts[k],
-                                ghosts[k + 1], V, Af, dgtsv, prev)
+        # backward Euler is the BDF2 update at omega = 0
+        om = dt / (times[k] - times[k - 1]) if bdf2[k] else 0.0
+        eps = eps0 * (T - times[k + 1]) ** (al + be)
+        new, n_clip = _implicit(u, u_prev, om, grid, consts, eps, dt,
+                                ghosts[k], V, Af, dgtsv)
         u_prev, u = u, new
         n_clipped += n_clip
         nst += 1
@@ -455,9 +441,8 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
         stable = False
     return ExtinctionMetrics(
         alpha_est=alpha_est, l1_exponent_est=l1_est, selfsim_error=sel,
-        stable=stable, grid_L=grid.L, grid_M=grid.M, eps_reg=eps0,
-        kappa=kappa, t_end=t_end, steps=nst, wall_s=round(wall, 2),
-        n_clipped=n_clipped)
+        stable=stable, grid_L=grid.L, grid_M=grid.M, t_end=t_end,
+        steps=nst, wall_s=round(wall, 2), n_clipped=n_clipped)
 
 
 def metrics_json(m: ExtinctionMetrics) -> str:

@@ -459,7 +459,7 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:   # a NaN step too
                 return -1, r, f, F, None, segments
             r_new = min(r + h_abs, r_bound)
             h = r_new - r
@@ -532,15 +532,18 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
     tolerance, where lower-order interpolants would dominate the
     ODE-residual check.
 
-    Kstar must be finite: where it overflows (q close to p-1) the C
+    a, tol and r_max must be finite, or the step-size control cannot
+    end.  Kstar must be finite: where it overflows (q close to p-1) the C
     event cannot be tested, and the solve is refused.
 
     Returns (r0, events, r_end, f_end, F_end, segments): events is
     [(kind, r_end)] for the event, RMAX_REACHED or INTEGRATOR_FAILURE that
     ended the solve, and segments (for _sample) is None unless `dense`.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not (0.0 < a < math.inf):
+        raise ValueError(f"a must be positive and finite, got {a!r}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     rep = validate_range(consts.N, consts.p, consts.q)
     if not rep.ok:
         raise ValueError("; ".join(rep.violations))
@@ -549,8 +552,9 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
             "Kstar overflows double precision (q too close to p-1): the "
             "C event w > Kstar cannot be tested")
     r0 = _default_r0(consts, a)
-    if r_max <= r0:
-        raise ValueError("r_max must exceed the series-start radius")
+    if not r0 < r_max < math.inf:
+        raise ValueError("r_max must be finite and exceed the series-start "
+                         f"radius {r0:.6g}, got {r_max!r}")
     state0, _ = series_start(consts, a, r0)
     events, directions = _make_events(consts)
     status, r_end, f_end, F_end, k, segments = _dop853(
@@ -659,6 +663,8 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
     trajectory at r_max with integrate_profile's default sampling,
     transcript).
     """
+    if not math.isfinite(a_tol):
+        raise ValueError(f"a_tol must be finite, got {a_tol!r}")
     lo, hi = bracket.lo, bracket.hi
     r_top = 16.0 * r_max
     transcript = []

@@ -1,19 +1,25 @@
 """Command-line front end: exit codes, file outputs, config plumbing.
 
 Everything runs in-process through cli.main(argv) so exit codes and
-stdout can be asserted without subprocess overhead.
+stdout can be asserted without subprocess overhead, except the inputs
+that once hung the shooter: those run in a subprocess under a timeout.
 """
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from extinction import cli, trajectory_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -116,12 +122,12 @@ class TestExitCodes:
         (2, ("qstar", "--N", "-1", "--p", "1.5"), "N >= 1 fails"),
         (2, ("qstar", "--N", "0", "--p", "1.5"), "N >= 1 fails"),
         (2, ("qstar", "--N", "0", "--p", "0.5"), "N >= 1 fails"),
-        (2, ("pde", "--profile", "{profile}", "--kappa", "0"),
-         "--kappa must be finite and > 0"),
-        (2, ("pde", "--profile", "{profile}", "--kappa=-0.016"),
-         "--kappa must be finite and > 0"),
-        (2, ("pde", "--profile", "{profile}", "--kappa", "nan"),
-         "--kappa must be finite and > 0"),
+        (2, ("pde", "--profile", "{profile}", "--tend", "0.9"),
+         "--tend must lie in (0, 0.8 T]"),
+        (2, ("pde", "--profile", "{profile}", "--tend", "nan"),
+         "--tend must lie in (0, 0.8 T]"),
+        (2, ("pde", "--profile", "{profile}", "--T", "0.5", "--tend", "0.8"),
+         "--tend must lie in (0, 0.8 T]"),
         (2, ("pde", "--profile", "{profile}", "--T", "-1"),
          "--T must be finite and > 0"),
         (2, ("pde", "--profile", "{profile}", "--T", "inf"),
@@ -145,6 +151,25 @@ class TestExitCodes:
         assert got == code
         assert needle in (err if code == 1
                           else json.loads(out).get("error", out))
+
+    # A non-finite shooting input once spun the integrator's step loop
+    # forever, so these run in a subprocess that a timeout can stop.
+    @pytest.mark.parametrize("argv, needle", [
+        (("classify", *N1, "--a", "nan"), "a must be positive and finite"),
+        (("classify", *N1, "--a", "1", "--tol", "nan"), "tol must be finite"),
+        (("classify", *N1, "--a", "1", "--rmax", "nan"),
+         "r_max must be finite"),
+        (("find", *N1, "--a-tol", "nan", "--outdir", "{tmp}"),
+         "a_tol must be finite"),
+    ])
+    def test_non_finite_shooting_input_is_2(self, tmp_path, argv, needle):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        res = subprocess.run(
+            [sys.executable, "-m", "extinction.cli",
+             *(a.format(tmp=tmp_path) for a in argv)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2
+        assert needle in json.loads(res.stdout)["error"]
 
 
 def test_non_finite_is_strict_json_null(capsys):
@@ -329,8 +354,9 @@ class TestPhase:
 # sha256 of the N=1 artifacts (numpy 2.4.6, scipy 1.17.1): `find` at
 # (1, 1.2, 0.5), frozen at commit 188ddb4, and `pde --M 100` on its
 # profile, re-frozen when run_and_measure moved to BDF2 steps at
-# dt_frac = 1e-3 and again when the initial profile became the cubic
-# Hermite interpolant on the stored slopes.  A refactor must leave every
+# dt_frac = 1e-3, when the initial profile became the cubic Hermite
+# interpolant on the stored slopes, and when the backward Euler steps
+# took the new-time ghost as BDF2's do.  A refactor must leave every
 # byte of them as it was.
 # A change that alters one of these outputs on purpose re-freezes its
 # digest here and records the change in CHANGES.md.
@@ -342,7 +368,7 @@ FROZEN_SHA256 = {
     "tailfit.json":
         "abd8a33184b4142c491418743c34c86df862e8ff6fe0a59c161ab85d82d809d9",
     "metrics.json":
-        "fbf9e66b0ee6dce10940236eb6a87e18cf2d0ca219ae913c994da8c0da2851c5",
+        "1090006b7c8c1927172091e1112334eba783d61e7af8dc7019e8ba29cca8e43f",
 }
 
 

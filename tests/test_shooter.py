@@ -12,7 +12,11 @@ import contextlib
 import inspect
 import io
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from extinction import (
 )
 from extinction import cli, shooter
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 A_STAR_N1 = 2.3028967658101465
 A_STAR_N2 = 1.0571865673537144
 
@@ -520,6 +525,26 @@ class TestKstarOverflow:
         events, _ = shooter._make_events(consts)
         g = events(1e6, 1.0, 1e300)
         assert g[0] == -math.inf and g[1] == math.inf
+
+
+def test_nan_step_size_ends_the_solve():
+    # a NaN rtol makes every step size NaN, which must fail the step floor
+    # (status -1) rather than loop forever; the subprocess and its timeout
+    # keep a kernel that hangs from stalling the suite
+    code = "\n".join([
+        "import math",
+        "from extinction import ExponentParams, derive_constants, shooter",
+        "c = derive_constants(ExponentParams(N=1, p=1.2, q=0.5))",
+        "r0 = shooter._default_r0(c, 1.0)",
+        "st, _ = shooter.series_start(c, 1.0, r0)",
+        "ev, dirs = shooter._make_events(c)",
+        "print(shooter._dop853(shooter._make_rhs(c), ev, dirs, r0, st.f,",
+        "                      st.F, 10.0, math.nan, False)[0])"])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "-1"
 
 
 def test_ode_residual_small_on_profile(star1, consts1):
