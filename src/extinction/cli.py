@@ -8,8 +8,9 @@ Exit codes; commands raise, and `main` maps every exception through
   1  usage: bad flags or config, an unreadable or malformed profile
   2  exponents outside the admissible box (N and p alone for qstar); the
      library's own input checks (a non-finite --a, --tol or --rmax,
-     --a <= 0, --rmax below the series start, a non-finite --a-tol, bad
-     --L/--M, a pde --T that is not finite and > 0, a --tend outside
+     --a <= 0, --tol <= 0, --rmax below the series start, a non-finite
+     --a-tol, bad --L/--M, a pde --T that is not finite and > 0 or whose
+     (T - t)^(alpha + beta) leaves double range, a --tend outside
      (0, 0.8 T], a triple in the box whose K* overflows double precision)
   3  algorithmic failure: no bracket, fit, certification, phase
      non-convergence, PDE
@@ -267,6 +268,15 @@ def cmd_pde(args) -> int:
         raise ValueError(f"--T must be finite and > 0, got {args.T!r}")
     if not 0.0 < args.tend <= 0.8 * args.T:
         raise ValueError(f"--tend must lie in (0, 0.8 T], got {args.tend!r}")
+    # the run scales by (T - t)^alpha, (T - t)^beta and, in the mobility
+    # floor, (T - t)^(alpha + beta), the largest power: it must stay a
+    # normal double over [0, tend]
+    ab = consts.alpha + consts.beta
+    if not (ab * math.log10(args.T) < sys.float_info.max_10_exp
+            and ab * math.log10(args.T - args.tend)
+            > sys.float_info.min_10_exp):
+        raise ValueError(f"--T must keep (T - t)^(alpha + beta) within "
+                         f"double range, got {args.T!r}")
     with _algorithmic():
         fld = pde.build_initial(traj, consts, args.T, grid)
         metrics = pde.run_and_measure(fld, grid, t_end=args.tend,

@@ -149,7 +149,11 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
                     tol: float = 1e-10) -> PhasePath:
     """Free integration of the autonomous system, sampled at 2001 points
     uniform in eta.  The right side is quadratic with no singularity; a
-    |x| >= 1e12 guard stops runaway along the unstable direction."""
+    |x| >= 1e12 guard stops runaway along the unstable direction.  tol
+    must be finite and > 0 (a positive tol below 100 ulp is raised to
+    it, with scipy's warning)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     # imported here, not at module level, so that the commands that never
     # integrate the phase system do not load scipy
     from scipy.integrate import solve_ivp

@@ -28,10 +28,11 @@ error norm, step control and event location.  On a two-component system
 scipy's array-based driver spends most of its time on numpy call
 overhead (array wrapping, small dot products, event bookkeeping) rather
 than arithmetic.  The Butcher tableau is scipy's (scipy.integrate.DOP853),
-written here as float literals and checked bit for bit by a test, and
-event roots are found by `_brent`, a port of scipy's brentq: the module
-imports no scipy, and the kernel can be checked against scipy's own
-solver.
+written here as float literals and checked bit for bit by a test, so the
+module imports no scipy and the kernel can be checked against scipy's own
+solver.  Event roots are found on the step's interpolant by `_illinois`,
+regula falsi with the Illinois modification, to brentq's stopping width
+at xtol = rtol = 4 eps.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ _EVENT_KINDS = (
     "W_PRIME_VANISHES",   # w' crosses 0 downward: interior maximum of w -> A
     "W_EXCEEDS_KSTAR",    # w crosses Kstar upward -> C
     "F_HITS_ZERO",        # momentum hits 0: slope vanishes with f > 0 -> A
-    "PROFILE_HITS_ZERO",  # f crosses 0 (redundant guard; w' fires first) -> A
     "OVERFLOW_GUARD",     # |f|+|F| >= 1e12 (finite-precision safety)
 )
 
@@ -173,7 +173,7 @@ def _pow(x: float, e: float) -> float:
 
 
 def _make_events(consts: DerivedConstants):
-    """The five event functions, in _EVENT_KINDS order, as one function
+    """The four event functions, in _EVENT_KINDS order, as one function
     of (r, f, F), and the direction of the sign change that fires each
     (+1 upward, -1 downward).  Every event is terminal."""
     mu, Kst = consts.mu, consts.Kstar
@@ -184,10 +184,9 @@ def _make_events(consts: DerivedConstants):
         return (r * slope + mu * f,   # sign of w' = r^{mu-1}(mu f + r f')
                 _pow(r, mu) * f - Kst,
                 F,
-                f,
                 abs(f) + abs(F) - OVERFLOW_GUARD)
 
-    return events, (-1, 1, -1, -1, 1)
+    return events, (-1, 1, -1, 1)
 
 
 def energy(consts: DerivedConstants, f: np.ndarray,
@@ -356,76 +355,46 @@ def _sample(segments, r_end, rs):
     return _interpolate(seg[k].T, rs)
 
 
-def _brent(f, xa, xb, xtol, rtol, maxiter=100):
-    """A root of f in [xa, xb] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), step for step as
-    scipy's C brentq: inverse quadratic interpolation, or the secant
-    through the two newest points, where that step is short enough, else
-    bisection; stop when the bracket half-width or the step is under
-    (xtol + rtol |x|) / 2, or f is exactly zero.  Raises ValueError when
-    f(xa) and f(xb) have the same sign or f returns NaN, RuntimeError
-    after maxiter iterations without convergence."""
+def _illinois(g, a, b, maxiter=100):
+    """A root of g in [a, b], a < b, by regula falsi with the Illinois
+    modification (Dowell & Jarratt, BIT 11, 1971): the secant through the
+    bracket's ends, with the value at an end kept twice in a row halved.
+    Each trial point is held 2 eps (1 + max |r|) inside the bracket, so
+    the bracket shrinks on every step; once it is at most 4 eps (1 + min
+    |r|) wide (brentq's stopping width at xtol = rtol = 4 eps), the end
+    with the smaller |g|, as halved, is returned, or earlier a zero of g.
+    Raises ValueError when g(a) and g(b) have the same sign or g returns
+    NaN, RuntimeError after maxiter trial points."""
     def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver "
-                             "cannot continue.")
-        return fx
+        gx = g(x)
+        if math.isnan(gx):
+            raise ValueError(f"g({x!r}) is NaN")
+        return gx
 
-    xpre, xcur = xa, xb
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    ga, gb = call(a), call(b)
+    if ga == 0 or gb == 0:
+        return a if ga == 0 else b
+    if (ga > 0) == (gb > 0):
+        raise ValueError("g(a) and g(b) must have different signs")
+    kept = 0   # -1 or +1 when the last trial point replaced b or a
     for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # C divides to inf or nan, which the test below rejects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+        if b - a <= 4 * _EPS * (1 + min(abs(a), abs(b))):
+            return a if abs(ga) <= abs(gb) else b
+        tol = 2 * _EPS * (1 + max(abs(a), abs(b)))
+        x = min(b - tol, max(a + tol, a + ga / (ga - gb) * (b - a)))
+        gx = call(x)
+        if gx == 0:
+            return x
+        if (gx > 0) == (ga > 0):
+            a, ga, gb, kept = x, gx, gb / 2 if kept > 0 else gb, 1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+            b, gb, ga, kept = x, gx, ga / 2 if kept < 0 else ga, -1
+    raise RuntimeError(f"no root to tolerance after {maxiter} trial points")
 
 
 def _event_root(events, k, seg, r_old, r_new):
-    return _brent(lambda r: events(r, *_interpolate(seg, r))[k],
-                  r_old, r_new, xtol=4 * _EPS, rtol=4 * _EPS)
+    return _illinois(lambda r: events(r, *_interpolate(seg, r))[k],
+                     r_old, r_new)
 
 
 def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
@@ -436,11 +405,12 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
     atol = 0 and every event terminal: the same initial step, error
     norm, step factors and step-size floor, and the same event rule.
     Event k fires when events(r, f, F)[k] changes sign in directions[k]
-    over a step; its root is found by _brent on the step's interpolant,
+    over a step; its root is found by _illinois on the step's interpolant,
     and the earliest root among the events that fired ends the solve.
-    The one departure: tableau combinations are correctly rounded (_dot).
-    A trial step that overflows is rejected, as scipy rejects the NaN
-    error such a step gives it.
+    Two departures: tableau combinations are correctly rounded (_dot),
+    and an event root is held to brentq's stopping width, not to brentq's
+    own iterates.  A trial step that overflows is rejected, as scipy
+    rejects the NaN error such a step gives it.
 
     Returns (status, r_end, f_end, F_end, k, segments): status 0 when
     r_bound is reached, 1 when event k fires at r_end, -1 when the step
@@ -533,8 +503,9 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
     ODE-residual check.
 
     a, tol and r_max must be finite, or the step-size control cannot
-    end.  Kstar must be finite: where it overflows (q close to p-1) the C
-    event cannot be tested, and the solve is refused.
+    end, and tol > 0 (a positive tol below 100 ulp is raised to it).
+    Kstar must be finite: where it overflows (q close to p-1) the C event
+    cannot be tested, and the solve is refused.
 
     Returns (r0, events, r_end, f_end, F_end, segments): events is
     [(kind, r_end)] for the event, RMAX_REACHED or INTEGRATOR_FAILURE that
@@ -542,8 +513,8 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
     """
     if not (0.0 < a < math.inf):
         raise ValueError(f"a must be positive and finite, got {a!r}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     rep = validate_range(consts.N, consts.p, consts.q)
     if not rep.ok:
         raise ValueError("; ".join(rep.violations))
@@ -602,7 +573,7 @@ def classify(consts: DerivedConstants, a: float, r_max: float,
     _, events, r_end, f_end, F_end, _ = _shoot(consts, a, r_max, tol,
                                                dense=False)
     kind = events[0][0]
-    if kind in ("W_PRIME_VANISHES", "F_HITS_ZERO", "PROFILE_HITS_ZERO"):
+    if kind in ("W_PRIME_VANISHES", "F_HITS_ZERO"):
         return Classification("A", r_end, kind)
     if kind == "W_EXCEEDS_KSTAR":
         return Classification("C", r_end, kind)

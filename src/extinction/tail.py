@@ -158,8 +158,6 @@ def certify_B(traj, consts: DerivedConstants) -> CertReport:
             in_band = False
         elif kind == "W_PRIME_VANISHES":
             monotone = False
-        elif kind == "PROFILE_HITS_ZERO":
-            in_band = False
     checks = {
         "w_in_band": in_band,
         "w_monotone": monotone,

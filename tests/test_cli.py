@@ -133,6 +133,16 @@ class TestExitCodes:
         (2, ("pde", "--profile", "{profile}", "--T", "inf"),
          "--T must be finite and > 0"),
         (2, ("pde", "--profile", "{profile}", "--L", "nan"), "finite L > 0"),
+        (2, ("pde", "--profile", "{profile}", "--M", "50", "--T", "1e300",
+             "--tend", "0.5"),
+         "--T must keep (T - t)^(alpha + beta) within double range"),
+        (2, ("classify", *N1, "--a", "1", "--tol", "0"),
+         "tol must be finite and > 0"),
+        (2, ("classify", *N1, "--a", "1", "--tol", "-1"),
+         "tol must be finite and > 0"),
+        (2, ("phase", "--x0", "0.15,0.35,0.6667", "--span=-2,0", *N1,
+             "--tol", "0", "--outdir", "{tmp}"),
+         "tol must be finite and > 0"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -152,8 +162,8 @@ class TestExitCodes:
         assert needle in (err if code == 1
                           else json.loads(out).get("error", out))
 
-    # A non-finite shooting input once spun the integrator's step loop
-    # forever, so these run in a subprocess that a timeout can stop.
+    # A non-finite shooting or phase input once spun an integrator's step
+    # loop forever, so these run in a subprocess that a timeout can stop.
     @pytest.mark.parametrize("argv, needle", [
         (("classify", *N1, "--a", "nan"), "a must be positive and finite"),
         (("classify", *N1, "--a", "1", "--tol", "nan"), "tol must be finite"),
@@ -161,6 +171,8 @@ class TestExitCodes:
          "r_max must be finite"),
         (("find", *N1, "--a-tol", "nan", "--outdir", "{tmp}"),
          "a_tol must be finite"),
+        (("phase", "--x0", "0.15,0.35,0.6667", "--span=-2,0", *N1,
+          "--tol", "nan", "--outdir", "{tmp}"), "tol must be finite"),
     ])
     def test_non_finite_shooting_input_is_2(self, tmp_path, argv, needle):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
