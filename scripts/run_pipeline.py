@@ -5,13 +5,8 @@ Drives the `extinction` command line: `constants`, then `find` (shoot for
 the fast-decay profile, certify the tail band, fit the second-order
 correction), then `phase --from-profile` (map the profile into the
 autonomous phase coordinates and extract the stable decay rates), and
-prints a summary that sets the tail fit's amplitude A beside the one the
-phase rates give.  The two are not independent checks of A:
-tail._ratio_refine and phase.extract_rates run the same pinned-basis
-regression of the Z gap over the same last decade of samples, and only
-the regressand differs, ln(Z*/Z - 1) against ln|Z - Z*|.  At N=1 they
-agree to 2e-5 (A 4.153186e-4 against 4.153098e-4).  Artifacts land in
---outdir:
+prints a summary of the estimates beside their closed-form values.
+Artifacts land in --outdir:
 
     constants.json   every derived constant and the spectrum
     profile.csv      sampled (r, f, f', F) with events
@@ -85,8 +80,6 @@ def main():
               f"(exact {c['lambda2']:.6f})")
         print(f"  lambda3_est = {rates['lambda3_est']:.6f} "
               f"(exact {c['lambda3']:.6f})")
-        ratio = rates["A_from_Vinf"] / fit["A_est"]
-        print(f"  A from Vinf / A from tail fit = {ratio:.4f}")
 
     if not cert["ok"]:
         print("warning: profile not certified; downstream artifacts are "

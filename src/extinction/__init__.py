@@ -6,11 +6,13 @@ singular diffusion equation with gradient absorption
 
 Modules: exponents (closed-form constants and spectra, plus what the
 other modules share: the 5-point ln-r derivative, the pinned-basis log
-regression, and the JSON and CSV writers that fix the byte format of
-every artifact), shooter (profile ODE shooting and classification), tail
-(w-transform, certification, tail fitting), phase (autonomous phase-space
-system and rate extraction), pde (radial solver verifying the extinction
-rates), cli (the pipeline driver; the scripts only call it).
+regression, the one fit of the Z-gap decay that gives the tail's theta
+and A and the phase rates' lambda3 and Vinf, and the JSON and CSV
+writers that fix the byte format of every artifact), shooter (profile
+ODE shooting and classification), tail (w-transform, certification,
+tail fitting), phase (autonomous phase-space system and rate
+extraction), pde (radial solver verifying the extinction rates), cli
+(the pipeline driver; the scripts only call it).
 """
 
 from .exponents import (
@@ -22,10 +24,10 @@ from .exponents import (
     derive_constants,
     spectral_data,
     lambdastar,
-    nuisance_rates,
     constants_json,
     deta,
     log_fit,
+    zgap_fit,
     json_text,
     csv_text,
 )

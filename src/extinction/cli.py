@@ -9,7 +9,9 @@ Exit codes; commands raise, and `main` maps every exception through
   2  exponents outside the admissible box (N and p alone for qstar); the
      library's own input checks (a non-finite --a, --tol or --rmax,
      --a <= 0, --tol <= 0, --rmax below the series start, a non-finite
-     --a-tol, bad --L/--M, a pde --T that is not finite and > 0 or whose
+     --a-tol, a phase --span end that is not finite, a phase --x0
+     component not finite or at or beyond the 1e12 blow-up guard, bad
+     --L/--M, a pde --T that is not finite and > 0 or whose
      (T - t)^(alpha + beta) leaves double range, a --tend outside
      (0, 0.8 T], a triple in the box whose K* overflows double precision)
   3  algorithmic failure: no bracket, fit, certification, phase

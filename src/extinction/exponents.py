@@ -7,11 +7,12 @@ PDE check) is parametrized by the triple (N, p, q) with
 
 This module computes the derived constants and the spectrum of the
 phase-space linearization, and cross-checks them against exact algebraic
-identities.  It also holds what every other module shares: the two
+identities.  It also holds what every other module shares: the
 numerical kernels of the tail and phase analyses (the 5-point derivative
-in ln r and the pinned-basis log regression, with the rates it pins) and
-the two writers that fix the byte format of every artifact (`json_text`,
-`csv_text`).  Pure functions on value types throughout.
+in ln r, the pinned-basis log regression, and the one fit of the Z-gap
+decay that both read theta and A from) and the two writers that fix the
+byte format of every artifact (`json_text`, `csv_text`).  Pure functions
+on value types throughout.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ __all__ = [
     "derive_constants",
     "spectral_data",
     "lambdastar",
-    "nuisance_rates",
     "constants_json",
     "deta",
     "log_fit",
+    "zgap_fit",
     "json_text",
     "csv_text",
 ]
@@ -194,13 +195,6 @@ def spectral_data(consts: DerivedConstants) -> Spectrum:
                     lamstar, qstar)
 
 
-def nuisance_rates(consts: DerivedConstants) -> tuple[float, float, float]:
-    """The rates (lambda2, 2 lambda2, lambda1 + theta) of the subleading
-    modes that `log_fit` pins beside a tail or phase-space decay."""
-    spec = spectral_data(consts)
-    return spec.lambda2, 2.0 * spec.lambda2, spec.lambda1 + consts.theta
-
-
 def _finite_or_null(obj):
     """`obj` with every non-finite float, at any depth, replaced by None."""
     if isinstance(obj, float):
@@ -261,3 +255,28 @@ def log_fit(x: np.ndarray, y: np.ndarray, rates=()) -> np.ndarray:
                            + [np.exp(rate * x) for rate in rates])
     scale = np.abs(cols).max(axis=0)
     return np.linalg.lstsq(cols / scale, y, rcond=None)[0] / scale
+
+
+def zgap_fit(eta: np.ndarray, Z: np.ndarray,
+             consts: DerivedConstants) -> tuple[float, float, float] | None:
+    """(theta, s0, A) of the decay of Z = r (-f')^{q-p+1} to Zstar along
+    the fast-decay branch, from samples at eta = ln r; None when fewer
+    than 10 samples have 0 < Z < Zstar.
+
+    s = Zstar/Z - 1 obeys s' = -theta s - nu (1+s)(alpha X - beta Y), so
+    it decays like s0 r^{-theta} up to a forcing of relative rate lambda2,
+    its square, and a departure term r^{lambda1+theta} -- all known in
+    closed form.  log_fit regresses ln s on [1, eta, e^{lambda2 eta},
+    e^{2 lambda2 eta}, e^{(lambda1+theta) eta}], which pins those shapes
+    and leaves -theta in the eta coefficient.  The tail amplitude of
+    w = Kstar - A r^{-theta} follows as A = Kstar mu(mu+1)/(mu+theta) s0.
+    """
+    ok = (Z > 0.0) & (Z < consts.Zstar)
+    if int(ok.sum()) < 10:
+        return None
+    spec = spectral_data(consts)
+    rates = (spec.lambda2, 2.0 * spec.lambda2, spec.lambda1 + consts.theta)
+    co = log_fit(eta[ok], np.log(consts.Zstar / Z[ok] - 1.0), rates)
+    theta, s0 = -co[1], math.exp(co[0])
+    mu = consts.mu
+    return theta, s0, consts.Kstar * mu * (mu + 1.0) / (mu + theta) * s0

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exponents import (DerivedConstants, csv_text, deta, json_text,
-                        log_fit, nuisance_rates, spectral_data)
+                        log_fit, spectral_data, zgap_fit)
 
 __all__ = [
     "PhasePath",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e12
-ZGAP_FLOOR = 1e-13
 
 
 @dataclass
@@ -149,11 +148,17 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
                     tol: float = 1e-10) -> PhasePath:
     """Free integration of the autonomous system, sampled at 2001 points
     uniform in eta.  The right side is quadratic with no singularity; a
-    |x| >= 1e12 guard stops runaway along the unstable direction.  tol
-    must be finite and > 0 (a positive tol below 100 ulp is raised to
-    it, with scipy's warning)."""
+    |x| >= 1e12 guard stops runaway along the unstable direction, so x0
+    must lie inside it.  Both ends of eta_span must be finite, and tol
+    finite and > 0 (a positive tol below 100 ulp is raised to it, with
+    scipy's warning)."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not all(map(math.isfinite, eta_span)):
+        raise ValueError(f"eta_span ends must be finite, got {eta_span!r}")
+    if not all(abs(c) < BLOWUP_GUARD for c in _coords(x0)):
+        raise ValueError(f"x0 components must be finite and below the "
+                         f"blow-up guard {BLOWUP_GUARD:g}, got {x0!r}")
     # imported here, not at module level, so that the commands that never
     # integrate the phase system do not load scipy
     from scipy.integrate import solve_ivp
@@ -200,15 +205,15 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     """Read off the stable rates from a converging path.
 
     ln Y is regressed linearly on eta over a short late window (Y carries
-    a single clean mode); ln|Z - Zstar| is regressed on the pinned basis
-    [1, eta, e^{lambda2 eta}, e^{2 lambda2 eta}, e^{(lambda1+theta) eta}]
-    (log_fit) over the final decade, which removes the known subleading
-    contamination without adding nonlinear parameters.  Intercepts give
-    Uinf (via Y ~ (p-q) Uinf e^{lambda2 eta}) and Vinf (sign taken from
-    the data; fast-decay paths approach Zstar from below).
+    a single clean mode), and its intercept gives Uinf via
+    Y ~ (p-q) Uinf e^{lambda2 eta}.  The Z gap is `zgap_fit` over the
+    final decade, the same fit `tail.fit_tail` reads theta and A from:
+    lambda3 = -theta, Vinf = -Zstar s0 (Z - Zstar ~ Vinf e^{lambda3 eta};
+    a fast-decay path approaches Zstar from below), and A_from_Vinf is
+    its A.
     """
     p, q = consts.p, consts.q
-    Zst, mu = consts.Zstar, consts.mu
+    Zst = consts.Zstar
     spec = spectral_data(consts)
     eta, Y, Z = path.eta, path.Y, path.Z
     dist = math.sqrt((path.X[-1]) ** 2 + (Y[-1]) ** 2
@@ -228,23 +233,19 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     lam2 = float(co2[1])
     Uinf = math.exp(co2[0]) / (p - q)
 
-    gap = Z - Zst
-    m3 = (eta >= win3[0]) & (eta <= win3[1]) & (np.abs(gap) >= ZGAP_FLOOR)
-    if m3.sum() < 10:
-        raise ValueError("lambda3 window holds fewer than 10 usable "
-                         "samples above the |Z - Zstar| floor")
-    co3 = log_fit(eta[m3], np.log(np.abs(gap[m3])), nuisance_rates(consts))
-    lam3 = float(co3[1])
-    sgn = -1.0 if np.median(gap[m3]) < 0.0 else 1.0
-    Vinf = sgn * math.exp(co3[0])
-    A_from_Vinf = -Vinf * Zst ** mu / ((mu - lam3) * (q - p + 1.0))
+    m3 = (eta >= win3[0]) & (eta <= win3[1])
+    fit3 = zgap_fit(eta[m3], Z[m3], consts)
+    if fit3 is None:
+        raise ValueError("lambda3 window holds fewer than 10 samples "
+                         "with 0 < Z < Zstar")
+    theta, s0, A = fit3
 
     flags = []
     if abs(abs(spec.lambda2) - abs(spec.lambda3)) < 0.1:
         flags.append("near-crossover: |lambda2| and |lambda3| within 0.1, "
                      "lambda3 extraction unreliable (mode mixing)")
-    return RateFit(lambda2_est=lam2, lambda3_est=lam3, Uinf_est=Uinf,
-                   Vinf_est=Vinf, A_from_Vinf=A_from_Vinf,
+    return RateFit(lambda2_est=lam2, lambda3_est=-theta, Uinf_est=Uinf,
+                   Vinf_est=-Zst * s0, A_from_Vinf=A,
                    windows={"lambda2": list(win2), "lambda3": list(win3)},
                    flags=tuple(flags))
 

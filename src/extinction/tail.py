@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exponents import (DerivedConstants, deta, json_text, log_fit,
-                        nuisance_rates)
+from .exponents import DerivedConstants, deta, json_text, log_fit, zgap_fit
 
 __all__ = [
     "WState",
@@ -169,35 +168,6 @@ def certify_B(traj, consts: DerivedConstants) -> CertReport:
                       r_end=float(st.r[-1]), w_end=w_end)
 
 
-def _ratio_refine(st: WState, consts: DerivedConstants, mask):
-    """Refined (theta, A) from the slope ratio variable.
-
-    Z = r (-f')^{q-p+1} obeys a logistic flow toward Zstar along the
-    fast-decay branch, and s = Zstar/Z - 1 decays like s0 r^{-theta}
-    with relative contamination r^{lambda2} and a departure term
-    r^{lambda1+theta} -- all with exponents known in closed form.  A
-    linear regression of ln s on [1, ln r, r^{lambda2}, r^{2 lambda2},
-    r^{lambda1+theta}] (log_fit) pins the nuisance shapes and leaves theta
-    in the ln r coefficient; A follows from
-    A = Kstar mu(mu+1)/(mu+theta) s0.
-    """
-    p, q = consts.p, consts.q
-    mu, Kst, Zst = consts.mu, consts.Kstar, consts.Zstar
-    r = st.r[mask]
-    fp = st.Wtail[mask] * st.r[mask] ** (-(mu + 1.0))
-    Z = r * np.maximum(-fp, 0.0) ** (q - p + 1.0)
-    ok = (Z > 0.0) & (Z < Zst)
-    r, Z = r[ok], Z[ok]
-    if len(r) < 10:
-        return None
-    s = Zst / Z - 1.0
-    co = log_fit(np.log(r), np.log(s), nuisance_rates(consts))
-    theta = -co[1]
-    s0 = math.exp(co[0])
-    A = Kst * mu * (mu + 1.0) / (mu + theta) * s0
-    return theta, A
-
-
 def fit_tail(states: WState, consts: DerivedConstants,
              window: tuple[float, float] | None = None) -> TailFit:
     """Fit w = Kstar - A r^{-theta} on the window (default [r_max/10,
@@ -211,8 +181,9 @@ def fit_tail(states: WState, consts: DerivedConstants,
     Stage 1 regresses ln(Kstar - w) on ln r.  Its residual is at rounding
     level (rms <= 1e-9 Kstar) only on an exact power law.  Every real
     trajectory carries curvature beyond it; there theta and A come from
-    the closed-form-pinned ratio regression, immune to the known
-    next-order contamination (stage 1 again if it has too few samples).
+    `zgap_fit` on the window's Z = r (-f')^{q-p+1}, the regression pinned
+    against the known next-order contamination that `phase.extract_rates`
+    also reads (stage 1 again if it has too few samples).
     A theta_est more than THETA_REL_TOL (50 %) from consts.theta raises
     ValueError: neither estimator has measured the second-order term.
     """
@@ -235,12 +206,15 @@ def fit_tail(states: WState, consts: DerivedConstants,
         return float(np.sqrt(np.mean((w - (Kst - A * r ** (-th))) ** 2)))
 
     # stage 1: pinned-K log-linear
-    co = log_fit(np.log(r), np.log(gap))
+    lnr = np.log(r)
+    co = log_fit(lnr, np.log(gap))
     A, th = math.exp(co[0]), -co[1]
     if rms_of(A, th) > 1e-9 * Kst:
-        ref = _ratio_refine(states, consts, mask)
+        fp = states.Wtail[mask] * r ** (-(consts.mu + 1.0))
+        Z = r * np.maximum(-fp, 0.0) ** (consts.q - consts.p + 1.0)
+        ref = zgap_fit(lnr, Z, consts)
         if ref is not None:
-            th, A = ref
+            th, _, A = ref
     rms = rms_of(A, th)
     if abs(th / consts.theta - 1.0) > THETA_REL_TOL:
         raise ValueError(

@@ -162,8 +162,10 @@ class TestExitCodes:
         assert needle in (err if code == 1
                           else json.loads(out).get("error", out))
 
-    # A non-finite shooting or phase input once spun an integrator's step
-    # loop forever, so these run in a subprocess that a timeout can stop.
+    # A non-finite shooting or phase input, or a phase start already
+    # beyond the blow-up guard, once spun an integrator's step loop
+    # forever (or crashed), so these run in a subprocess that a timeout
+    # can stop.
     @pytest.mark.parametrize("argv, needle", [
         (("classify", *N1, "--a", "nan"), "a must be positive and finite"),
         (("classify", *N1, "--a", "1", "--tol", "nan"), "tol must be finite"),
@@ -173,6 +175,16 @@ class TestExitCodes:
          "a_tol must be finite"),
         (("phase", "--x0", "0.15,0.35,0.6667", "--span=-2,0", *N1,
           "--tol", "nan", "--outdir", "{tmp}"), "tol must be finite"),
+        (("phase", "--x0", "0.15,0.35,0.6667", "--span=-2,nan", *N1,
+          "--outdir", "{tmp}"), "eta_span ends must be finite"),
+        (("phase", "--x0", "0.15,0.35,0.6667", "--span=-2,inf", *N1,
+          "--outdir", "{tmp}"), "eta_span ends must be finite"),
+        (("phase", "--x0", "0.15,0.35,0.6667", "--span=nan,0", *N1,
+          "--outdir", "{tmp}"), "eta_span ends must be finite"),
+        (("phase", "--x0=0.15,0.35,1e150", "--span=0,2", *N1,
+          "--outdir", "{tmp}"), "below the blow-up guard"),
+        (("phase", "--x0=0.15,0.35,1e160", "--span=0,2", *N1,
+          "--outdir", "{tmp}"), "below the blow-up guard"),
     ])
     def test_non_finite_shooting_input_is_2(self, tmp_path, argv, needle):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -182,6 +194,7 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=60)
         assert res.returncode == 2
         assert needle in json.loads(res.stdout)["error"]
+        assert "Traceback" not in res.stderr
 
 
 def test_non_finite_is_strict_json_null(capsys):
@@ -342,6 +355,21 @@ class TestPhase:
         assert (tmp_path / "phasepath.csv").exists()
         assert (tmp_path / "ratefit.json").exists()
 
+    def test_lambda3_where_the_gap_regressand_matters(self, capsys,
+                                                      tmp_path):
+        # (1, 1.15, 0.2775) of the box scan: find exits 3 (not
+        # certified), but its profile converges to P0 with a large Z gap,
+        # where ln|Z - Zstar| = ln(Zstar s) - ln(1 + s) carries an
+        # unpinned r^-theta term; the fit of ln s, s = Zstar/Z - 1, does not.
+        tri = ("--N", "1", "--p", "1.15", "--q", "0.2774999999999999")
+        code, _, _ = run(capsys, "find", *tri, "--outdir", str(tmp_path))
+        assert code == 3
+        code, d, _ = run_json(capsys, "phase", "--from-profile",
+                              str(tmp_path / "profile.csv"),
+                              "--outdir", str(tmp_path))
+        assert code == 0
+        assert abs(d["lambda3_est"] + 1.0) <= 1e-3
+
     def test_free_integration(self, capsys, tmp_path):
         code, d, _ = run_json(capsys, "phase", "--x0", "0.15,0.35,0.6667",
                               "--span", "0,5", *N1,
@@ -370,6 +398,10 @@ class TestPhase:
 # interpolant on the stored slopes, and when the backward Euler steps
 # took the new-time ghost as BDF2's do.  A refactor must leave every
 # byte of them as it was.
+# `phase --from-profile` on that profile is pinned too, frozen when
+# lambda3, Vinf and A_from_Vinf became the Z-gap fit that fit_tail shares:
+# phasepath.csv was unchanged by it and ratefit.json moved then, so any
+# later move of either is a change of the phase map or of that fit.
 # A change that alters one of these outputs on purpose re-freezes its
 # digest here and records the change in CHANGES.md.
 FROZEN_SHA256 = {
@@ -381,6 +413,10 @@ FROZEN_SHA256 = {
         "abd8a33184b4142c491418743c34c86df862e8ff6fe0a59c161ab85d82d809d9",
     "metrics.json":
         "1090006b7c8c1927172091e1112334eba783d61e7af8dc7019e8ba29cca8e43f",
+    "phasepath.csv":
+        "03aecf1337317a4afc9d6d6d62eb5b50c6adb2982f1b10067c46c6f4e3257632",
+    "ratefit.json":
+        "fd0a327bde20dd37bcf21696487bca04b73a8aaf4c05d96661ec3c7819a5ef05",
 }
 
 
@@ -412,6 +448,13 @@ class TestFrozenDigests:
                          "--outdir", str(tmp_path)]) == 3
         for name, digest in FROZEN_SHA256_END_STATE.items():
             assert sha256_of(tmp_path / name) == digest, name
+
+    def test_phase_from_profile(self, find_dir, tmp_path):
+        assert cli.main(["phase", "--from-profile",
+                         str(find_dir / "profile.csv"),
+                         "--outdir", str(tmp_path)]) == 0
+        for name in ("phasepath.csv", "ratefit.json"):
+            assert sha256_of(tmp_path / name) == FROZEN_SHA256[name], name
 
     def test_pde_metrics(self, find_dir, tmp_path):
         out = tmp_path / "metrics.json"

@@ -276,7 +276,7 @@ def test_json_text_writes_non_finite_as_null():
 
 
 def test_log_fit_recovers_a_wide_pinned_basis():
-    # the N=2 ratio basis of tail._ratio_refine: r^-3, r^-6, r^6.8 on
+    # the N=2 basis of exponents.zgap_fit: r^-3, r^-6, r^6.8 on
     # r in [6, 60] span 17 decades; each term contributes O(1) to y
     x = np.log(np.geomspace(6.0, 60.0, 200))
     rates = (-3.0, -6.0, 6.8)

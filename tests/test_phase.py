@@ -9,6 +9,7 @@ import pytest
 from extinction import (
     exact_orbit,
     extract_rates,
+    fit_tail,
     integrate_phase,
     jacobian,
     jacobian_origin,
@@ -17,6 +18,7 @@ from extinction import (
     phasepath_csv,
     ratefit_json,
     vector_field,
+    w_transform,
 )
 
 A_EST_N1 = 4.153e-4
@@ -147,6 +149,17 @@ class TestExtractRates:
         fit = extract_rates(map_to_phase(traj, consts1), consts1)
         assert fit.lambda2_est == pytest.approx(-0.66643, abs=1e-3)
         assert fit.lambda3_est == pytest.approx(-1.00014, abs=2e-3)
+
+    def test_same_fit_as_fit_tail(self, star1, consts1):
+        # lambda3 and A_from_Vinf come from the one regression of
+        # Zstar/Z - 1 that fit_tail reads theta and A from; only the
+        # rounding of Z's two computations separates them
+        _, traj, _ = star1
+        rates = extract_rates(map_to_phase(traj, consts1), consts1)
+        fit = fit_tail(w_transform(traj, consts1), consts1)
+        assert -rates.lambda3_est == pytest.approx(fit.theta_est, rel=1e-9)
+        assert rates.A_from_Vinf == pytest.approx(fit.A_est, rel=1e-9)
+        assert rates.Vinf_est < 0
 
     def test_nonconverged_path_rejected(self, consts1):
         path = integrate_phase((2.0, 0.1, 1.0), (0.0, 3.0), consts1)

@@ -46,7 +46,7 @@ def test_run_pipeline_n1(tmp_path):
         "constants.json", "profile.csv", "certify.json", "tailfit.json",
         "phasepath.csv", "ratefit.json"}
     assert "tail band: certified" in res.stdout
-    assert "A from Vinf / A from tail fit" in res.stdout
+    assert "  lambda3_est = -1.000143 (exact -1.000000)" in res.stdout
 
 
 def test_crossover_scan(capsys):
