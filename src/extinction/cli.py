@@ -15,7 +15,8 @@ Exit codes; commands raise, and `main` maps every exception through
      (T - t)^(alpha + beta) leaves double range, a --tend outside
      (0, 0.8 T], a triple in the box whose K* overflows double precision)
   3  algorithmic failure: no bracket, fit, certification, phase
-     non-convergence, PDE
+     non-convergence, a phase --x0 integration past its budget of
+     right-side evaluations, PDE
 
 Explicit flags always win over --config.  All commands are deterministic;
 reruns produce byte-identical files.

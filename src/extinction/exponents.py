@@ -218,7 +218,7 @@ def json_text(obj) -> str:
 def csv_text(comments, columns: dict, trailer) -> str:
     """The CSV byte format of every artifact: `# f1,f2,...` per comment,
     the names of `columns`, one row per sample of those equal-length
-    numeric columns, `# f1,f2,...` per trailer, one trailing newline.
+    1-D numpy arrays, `# f1,f2,...` per trailer, one trailing newline.
     Strings go as-is, numbers with 17 digits (they read back exactly)."""
     num = "%.17g"
 
@@ -227,7 +227,10 @@ def csv_text(comments, columns: dict, trailer) -> str:
     row = ",".join([num] * len(columns))
     lines = ["# " + fields(c) for c in comments]
     lines.append(",".join(columns))
-    lines += [row % r for r in zip(*columns.values())]
+    # iterating a column's memoryview yields Python floats, not one numpy
+    # scalar per value, with the same %.17g text; .tolist() would also,
+    # but holds the whole table as Python floats at once
+    lines += [row % r for r in zip(*map(memoryview, columns.values()))]
     lines += ["# " + fields(c) for c in trailer]
     return "\n".join(lines) + "\n"
 

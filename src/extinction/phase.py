@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e12
+# right-side evaluations one integrate_phase may make: 56 times the most
+# the test suite takes (1,772, `phase --x0 0.15,0.35,0.6667` over
+# eta in [0, 10]; criterion 6's orbits take 1,040).  Far from P0 but
+# inside the guard the system is stiff for RK45, whose step then shrinks
+# to the stiff rate's reciprocal: the budget bounds such a run.
+RHS_BUDGET = 100_000
 
 
 @dataclass
@@ -151,7 +157,8 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     |x| >= 1e12 guard stops runaway along the unstable direction, so x0
     must lie inside it.  Both ends of eta_span must be finite, and tol
     finite and > 0 (a positive tol below 100 ulp is raised to it, with
-    scipy's warning)."""
+    scipy's warning).  Raises RuntimeError once the integration has used
+    RHS_BUDGET right-side evaluations."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not all(map(math.isfinite, eta_span)):
@@ -165,7 +172,16 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
 
     X0, Y0, Z0 = _coords(x0)
 
+    n_rhs = 0
+
     def rhs(eta, x):
+        nonlocal n_rhs
+        n_rhs += 1
+        if n_rhs > RHS_BUDGET:
+            raise RuntimeError(
+                f"phase integration stopped at eta={eta:.6g}: it used its "
+                f"budget of {RHS_BUDGET} right-side evaluations (RK45 meets "
+                f"a stiff stretch of the orbit, or the span is too long)")
         return vector_field(x, consts)
 
     def guard(eta, x):

@@ -30,9 +30,12 @@ overhead (array wrapping, small dot products, event bookkeeping) rather
 than arithmetic.  The Butcher tableau is scipy's (scipy.integrate.DOP853),
 written here as float literals and checked bit for bit by a test, so the
 module imports no scipy and the kernel can be checked against scipy's own
-solver.  Event roots are found on the step's interpolant by `_illinois`,
-regula falsi with the Illinois modification, to brentq's stopping width
-at xtol = rtol = 4 eps.
+solver.  The step's stage sums and the interpolant's are generated from
+those literals at import (`_step`, `_dense_segment`): each is one literal
+correctly rounded sum, fsum((k0 * c0, k3 * c3, ...)), over the nonzero
+coefficients only, so no step loops over the tableau.  Event roots are
+found on the step's interpolant by `_illinois`, regula falsi with the
+Illinois modification, to brentq's stopping width at xtol = rtol = 4 eps.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from operator import mul
 
 import numpy as np
 
@@ -282,16 +284,6 @@ _C_EXTRA = (0.1, 0.2, 0.7777777777777778)
 _EPS = float(np.finfo(float).eps)
 
 
-def _dot(u, v):
-    """Correctly rounded sum of u[i] * v[i] over the shorter of the two.
-
-    The tableau's error rows sum to zero, so on a near-constant
-    derivative the error estimate is a cancelling sum: fsum makes it
-    independent of summation order (and of the Python version, whose
-    sum() changed algorithm in 3.12)."""
-    return fsum(map(mul, u, v))
-
-
 def _rms(u, v):
     return math.sqrt(u * u + v * v) / 2 ** 0.5
 
@@ -314,20 +306,75 @@ def _initial_step(rhs, r0, f0, F0, k0f, k0F, r_bound, rtol):
     return min(100 * h0, h1, span)
 
 
-def _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF):
-    """The 7th-order interpolant of the step of size h from (r, f, F) to
-    (f_new, F_new), whose 13 stages are in Kf, KF: the tuple (r, h, f, F,
-    seven f coefficients, seven F coefficients)."""
-    for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA),
-                               start=_N_STAGES + 1):
-        Kf[s], KF[s] = rhs(r + c * h, f + _dot(Kf, a) * h,
-                           F + _dot(KF, a) * h)
-    df, dF = f_new - f, F_new - F
-    return (r, h, f, F,
-            df, h * Kf[0] - df, 2 * df - h * (Kf[12] + Kf[0]),
-            *(h * _dot(d, Kf) for d in _D),
-            dF, h * KF[0] - dF, 2 * dF - h * (KF[12] + KF[0]),
-            *(h * _dot(d, KF) for d in _D))
+def _sum_src(k, row):
+    """Source of the correctly rounded sum of row[i] * k<i> over the
+    nonzero row[i] only.
+
+    The tableau's error rows sum to zero, so on a near-constant
+    derivative the error estimate is a cancelling sum: fsum makes it
+    independent of summation order (and of the Python version, whose
+    sum() changed algorithm in 3.12).  A zero coefficient would add a
+    +-0 term, which fsum ignores, so while the stages are finite the sum
+    is the same double as over the whole row."""
+    return "fsum((%s,))" % ", ".join(
+        f"{k}{i} * {c!r}" for i, c in enumerate(row) if c)
+
+
+def _stage_src(s, a, c):
+    """Source of stage s: the right side at r + c h, at the state
+    advanced by h times the combination `a` of the stages before it."""
+    return (f"    kf{s}, kF{s} = rhs(r + {c!r} * h, "
+            f"f + {_sum_src('kf', a)} * h, F + {_sum_src('kF', a)} * h)")
+
+
+def _compile(name, lines):
+    """The function `name` defined by the source lines, with fsum in its
+    globals: built once at import, as dataclasses and namedtuple build
+    their methods."""
+    ns = {"fsum": fsum}
+    exec("\n".join(lines), ns)
+    return ns[name]
+
+
+def _names(k, stages):
+    return ", ".join(f"{k}{s}" for s in stages)
+
+
+# One trial step of size h from (r, f, F); Kf[0], KF[0] hold stage 0 on
+# entry, and stages 1-12 on return (stage 12 is the next step's stage 0,
+# and the interpolant reads them all).  Returns (f_new, F_new) and the
+# error rows' sums E5.Kf, E5.KF, E3.Kf, E3.KF.
+_step = _compile("_step", [
+    "def _step(rhs, r, h, f, F, Kf, KF):",
+    "    kf0, kF0 = Kf[0], KF[0]",
+    *(_stage_src(s, _A[s], _C[s]) for s in range(1, _N_STAGES)),
+    f"    f_new = f + h * {_sum_src('kf', _B)}",
+    f"    F_new = F + h * {_sum_src('kF', _B)}",
+    f"    kf{_N_STAGES}, kF{_N_STAGES} = rhs(r + h, f_new, F_new)",
+    f"    Kf[1:] = {_names('kf', range(1, _N_STAGES + 1))}",
+    f"    KF[1:] = {_names('kF', range(1, _N_STAGES + 1))}",
+    "    return (f_new, F_new,",
+    *(f"            {_sum_src(k, e)}," for e in (_E5, _E3)
+      for k in ("kf", "kF")),
+    "            )"])
+
+# The 7th-order interpolant of the step of size h from (r, f, F) to
+# (f_new, F_new), whose 13 stages are in Kf, KF: the tuple (r, h, f, F,
+# seven f coefficients, seven F coefficients).  Its three extra stages
+# are computed here and kept nowhere else.
+_dense_segment = _compile("_dense_segment", [
+    "def _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF):",
+    f"    {_names('kf', range(_N_STAGES + 1))} = Kf",
+    f"    {_names('kF', range(_N_STAGES + 1))} = KF",
+    *(_stage_src(s, a, c) for s, (a, c) in
+      enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1)),
+    "    df, dF = f_new - f, F_new - F",
+    "    return (r, h, f, F,",
+    "            df, h * kf0 - df, 2 * df - h * (kf12 + kf0),",
+    *(f"            h * {_sum_src('kf', d)}," for d in _D),
+    "            dF, h * kF0 - dF, 2 * dF - h * (kF12 + kF0),",
+    *(f"            h * {_sum_src('kF', d)}," for d in _D),
+    "            )"])
 
 
 def _interpolate(seg, r):
@@ -407,10 +454,17 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
     Event k fires when events(r, f, F)[k] changes sign in directions[k]
     over a step; its root is found by _illinois on the step's interpolant,
     and the earliest root among the events that fired ends the solve.
-    Two departures: tableau combinations are correctly rounded (_dot),
-    and an event root is held to brentq's stopping width, not to brentq's
-    own iterates.  A trial step that overflows is rejected, as scipy
-    rejects the NaN error such a step gives it.
+    Two departures: tableau combinations are correctly rounded sums, and
+    an event root is held to brentq's stopping width, not to brentq's
+    own iterates.  The sums are generated (`_step`, `_dense_segment`) over
+    the nonzero coefficients only.  fsum rounds the exact sum of its
+    terms once, so the same rounded products give the same double in any
+    order, and a zero coefficient would only add a +-0 term.  A trial
+    step with a non-finite stage is rejected, as scipy rejects the NaN
+    error such a step gives it: stages 0 and 5-11 enter the error sums,
+    stages 1-4 reach stage 5 through nonzero weights (and each stage
+    taken at a non-finite state is non-finite), and stage 12, which the
+    error rows weigh by 0, is tested on its own.
 
     Returns (status, r_end, f_end, F_end, k, segments): status 0 when
     r_bound is reached, 1 when event k fires at r_end, -1 when the step
@@ -418,8 +472,7 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
     interpolant (for _sample) when `dense` is set, else is None.
     """
     rtol = max(rtol, 100 * _EPS)
-    A, C, B, E3, E5 = _A, _C, _B, _E3, _E5
-    Kf, KF = [0.0] * 16, [0.0] * 16
+    Kf, KF = [0.0] * (_N_STAGES + 1), [0.0] * (_N_STAGES + 1)
     Kf[0], KF[0] = rhs(r, f, F)
     h_abs = _initial_step(rhs, r, f, F, Kf[0], KF[0], r_bound, rtol)
     g = events(r, f, F)
@@ -435,24 +488,17 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
             h = r_new - r
             h_abs = abs(h)
             try:
-                # _dot written out: this loop is the hot path
-                for s in range(1, 12):
-                    a = A[s]
-                    Kf[s], KF[s] = rhs(r + C[s] * h,
-                                       f + fsum(map(mul, Kf, a)) * h,
-                                       F + fsum(map(mul, KF, a)) * h)
-                f_new = f + h * fsum(map(mul, Kf, B))
-                F_new = F + h * fsum(map(mul, KF, B))
-                Kf[12], KF[12] = rhs(r + h, f_new, F_new)
+                f_new, F_new, e5f, e5F, e3f, e3F = _step(rhs, r, h, f, F,
+                                                         Kf, KF)
                 sf = max(abs(f), abs(f_new)) * rtol
                 sF = max(abs(F), abs(F_new)) * rtol
-                e5f = fsum(map(mul, Kf, E5)) / sf
-                e5F = fsum(map(mul, KF, E5)) / sF
-                e3f = fsum(map(mul, Kf, E3)) / sf
-                e3F = fsum(map(mul, KF, E3)) / sF
+                e5f, e5F, e3f, e3F = e5f / sf, e5F / sF, e3f / sf, e3F / sF
                 e5 = e5f * e5f + e5F * e5F
                 e3 = e3f * e3f + e3F * e3F
-                if e5 == 0 and e3 == 0:
+                # stage 12 meets only zero weights in the error sums
+                if not (math.isfinite(Kf[12]) and math.isfinite(KF[12])):
+                    err = math.nan
+                elif e5 == 0 and e3 == 0:
                     err = 0.0
                 else:
                     err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)

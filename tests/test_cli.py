@@ -187,14 +187,33 @@ class TestExitCodes:
           "--outdir", "{tmp}"), "below the blow-up guard"),
     ])
     def test_non_finite_shooting_input_is_2(self, tmp_path, argv, needle):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        res = subprocess.run(
-            [sys.executable, "-m", "extinction.cli",
-             *(a.format(tmp=tmp_path) for a in argv)],
-            env=env, capture_output=True, text=True, timeout=60)
+        res = _cli_subprocess(tmp_path, argv)
         assert res.returncode == 2
         assert needle in json.loads(res.stdout)["error"]
         assert "Traceback" not in res.stderr
+
+    # inside the guard but far from P0, the orbit settles where RK45 is
+    # stiff (rate about 1e6): without phase.RHS_BUDGET the run took
+    # millions of right-side calls and minutes
+    @pytest.mark.parametrize("argv, needle", [
+        (("phase", "--x0=0.15,0.35,9e11", "--span=0,10", *N1,
+          "--outdir", "{tmp}"), "right-side evaluations"),
+    ])
+    def test_phase_rhs_budget_is_3(self, tmp_path, argv, needle):
+        res = _cli_subprocess(tmp_path, argv)
+        assert res.returncode == 3
+        assert needle in json.loads(res.stdout)["error"]
+        assert "Traceback" not in res.stderr
+
+
+def _cli_subprocess(tmp_path, argv):
+    """`python -m extinction.cli argv` in a new process, stopped by a
+    timeout if its integration does not end."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "extinction.cli",
+         *(a.format(tmp=tmp_path) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_non_finite_is_strict_json_null(capsys):

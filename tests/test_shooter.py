@@ -5,7 +5,8 @@ was frozen from an independent run cross-checked against the gap-contraction
 rate of the tail; everything else is checked against structure (event kinds,
 monotonicity, energy decay) rather than numbers, or against scipy: the
 DOP853 tableau literals bit for bit, the kernel's event radii and samples
-against solve_ivp.
+against solve_ivp.  The generated stage sums are checked bit for bit
+against the loop form fsum(map(mul, K, row)) over the whole tableau row.
 """
 
 import contextlib
@@ -14,9 +15,12 @@ import io
 import math
 import os
 import pathlib
+import random
 import struct
 import subprocess
 import sys
+from math import fsum
+from operator import mul
 
 import numpy as np
 import pytest
@@ -413,6 +417,159 @@ class TestTableau:
         for s, (row, ref) in enumerate(zip(lit, full), start=start):
             assert _bits(row) == _bits(ref[:s])
             assert not np.any(ref[s:])
+
+
+def _loop_sum(K, row):
+    """The reference form of a tableau combination: the correctly
+    rounded sum of K[i] * row[i], looped over the whole row."""
+    return fsum(map(mul, K, row))
+
+
+def _loop_step_err(rhs, r, h, f, F, k0f, k0F, rtol):
+    """The reference trial step in loop form, from stage 0 (k0f, k0F):
+    its error norm as `_dop853` takes it, NaN where the step overflows."""
+    Kf, KF = [k0f] + [0.0] * 12, [k0F] + [0.0] * 12
+    try:
+        for s in range(1, 12):
+            Kf[s], KF[s] = rhs(r + shooter._C[s] * h,
+                               f + _loop_sum(Kf, shooter._A[s]) * h,
+                               F + _loop_sum(KF, shooter._A[s]) * h)
+        f_new = f + h * _loop_sum(Kf, shooter._B)
+        F_new = F + h * _loop_sum(KF, shooter._B)
+        Kf[12], KF[12] = rhs(r + h, f_new, F_new)
+        sf = max(abs(f), abs(f_new)) * rtol
+        sF = max(abs(F), abs(F_new)) * rtol
+        e5 = ((_loop_sum(Kf, shooter._E5) / sf) ** 2
+              + (_loop_sum(KF, shooter._E5) / sF) ** 2)
+        e3 = ((_loop_sum(Kf, shooter._E3) / sf) ** 2
+              + (_loop_sum(KF, shooter._E3) / sF) ** 2)
+        if e5 == 0 and e3 == 0:
+            return 0.0
+        return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return math.nan
+
+
+def _random_stages(rng, n):
+    """n doubles of mixed sign, some exact zeros, with magnitudes spread
+    over a random part of 1e-300 ... 1e300 (a narrow part makes the
+    sums cancel, a wide one makes a few terms dominate)."""
+    lo, hi = sorted(rng.uniform(-300, 300) for _ in range(2))
+    return [0.0 if rng.random() < 0.1
+            else rng.choice((-1, 1)) * 10 ** rng.uniform(lo, hi)
+            for _ in range(n)]
+
+
+def _random_point(rng):
+    """(r, h, f, F): all zero but h = 1, which exposes each sum as the
+    rhs argument itself, or random."""
+    if rng.random() < 0.5:
+        return 0.0, 1.0, 0.0, 0.0
+    return (10 ** rng.uniform(-5, 3), 10 ** rng.uniform(-8, 1),
+            rng.uniform(-10, 10), rng.uniform(-10, 10))
+
+
+def _replay(stages):
+    """A right side that returns the given stage pairs in turn and
+    records the arguments it is called with."""
+    calls = []
+
+    def rhs(r, f, F):
+        calls.append((r, f, F))
+        return stages[len(calls) - 1]
+    return rhs, calls
+
+
+class TestGeneratedSums:
+    """The generated stage sums (`_step`, `_dense_segment`) against the
+    loop form over the whole tableau row, bit for bit."""
+
+    def test_step(self):
+        rng = random.Random(20)
+        for _ in range(1000):
+            Kf, KF = _random_stages(rng, 13), _random_stages(rng, 13)
+            r, h, f, F = _random_point(rng)
+            rhs, calls = _replay(list(zip(Kf[1:], KF[1:])))
+            kf, kF = [Kf[0]] + [0.0] * 12, [KF[0]] + [0.0] * 12
+            out = shooter._step(rhs, r, h, f, F, kf, kF)
+            assert _bits(kf) == _bits(Kf) and _bits(kF) == _bits(KF)
+            f_new = f + h * _loop_sum(Kf, shooter._B)
+            F_new = F + h * _loop_sum(KF, shooter._B)
+            want = [(r + shooter._C[s] * h,
+                     f + _loop_sum(Kf, shooter._A[s]) * h,
+                     F + _loop_sum(KF, shooter._A[s]) * h)
+                    for s in range(1, 12)] + [(r + h, f_new, F_new)]
+            assert [_bits(c) for c in calls] == [_bits(w) for w in want]
+            assert _bits(out) == _bits(
+                [f_new, F_new] + [_loop_sum(K, e)
+                                  for e in (shooter._E5, shooter._E3)
+                                  for K in (Kf, KF)])
+
+    def test_dense_segment(self):
+        rng = random.Random(21)
+        for _ in range(1000):
+            Kf, KF = _random_stages(rng, 16), _random_stages(rng, 16)
+            r, h, f, F = _random_point(rng)
+            f_new, F_new = f + rng.uniform(-1, 1), F + rng.uniform(-1, 1)
+            rhs, calls = _replay(list(zip(Kf[13:], KF[13:])))
+            seg = shooter._dense_segment(rhs, r, h, f, F, f_new, F_new,
+                                         Kf[:13], KF[:13])
+            want = [(r + c * h, f + _loop_sum(Kf, a) * h,
+                     F + _loop_sum(KF, a) * h)
+                    for a, c in zip(shooter._A_EXTRA, shooter._C_EXTRA)]
+            assert [_bits(c) for c in calls] == [_bits(w) for w in want]
+            df, dF = f_new - f, F_new - F
+            assert _bits(seg) == _bits(
+                (r, h, f, F,
+                 df, h * Kf[0] - df, 2 * df - h * (Kf[12] + Kf[0]),
+                 *(h * _loop_sum(d, Kf) for d in shooter._D),
+                 dF, h * KF[0] - dF, 2 * dF - h * (KF[12] + KF[0]),
+                 *(h * _loop_sum(d, KF) for d in shooter._D)))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan],
+                             ids=["inf", "nan"])
+    @pytest.mark.parametrize("component", [0, 1], ids=["f", "F"])
+    @pytest.mark.parametrize("stage", range(1, 13))
+    def test_non_finite_stage_rejects_the_step(self, consts1, monkeypatch,
+                                               stage, component, value):
+        # one stage of the fifth trial step of a solve made non-finite:
+        # the loop form's error is NaN, and the kernel retries from the
+        # same r at 0.2 h, scipy's MIN_FACTOR.  Stage 12 meets only zero
+        # weights in the generated sums, so its test is the kernel's own.
+        step = shooter._step
+        trials, seen = [], []
+
+        def spy(rhs, r, h, f, F, Kf, KF):
+            trials.append((r, h))
+            if len(trials) != 5:
+                return step(rhs, r, h, f, F, Kf, KF)
+
+            def hit(r_, f_, F_):
+                k = list(rhs(r_, f_, F_))
+                seen.append(1)
+                if len(seen) == stage:
+                    k[component] = value
+                return tuple(k)
+            rtol = 1e-10
+            assert math.isnan(_loop_step_err(hit, r, h, f, F, Kf[0], KF[0],
+                                             rtol))
+            seen.clear()
+            out = step(hit, r, h, f, F, Kf, KF)
+            if stage == 12:
+                assert all(map(math.isfinite, out))
+            return out
+
+        monkeypatch.setattr(shooter, "_step", spy)
+        a = 2.3
+        r0 = shooter._default_r0(consts1, a)
+        st0, _ = series_start(consts1, a, r0)
+        ev, dirs = shooter._make_events(consts1)
+        status = shooter._dop853(shooter._make_rhs(consts1), ev, dirs, r0,
+                                 st0.f, st0.F, 100.0, 1e-10, False)[0]
+        assert status == 1
+        (r5, h5), (r6, h6) = trials[4:6]
+        assert r6 == r5
+        assert h6 == pytest.approx(0.2 * h5, rel=1e-9)
 
 
 def _root_checked(g, a, b):
