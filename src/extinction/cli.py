@@ -13,7 +13,9 @@ Exit codes; commands raise, and `main` maps every exception through
      component not finite or at or beyond the 1e12 blow-up guard, bad
      --L/--M, a pde --T that is not finite and > 0 or whose
      (T - t)^(alpha + beta) leaves double range, a --tend outside
-     (0, 0.8 T], a triple in the box whose K* overflows double precision)
+     (0, 0.8 T], a triple in the box whose K* overflows double precision);
+     an artifact that cannot be written (an --out that is a directory,
+     an --outdir that is a file): "cannot write output: ..."
   3  algorithmic failure: no bracket, fit, certification, phase
      non-convergence, a phase --x0 integration past its budget of
      right-side evaluations, PDE
@@ -90,6 +92,10 @@ def _report(exc: Exception) -> int:
         return EXIT_USAGE
     if isinstance(exc, RangeViolation):
         report, code = exc.args[0], EXIT_RANGE
+    elif isinstance(exc, OSError):
+        # a read turns its OSError into a UsageError, so this one came
+        # from writing an artifact
+        report, code = {"error": f"cannot write output: {exc}"}, EXIT_RANGE
     else:
         report = {"error": str(exc)}
         code = EXIT_ALGO if isinstance(exc, RuntimeError) else EXIT_RANGE
@@ -412,7 +418,8 @@ def main(argv=None) -> int:
         # argparse exits on usage errors and -h; report as a return code
         # so in-process callers see the same contract as the shell.
         return int(e.code or 0)
-    except (UsageError, RangeViolation, ValueError, RuntimeError) as e:
+    except (UsageError, RangeViolation, ValueError, RuntimeError,
+            OSError) as e:
         return _report(e)
 
 

@@ -143,6 +143,12 @@ class TestExitCodes:
         (2, ("phase", "--x0", "0.15,0.35,0.6667", "--span=-2,0", *N1,
              "--tol", "0", "--outdir", "{tmp}"),
          "tol must be finite and > 0"),
+        (2, ("pde", "--profile", "{profile}", "--M", "50", "--out", "{tmp}"),
+         "cannot write output: [Errno 21] Is a directory"),
+        (2, ("find", *N1, "--outdir", "{certify}"),
+         "cannot write output: [Errno 17] File exists"),
+        (2, ("phase", "--from-profile", "{profile}", "--outdir", "{certify}"),
+         "cannot write output: [Errno 17] File exists"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):

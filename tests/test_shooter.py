@@ -10,6 +10,7 @@ against the loop form fsum(map(mul, K, row)) over the whole tableau row.
 """
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import math
@@ -322,6 +323,134 @@ class TestBisection:
             if ladder[1] is not None:
                 assert min(rm for rm in rungs
                            if rm >= one.witness_r) == ladder[1]
+
+
+def _full_tolerance(monkeypatch):
+    """Make find_profile bisect at tol alone, as before graded tolerances:
+    the reference the graded bisection must reproduce bit for bit."""
+    orig = shooter._bisect
+    monkeypatch.setattr(shooter, "_bisect",
+                        lambda *args, graded: orig(*args, graded=False))
+
+
+def _graded_law(lo, hi, tol=1e-10):
+    return max(tol, min(1e-4, 1e-2 * (hi - lo) / lo))
+
+
+# (params, bracket-scan r_max, a_tol, bisection r_max), as star1 and star2
+GRADED_RUNS = [(pr, 100.0, 1e-10, 100.0) for pr in BISECTION_TRIPLES] + [
+    (ExponentParams(N=2, p=1.5, q=0.6), 30.0, 3e-16, 60.0)]
+
+
+class TestGradedBisection:
+    @pytest.mark.parametrize("params, r_scan, a_tol, r_max", GRADED_RUNS,
+                             ids=[_triple_id(run[0]) for run in GRADED_RUNS])
+    def test_same_as_full_tolerance(self, params, r_scan, a_tol, r_max,
+                                    monkeypatch):
+        consts = derive_constants(params)
+        br = find_bracket(consts, r_max=r_scan)
+        a_g, _, g = find_profile(consts, br, a_tol=a_tol, r_max=r_max)
+        _full_tolerance(monkeypatch)
+        a_f, _, f = find_profile(consts, br, a_tol=a_tol, r_max=r_max)
+        assert a_g.hex() == a_f.hex()
+        assert ([(s["a"], s["label"]) for s in g["steps"]]
+                == [(s["a"], s["label"]) for s in f["steps"]])
+        assert (g["lo"], g["hi"], g["n_heuristic"]) == (
+            f["lo"], f["hi"], f["n_heuristic"])
+        assert not g["fallback"] and not f["fallback"]
+        assert all(s["tol"] == 1e-10 for s in f["steps"])
+        # every midpoint ran at the law's tolerance for the bracket it
+        # halved, except an undetermined loose solve, repeated at tol
+        lo, hi = br.lo, br.hi
+        for s in g["steps"]:
+            if s["a"] not in (g["lo"], g["hi"]) and not s["heuristic"]:
+                assert s["tol"] == _graded_law(lo, hi)
+            else:
+                assert s["tol"] == 1e-10
+            lo, hi = (s["a"], hi) if s["label"] == "C" else (lo, s["a"])
+        assert sum(s["tol"] > 1e-10 for s in g["steps"]) >= 20
+
+    @pytest.mark.parametrize("k", [0, 10, 20, 28])
+    def test_flipped_loose_label_takes_the_fallback(self, consts1, star1,
+                                                    monkeypatch, k):
+        # a wrong loose label stays an end of the final bracket, where
+        # its re-solve at tol catches it; the fallback is the
+        # full-tolerance bisection, so a* keeps its bits
+        br = find_bracket(consts1, r_max=100.0)
+        orig, orig_bisect = shooter.classify, shooter._bisect
+        loose, runs = [], []
+
+        def spy(c, a, r_max, tol):
+            cl = orig(c, a, r_max, tol)
+            if tol > 1e-10 and cl.label != "UNDETERMINED":
+                loose.append(a)
+                if len(loose) == k + 1:
+                    flip = {"A": "C", "C": "A"}[cl.label]
+                    return dataclasses.replace(cl, label=flip)
+            return cl
+
+        def bisect(*args, graded):
+            out = orig_bisect(*args, graded=graded)
+            runs.append((graded, out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(shooter, "classify", spy)
+        monkeypatch.setattr(shooter, "_bisect", bisect)
+        a_star, _, rec = find_profile(consts1, br, a_tol=1e-10, r_max=100.0)
+        assert len(loose) > k
+        flipped = loose[k]
+        assert [r[0] for r in runs] == [True, False]
+        assert flipped in runs[0][1:]
+        assert rec["fallback"]
+        assert a_star == star1[0] == A_STAR_N1
+        assert ([(s["a"], s["label"]) for s in rec["steps"]]
+                == [(s["a"], s["label"]) for s in star1[2]["steps"]])
+        assert all(s["tol"] == 1e-10 for s in rec["steps"])
+
+    def test_fallback_find_writes_the_full_tolerance_files(
+            self, monkeypatch, tmp_path, capsys):
+        # at this triple a loose label is wrong, and the fallback runs
+        argv = ["find", "--N", "2", "--p", "1.6", "--q", "0.75", "--outdir"]
+        orig = shooter.find_profile
+        recs = []
+
+        def kept(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            recs.append(out[2])
+            return out
+
+        monkeypatch.setattr(shooter, "find_profile", kept)
+        out = {}
+        for name in ("graded", "full"):
+            if name == "full":
+                _full_tolerance(monkeypatch)
+            d = tmp_path / name
+            code = cli.main(argv + [str(d)])
+            out[name] = (code, capsys.readouterr().out,
+                         {p.name: p.read_bytes() for p in d.iterdir()})
+        assert [r["fallback"] for r in recs] == [True, False]
+        assert sorted(out["graded"][2]) == ["certify.json", "profile.csv",
+                                            "tailfit.json"]
+        assert out["graded"] == out["full"]
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-3])
+    def test_no_loose_solve_at_a_coarse_tol(self, consts1, monkeypatch,
+                                            tol):
+        # tol is the floor of the graded law, and its cap is 1e-4
+        br = find_bracket(consts1, r_max=100.0, tol=tol)
+        tols = []
+        orig = shooter.classify
+
+        def spy(c, a, r_max, tol):
+            tols.append(tol)
+            return orig(c, a, r_max, tol)
+
+        monkeypatch.setattr(shooter, "classify", spy)
+        _, _, rec = find_profile(consts1, br, a_tol=1e-8, r_max=100.0,
+                                 tol=tol)
+        assert len(tols) == len(rec["steps"]) > 10
+        assert set(tols) == {tol}
+        assert not rec["fallback"]
 
 
 def _reference_solve(consts, a, r_max, dense=False):
@@ -705,6 +834,30 @@ def test_nan_step_size_ends_the_solve():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "-1"
+
+
+def test_backward_bound_raises():
+    # a bound at or behind the start (or NaN) once spun the step loop
+    # without end; the subprocess and its timeout keep a regression from
+    # stalling the suite
+    code = "\n".join([
+        "import math",
+        "from extinction import ExponentParams, derive_constants, shooter",
+        "c = derive_constants(ExponentParams(N=1, p=1.2, q=0.5))",
+        "ev, dirs = shooter._make_events(c)",
+        "for bound in (1.0, 2.0, math.nan):",
+        "    try:",
+        "        shooter._dop853(shooter._make_rhs(c), ev, dirs, 2.0, 0.5,",
+        "                        0.1, bound, 1e-10, False)",
+        "    except ValueError as e:",
+        "        print(e)"])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        f"r_bound must exceed the start r=2.0, got {b}"
+        for b in ("1.0", "2.0", "nan")]
 
 
 def test_ode_residual_small_on_profile(star1, consts1):
