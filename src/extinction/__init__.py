@@ -12,73 +12,14 @@ writers that fix the byte format of every artifact), shooter (profile
 ODE shooting and classification), tail (w-transform, certification,
 tail fitting), phase (autonomous phase-space system and rate
 extraction), pde (radial solver verifying the extinction rates), cli
-(the pipeline driver; the scripts only call it).
+(the pipeline driver; the scripts only call it).  The package's public
+names are each library module's `__all__`, re-exported below.
 """
 
-from .exponents import (
-    ExponentParams,
-    DerivedConstants,
-    Spectrum,
-    RangeReport,
-    validate_range,
-    derive_constants,
-    spectral_data,
-    lambdastar,
-    constants_json,
-    deta,
-    log_fit,
-    zgap_fit,
-    json_text,
-    csv_text,
-)
-from .shooter import (
-    ProfileTrajectory,
-    ProfileState,
-    Classification,
-    Bracket,
-    series_start,
-    energy,
-    integrate_profile,
-    classify,
-    find_bracket,
-    find_profile,
-    ode_residual,
-    trajectory_csv,
-    read_profile_csv,
-)
-from .tail import (
-    WState,
-    CertReport,
-    TailFit,
-    w_transform,
-    w_residual,
-    certify_B,
-    fit_tail,
-    tailfit_json,
-)
-from .phase import (
-    PhasePath,
-    RateFit,
-    map_to_phase,
-    vector_field,
-    jacobian,
-    jacobian_origin,
-    integrate_phase,
-    exact_orbit,
-    extract_rates,
-    path_dynamics_residual,
-    phasepath_csv,
-    ratefit_json,
-)
-from .pde import (
-    RadialGrid,
-    SelfSimilarField,
-    ExtinctionMetrics,
-    profile_interpolant,
-    build_initial,
-    implicit_step,
-    run_and_measure,
-    metrics_json,
-)
+from .exponents import *
+from .shooter import *
+from .tail import *
+from .phase import *
+from .pde import *
 
 __version__ = "0.1.0"

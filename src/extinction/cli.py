@@ -5,7 +5,9 @@ Exit codes; commands raise, and `main` maps every exception through
 `_report`:
 
   0  success
-  1  usage: bad flags or config, an unreadable or malformed profile
+  1  usage: bad flags or config (a tail --window not finite with lo < hi);
+     an unreadable or malformed profile (shooter.load_profile's refusals):
+     "cannot read profile: ..."
   2  exponents outside the admissible box (N and p alone for qstar); the
      library's own input checks (a non-finite --a, --tol or --rmax,
      --a <= 0, --tol <= 0, --rmax below the series start, a non-finite
@@ -150,15 +152,8 @@ def _load_profile(path):
     """Constants and trajectory of a profile CSV.  An unreadable or
     malformed file is a usage error: "error: cannot read profile: ..."."""
     try:
-        meta, cols, events = shooter.read_profile_csv(Path(path).read_text())
-        consts = exponents.derive_constants(exponents.ExponentParams(
-            N=int(meta["N"]), p=meta["p"], q=meta["q"]))
-        traj = shooter.ProfileTrajectory(
-            a=meta["a"], r=cols["r"], f=cols["f"], fprime=cols["fprime"],
-            F=cols["F"], energy=cols["E"], events=events, r0=meta["r0"],
-            tol=meta["tol"])
-        return consts, traj
-    except (OSError, KeyError, ValueError) as e:
+        return shooter.load_profile(Path(path).read_text())
+    except (OSError, ValueError) as e:
         raise UsageError(f"cannot read profile: {e}") from e
 
 
@@ -236,6 +231,10 @@ def cmd_find(args) -> int:
 
 
 def cmd_tail(args) -> int:
+    if args.window and not (all(map(math.isfinite, args.window))
+                            and args.window[0] < args.window[1]):
+        raise UsageError("--window must be finite with lo < hi, got "
+                         f"{args.window}")
     consts, traj = _load_profile(args.profile)
     st = tail.w_transform(traj, consts)
     with _algorithmic():

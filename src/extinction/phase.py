@@ -103,7 +103,7 @@ def _ycoeffs(consts: DerivedConstants) -> tuple[float, float]:
 
 def vector_field(pt, consts: DerivedConstants):
     """Velocity (Xdot, Ydot, Zdot) of the autonomous system."""
-    X, Y, Z = _coords(pt)
+    X, Y, Z = pt
     N = consts.N
     al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
     c0, c1 = _ycoeffs(consts)
@@ -113,14 +113,9 @@ def vector_field(pt, consts: DerivedConstants):
     return (dX, dY, dZ)
 
 
-def _coords(pt):
-    # accepts a 3-sequence or a (3, n) array; stays vectorized
-    return pt[0], pt[1], pt[2]
-
-
 def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
     """Analytic Jacobian of the vector field at an arbitrary point."""
-    X, Y, Z = _coords(pt)
+    X, Y, Z = pt
     N = consts.N
     al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
     c0, c1 = _ycoeffs(consts)
@@ -163,14 +158,14 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not all(map(math.isfinite, eta_span)):
         raise ValueError(f"eta_span ends must be finite, got {eta_span!r}")
-    if not all(abs(c) < BLOWUP_GUARD for c in _coords(x0)):
+    if not all(abs(c) < BLOWUP_GUARD for c in x0):
         raise ValueError(f"x0 components must be finite and below the "
                          f"blow-up guard {BLOWUP_GUARD:g}, got {x0!r}")
     # imported here, not at module level, so that the commands that never
     # integrate the phase system do not load scipy
     from scipy.integrate import solve_ivp
 
-    X0, Y0, Z0 = _coords(x0)
+    X0, Y0, Z0 = x0
 
     n_rhs = 0
 

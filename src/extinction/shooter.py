@@ -20,12 +20,9 @@ The fast-decay profile sits on the A/C boundary and is located by bisection.
 A midpoint still undetermined at the bisection's largest radius is put on
 a side by the end-state rule: C when the gap Kstar - w closes there faster
 than the pure power r^{-theta}, i.e. r w' > theta (Kstar - w), else A.
-The bisection grades its integration tolerance with the bracket:
-midpoints far from a* are solved at max(tol, min(1e-4, 1e-2 (hi - lo) /
-lo)), the last ones at tol.  Each end of the final bracket labelled at a
-looser tolerance is solved again at tol, and a changed label reruns the
-bisection at tol alone; so a* is the full-tolerance value, bit for bit
-(`find_profile` gives the argument), from about 30 % fewer kernel steps.
+The bisection solves midpoints far from a* at a looser tolerance and still
+returns the full-tolerance a*, bit for bit; `find_profile` states the law
+and the argument.
 
 Every solve runs through one scalar DOP853 kernel, `_dop853`: a plain
 Python loop over the two floats (f, F) that keeps scipy's DOP853 method
@@ -52,7 +49,8 @@ from math import fsum
 
 import numpy as np
 
-from .exponents import DerivedConstants, csv_text, deta, validate_range
+from .exponents import (DerivedConstants, ExponentParams, csv_text,
+                        derive_constants, deta, validate_range)
 
 __all__ = [
     "ProfileState",
@@ -68,11 +66,13 @@ __all__ = [
     "ode_residual",
     "trajectory_csv",
     "read_profile_csv",
+    "load_profile",
 ]
 
 OVERFLOW_GUARD = 1e12
 
-# the columns of profile.csv, in order
+# the parameters in profile.csv's comment header and its columns, in order
+PROFILE_META = ("a", "N", "p", "q", "r0", "tol")
 PROFILE_COLUMNS = ("r", "f", "fprime", "F", "w", "Wtail", "E")
 
 # event kinds, in the order of _make_events' values
@@ -548,9 +548,7 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
     """One solve of the scalar DOP853 kernel `_dop853` from the series
     start to the first decisive event or r_max.
 
-    The kernel loops over the two floats (f, F) instead of numpy arrays,
-    which is where the time of an array-based solve of a 2-component
-    system goes.  Its coefficients are scipy.integrate.DOP853's, as
+    The kernel's coefficients are scipy.integrate.DOP853's, as
     literals checked bit for bit against scipy's by a test, and its event
     radii match scipy's solver to about 1e-9 relative (its step sizes
     follow a cancelling error estimate, so they agree only to rounding
@@ -828,10 +826,10 @@ def ode_residual(traj: ProfileTrajectory, consts: DerivedConstants) -> float:
 
 def trajectory_csv(traj: ProfileTrajectory, consts: DerivedConstants) -> str:
     """Profile CSV: the run's parameters as comments, one row per sample,
-    events appended as comment lines."""
+    events appended as comment lines.  `load_profile` reads it back."""
     mu = consts.mu
-    meta = [("a", traj.a), ("N", consts.N), ("p", consts.p),
-            ("q", consts.q), ("r0", traj.r0), ("tol", traj.tol)]
+    meta = list(zip(PROFILE_META, (traj.a, consts.N, consts.p, consts.q,
+                                   traj.r0, traj.tol)))
     vals = (traj.r, traj.f, traj.fprime, traj.F, traj.r ** mu * traj.f,
             traj.r ** (mu + 1.0) * traj.fprime, traj.energy)
     return csv_text(meta, dict(zip(PROFILE_COLUMNS, vals)),
@@ -839,9 +837,9 @@ def trajectory_csv(traj: ProfileTrajectory, consts: DerivedConstants) -> str:
 
 
 def read_profile_csv(text: str):
-    """Parse trajectory_csv output back into (meta, arrays, events).
-    The first line that is not a comment must name PROFILE_COLUMNS in order.
-    """
+    """Parse trajectory_csv output back into (meta, arrays, events).  The
+    first line that is not a comment must name PROFILE_COLUMNS in order,
+    and an event line must hold a kind and a radius."""
     meta = {}
     body = []
     events = []
@@ -852,6 +850,9 @@ def read_profile_csv(text: str):
         if line.startswith("#"):
             parts = [s.strip() for s in line[1:].split(",")]
             if parts[0] == "event":
+                if len(parts) != 3:
+                    raise ValueError(f"event line must be '# event,kind,r', "
+                                     f"got {line!r}")
                 events.append((parts[1], float(parts[2])))
             elif len(parts) == 2:
                 meta[parts[0]] = float(parts[1])
@@ -865,3 +866,21 @@ def read_profile_csv(text: str):
         raise ValueError("no data rows")
     arr = np.loadtxt(body[1:], delimiter=",", ndmin=2)
     return meta, dict(zip(PROFILE_COLUMNS, arr.T)), events
+
+
+def load_profile(text: str):
+    """The inverse of trajectory_csv: (consts, trajectory) of a profile
+    CSV's text.  ValueError where read_profile_csv refuses it, a parameter
+    is missing or N is not a finite integer; w and Wtail are not read."""
+    meta, cols, events = read_profile_csv(text)
+    if missing := [k for k in PROFILE_META if k not in meta]:
+        raise ValueError(f"missing parameters: {', '.join(missing)}")
+    N = meta["N"]
+    if not N.is_integer():
+        raise ValueError(f"N must be a finite integer, got {N!r}")
+    consts = derive_constants(ExponentParams(N=int(N), p=meta["p"],
+                                             q=meta["q"]))
+    return consts, ProfileTrajectory(
+        a=meta["a"], r=cols["r"], f=cols["f"], fprime=cols["fprime"],
+        F=cols["F"], energy=cols["E"], events=events, r0=meta["r0"],
+        tol=meta["tol"])

@@ -85,7 +85,10 @@ class TestExitCodes:
     # {profile} and {certify} are files of the shared `find` run; {empty}
     # is a profile header without data; {short} is a profile shot to
     # r = 10 only, too short for the phase rates; {swapped} is the shared
-    # profile with the names of its f and F columns swapped.  A failure
+    # profile with the names of its f and F columns swapped; {ninf} and
+    # {nhalf} are the shared profile with N = inf and N = 1.5, and
+    # {noradius} the shared profile with an event line that has neither
+    # kind nor radius.  A failure
     # prints its needle in "error"; a run that ends with a written but
     # unaccepted result has no "error" and prints the needle itself.
     @pytest.mark.parametrize("code, argv, needle", [
@@ -149,6 +152,28 @@ class TestExitCodes:
          "cannot write output: [Errno 17] File exists"),
         (2, ("phase", "--from-profile", "{profile}", "--outdir", "{certify}"),
          "cannot write output: [Errno 17] File exists"),
+        (1, ("tail", "--profile", "{ninf}"),
+         "cannot read profile: N must be a finite integer, got inf"),
+        (1, ("phase", "--from-profile", "{ninf}", "--outdir", "{tmp}"),
+         "cannot read profile: N must be a finite integer, got inf"),
+        (1, ("pde", "--profile", "{ninf}", "--M", "10"),
+         "cannot read profile: N must be a finite integer, got inf"),
+        (1, ("tail", "--profile", "{nhalf}"),
+         "cannot read profile: N must be a finite integer, got 1.5"),
+        (1, ("phase", "--from-profile", "{nhalf}", "--outdir", "{tmp}"),
+         "cannot read profile: N must be a finite integer, got 1.5"),
+        (1, ("pde", "--profile", "{nhalf}", "--M", "10"),
+         "cannot read profile: N must be a finite integer, got 1.5"),
+        (1, ("tail", "--profile", "{noradius}"),
+         "cannot read profile: event line must be"),
+        (1, ("phase", "--from-profile", "{noradius}", "--outdir", "{tmp}"),
+         "cannot read profile: event line must be"),
+        (1, ("pde", "--profile", "{noradius}", "--M", "10"),
+         "cannot read profile: event line must be"),
+        (1, ("tail", "--profile", "{profile}", "--window", "100,10"),
+         "--window must be finite with lo < hi"),
+        (1, ("tail", "--profile", "{profile}", "--window=nan,50"),
+         "--window must be finite with lo < hi"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -156,10 +181,16 @@ class TestExitCodes:
                  "certify": find_dir / "certify.json",
                  "empty": tmp_path / "empty.csv",
                  "short": tmp_path / "short.csv",
-                 "swapped": tmp_path / "swapped.csv", "tmp": tmp_path}
+                 "swapped": tmp_path / "swapped.csv",
+                 "ninf": tmp_path / "ninf.csv", "nhalf": tmp_path / "nhalf.csv",
+                 "noradius": tmp_path / "noradius.csv", "tmp": tmp_path}
         files["empty"].write_text("# N,1\nr,f,fprime,F,w,Wtail,E\n")
         files["swapped"].write_text(files["profile"].read_text().replace(
             "\nr,f,fprime,F,", "\nr,F,fprime,f,", 1))
+        text = files["profile"].read_text()
+        files["ninf"].write_text(text.replace("\n# N,1\n", "\n# N,inf\n", 1))
+        files["nhalf"].write_text(text.replace("\n# N,1\n", "\n# N,1.5\n", 1))
+        files["noradius"].write_text(text + "# event\n")
         if "{short}" in argv:
             assert cli.main(["shoot", *N1, "--a", "2.3", "--rmax", "10",
                              "--out", str(files["short"])]) == 0

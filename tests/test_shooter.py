@@ -38,6 +38,7 @@ from extinction import (
     find_profile,
     fit_tail,
     integrate_profile,
+    load_profile,
     map_to_phase,
     ode_residual,
     read_profile_csv,
@@ -914,3 +915,18 @@ class TestCsvRoundTrip:
         _, cols, _ = read_profile_csv(trajectory_csv(traj, consts1))
         assert np.allclose(cols["w"], cols["r"] ** consts1.mu * cols["f"],
                            rtol=1e-15)
+
+    def test_load_profile_inverts_trajectory_csv(self, consts1):
+        traj = integrate_profile(consts1, 2.3, 50.0, n_samples=128)
+        consts, back = load_profile(trajectory_csv(traj, consts1))
+        assert consts == consts1
+        assert (back.a, back.r0, back.tol, back.events) == (
+            traj.a, traj.r0, traj.tol, traj.events)
+        for name in ("r", "f", "fprime", "F", "energy"):
+            assert np.array_equal(getattr(back, name), getattr(traj, name))
+
+    @pytest.mark.parametrize("line", ["# event", "# event,RMAX_REACHED"])
+    def test_short_event_line_is_refused(self, consts1, line):
+        traj = integrate_profile(consts1, 1.0, 10.0, n_samples=64)
+        with pytest.raises(ValueError, match="event line must be"):
+            read_profile_csv(trajectory_csv(traj, consts1) + line + "\n")
