@@ -20,8 +20,8 @@ state (one tridiagonal solve per step); at step ratio 0 it is backward
 Euler.  run_and_measure steps through the same kernel at
 dt ~ dt_frac (T-t), planned in tau = ln(T/(T-t)), with a time error of
 O(dt_frac^2).  That schedule depends on t alone, so it is fixed before
-the first step: every Dirichlet ghost comes from one `exact` call and
-the grid geometry is computed once, and the loop advances a bare array.
+the first step: one `exact` call gives every Dirichlet ghost, one
+step kernel holds the grid geometry, and the loop advances a bare array.
 
 The mobility floor eps under-transports wherever the true |s| < eps, so a
 fixed eps stalls refinement; eps shrinks with both the mesh and the
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from operator import ipow
 from pathlib import Path
 
 import numpy as np
@@ -194,64 +195,63 @@ def build_initial(traj, consts: DerivedConstants, T: float,
     return fld
 
 
-def _fluxes(u, grid: RadialGrid, p: float, eps: float, ghost: float):
-    """Face slopes s and regularized mobilities (s^2 + eps^2)^{(p-2)/2}.
+def _make_step(grid: RadialGrid, consts: DerivedConstants):
+    """implicit_step's update on `grid` as step(u, u_prev, om, eps, dt,
+    ghost, sup) -> (new, n_clip, max(new)), with sup = ||u||_inf; om = 0
+    is backward Euler.  The work arrays ([u*, ghost], face slopes and
+    weights, both 0 at face 0, mobilities, absorption) are made here
+    once; `new` is a fresh array."""
+    from scipy.linalg.lapack import dgtsv
 
-    The flux through a face is mobility * slope.  Face 0 (symmetry at
-    r = 0) carries no flux: its mobility is zero.  Face M takes its slope
-    from the Dirichlet ghost value.
-    """
-    M, dx = grid.M, grid.dx
-    s = np.zeros(M + 1)
-    s[1:M] = (u[1:] - u[:-1]) / dx
-    s[M] = (ghost - u[-1]) / dx
-    mob = np.zeros(M + 1)
-    mob[1:] = (s[1:] * s[1:] + eps * eps) ** (0.5 * (p - 2.0))
-    return s, mob
+    M, dx, q, e_mob = grid.M, grid.dx, consts.q, 0.5 * (consts.p - 2.0)
+    V, Af1 = grid.cell_volumes(), grid.face_areas()[1:]
+    ext, s, w = np.empty(M + 1), np.zeros(M + 1), np.zeros(M + 1)
+    mob, ab, tmp, off = np.empty(M), np.empty(M), np.empty(M), np.empty(M - 1)
+    us, ext1 = ext[:M], ext[1:]
+    s0, s1, w0, w1, wm = s[:-1], s[1:], w[:-1], w[1:], w[1:M]
 
+    def step(u, u_prev, om, eps, dt, ghost, sup):
+        a0 = (1.0 + 2.0 * om) / (1.0 + om)
+        np.multiply(1.0 + om, u, out=ab)
+        np.multiply(om * om / (1.0 + om), u_prev, out=tmp)
+        h = ab - tmp
+        np.multiply(om, u_prev, out=tmp)
+        np.subtract(ab, tmp, out=us)
+        ext[M] = ghost
+        np.subtract(ext1, us, out=s1)
+        np.divide(s1, dx, out=s1)
+        # absorption CFL, G = max |s| (NaN first); argmax beats a reduce
+        G = float(max(s[s.argmax()], -s[s.argmin()]))
+        if G > 0.0 and dt > (cfl := 0.4 * dx / (q * G ** (q - 1.0))):
+            raise ValueError(f"dt={dt:.3g} violates absorption CFL {cfl:.3g}")
+        # mobilities; ipow is `**=`, dispatched as `**` is (0.5: np.sqrt)
+        np.multiply(s1, s1, out=mob)
+        np.add(mob, eps * eps, out=mob)
+        ipow(mob, e_mob)
+        # right side V (h - dt |s_cell|^q) + ghost term, written over h
+        np.add(s0, s1, out=ab)
+        np.multiply(0.5, ab, out=ab)
+        np.absolute(ab, out=ab)
+        ipow(ab, q)
+        np.multiply(dt, ab, out=ab)
+        np.subtract(h, ab, out=h)
+        np.multiply(V, h, out=h)
+        np.multiply(dt / dx, Af1, out=w1)
+        np.multiply(w1, mob, out=w1)
+        h[-1] += w[M] * ghost
+        np.multiply(a0, V, out=tmp)
+        np.add(tmp, w0, out=tmp)
+        np.add(tmp, w1, out=tmp)
+        # both off-diagonals: dgtsv copies them (no overwrite flag)
+        np.negative(wm, out=off)
+        new, info = dgtsv(off, tmp, off, h, overwrite_d=1, overwrite_b=1)[3:]
+        if info != 0:
+            raise ValueError(f"tridiagonal solve failed: info={info}")
+        n_clip = int(np.count_nonzero(new < -NEG_CLIP_TOL * (sup or 1.0)))
+        np.maximum(new, 0.0, out=new)
+        return new, n_clip, float(new[new.argmax()])
 
-def _check_absorption_cfl(s, dx: float, q: float, dt: float):
-    """Raise unless dt <= 0.4 dx / (q G^{q-1}), G the max slope magnitude."""
-    G = float(np.abs(s).max())
-    if G > 0.0:
-        cfl_adv = 0.4 * dx / (q * G ** (q - 1.0))
-        if dt > cfl_adv:
-            raise ValueError(
-                f"dt={dt:.3g} violates absorption CFL {cfl_adv:.3g}")
-
-
-def _clip(new, old) -> int:
-    """Clip negatives in place; count those below -1e-10 ||old||_inf."""
-    sup = float(np.abs(old).max()) or 1.0
-    n_clip = int(np.count_nonzero(new < -NEG_CLIP_TOL * sup))
-    np.maximum(new, 0.0, out=new)
-    return n_clip
-
-
-def _implicit(u, u_prev, om: float, grid: RadialGrid,
-              consts: DerivedConstants, eps: float, dt: float, ghost: float,
-              V: np.ndarray, Af: np.ndarray, dgtsv) -> tuple[np.ndarray, int]:
-    """The implicit_step update of the bare values u: (new values, clipped
-    cells).  u_prev is the level before u and om the step ratio omega;
-    at omega = 0 u_prev drops out and the step is backward Euler.  ghost
-    is the Dirichlet ghost at the new time, V and Af the grid's cell
-    volumes and face areas, dgtsv LAPACK's tridiagonal solver, which the
-    caller imports once per run rather than once per step."""
-    p, q = consts.p, consts.q
-    M, dx = grid.M, grid.dx
-    a0 = (1.0 + 2.0 * om) / (1.0 + om)
-    h = (1.0 + om) * u - (om * om / (1.0 + om)) * u_prev
-    us = (1.0 + om) * u - om * u_prev
-    s, mob = _fluxes(us, grid, p, eps, ghost)
-    _check_absorption_cfl(s, dx, q, dt)
-    b = V * (h - dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q)
-    w = (dt / dx) * Af * mob
-    b[-1] += w[M] * ghost
-    _, _, _, new, info = dgtsv(-w[1:M], a0 * V + w[:-1] + w[1:], -w[1:M], b,
-                               overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"tridiagonal solve failed: info={info}")
-    return new, _clip(new, u)
+    return step
 
 
 def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
@@ -264,9 +264,9 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
         a0 = (1 + 2 omega) / (1 + omega),
         h  = (1 + omega) u - omega^2 / (1 + omega) u_prev,
 
-    where the mobilities k of K (from _fluxes) and the absorption |s|^q
-    are taken at the extrapolated state u* = (1 + omega) u - omega u_prev,
-    and the Dirichlet ghost at face M at the new time.  `prev` is the
+    where the mobilities k = (s^2 + eps^2)^{(p-2)/2} and the absorption
+    |s|^q are taken at u* = (1 + omega) u - omega u_prev, the extrapolated
+    state, and the Dirichlet ghost at face M at the new time.  `prev` is the
     field one step before `fld`; without it omega = 0, a0 = 1 and
     h = u* = u: backward Euler,
 
@@ -274,30 +274,34 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
                                 - V_i |s_i|^q ],
 
     with s' the face slopes of u'.  BDF2 is zero-stable only for
-    omega < 1 + sqrt(2) (Grigorieff, Numer. Math. 1983); a larger ratio
-    raises ValueError.  The lagged state of every step stands for the new
-    time, so eps_reg should be the mobility floor there.  a0 V + dt K is a
+    omega < 1 + sqrt(2) (Grigorieff, Numer. Math. 1983); a ratio outside
+    (0, 1 + sqrt(2)], or a dt that is not finite and > 0, raises
+    ValueError.  The lagged state of every step stands for the new time,
+    so eps_reg should be the mobility floor there.  a0 V + dt K is a
     symmetric M-matrix, so diffusion sets no step bound; the explicit
     absorption keeps its bound dt <= 0.4 dx / (q G^{q-1}) (G the max slope
-    magnitude), which is enforced.  Negative values below
-    -1e-10 ||u||_inf are counted before all negatives are clipped.  This
-    is the lagged-diffusivity idea of Vogel & Oman (SIAM J. Sci. Comput.
-    17, 1996), applied once per step.
+    magnitude), which is enforced.  Negative values below -1e-10 ||u||_inf
+    are counted before all negatives are clipped.  This is the
+    lagged-diffusivity idea of Vogel & Oman (SIAM J. Sci. Comput. 17,
+    1996), applied once per step.  The kernel (_make_step) is built per
+    call here and once per run by run_and_measure; both run the same
+    floating-point operations in the same order, so the bits agree.
     """
-    from scipy.linalg.lapack import dgtsv
-
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     u_prev, om = fld.values, 0.0
     if prev is not None:
-        om = dt / (fld.t - prev.t)
-        if not om <= _OMEGA_MAX:
-            raise ValueError(f"BDF2 step ratio {om:.3g} exceeds 1 + sqrt(2)")
+        om = dt / (fld.t - prev.t) if fld.t != prev.t else math.inf
+        if not 0.0 < om <= _OMEGA_MAX:
+            raise ValueError(
+                f"BDF2 step ratio {om:.3g} outside (0, 1 + sqrt(2)]")
         u_prev = prev.values
     t_new = fld.t + dt
     # an array call, as run_and_measure's, so the ghost has the same bits
     ghost = fld.exact(np.array([t_new]), grid.L + 0.5 * grid.dx)[0]
-    new, n_clip = _implicit(fld.values, u_prev, om, grid, fld.consts,
-                            eps_reg, dt, ghost, grid.cell_volumes(),
-                            grid.face_areas(), dgtsv)
+    new, n_clip, _ = _make_step(grid, fld.consts)(
+        fld.values, u_prev, om, eps_reg, dt, ghost,
+        float(np.abs(fld.values).max()))
     return SelfSimilarField(T=fld.T, t=t_new, values=new,
                             profile=fld.profile, consts=fld.consts,
                             n_clipped=fld.n_clipped + n_clip)
@@ -343,9 +347,11 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     checkpoints clustered toward t_end, where snapshots are taken:
     backward Euler (BDF2 at omega = 0) for the first step and the one
     after the 1e-6 T checkpoint, variable-step BDF2 for the rest.  The
-    schedule depends on t alone, so all its Dirichlet ghosts are taken in
-    one `exact` call and the cell volumes and face areas once, and a step
-    costs one kernel call and no profile evaluation.  The result is
+    schedule depends on t alone: one `exact` call gives all its Dirichlet
+    ghosts, and the step kernel is built once, so a step costs one kernel
+    call and no profile evaluation.  The kernel has implicit_step's
+    floating-point operations, and the clip threshold's sup (the max of the
+    last step's clipped values) is its max |u|, so the result is
     bit-identical to calling implicit_step along the same schedule.  The
     step follows the time scale T-t of the self-similar decay, so the step
     count ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
@@ -387,24 +393,23 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
             f"t_end={t_end:.3g} leaves {n_fit} checkpoint(s) with "
             "T-t < 0.9 T; the exponent fits need at least 2")
     # the first import of scipy in a process stays out of the timed wall
-    from scipy.linalg.lapack import dgtsv
+    step = _make_step(grid, consts)
 
     wall0 = time.perf_counter()
     times, dts, bdf2, hits = _schedule(T, fld0.t, cks, dt_frac)
     # the Dirichlet ghost at the end of each step
     ghosts = fld0.exact(np.array(times[1:]), grid.L + 0.5 * grid.dx)
-    V, Af = grid.cell_volumes(), grid.face_areas()
     out = []
     nst = 0
     n_clipped = fld0.n_clipped
     stable = True
     u = u_prev = fld0.values
+    top = float(np.abs(u).max())
     for k, (dt, hit) in enumerate(zip(dts, hits)):
         # backward Euler is the BDF2 update at omega = 0
         om = dt / (times[k] - times[k - 1]) if bdf2[k] else 0.0
         eps = eps0 * (T - times[k + 1]) ** (al + be)
-        new, n_clip = _implicit(u, u_prev, om, grid, consts, eps, dt,
-                                ghosts[k], V, Af, dgtsv)
+        new, n_clip, top = step(u, u_prev, om, eps, dt, ghosts[k], top)
         u_prev, u = u, new
         n_clipped += n_clip
         nst += 1
@@ -415,6 +420,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
             out.append((times[k + 1], u))
     wall = time.perf_counter() - wall0
 
+    V = grid.cell_volumes()
     sel = 0.0
     l1 = []
     sup = []

@@ -871,10 +871,16 @@ def read_profile_csv(text: str):
 def load_profile(text: str):
     """The inverse of trajectory_csv: (consts, trajectory) of a profile
     CSV's text.  ValueError where read_profile_csv refuses it, a parameter
-    is missing or N is not a finite integer; w and Wtail are not read."""
+    is missing, N is not a finite integer, a sample read is not finite or
+    r is not strictly increasing; w and Wtail are not read."""
     meta, cols, events = read_profile_csv(text)
     if missing := [k for k in PROFILE_META if k not in meta]:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
+    for k in ("r", "f", "fprime", "F", "E"):
+        if not np.isfinite(cols[k]).all():
+            raise ValueError(f"column {k} has a sample that is not finite")
+    if not (np.diff(cols["r"]) > 0.0).all():
+        raise ValueError("r must be strictly increasing")
     N = meta["N"]
     if not N.is_integer():
         raise ValueError(f"N must be a finite integer, got {N!r}")

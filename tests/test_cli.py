@@ -88,7 +88,8 @@ class TestExitCodes:
     # profile with the names of its f and F columns swapped; {ninf} and
     # {nhalf} are the shared profile with N = inf and N = 1.5, and
     # {noradius} the shared profile with an event line that has neither
-    # kind nor radius.  A failure
+    # kind nor radius; {fnan} and {rback} are the shared profile with
+    # f = nan and with r = 1e-3 at data row 3000.  A failure
     # prints its needle in "error"; a run that ends with a written but
     # unaccepted result has no "error" and prints the needle itself.
     @pytest.mark.parametrize("code, argv, needle", [
@@ -174,6 +175,18 @@ class TestExitCodes:
          "--window must be finite with lo < hi"),
         (1, ("tail", "--profile", "{profile}", "--window=nan,50"),
          "--window must be finite with lo < hi"),
+        (1, ("tail", "--profile", "{fnan}"),
+         "cannot read profile: column f has a sample that is not finite"),
+        (1, ("phase", "--from-profile", "{fnan}", "--outdir", "{tmp}"),
+         "cannot read profile: column f has a sample that is not finite"),
+        (1, ("pde", "--profile", "{fnan}", "--M", "10"),
+         "cannot read profile: column f has a sample that is not finite"),
+        (1, ("tail", "--profile", "{rback}"),
+         "cannot read profile: r must be strictly increasing"),
+        (1, ("phase", "--from-profile", "{rback}", "--outdir", "{tmp}"),
+         "cannot read profile: r must be strictly increasing"),
+        (1, ("pde", "--profile", "{rback}", "--M", "10"),
+         "cannot read profile: r must be strictly increasing"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -183,7 +196,9 @@ class TestExitCodes:
                  "short": tmp_path / "short.csv",
                  "swapped": tmp_path / "swapped.csv",
                  "ninf": tmp_path / "ninf.csv", "nhalf": tmp_path / "nhalf.csv",
-                 "noradius": tmp_path / "noradius.csv", "tmp": tmp_path}
+                 "noradius": tmp_path / "noradius.csv",
+                 "fnan": tmp_path / "fnan.csv", "rback": tmp_path / "rback.csv",
+                 "tmp": tmp_path}
         files["empty"].write_text("# N,1\nr,f,fprime,F,w,Wtail,E\n")
         files["swapped"].write_text(files["profile"].read_text().replace(
             "\nr,f,fprime,F,", "\nr,F,fprime,f,", 1))
@@ -191,6 +206,14 @@ class TestExitCodes:
         files["ninf"].write_text(text.replace("\n# N,1\n", "\n# N,inf\n", 1))
         files["nhalf"].write_text(text.replace("\n# N,1\n", "\n# N,1.5\n", 1))
         files["noradius"].write_text(text + "# event\n")
+        # data row 3000 with f = nan, and with r = 1e-3 (r runs backwards)
+        lines = text.splitlines(keepends=True)
+        k = lines.index("r,f,fprime,F,w,Wtail,E\n") + 3000
+        row = lines[k].split(",")
+        files["fnan"].write_text("".join(
+            lines[:k] + [",".join([row[0], "nan", *row[2:]])] + lines[k + 1:]))
+        files["rback"].write_text("".join(
+            lines[:k] + [",".join(["1e-3", *row[1:]])] + lines[k + 1:]))
         if "{short}" in argv:
             assert cli.main(["shoot", *N1, "--a", "2.3", "--rmax", "10",
                              "--out", str(files["short"])]) == 0

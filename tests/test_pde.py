@@ -357,6 +357,37 @@ class TestBDF2Step:
         two = implicit_step(one, grid, eps, 2.4e-4, fld)
         assert two.t == pytest.approx(3.4e-4, rel=1e-14)
 
+    @pytest.mark.parametrize("t_prev", [1e-4, 2e-4])
+    def test_prev_must_come_before(self, field100, t_prev):
+        # a prev at the time of fld would divide by zero in omega, one
+        # after it gives omega < 0; neither step is taken
+        fld, grid = field100
+        eps = 0.016 * grid.dx
+        one = implicit_step(fld, grid, eps, 1e-4)
+        with pytest.raises(ValueError, match="step ratio"):
+            implicit_step(one, grid, eps, 1e-4,
+                          dataclasses.replace(fld, t=t_prev))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf])
+    def test_dt_must_be_finite_and_positive(self, field100, dt):
+        fld, grid = field100
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            implicit_step(fld, grid, 0.016 * grid.dx, dt)
+
+    def test_returned_values_keep_their_bits(self, field100):
+        # the kernel's work arrays never end up in a returned field: a
+        # step's values, and the input's, survive the steps taken after
+        fld, grid = field100
+        eps = 0.016 * grid.dx
+        before = fld.values.tobytes()
+        one = implicit_step(fld, grid, eps, 1e-4)
+        kept = one.values.tobytes()
+        two = implicit_step(one, grid, eps, 1e-4, fld)
+        implicit_step(two, grid, eps, 1e-4, one)
+        assert one.values.tobytes() == kept
+        run_and_measure(fld, grid, t_end=0.3)
+        assert fld.values.tobytes() == before
+
     @pytest.mark.parametrize("N", [1, 2])
     def test_dense_reference_and_m_matrix(self, params1, consts1, N,
                                                monkeypatch):
@@ -552,16 +583,26 @@ class TestRunAndMeasure:
                for f in snaps]
         u_last = np.loadtxt(snaps[-1], delimiter=",", comments="#",
                             skiprows=2)[:, 1]
+        u_snaps = [np.loadtxt(f, delimiter=",", comments="#",
+                              skiprows=2)[:, 1] for f in snaps]
         times, dts, bdf2, hits = _schedule(1.0, 0.0, cks, 1e-3)
         assert [t for t, h in zip(times[1:], hits) if h] == cks
         eps0 = pde.KAPPA * grid.dx
         expo = consts1.alpha + consts1.beta
         prev, cur = None, fld
-        for dt, two in zip(dts, bdf2):
+        replayed = []
+        for dt, two, hit in zip(dts, bdf2, hits):
             eps = eps0 * (1.0 - (cur.t + dt)) ** expo
             prev, cur = cur, implicit_step(cur, grid, eps, dt,
                                            prev if two else None)
+            if hit:
+                replayed.append(cur.values)
         assert cur.t == cks[-1]
+        # every snapshot, not only the last: a reused work array in the
+        # loop would leave the earlier ones holding later values
+        assert len(u_snaps) == len(replayed)
+        for got, want in zip(u_snaps, replayed):
+            assert np.array_equal(got, want)
         assert len(dts) == m.steps
         assert np.array_equal(cur.values, u_last)
         assert cur.n_clipped == m.n_clipped
