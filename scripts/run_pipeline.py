@@ -9,7 +9,8 @@ prints a summary of the estimates beside their closed-form values.
 Artifacts land in --outdir:
 
     constants.json   every derived constant and the spectrum
-    profile.csv      sampled (r, f, f', F) with events
+    profile.csv      sampled ODE state (r, f, F) with events; f' and E
+                     are derived from F on read
     certify.json     the five-check report
     tailfit.json     (K_est, A_est, theta_est) plus windows
     phasepath.csv    mapped (eta, X, Y, Z)

@@ -71,9 +71,9 @@ __all__ = [
 
 OVERFLOW_GUARD = 1e12
 
-# the parameters in profile.csv's comment header and its columns, in order
+# profile.csv's comment-header parameters and its columns (the ODE state)
 PROFILE_META = ("a", "N", "p", "q", "r0", "tol")
-PROFILE_COLUMNS = ("r", "f", "fprime", "F", "w", "Wtail", "E")
+PROFILE_COLUMNS = ("r", "f", "F")
 
 # event kinds, in the order of _make_events' values
 _EVENT_KINDS = (
@@ -610,13 +610,18 @@ def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
     r0, events, r_end, _, _, segments = _shoot(consts, a, r_max, tol,
                                                dense=True)
     rs = np.geomspace(r0, r_end, n_samples)
-    f, F = _sample(segments, r_end, rs)
-    p = consts.p
-    fprime = -np.sign(F) * np.abs(F) ** (1.0 / (p - 1.0))
-    return ProfileTrajectory(
-        a=a, r=rs, f=f, fprime=fprime, F=F,
-        energy=energy(consts, f, fprime),
-        events=events, r0=r0, tol=tol)
+    return _trajectory(consts, a, rs, *_sample(segments, r_end, rs),
+                       events, r0, tol)
+
+
+def _trajectory(consts: DerivedConstants, a: float, r, f, F, events,
+                r0: float, tol: float) -> ProfileTrajectory:
+    """The samples (r, f, F) with f' = -sign(F)|F|^{1/(p-1)} and E: the one
+    place a ProfileTrajectory is built, so a solve and its profile.csv read
+    back give the same f' and E, bit for bit."""
+    fprime = -np.sign(F) * np.abs(F) ** (1.0 / (consts.p - 1.0))
+    return ProfileTrajectory(a, r, f, fprime, F, energy(consts, f, fprime),
+                             events, r0, tol)
 
 
 def classify(consts: DerivedConstants, a: float, r_max: float,
@@ -803,12 +808,11 @@ def ode_residual(traj: ProfileTrajectory, consts: DerivedConstants) -> float:
     enter through the F-equation only.
     """
     r, f, F = traj.r, traj.f, traj.F
-    p, q, N = consts.p, consts.q, consts.N
+    q, N = consts.q, consts.N
     al, be = consts.alpha, consts.beta
     h = math.log(r[1] / r[0])
     rm = r[2:-2]
-    fm, Fm = f[2:-2], F[2:-2]
-    slope = -np.sign(Fm) * np.abs(Fm) ** (1.0 / (p - 1.0))
+    fm, Fm, slope = f[2:-2], F[2:-2], traj.fprime[2:-2]
     dF_rhs = al * fm - (N - 1.0) * Fm / rm + be * rm * slope \
         - np.abs(slope) ** q
     dF_num = deta(F, h) / rm
@@ -825,14 +829,11 @@ def ode_residual(traj: ProfileTrajectory, consts: DerivedConstants) -> float:
 
 
 def trajectory_csv(traj: ProfileTrajectory, consts: DerivedConstants) -> str:
-    """Profile CSV: the run's parameters as comments, one row per sample,
-    events appended as comment lines.  `load_profile` reads it back."""
-    mu = consts.mu
+    """Profile CSV: the run's parameters as comments, one row (r, f, F)
+    per sample, events as comment lines.  `load_profile` reads it back."""
     meta = list(zip(PROFILE_META, (traj.a, consts.N, consts.p, consts.q,
                                    traj.r0, traj.tol)))
-    vals = (traj.r, traj.f, traj.fprime, traj.F, traj.r ** mu * traj.f,
-            traj.r ** (mu + 1.0) * traj.fprime, traj.energy)
-    return csv_text(meta, dict(zip(PROFILE_COLUMNS, vals)),
+    return csv_text(meta, {k: getattr(traj, k) for k in PROFILE_COLUMNS},
                     [("event", *ev) for ev in traj.events])
 
 
@@ -840,24 +841,19 @@ def read_profile_csv(text: str):
     """Parse trajectory_csv output back into (meta, arrays, events).  The
     first line that is not a comment must name PROFILE_COLUMNS in order,
     and an event line must hold a kind and a radius."""
-    meta = {}
-    body = []
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    meta, body, events = {}, [], []
+    for line in filter(None, map(str.strip, text.splitlines())):
+        if not line.startswith("#"):
+            body.append(line)
             continue
-        if line.startswith("#"):
-            parts = [s.strip() for s in line[1:].split(",")]
-            if parts[0] == "event":
-                if len(parts) != 3:
-                    raise ValueError(f"event line must be '# event,kind,r', "
-                                     f"got {line!r}")
-                events.append((parts[1], float(parts[2])))
-            elif len(parts) == 2:
-                meta[parts[0]] = float(parts[1])
-            continue
-        body.append(line)
+        parts = [s.strip() for s in line[1:].split(",")]
+        if parts[0] == "event":
+            if len(parts) != 3:
+                raise ValueError(f"event line must be '# event,kind,r', "
+                                 f"got {line!r}")
+            events.append((parts[1], float(parts[2])))
+        elif len(parts) == 2:
+            meta[parts[0]] = float(parts[1])
     header = ",".join(PROFILE_COLUMNS)
     if not body or body[0] != header:
         raise ValueError(f"header must be {header!r}, got "
@@ -869,24 +865,27 @@ def read_profile_csv(text: str):
 
 
 def load_profile(text: str):
-    """The inverse of trajectory_csv: (consts, trajectory) of a profile
-    CSV's text.  ValueError where read_profile_csv refuses it, a parameter
-    is missing, N is not a finite integer, a sample read is not finite or
-    r is not strictly increasing; w and Wtail are not read."""
+    """The inverse of trajectory_csv: (consts, trajectory), built by
+    `_trajectory` as for a solve.  ValueError where read_profile_csv refuses
+    the text, a parameter is missing, N is not a finite integer, a sample
+    read or derived is not finite, or r is not > 0 and strictly increasing."""
     meta, cols, events = read_profile_csv(text)
     if missing := [k for k in PROFILE_META if k not in meta]:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
-    for k in ("r", "f", "fprime", "F", "E"):
-        if not np.isfinite(cols[k]).all():
-            raise ValueError(f"column {k} has a sample that is not finite")
-    if not (np.diff(cols["r"]) > 0.0).all():
-        raise ValueError("r must be strictly increasing")
     N = meta["N"]
     if not N.is_integer():
         raise ValueError(f"N must be a finite integer, got {N!r}")
     consts = derive_constants(ExponentParams(N=int(N), p=meta["p"],
                                              q=meta["q"]))
-    return consts, ProfileTrajectory(
-        a=meta["a"], r=cols["r"], f=cols["f"], fprime=cols["fprime"],
-        F=cols["F"], energy=cols["E"], events=events, r0=meta["r0"],
-        tol=meta["tol"])
+    with np.errstate(over="ignore"):
+        traj = _trajectory(consts, meta["a"], *cols.values(), events,
+                           meta["r0"], meta["tol"])
+    names = [f"column {k}" for k in cols] + ["derived f'", "derived E"]
+    for name, v in zip(names, (*cols.values(), traj.fprime, traj.energy)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has a sample that is not finite")
+    if not traj.r[0] > 0.0:
+        raise ValueError(f"r must be > 0, got {float(traj.r[0])!r}")
+    if not (np.diff(traj.r) > 0.0).all():
+        raise ValueError("r must be strictly increasing")
+    return consts, traj

@@ -89,9 +89,13 @@ class TestExitCodes:
     # {nhalf} are the shared profile with N = inf and N = 1.5, and
     # {noradius} the shared profile with an event line that has neither
     # kind nor radius; {fnan} and {rback} are the shared profile with
-    # f = nan and with r = 1e-3 at data row 3000.  A failure
-    # prints its needle in "error"; a run that ends with a written but
-    # unaccepted result has no "error" and prints the needle itself.
+    # f = nan and with r = 1e-3 at data row 3000; {rzero} and {rneg} the
+    # shared profile with r = 0 and r = -1 at data row 1, {Fhuge} with
+    # F = 1e300 at data row 3000 (f' = -F^5 overflows), and {seven} the
+    # shared profile under the seven-column header of the old layout.
+    # A failure prints its needle in "error"; a run that ends with a
+    # written but unaccepted result has no "error" and prints the needle
+    # itself.
     @pytest.mark.parametrize("code, argv, needle", [
         (1, ("phase", "--x0", "0.1,0.2", *N1, "--outdir", "{tmp}"), "--x0"),
         (1, ("phase", "--x0", "0.1,0.1,0.6", "--span", "5", *N1,
@@ -187,6 +191,27 @@ class TestExitCodes:
          "cannot read profile: r must be strictly increasing"),
         (1, ("pde", "--profile", "{rback}", "--M", "10"),
          "cannot read profile: r must be strictly increasing"),
+        (1, ("tail", "--profile", "{rzero}"),
+         "cannot read profile: r must be > 0, got 0.0"),
+        (1, ("phase", "--from-profile", "{rzero}", "--outdir", "{tmp}"),
+         "cannot read profile: r must be > 0, got 0.0"),
+        (1, ("pde", "--profile", "{rzero}", "--M", "10"),
+         "cannot read profile: r must be > 0, got 0.0"),
+        (1, ("tail", "--profile", "{rneg}"),
+         "cannot read profile: r must be > 0, got -1.0"),
+        (1, ("phase", "--from-profile", "{rneg}", "--outdir", "{tmp}"),
+         "cannot read profile: r must be > 0, got -1.0"),
+        (1, ("pde", "--profile", "{rneg}", "--M", "10"),
+         "cannot read profile: r must be > 0, got -1.0"),
+        (1, ("tail", "--profile", "{Fhuge}"),
+         "cannot read profile: derived f' has a sample that is not finite"),
+        (1, ("phase", "--from-profile", "{Fhuge}", "--outdir", "{tmp}"),
+         "cannot read profile: derived f' has a sample that is not finite"),
+        (1, ("pde", "--profile", "{Fhuge}", "--M", "50"),
+         "cannot read profile: derived f' has a sample that is not finite"),
+        (1, ("tail", "--profile", "{seven}"),
+         "cannot read profile: header must be 'r,f,F', "
+         "got 'r,f,fprime,F,w,Wtail,E'"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -198,22 +223,35 @@ class TestExitCodes:
                  "ninf": tmp_path / "ninf.csv", "nhalf": tmp_path / "nhalf.csv",
                  "noradius": tmp_path / "noradius.csv",
                  "fnan": tmp_path / "fnan.csv", "rback": tmp_path / "rback.csv",
+                 **{k: tmp_path / f"{k}.csv"
+                    for k in ("rzero", "rneg", "Fhuge", "seven")},
                  "tmp": tmp_path}
-        files["empty"].write_text("# N,1\nr,f,fprime,F,w,Wtail,E\n")
+        files["empty"].write_text("# N,1\nr,f,F\n")
         files["swapped"].write_text(files["profile"].read_text().replace(
-            "\nr,f,fprime,F,", "\nr,F,fprime,f,", 1))
+            "\nr,f,F\n", "\nr,F,f\n", 1))
         text = files["profile"].read_text()
         files["ninf"].write_text(text.replace("\n# N,1\n", "\n# N,inf\n", 1))
         files["nhalf"].write_text(text.replace("\n# N,1\n", "\n# N,1.5\n", 1))
         files["noradius"].write_text(text + "# event\n")
-        # data row 3000 with f = nan, and with r = 1e-3 (r runs backwards)
+        files["seven"].write_text(text.replace(
+            "\nr,f,F\n", "\nr,f,fprime,F,w,Wtail,E\n", 1))
         lines = text.splitlines(keepends=True)
-        k = lines.index("r,f,fprime,F,w,Wtail,E\n") + 3000
-        row = lines[k].split(",")
-        files["fnan"].write_text("".join(
-            lines[:k] + [",".join([row[0], "nan", *row[2:]])] + lines[k + 1:]))
-        files["rback"].write_text("".join(
-            lines[:k] + [",".join(["1e-3", *row[1:]])] + lines[k + 1:]))
+        head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        names = lines[head].rstrip("\n").split(",")
+
+        def edited(row, name, value):
+            """The shared profile with column `name` of data row `row`
+            set to `value`."""
+            k = head + row
+            fields = lines[k].rstrip("\n").split(",")
+            fields[names.index(name)] = value
+            return "".join(lines[:k] + [",".join(fields) + "\n"]
+                           + lines[k + 1:])
+        files["fnan"].write_text(edited(3000, "f", "nan"))
+        files["rback"].write_text(edited(3000, "r", "1e-3"))
+        files["rzero"].write_text(edited(1, "r", "0"))
+        files["rneg"].write_text(edited(1, "r", "-1"))
+        files["Fhuge"].write_text(edited(3000, "F", "1e300"))
         if "{short}" in argv:
             assert cli.main(["shoot", *N1, "--a", "2.3", "--rmax", "10",
                              "--out", str(files["short"])]) == 0
@@ -321,7 +359,7 @@ class TestShoot:
         assert code == 0
         lines = out.read_text().splitlines()
         header = next(ln for ln in lines if not ln.startswith("#"))
-        assert header == "r,f,fprime,F,w,Wtail,E"
+        assert header == "r,f,F"
 
 
 class TestFind:
@@ -475,7 +513,9 @@ class TestPhase:
 # profile, re-frozen when run_and_measure moved to BDF2 steps at
 # dt_frac = 1e-3, when the initial profile became the cubic Hermite
 # interpolant on the stored slopes, and when the backward Euler steps
-# took the new-time ghost as BDF2's do.  A refactor must leave every
+# took the new-time ghost as BDF2's do.  profile.csv was re-frozen when
+# it came to hold the ODE state (r, f, F) alone: the parent's file with
+# the fprime, w, Wtail and E fields deleted.  A refactor must leave every
 # byte of them as it was.
 # `phase --from-profile` on that profile is pinned too, frozen when
 # lambda3, Vinf and A_from_Vinf became the Z-gap fit that fit_tail shares:
@@ -485,7 +525,7 @@ class TestPhase:
 # digest here and records the change in CHANGES.md.
 FROZEN_SHA256 = {
     "profile.csv":
-        "a92fe33ae346e60569a97dfad12018a9e9a428eb3d1202e88c754338c1067d0f",
+        "bff0c65b6d91df5c85001e8b7bda424e5098176cbc4d848ae120e43d7792f816",
     "certify.json":
         "0a83aee02a090b8caaa3ba3f6cd3af26aaaf8db50c1fdd4eebd72cf7850d66ca",
     "tailfit.json":
@@ -501,10 +541,11 @@ FROZEN_SHA256 = {
 
 # sha256 of `find --N 1 --p 1.5 --q 0.675`, the one benchmark triple whose
 # bisection reaches the end-state rule (exit 3: not certified), frozen at
-# commit 1850253 on the same versions.  Same rules as above.
+# commit 1850253 on the same versions; profile.csv re-frozen with the
+# one above.  Same rules as above.
 FROZEN_SHA256_END_STATE = {
     "profile.csv":
-        "ddd0939f256f5cfe7adffd5e507c2677f5513f24094777b1b7a4939a7d38f14a",
+        "bec2f6253c3d910d41b0c60cc61fe025463dc51f0aac6c995ebf06a831496c3b",
     "certify.json":
         "ddcde637c42e1d3a3ace1da6c4ad14bb2a01960dc04282707ca661d46acbd48b",
     "tailfit.json":
