@@ -6,7 +6,8 @@ Exit codes; commands raise, and `main` maps every exception through
 
   0  success
   1  usage: bad flags or config (a tail --window not finite with lo < hi);
-     an unreadable or malformed profile (shooter.load_profile's refusals):
+     an unreadable or malformed profile (shooter.load_profile's refusals,
+     such as an a or tol that is not finite and > 0):
      "cannot read profile: ..."
   2  exponents outside the admissible box (N and p alone for qstar); the
      library's own input checks (a non-finite --a, --tol or --rmax,
@@ -18,7 +19,8 @@ Exit codes; commands raise, and `main` maps every exception through
      (0, 0.8 T], a triple in the box whose K* overflows double precision);
      an artifact that cannot be written (an --out that is a directory,
      an --outdir that is a file): "cannot write output: ..."
-  3  algorithmic failure: no bracket, fit, certification, phase
+  3  algorithmic failure: no bracket (a downward scan that reaches a
+     series start not below r_max too), fit, certification, phase
      non-convergence, a phase --x0 integration past its budget of
      right-side evaluations, PDE
 

@@ -169,21 +169,19 @@ def profile_interpolant(traj, consts: DerivedConstants, A_est: float):
 
 
 def build_initial(traj, consts: DerivedConstants, T: float,
-                  grid: RadialGrid, require_cert: bool = True
-                  ) -> SelfSimilarField:
+                  grid: RadialGrid) -> SelfSimilarField:
     """Sample u(0, x) = T^alpha f(x T^beta) onto the grid.
 
-    The trajectory must certify as fast-decay (the tail extension and the
-    Dirichlet ghost are only exact for that branch), and L must be large
-    enough that u(0, L) <= 1e-3 u(0, 0).
+    The trajectory must certify as fast-decay, always (the tail extension
+    and the Dirichlet ghost are only exact for that branch), and L must be
+    large enough that u(0, L) <= 1e-3 u(0, 0).
     """
     if grid.N != consts.N:
         raise ValueError("grid dimension differs from the profile's")
-    if require_cert:
-        cert = certify_B(traj, consts)
-        if not cert.ok:
-            bad = [k for k, v in cert.checks.items() if not v]
-            raise ValueError(f"profile not certified fast-decay: {bad}")
+    cert = certify_B(traj, consts)
+    if not cert.ok:
+        bad = [k for k, v in cert.checks.items() if not v]
+        raise ValueError(f"profile not certified fast-decay: {bad}")
     fit = fit_tail(w_transform(traj, consts), consts)
     f_of = profile_interpolant(traj, consts, fit.A_est)
     fld = SelfSimilarField(T=T, t=0.0, values=None, profile=f_of,

@@ -50,11 +50,11 @@ RHS_BUDGET = 100_000
 
 @dataclass
 class PhasePath:
+    """An orbit sampled in eta = ln r; Z - Zstar is derived, not stored."""
     eta: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     Z: np.ndarray
-    Wshift: np.ndarray
     source: str   # "mapped-from-profile" | "free-integration"
     detail: str = ""
 
@@ -91,7 +91,7 @@ def map_to_phase(traj, consts: DerivedConstants) -> PhasePath:
     Y = r * r * m ** (2.0 - p)
     Z = r * m ** (q - p + 1.0)
     return PhasePath(eta=np.log(r), X=X, Y=Y, Z=Z,
-                     Wshift=Z - consts.Zstar, source="mapped-from-profile",
+                     source="mapped-from-profile",
                      detail=f"skipped={n_bad}" if n_bad else "")
 
 
@@ -128,7 +128,7 @@ def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
 
 
 def jacobian_origin(consts: DerivedConstants) -> np.ndarray:
-    """Linearization at P0 in (X, Y, Wshift) coordinates, closed form:
+    """Linearization at P0 in (X, Y, Z - Zstar) coordinates, closed form:
 
         [[N + Z*, -1, 0],
          [0, -(p-2q)/(q-p+1), 0],
@@ -195,7 +195,6 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     etas = np.linspace(sol.t[0], sol.t[-1], 2001)
     xs = sol.sol(etas)
     return PhasePath(eta=etas, X=xs[0], Y=xs[1], Z=xs[2],
-                     Wshift=xs[2] - consts.Zstar,
                      source="free-integration", detail=detail)
 
 
@@ -286,7 +285,7 @@ def path_dynamics_residual(path: PhasePath, consts: DerivedConstants) -> float:
 def phasepath_csv(path: PhasePath) -> str:
     return csv_text([("source", path.source)],
                     {"eta": path.eta, "X": path.X, "Y": path.Y,
-                     "Z": path.Z, "Wshift": path.Wshift}, ())
+                     "Z": path.Z}, ())
 
 
 def ratefit_json(fit: RateFit) -> str:

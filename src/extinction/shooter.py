@@ -72,7 +72,7 @@ __all__ = [
 OVERFLOW_GUARD = 1e12
 
 # profile.csv's comment-header parameters and its columns (the ODE state)
-PROFILE_META = ("a", "N", "p", "q", "r0", "tol")
+PROFILE_META = ("a", "N", "p", "q", "tol")
 PROFILE_COLUMNS = ("r", "f", "F")
 
 # event kinds, in the order of _make_events' values
@@ -93,6 +93,7 @@ class ProfileState:
 
 @dataclass
 class ProfileTrajectory:
+    """Samples of one solve, geometric in r from the series start r[0]."""
     a: float
     r: np.ndarray
     f: np.ndarray
@@ -100,7 +101,6 @@ class ProfileTrajectory:
     F: np.ndarray
     energy: np.ndarray
     events: list[tuple[str, float]]
-    r0: float
     tol: float
 
     @property
@@ -152,7 +152,10 @@ def series_start(consts: DerivedConstants, a: float,
 
 def _default_r0(consts: DerivedConstants, a: float) -> float:
     # a-dependent scale keeps the series bend ~1e-30*a across the whole
-    # bracket scan range
+    # bracket scan range.  1e-3 times this r0 leaves a* bit-identical at
+    # (1, 1.2, 0.5) and (1, 1.5, 0.675); 10 times it moves a* by 2.8e-9
+    # relative at (1, 1.5, 0.675), beyond a_tol = 1e-10: one decade of
+    # margin
     return 1e-5 * a ** (-(2.0 - consts.p) / consts.p)
 
 
@@ -611,17 +614,17 @@ def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
                                                dense=True)
     rs = np.geomspace(r0, r_end, n_samples)
     return _trajectory(consts, a, rs, *_sample(segments, r_end, rs),
-                       events, r0, tol)
+                       events, tol)
 
 
 def _trajectory(consts: DerivedConstants, a: float, r, f, F, events,
-                r0: float, tol: float) -> ProfileTrajectory:
+                tol: float) -> ProfileTrajectory:
     """The samples (r, f, F) with f' = -sign(F)|F|^{1/(p-1)} and E: the one
     place a ProfileTrajectory is built, so a solve and its profile.csv read
     back give the same f' and E, bit for bit."""
     fprime = -np.sign(F) * np.abs(F) ** (1.0 / (consts.p - 1.0))
     return ProfileTrajectory(a, r, f, fprime, F, energy(consts, f, fprime),
-                             events, r0, tol)
+                             events, tol)
 
 
 def classify(consts: DerivedConstants, a: float, r_max: float,
@@ -656,7 +659,8 @@ def classify(consts: DerivedConstants, a: float, r_max: float,
 def find_bracket(consts: DerivedConstants, r_max: float,
                  tol: float = 1e-10) -> Bracket:
     """Scan a over powers of ten until one C (low side) and one A (high
-    side) are found."""
+    side) are found.  The series start grows as a falls (p < 2), so the
+    downward scan ends at the first a whose start is not below r_max."""
     lo = hi = None
     for k in range(0, 13):
         lab = classify(consts, 10.0 ** k, r_max, tol).label
@@ -669,9 +673,14 @@ def find_bracket(consts: DerivedConstants, r_max: float,
     for k in range(-1, -13, -1):
         if lo is not None:
             break
-        lab = classify(consts, 10.0 ** k, r_max, tol).label
-        if lab == "C":
-            lo = 10.0 ** k
+        a = 10.0 ** k
+        if not (r0 := _default_r0(consts, a)) < r_max:
+            raise RuntimeError(
+                f"bracket scan exhausted at a={a:g}: its series-start "
+                f"radius {r0:.6g} is not below r_max={r_max:.6g} "
+                f"(hi={hi})")
+        if classify(consts, a, r_max, tol).label == "C":
+            lo = a
     if lo is None or hi is None:
         raise RuntimeError(
             f"bracket scan exhausted (|k| <= 12): lo={lo}, hi={hi}")
@@ -832,7 +841,7 @@ def trajectory_csv(traj: ProfileTrajectory, consts: DerivedConstants) -> str:
     """Profile CSV: the run's parameters as comments, one row (r, f, F)
     per sample, events as comment lines.  `load_profile` reads it back."""
     meta = list(zip(PROFILE_META, (traj.a, consts.N, consts.p, consts.q,
-                                   traj.r0, traj.tol)))
+                                   traj.tol)))
     return csv_text(meta, {k: getattr(traj, k) for k in PROFILE_COLUMNS},
                     [("event", *ev) for ev in traj.events])
 
@@ -866,20 +875,25 @@ def read_profile_csv(text: str):
 
 def load_profile(text: str):
     """The inverse of trajectory_csv: (consts, trajectory), built by
-    `_trajectory` as for a solve.  ValueError where read_profile_csv refuses
-    the text, a parameter is missing, N is not a finite integer, a sample
-    read or derived is not finite, or r is not > 0 and strictly increasing."""
+    `_trajectory` as for a solve.  Header keys outside PROFILE_META (the
+    `# r0` line of older files) are ignored: r0 is the first r.  ValueError
+    where read_profile_csv refuses the text, a parameter is missing, N is
+    not a finite integer, a or tol is not finite and > 0, a sample read or
+    derived is not finite, or r is not > 0 and strictly increasing."""
     meta, cols, events = read_profile_csv(text)
     if missing := [k for k in PROFILE_META if k not in meta]:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
     N = meta["N"]
     if not N.is_integer():
         raise ValueError(f"N must be a finite integer, got {N!r}")
+    for k in ("a", "tol"):
+        if not 0.0 < meta[k] < math.inf:
+            raise ValueError(f"{k} must be finite and > 0, got {meta[k]!r}")
     consts = derive_constants(ExponentParams(N=int(N), p=meta["p"],
                                              q=meta["q"]))
     with np.errstate(over="ignore"):
         traj = _trajectory(consts, meta["a"], *cols.values(), events,
-                           meta["r0"], meta["tol"])
+                           meta["tol"])
     names = [f"column {k}" for k in cols] + ["derived f'", "derived E"]
     for name, v in zip(names, (*cols.values(), traj.fprime, traj.energy)):
         if not np.isfinite(v).all():

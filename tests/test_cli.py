@@ -91,8 +91,10 @@ class TestExitCodes:
     # kind nor radius; {fnan} and {rback} are the shared profile with
     # f = nan and with r = 1e-3 at data row 3000; {rzero} and {rneg} the
     # shared profile with r = 0 and r = -1 at data row 1, {Fhuge} with
-    # F = 1e300 at data row 3000 (f' = -F^5 overflows), and {seven} the
-    # shared profile under the seven-column header of the old layout.
+    # F = 1e300 at data row 3000 (f' = -F^5 overflows), {seven} the
+    # shared profile under the seven-column header of the old layout, and
+    # {aneg}, {anan} and {tolzero} the shared profile with its header's a
+    # set to -1 and nan and its tol to 0.
     # A failure prints its needle in "error"; a run that ends with a
     # written but unaccepted result has no "error" and prints the needle
     # itself.
@@ -212,6 +214,28 @@ class TestExitCodes:
         (1, ("tail", "--profile", "{seven}"),
          "cannot read profile: header must be 'r,f,F', "
          "got 'r,f,fprime,F,w,Wtail,E'"),
+        (3, ("find", "--N", "1", "--p", "1.15", "--q", "0.56",
+             "--outdir", "{tmp}"),
+         "bracket scan exhausted at a=1e-10: its series-start radius "
+         "246.209 is not below r_max=100"),
+        (1, ("tail", "--profile", "{aneg}"),
+         "cannot read profile: a must be finite and > 0, got -1.0"),
+        (1, ("phase", "--from-profile", "{aneg}", "--outdir", "{tmp}"),
+         "cannot read profile: a must be finite and > 0, got -1.0"),
+        (1, ("pde", "--profile", "{aneg}", "--M", "50"),
+         "cannot read profile: a must be finite and > 0, got -1.0"),
+        (1, ("tail", "--profile", "{anan}"),
+         "cannot read profile: a must be finite and > 0, got nan"),
+        (1, ("phase", "--from-profile", "{anan}", "--outdir", "{tmp}"),
+         "cannot read profile: a must be finite and > 0, got nan"),
+        (1, ("pde", "--profile", "{anan}", "--M", "50"),
+         "cannot read profile: a must be finite and > 0, got nan"),
+        (1, ("tail", "--profile", "{tolzero}"),
+         "cannot read profile: tol must be finite and > 0, got 0.0"),
+        (1, ("phase", "--from-profile", "{tolzero}", "--outdir", "{tmp}"),
+         "cannot read profile: tol must be finite and > 0, got 0.0"),
+        (1, ("pde", "--profile", "{tolzero}", "--M", "50"),
+         "cannot read profile: tol must be finite and > 0, got 0.0"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -224,7 +248,8 @@ class TestExitCodes:
                  "noradius": tmp_path / "noradius.csv",
                  "fnan": tmp_path / "fnan.csv", "rback": tmp_path / "rback.csv",
                  **{k: tmp_path / f"{k}.csv"
-                    for k in ("rzero", "rneg", "Fhuge", "seven")},
+                    for k in ("rzero", "rneg", "Fhuge", "seven", "aneg",
+                              "anan", "tolzero")},
                  "tmp": tmp_path}
         files["empty"].write_text("# N,1\nr,f,F\n")
         files["swapped"].write_text(files["profile"].read_text().replace(
@@ -252,6 +277,15 @@ class TestExitCodes:
         files["rzero"].write_text(edited(1, "r", "0"))
         files["rneg"].write_text(edited(1, "r", "-1"))
         files["Fhuge"].write_text(edited(3000, "F", "1e300"))
+
+        def header(key, value):
+            """The shared profile with its header's `key` set to `value`."""
+            k = next(i for i, ln in enumerate(lines)
+                     if ln.startswith(f"# {key},"))
+            return "".join(lines[:k] + [f"# {key},{value}\n"] + lines[k + 1:])
+        files["aneg"].write_text(header("a", "-1"))
+        files["anan"].write_text(header("a", "nan"))
+        files["tolzero"].write_text(header("tol", "0"))
         if "{short}" in argv:
             assert cli.main(["shoot", *N1, "--a", "2.3", "--rmax", "10",
                              "--out", str(files["short"])]) == 0
@@ -515,17 +549,20 @@ class TestPhase:
 # interpolant on the stored slopes, and when the backward Euler steps
 # took the new-time ghost as BDF2's do.  profile.csv was re-frozen when
 # it came to hold the ODE state (r, f, F) alone: the parent's file with
-# the fprime, w, Wtail and E fields deleted.  A refactor must leave every
-# byte of them as it was.
+# the fprime, w, Wtail and E fields deleted, and again when r0 became
+# r[0]: the parent's file without its `# r0` line.  A refactor must leave
+# every byte of them as it was.
 # `phase --from-profile` on that profile is pinned too, frozen when
 # lambda3, Vinf and A_from_Vinf became the Z-gap fit that fit_tail shares:
 # phasepath.csv was unchanged by it and ratefit.json moved then, so any
 # later move of either is a change of the phase map or of that fit.
+# phasepath.csv was re-frozen when its Wshift column (Z - Zstar) was
+# deleted: the parent's file without that field.
 # A change that alters one of these outputs on purpose re-freezes its
 # digest here and records the change in CHANGES.md.
 FROZEN_SHA256 = {
     "profile.csv":
-        "bff0c65b6d91df5c85001e8b7bda424e5098176cbc4d848ae120e43d7792f816",
+        "3ff941f98987f8199f0b30e30cfad7511a89fdead6694b3258f48fd351cd9c8c",
     "certify.json":
         "0a83aee02a090b8caaa3ba3f6cd3af26aaaf8db50c1fdd4eebd72cf7850d66ca",
     "tailfit.json":
@@ -533,7 +570,7 @@ FROZEN_SHA256 = {
     "metrics.json":
         "1090006b7c8c1927172091e1112334eba783d61e7af8dc7019e8ba29cca8e43f",
     "phasepath.csv":
-        "03aecf1337317a4afc9d6d6d62eb5b50c6adb2982f1b10067c46c6f4e3257632",
+        "adc36373ab4770a0841eaa9a0833b6621dfb143886022719b8410a738130db55",
     "ratefit.json":
         "fd0a327bde20dd37bcf21696487bca04b73a8aaf4c05d96661ec3c7819a5ef05",
 }
@@ -542,10 +579,10 @@ FROZEN_SHA256 = {
 # sha256 of `find --N 1 --p 1.5 --q 0.675`, the one benchmark triple whose
 # bisection reaches the end-state rule (exit 3: not certified), frozen at
 # commit 1850253 on the same versions; profile.csv re-frozen with the
-# one above.  Same rules as above.
+# one above, both times.  Same rules as above.
 FROZEN_SHA256_END_STATE = {
     "profile.csv":
-        "bec2f6253c3d910d41b0c60cc61fe025463dc51f0aac6c995ebf06a831496c3b",
+        "7cba11969d1b7e25288ec5abee10ada8779ce61dd1c15e463024fd1b2f3e4533",
     "certify.json":
         "ddcde637c42e1d3a3ace1da6c4ad14bb2a01960dc04282707ca661d46acbd48b",
     "tailfit.json":

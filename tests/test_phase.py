@@ -111,7 +111,7 @@ class TestMappedPath:
     def test_Z_approaches_from_below(self, star1, consts1):
         _, traj, _ = star1
         path = map_to_phase(traj, consts1)
-        assert np.all(path.Wshift <= 1e-12)
+        assert np.all(path.Z - consts1.Zstar <= 1e-12)
         assert path.Z[-1] == pytest.approx(consts1.Zstar, rel=1e-3)
 
     def test_dynamics_residual(self, star1, consts1):
@@ -180,4 +180,4 @@ def test_phasepath_csv_header(star1, consts1):
     text = phasepath_csv(path)
     assert "# source,mapped-from-profile" in text
     header = next(ln for ln in text.splitlines() if not ln.startswith("#"))
-    assert header == "eta,X,Y,Z,Wshift"
+    assert header == "eta,X,Y,Z"

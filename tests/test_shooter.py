@@ -138,7 +138,8 @@ class TestIntegrateProfile:
 
     def test_sampling_grid(self, consts1):
         traj = integrate_profile(consts1, 1.0, 10.0, n_samples=512)
-        assert traj.r[0] == pytest.approx(traj.r0, rel=1e-12)
+        # np.geomspace starts at the series-start radius exactly
+        assert traj.r[0] == shooter._default_r0(consts1, 1.0)
         assert np.all(np.diff(traj.r) > 0)
         # uniform in ln r
         assert np.allclose(np.diff(np.log(traj.r)),
@@ -197,6 +198,21 @@ class TestBisection:
         # the scalar DOP853 kernel keeps every bisection label of the
         # reference run, so a* is the frozen value to the last bit
         assert star1[0] == A_STAR_N1
+
+    @pytest.mark.parametrize("params", BISECTION_TRIPLES, ids=_triple_id)
+    def test_a_star_independent_of_series_start(self, params, monkeypatch):
+        # 1e-3 times the series-start radius keeps every label, so a* is
+        # the frozen value to the last bit (10 times it moves a* at the
+        # end-state triple: _default_r0 states the margin)
+        orig = shooter._default_r0
+        monkeypatch.setattr(shooter, "_default_r0",
+                            lambda c, a: 1e-3 * orig(c, a))
+        consts = derive_constants(params)
+        br = find_bracket(consts, r_max=100.0)
+        a_star, traj, _ = find_profile(consts, br, a_tol=1e-10, r_max=100.0)
+        assert traj.r[0] == 1e-3 * orig(consts, a_star)
+        assert a_star == (A_STAR_HEURISTIC if params == HEURISTIC
+                          else A_STAR_N1)
 
     def test_bracket_width_contract(self, star1):
         a_star, _, transcript = star1
@@ -920,13 +936,28 @@ class TestCsvRoundTrip:
         traj = integrate_profile(consts0, a, 50.0, n_samples=128)
         consts, back = load_profile(trajectory_csv(traj, consts0))
         assert consts == consts0
-        assert (back.a, back.r0, back.tol, back.events) == (
-            traj.a, traj.r0, traj.tol, traj.events)
+        assert (back.a, back.tol, back.events) == (
+            traj.a, traj.tol, traj.events)
         # f' and E are derived from the re-read F by the solve's own
         # expressions, so they keep their bits
         for name in ("r", "f", "fprime", "F", "energy"):
             assert np.array_equal(getattr(back, name), getattr(traj, name))
         assert ode_residual(back, consts) == ode_residual(traj, consts0)
+
+    def test_r0_line_of_older_files_is_ignored(self, consts1):
+        # files written while r0 was stored beside r[0] carry a `# r0`
+        # header line; they load to the same trajectory, bit for bit
+        traj = integrate_profile(consts1, 2.3, 50.0, n_samples=128)
+        text = trajectory_csv(traj, consts1)
+        assert "# r0," not in text
+        line = "# r0,%.17g\n" % traj.r[0]
+        old = text.replace("\n# tol,", "\n" + line + "# tol,", 1)
+        assert line in old
+        (_, new), (_, back) = load_profile(text), load_profile(old)
+        assert (back.a, back.tol, back.events) == (new.a, new.tol,
+                                                   new.events)
+        for name in ("r", "f", "fprime", "F", "energy"):
+            assert np.array_equal(getattr(back, name), getattr(new, name))
 
     @pytest.mark.parametrize("line", ["# event", "# event,RMAX_REACHED"])
     def test_short_event_line_is_refused(self, consts1, line):
