@@ -11,10 +11,10 @@ Exit codes; commands raise, and `main` maps every exception through
      "cannot read profile: ..."
   2  exponents outside the admissible box (N and p alone for qstar); the
      library's own input checks (a non-finite --a, --tol or --rmax,
-     --a <= 0, --tol <= 0, --rmax below the series start, a non-finite
-     --a-tol, a phase --span end that is not finite, a phase --x0
-     component not finite or at or beyond the 1e12 blow-up guard, bad
-     --L/--M, a pde --T that is not finite and > 0 or whose
+     --a <= 0, --tol <= 0, --rmax below the series start, an --a-tol
+     that is not finite and >= 0, a phase --span end that is not finite,
+     a phase --x0 component not finite or at or beyond the 1e12 blow-up
+     guard, bad --L/--M, a pde --T that is not finite and > 0 or whose
      (T - t)^(alpha + beta) leaves double range, a --tend outside
      (0, 0.8 T], a triple in the box whose K* overflows double precision);
      an artifact that cannot be written (an --out that is a directory,
@@ -75,7 +75,7 @@ class UsageError(Exception):
 
 class RangeViolation(Exception):
     """Exponents outside the admissible box: exit 2.  The one argument is
-    a dict of report fields (`violations`, and `warnings` where known)."""
+    the tuple of violated inequalities, reported as `violations`."""
 
 
 @contextlib.contextmanager
@@ -95,7 +95,7 @@ def _report(exc: Exception) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(exc, RangeViolation):
-        report, code = exc.args[0], EXIT_RANGE
+        report, code = {"violations": exc.args[0]}, EXIT_RANGE
     elif isinstance(exc, OSError):
         # a read turns its OSError into a UsageError, so this one came
         # from writing an artifact
@@ -130,10 +130,8 @@ def _require(args, *flags):
 
 def _check_range(N, p, q=None):
     """Exit 2 with the named violations where (N, p[, q]) leaves the box."""
-    rep = exponents.validate_range(N, p, q)
-    if not rep.ok:
-        raise RangeViolation({"violations": rep.violations,
-                              "warnings": rep.warnings})
+    if violations := exponents.validate_range(N, p, q):
+        raise RangeViolation(violations)
 
 
 def _params(args):

@@ -27,7 +27,6 @@ __all__ = [
     "ExponentParams",
     "DerivedConstants",
     "Spectrum",
-    "RangeReport",
     "validate_range",
     "derive_constants",
     "spectral_data",
@@ -40,11 +39,6 @@ __all__ = [
     "csv_text",
 ]
 
-# q within this distance of p-1 or p/2 still validates, but with a warning:
-# mu -> infinity at q = p-1 and alpha -> infinity at q = p/2.
-NEAR_BOUNDARY = 1e-6
-
-
 @dataclass(frozen=True)
 class ExponentParams:
     N: int
@@ -52,45 +46,30 @@ class ExponentParams:
     q: float
 
 
-@dataclass(frozen=True)
-class RangeReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-
-def validate_range(N, p, q=None) -> RangeReport:
+def validate_range(N, p, q=None) -> tuple[str, ...]:
     """Check the admissible exponent box; never raises.
 
-    Returns a structured report naming each violated inequality.  With q
-    left out, only N and p are checked (the domain of `lambdastar`).
+    Returns the violated inequalities by name, an empty tuple when the
+    exponents are admissible.  With q left out, only N and p are checked
+    (the domain of `lambdastar`).
     """
-    violations = []
-    warnings = []
-    if not (isinstance(N, int) or (isinstance(N, float) and N == int(N))):
-        violations.append("N integer fails")
-        return RangeReport(False, tuple(violations))
+    if not (isinstance(N, int) or (isinstance(N, float) and N.is_integer())):
+        return ("N integer fails",)
     N = int(N)
     if N < 1:
-        violations.append("N >= 1 fails")
-    else:
-        pc = 2.0 * N / (N + 1.0)
-        if not p > pc:
-            violations.append(f"p > 2N/(N+1) fails (p={p}, threshold={pc})")
-        if not p < 2.0:
-            violations.append("p < 2 fails")
-        if q is None:
-            return RangeReport(not violations, tuple(violations))
+        return ("N >= 1 fails",)
+    violations = []
+    pc = 2.0 * N / (N + 1.0)
+    if not p > pc:
+        violations.append(f"p > 2N/(N+1) fails (p={p}, threshold={pc})")
+    if not p < 2.0:
+        violations.append("p < 2 fails")
+    if q is not None:
         if not q > p - 1.0:
             violations.append("q > p-1 fails")
         if not q < p / 2.0:
             violations.append("q < p/2 fails")
-        if not violations:
-            if q - (p - 1.0) < NEAR_BOUNDARY:
-                warnings.append("q within 1e-6 of p-1: mu, K* blow up")
-            if (p / 2.0) - q < NEAR_BOUNDARY:
-                warnings.append("q within 1e-6 of p/2: alpha, beta blow up")
-    return RangeReport(not violations, tuple(violations), tuple(warnings))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -122,9 +101,8 @@ def derive_constants(params: ExponentParams) -> DerivedConstants:
     zeta          N(p-1) + q*Zstar
     """
     N, p, q = params.N, params.p, params.q
-    rep = validate_range(N, p, q)
-    if not rep.ok:
-        raise ValueError("exponent range violation: " + "; ".join(rep.violations))
+    if violations := validate_range(N, p, q):
+        raise ValueError("exponent range violation: " + "; ".join(violations))
     alpha = (p - q) / (p - 2.0 * q)
     beta = (q - p + 1.0) / (p - 2.0 * q)
     mu = (p - q) / (q - p + 1.0)

@@ -273,8 +273,9 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
 
     with s' the face slopes of u'.  BDF2 is zero-stable only for
     omega < 1 + sqrt(2) (Grigorieff, Numer. Math. 1983); a ratio outside
-    (0, 1 + sqrt(2)], or a dt that is not finite and > 0, raises
-    ValueError.  The lagged state of every step stands for the new time,
+    (0, 1 + sqrt(2)], or a dt or eps_reg that is not finite and > 0,
+    raises ValueError (at eps_reg = 0 a face of slope 0 has infinite
+    mobility).  The lagged state of every step stands for the new time,
     so eps_reg should be the mobility floor there.  a0 V + dt K is a
     symmetric M-matrix, so diffusion sets no step bound; the explicit
     absorption keeps its bound dt <= 0.4 dx / (q G^{q-1}) (G the max slope
@@ -285,8 +286,9 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
     call here and once per run by run_and_measure; both run the same
     floating-point operations in the same order, so the bits agree.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    for name, v in (("dt", dt), ("eps_reg", eps_reg)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
     u_prev, om = fld.values, 0.0
     if prev is not None:
         om = dt / (fld.t - prev.t) if fld.t != prev.t else math.inf
@@ -306,8 +308,8 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
 
 
 def _schedule(T: float, t0: float, cks, dt_frac: float):
-    """Step times from t0 through the checkpoints cks, and the BDF2 flag
-    of each step.
+    """Step times from t0 through the checkpoints cks, and the BDF2 step
+    ratio of each step.
 
     Each checkpoint interval is split into ceil(d tau / dt_frac) equal
     steps of tau = ln(T / (T - t)), so dt ~ dt_frac (T - t) and a step
@@ -315,11 +317,12 @@ def _schedule(T: float, t0: float, cks, dt_frac: float):
     of a step, t + dt, and the last step of an interval is dt = c - t, so
     every checkpoint is hit exactly (c - t is exact when t >= c / 2).
     The first step, and any step with omega > 1 + sqrt(2) (the one after
-    a short first interval), are backward Euler; the others are BDF2.
-    Returns (times, dts, bdf2, hits): step k goes from times[k] to
-    times[k+1] by dts[k], and hits[k] says it ends on a checkpoint.
+    a short first interval), are backward Euler, omega = 0; the others are
+    BDF2 at omega = dt / (t - t_prev).  Returns (times, dts, oms, hits):
+    step k goes from times[k] to times[k+1] by dts[k] at ratio oms[k], and
+    hits[k] says it ends on a checkpoint.
     """
-    times, dts, bdf2, hits = [t0], [], [], []
+    times, dts, oms, hits = [t0], [], [], []
     t = t0
     for c in cks:
         dtau = math.log((T - t) / (T - c))
@@ -327,12 +330,13 @@ def _schedule(T: float, t0: float, cks, dt_frac: float):
         shrink = -math.expm1(-dtau / n)
         for j in range(n):
             dt = c - t if j == n - 1 else (T - t) * shrink
-            bdf2.append(bool(dts) and dt / (t - times[-2]) <= _OMEGA_MAX)
+            om = dt / (t - times[-2]) if dts else 0.0
+            oms.append(om if om <= _OMEGA_MAX else 0.0)
             t = t + dt
             times.append(t)
             dts.append(dt)
             hits.append(j == n - 1)
-    return times, dts, bdf2, hits
+    return times, dts, oms, hits
 
 
 def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
@@ -394,7 +398,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     step = _make_step(grid, consts)
 
     wall0 = time.perf_counter()
-    times, dts, bdf2, hits = _schedule(T, fld0.t, cks, dt_frac)
+    times, dts, oms, hits = _schedule(T, fld0.t, cks, dt_frac)
     # the Dirichlet ghost at the end of each step
     ghosts = fld0.exact(np.array(times[1:]), grid.L + 0.5 * grid.dx)
     out = []
@@ -403,9 +407,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     stable = True
     u = u_prev = fld0.values
     top = float(np.abs(u).max())
-    for k, (dt, hit) in enumerate(zip(dts, hits)):
-        # backward Euler is the BDF2 update at omega = 0
-        om = dt / (times[k] - times[k - 1]) if bdf2[k] else 0.0
+    for k, (dt, om, hit) in enumerate(zip(dts, oms, hits)):
         eps = eps0 * (T - times[k + 1]) ** (al + be)
         new, n_clip, top = step(u, u_prev, om, eps, dt, ghosts[k], top)
         u_prev, u = u, new

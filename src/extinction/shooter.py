@@ -53,7 +53,6 @@ from .exponents import (DerivedConstants, ExponentParams, csv_text,
                         derive_constants, deta, validate_range)
 
 __all__ = [
-    "ProfileState",
     "ProfileTrajectory",
     "Classification",
     "Bracket",
@@ -75,20 +74,14 @@ OVERFLOW_GUARD = 1e12
 PROFILE_META = ("a", "N", "p", "q", "tol")
 PROFILE_COLUMNS = ("r", "f", "F")
 
-# event kinds, in the order of _make_events' values
+# event kinds, in the order of _make_events' values; each fires as its
+# value crosses 0 upward
 _EVENT_KINDS = (
-    "W_PRIME_VANISHES",   # w' crosses 0 downward: interior maximum of w -> A
-    "W_EXCEEDS_KSTAR",    # w crosses Kstar upward -> C
-    "F_HITS_ZERO",        # momentum hits 0: slope vanishes with f > 0 -> A
-    "OVERFLOW_GUARD",     # |f|+|F| >= 1e12 (finite-precision safety)
+    "W_PRIME_VANISHES",   # -w' crosses 0: interior maximum of w -> A
+    "W_EXCEEDS_KSTAR",    # w - Kstar crosses 0 -> C
+    "F_HITS_ZERO",        # -F crosses 0: slope vanishes with f > 0 -> A
+    "OVERFLOW_GUARD",     # |f|+|F| reaches 1e12 (finite-precision safety)
 )
-
-
-@dataclass(frozen=True)
-class ProfileState:
-    r: float
-    f: float
-    F: float
 
 
 @dataclass
@@ -125,29 +118,21 @@ class Bracket:
 
 
 def series_start(consts: DerivedConstants, a: float,
-                 r0: float) -> tuple[ProfileState, dict]:
-    """Local expansion at the singular center.
+                 r0: float) -> tuple[float, float]:
+    """The state (f, F) at r0 from the local expansion at the singular
+    center.
 
     F grows linearly, F'(0) = alpha*a/N, and the profile bends like
-    f(r0) = a - ((p-1)/p) (alpha a/N)^{1/(p-1)} r0^{p/(p-1)}.
-    Returns the state and bounds on the dropped truncation terms.
+    f(r0) = a - ((p-1)/p) (alpha a/N)^{1/(p-1)} r0^{p/(p-1)}.  The dropped
+    terms of F' (the absorption |f'|^q and the drift beta r f') are left
+    out; `_default_r0` states the margin its radius keeps on a*.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    p, q, N = consts.p, consts.q, consts.N
+    p, N = consts.p, consts.N
     c0 = consts.alpha * a / N
     f0 = a - (p - 1.0) / p * c0 ** (1.0 / (p - 1.0)) * r0 ** (p / (p - 1.0))
-    F0 = c0 * r0
-    # neglected contributions to F' at r0, relative to the leading alpha*a/N:
-    # the absorption term |f'|^q and the beta r f' drift
-    sig = q / (p - 1.0)
-    trunc = {
-        "F_rel_absorption": c0 ** (sig - 1.0) * r0 ** sig,
-        "F_rel_drift": consts.beta * c0 ** ((2.0 - p) / (p - 1.0))
-                       * r0 ** (p / (p - 1.0)),
-        "f_abs_bend": a - f0,
-    }
-    return ProfileState(r0, f0, F0), trunc
+    return f0, c0 * r0
 
 
 def _default_r0(consts: DerivedConstants, a: float) -> float:
@@ -185,19 +170,22 @@ def _pow(x: float, e: float) -> float:
 
 def _make_events(consts: DerivedConstants):
     """The four event functions, in _EVENT_KINDS order, as one function
-    of (r, f, F), and the direction of the sign change that fires each
-    (+1 upward, -1 downward).  Every event is terminal."""
+    of (r, f, F).  Each is signed to fire as it crosses 0 upward, so the
+    two that fire downward, w' and F, are negated: negation is exact, and
+    `_illinois` finds the same root of -g as of g.  Every event is
+    terminal."""
     mu, Kst = consts.mu, consts.Kstar
     e1 = 1.0 / (consts.p - 1.0)
 
     def events(r, f, F):
         slope = -math.copysign(_pow(abs(F), e1), F)
-        return (r * slope + mu * f,   # sign of w' = r^{mu-1}(mu f + r f')
+        # the sign of -w' = -r^{mu-1} (mu f + r f')
+        return (-(r * slope + mu * f),
                 _pow(r, mu) * f - Kst,
-                F,
+                -F,
                 abs(f) + abs(F) - OVERFLOW_GUARD)
 
-    return events, (-1, 1, -1, 1)
+    return events
 
 
 def energy(consts: DerivedConstants, f: np.ndarray,
@@ -453,16 +441,17 @@ def _event_root(events, k, seg, r_old, r_new):
                      r_old, r_new)
 
 
-def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
+def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
     """Integrate (f, F)' = rhs(r, f, F) from r towards r_bound with
     DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5), on floats.
 
     This is scipy's DOP853 solver, driven the way scipy drives it with
     atol = 0 and every event terminal: the same initial step, error
     norm, step factors and step-size floor, and the same event rule.
-    Event k fires when events(r, f, F)[k] changes sign in directions[k]
-    over a step; its root is found by _illinois on the step's interpolant,
-    and the earliest root among the events that fired ends the solve.
+    Event k fires when events(r, f, F)[k] crosses 0 upward over a step,
+    from <= 0 to >= 0; its root is found by _illinois on the step's
+    interpolant, and the earliest root among the events that fired ends
+    the solve.
     Two departures: tableau combinations are correctly rounded sums, and
     an event root is held to brentq's stopping width, not to brentq's
     own iterates.  The sums are generated (`_step`, `_dense_segment`) over
@@ -529,9 +518,7 @@ def _dop853(rhs, events, directions, r, f, F, r_bound, rtol, dense):
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
         g_new = events(r_new, f_new, F_new)
-        fired = [k for k, d in enumerate(directions)
-                 if (d > 0 and g[k] <= 0 <= g_new[k])
-                 or (d < 0 and g[k] >= 0 >= g_new[k])]
+        fired = [k for k, v in enumerate(g) if v <= 0 <= g_new[k]]
         if dense or fired:
             seg = _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF)
             if dense:
@@ -573,9 +560,8 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
         raise ValueError(f"a must be positive and finite, got {a!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    rep = validate_range(consts.N, consts.p, consts.q)
-    if not rep.ok:
-        raise ValueError("; ".join(rep.violations))
+    if violations := validate_range(consts.N, consts.p, consts.q):
+        raise ValueError("; ".join(violations))
     if not math.isfinite(consts.Kstar):
         raise ValueError(
             "Kstar overflows double precision (q too close to p-1): the "
@@ -584,11 +570,9 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
     if not r0 < r_max < math.inf:
         raise ValueError("r_max must be finite and exceed the series-start "
                          f"radius {r0:.6g}, got {r_max!r}")
-    state0, _ = series_start(consts, a, r0)
-    events, directions = _make_events(consts)
     status, r_end, f_end, F_end, k, segments = _dop853(
-        _make_rhs(consts), events, directions, r0, state0.f,
-        state0.F, r_max, tol, dense)
+        _make_rhs(consts), _make_events(consts), r0,
+        *series_start(consts, a, r0), r_max, tol, dense)
     if status == 1:
         kind = _EVENT_KINDS[k]
     else:
@@ -741,7 +725,8 @@ def _bisect(consts: DerivedConstants, lo: float, hi: float, a_tol: float,
 def find_profile(consts: DerivedConstants, bracket: Bracket,
                  a_tol: float = 1e-10, r_max: float = 100.0,
                  tol: float = 1e-10):
-    """Bisect the bracket until hi - lo <= a_tol * lo.
+    """Bisect the bracket until hi - lo <= a_tol * lo, or at a_tol = 0
+    until lo and hi are adjacent doubles.
 
     Each midpoint is classified by one solve out to 16 r_max.  The solve
     stops at the first decisive event, so its label is the first one the
@@ -779,8 +764,8 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
     the `steps` (a, label, r_max, heuristic and the tol of the solve that
     labelled it), `n_heuristic` and `fallback`.
     """
-    if not math.isfinite(a_tol):
-        raise ValueError(f"a_tol must be finite, got {a_tol!r}")
+    if not 0.0 <= a_tol < math.inf:
+        raise ValueError(f"a_tol must be finite and >= 0, got {a_tol!r}")
     args = (consts, bracket.lo, bracket.hi, a_tol, r_max, tol)
     lo, hi, steps = _bisect(*args, graded=True)
     fallback = False

@@ -57,6 +57,8 @@ class TestExitCodes:
         assert code == 2
         assert not d["ok"]
         assert any("p < 2" in v for v in d["violations"])
+        # the report names the violations and nothing else
+        assert set(d) == {"ok", "violations"}
 
     def test_malformed_flag_is_1(self, capsys):
         code, _, err = run(capsys, "constants", "--N", "one",
@@ -236,6 +238,8 @@ class TestExitCodes:
          "cannot read profile: tol must be finite and > 0, got 0.0"),
         (1, ("pde", "--profile", "{tolzero}", "--M", "50"),
          "cannot read profile: tol must be finite and > 0, got 0.0"),
+        (2, ("find", *N1, "--a-tol", "-1", "--outdir", "{tmp}"),
+         "a_tol must be finite and >= 0, got -1.0"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -293,6 +297,19 @@ class TestExitCodes:
         assert got == code
         assert needle in (err if code == 1
                           else json.loads(out).get("error", out))
+
+    # |lambda2| is 0.963 at q = 0.47 and 0.857 at q = 0.48, against
+    # |lambda3| = theta = 1 at N = 1: only the first is within 0.1
+    @pytest.mark.parametrize("q, flagged", [("0.47", True), ("0.48", False)])
+    def test_near_crossover_flag(self, capsys, tmp_path, q, flagged):
+        flags = ("--N", "1", "--p", "1.2", "--q", q)
+        assert run(capsys, "find", *flags, "--outdir", str(tmp_path))[0] == 0
+        code, d, _ = run_json(capsys, "phase", "--from-profile",
+                              str(tmp_path / "profile.csv"),
+                              "--outdir", str(tmp_path))
+        assert code == 0
+        assert [f.startswith("near-crossover") for f in d["flags"]] == (
+            [True] if flagged else [])
 
     # A non-finite shooting or phase input, or a phase start already
     # beyond the blow-up guard, once spun an integrator's step loop

@@ -171,48 +171,44 @@ class TestCrossover:
 
 class TestValidateRange:
     def test_valid(self):
-        rep = validate_range(1, 1.2, 0.5)
-        assert rep.ok and not rep.violations and not rep.warnings
+        assert validate_range(1, 1.2, 0.5) == ()
 
     def test_p_too_large(self):
         rep = validate_range(1, 2.5, 0.5)
-        assert not rep.ok
-        assert any("p < 2" in v for v in rep.violations)
+        assert any("p < 2" in v for v in rep)
 
     def test_p_below_critical(self):
         rep = validate_range(3, 1.2, 0.3)
-        assert not rep.ok
-        assert any("2N/(N+1)" in v for v in rep.violations)
+        assert any("2N/(N+1)" in v for v in rep)
 
     def test_q_at_upper_end(self):
         rep = validate_range(1, 1.2, 0.6)
-        assert not rep.ok
-        assert any("q < p/2" in v for v in rep.violations)
+        assert any("q < p/2" in v for v in rep)
 
     def test_q_below_lower_end(self):
         rep = validate_range(1, 1.2, 0.1)
-        assert not rep.ok
-        assert any("q > p-1" in v for v in rep.violations)
+        assert any("q > p-1" in v for v in rep)
 
     def test_never_raises_and_collects_all(self):
-        rep = validate_range(1, 2.5, 3.0)
-        assert not rep.ok and len(rep.violations) >= 2
+        assert len(validate_range(1, 2.5, 3.0)) >= 2
 
     def test_near_boundary_warning(self):
-        rep = validate_range(1, 1.2, 0.2 + 5e-7)
-        assert rep.ok
-        assert any("p-1" in w for w in rep.warnings)
-        rep = validate_range(1, 1.2, 0.6 - 5e-7)
-        assert rep.ok
-        assert any("p/2" in w for w in rep.warnings)
+        # admissible however close to either end of the q interval
+        assert validate_range(1, 1.2, 0.2 + 5e-7) == ()
+        assert validate_range(1, 1.2, 0.6 - 5e-7) == ()
 
     def test_without_q_checks_N_and_p(self):
         # qstar's box: the (N, p) rules alone, also where N < 1
-        assert validate_range(2, 1.5).ok
-        assert validate_range(0, 1.5).violations == ("N >= 1 fails",)
-        assert validate_range(-1, 1.5).violations == ("N >= 1 fails",)
-        assert validate_range(2, 1.2).violations == (
+        assert validate_range(2, 1.5) == ()
+        assert validate_range(0, 1.5) == ("N >= 1 fails",)
+        assert validate_range(-1, 1.5) == ("N >= 1 fails",)
+        assert validate_range(2, 1.2) == (
             "p > 2N/(N+1) fails (p=1.2, threshold=1.3333333333333333)",)
+
+    @pytest.mark.parametrize("N", [math.inf, math.nan, 1.5])
+    def test_non_integer_N_is_a_violation(self, N):
+        # int(inf) and int(nan) raise: the check must not reach them
+        assert validate_range(N, 1.5, 0.6) == ("N integer fails",)
 
     def test_derive_constants_raises_out_of_range(self):
         with pytest.raises(ValueError):

@@ -378,6 +378,16 @@ class TestBDF2Step:
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             implicit_step(fld, grid, 0.016 * grid.dx, dt)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_reg_must_be_finite_and_positive(self, field100, eps):
+        # on zero data every interior face slope is 0, whose mobility is
+        # infinite at eps_reg = 0; at nan the step came out all NaN
+        fld, grid = field100
+        zero = dataclasses.replace(fld, values=np.zeros(grid.M))
+        with pytest.raises(ValueError,
+                           match="eps_reg must be finite and > 0"):
+            implicit_step(zero, grid, eps, 1e-4)
+
     def test_returned_values_keep_their_bits(self, field100):
         # the kernel's work arrays never end up in a returned field: a
         # step's values, and the input's, survive the steps taken after
@@ -464,17 +474,20 @@ class TestSchedule:
 
     def test_hits_checkpoints_and_bounds_omega(self):
         cks = self.checkpoints(0.8)
-        times, dts, bdf2, hits = _schedule(1.0, 0.0, cks, 1e-3)
+        times, dts, oms, hits = _schedule(1.0, 0.0, cks, 1e-3)
         assert len(dts) == 1611
         assert [t for t, h in zip(times[1:], hits) if h] == cks
         assert all(times[k + 1] == times[k] + dt for k, dt in enumerate(dts))
         om = [math.nan] + [dts[k] / (times[k] - times[k - 1])
                            for k in range(1, len(dts))]
-        # BE for the first step and the one after the 1e-6 checkpoint
-        assert [k for k, two in enumerate(bdf2) if not two] == [0, 1]
+        # BE (omega 0) for the first step and the one after the 1e-6
+        # checkpoint
+        assert [k for k, o in enumerate(oms) if o == 0.0] == [0, 1]
         assert om[1] > 1.0 + math.sqrt(2.0)
+        # every other step's planned ratio is dt / (t - t_prev), bit for bit
+        assert oms[2:] == om[2:]
         # equal tau-steps of ~1e-3 everywhere else: omega ~ 1 - dt_frac
-        bdf_om = [o for o, two in zip(om, bdf2) if two]
+        bdf_om = oms[2:]
         assert max(bdf_om) <= 1.0 + math.sqrt(2.0)
         assert 0.998 < min(bdf_om) and max(bdf_om) < 1.0
 
@@ -589,16 +602,16 @@ class TestRunAndMeasure:
                             skiprows=2)[:, 1]
         u_snaps = [np.loadtxt(f, delimiter=",", comments="#",
                               skiprows=2)[:, 1] for f in snaps]
-        times, dts, bdf2, hits = _schedule(1.0, 0.0, cks, 1e-3)
+        times, dts, oms, hits = _schedule(1.0, 0.0, cks, 1e-3)
         assert [t for t, h in zip(times[1:], hits) if h] == cks
         eps0 = pde.KAPPA * grid.dx
         expo = consts1.alpha + consts1.beta
         prev, cur = None, fld
         replayed = []
-        for dt, two, hit in zip(dts, bdf2, hits):
+        for dt, om, hit in zip(dts, oms, hits):
             eps = eps0 * (1.0 - (cur.t + dt)) ** expo
             prev, cur = cur, implicit_step(cur, grid, eps, dt,
-                                           prev if two else None)
+                                           prev if om else None)
             if hit:
                 replayed.append(cur.values)
         assert cur.t == cks[-1]

@@ -66,24 +66,19 @@ def _triple_id(pr):
 
 class TestSeriesStart:
     def test_limit_recovers_initial_condition(self, consts1):
-        st, _ = series_start(consts1, a=1.0, r0=1e-10)
-        assert st.f == pytest.approx(1.0, abs=1e-20)
-        assert st.F == pytest.approx(3.5e-10, rel=1e-6)
+        f0, F0 = series_start(consts1, a=1.0, r0=1e-10)
+        assert f0 == pytest.approx(1.0, abs=1e-20)
+        assert F0 == pytest.approx(3.5e-10, rel=1e-6)
 
     def test_linear_term(self, consts1):
-        st, _ = series_start(consts1, a=1.0, r0=1e-4)
-        assert st.F == pytest.approx(3.5e-4, rel=1e-3)
+        _, F0 = series_start(consts1, a=1.0, r0=1e-4)
+        assert F0 == pytest.approx(3.5e-4, rel=1e-3)
 
     def test_bend_term(self, consts1):
         # a - f = ((p-1)/p) (alpha a/N)^{1/(p-1)} r0^{p/(p-1)}
-        st, _ = series_start(consts1, a=1.0, r0=1e-4)
+        f0, _ = series_start(consts1, a=1.0, r0=1e-4)
         want = (1.0 / 6.0) * 3.5 ** 5 * 1e-24
-        assert 1.0 - st.f == pytest.approx(want, rel=0.05)
-
-    def test_truncation_reported_small(self, consts1):
-        _, trunc = series_start(consts1, a=1.0, r0=1e-5)
-        assert trunc
-        assert all(abs(v) < 1e-6 for v in trunc.values())
+        assert 1.0 - f0 == pytest.approx(want, rel=0.05)
 
     def test_rejects_bad_r0(self, consts1):
         with pytest.raises(ValueError):
@@ -222,6 +217,21 @@ class TestBisection:
         # width halves per step: count ~ log2(width0 / width_end)
         assert 25 <= len(steps) <= 50
         assert all(s["label"] in ("A", "C") for s in steps)
+
+    def test_zero_a_tol_bisects_to_adjacent_doubles(self, consts1, star1):
+        # a_tol = 0 halves until no double lies between lo and hi, so the
+        # bisection ends at its "double precision exhausted" break
+        br = find_bracket(consts1, r_max=100.0)
+        a_star, _, rec = find_profile(consts1, br, a_tol=0.0, r_max=100.0)
+        assert rec["hi"] == math.nextafter(rec["lo"], math.inf)
+        assert a_star in (rec["lo"], rec["hi"])
+        assert star1[2]["lo"] <= rec["lo"] < rec["hi"] <= star1[2]["hi"]
+
+    @pytest.mark.parametrize("a_tol", [-1e-300, math.inf])
+    def test_bad_a_tol_raises(self, consts1, a_tol):
+        br = shooter.Bracket(lo=1.0, hi=10.0)
+        with pytest.raises(ValueError, match="a_tol must be finite and >= 0"):
+            find_profile(consts1, br, a_tol=a_tol)
 
     def test_neighbors_classify_across(self, consts1, star1):
         a_star, _, _ = star1
@@ -450,6 +460,36 @@ class TestGradedBisection:
                                             "tailfit.json"]
         assert out["graded"] == out["full"]
 
+    def test_undetermined_loose_midpoint_is_solved_again(
+            self, consts1, star1, monkeypatch):
+        # a loose solve that ends undetermined is repeated at tol, and
+        # that solve labels the midpoint: not the end-state rule on the
+        # loose solve (forced here for the first midpoint)
+        br = find_bracket(consts1, r_max=100.0)
+        orig = shooter.classify
+        calls = []
+
+        def spy(c, a, r_max, tol):
+            calls.append((a, tol))
+            if len(calls) == 1:
+                assert tol > 1e-10
+                return shooter.Classification("UNDETERMINED", r_max,
+                                              "forced")
+            return orig(c, a, r_max, tol)
+
+        monkeypatch.setattr(shooter, "classify", spy)
+        a_star, _, rec = find_profile(consts1, br, a_tol=1e-10, r_max=100.0)
+        forced = calls[0][0]
+        assert calls[1] == (forced, 1e-10)
+        step = rec["steps"][0]
+        assert step["a"] == forced
+        assert step["tol"] == 1e-10 and not step["heuristic"]
+        assert a_star == star1[0] == A_STAR_N1
+        assert not rec["fallback"]
+        keys = ("a", "label", "r_max", "heuristic")
+        assert ([[s[k] for k in keys] for s in rec["steps"]]
+                == [[s[k] for k in keys] for s in star1[2]["steps"]])
+
     @pytest.mark.parametrize("tol", [1e-4, 1e-3])
     def test_no_loose_solve_at_a_coarse_tol(self, consts1, monkeypatch,
                                             tol):
@@ -474,18 +514,18 @@ def _reference_solve(consts, a, r_max, dense=False):
     """The same right side and events through scipy's solve_ivp DOP853:
     (first event kind, its radius, the solution)."""
     rhs = shooter._make_rhs(consts)
-    events, directions = shooter._make_events(consts)
+    events = shooter._make_events(consts)
     fns = []
-    for k, d in enumerate(directions):
+    for k in range(len(shooter._EVENT_KINDS)):
         def ev(r, y, k=k):
             return events(r, y[0], y[1])[k]
-        ev.terminal, ev.direction = True, d
+        # every event fires on an upward crossing
+        ev.terminal, ev.direction = True, 1
         fns.append(ev)
     r0 = shooter._default_r0(consts, a)
-    st, _ = series_start(consts, a, r0)
     sol = solve_ivp(lambda r, y: rhs(r, y[0], y[1]), (r0, r_max),
-                    (st.f, st.F), method="DOP853", rtol=1e-10, atol=0.0,
-                    events=fns, dense_output=dense)
+                    series_start(consts, a, r0), method="DOP853",
+                    rtol=1e-10, atol=0.0, events=fns, dense_output=dense)
     assert sol.status in (0, 1)
     if sol.status == 0:
         return "RMAX_REACHED", float(sol.t[-1]), sol
@@ -708,10 +748,10 @@ class TestGeneratedSums:
         monkeypatch.setattr(shooter, "_step", spy)
         a = 2.3
         r0 = shooter._default_r0(consts1, a)
-        st0, _ = series_start(consts1, a, r0)
-        ev, dirs = shooter._make_events(consts1)
-        status = shooter._dop853(shooter._make_rhs(consts1), ev, dirs, r0,
-                                 st0.f, st0.F, 100.0, 1e-10, False)[0]
+        status = shooter._dop853(shooter._make_rhs(consts1),
+                                 shooter._make_events(consts1), r0,
+                                 *series_start(consts1, a, r0), 100.0,
+                                 1e-10, False)[0]
         assert status == 1
         (r5, h5), (r6, h6) = trials[4:6]
         assert r6 == r5
@@ -828,9 +868,9 @@ class TestKstarOverflow:
         params = ExponentParams(N=1, p=1.5, q=0.51)
         consts = derive_constants(params)
         assert math.isfinite(consts.Kstar)
-        events, _ = shooter._make_events(consts)
+        events = shooter._make_events(consts)
         g = events(1e6, 1.0, 1e300)
-        assert g[0] == -math.inf and g[1] == math.inf
+        assert g[0] == math.inf and g[1] == math.inf
 
 
 def test_nan_step_size_ends_the_solve():
@@ -842,10 +882,10 @@ def test_nan_step_size_ends_the_solve():
         "from extinction import ExponentParams, derive_constants, shooter",
         "c = derive_constants(ExponentParams(N=1, p=1.2, q=0.5))",
         "r0 = shooter._default_r0(c, 1.0)",
-        "st, _ = shooter.series_start(c, 1.0, r0)",
-        "ev, dirs = shooter._make_events(c)",
-        "print(shooter._dop853(shooter._make_rhs(c), ev, dirs, r0, st.f,",
-        "                      st.F, 10.0, math.nan, False)[0])"])
+        "f0, F0 = shooter.series_start(c, 1.0, r0)",
+        "ev = shooter._make_events(c)",
+        "print(shooter._dop853(shooter._make_rhs(c), ev, r0, f0, F0, 10.0,",
+        "                      math.nan, False)[0])"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
@@ -861,11 +901,11 @@ def test_backward_bound_raises():
         "import math",
         "from extinction import ExponentParams, derive_constants, shooter",
         "c = derive_constants(ExponentParams(N=1, p=1.2, q=0.5))",
-        "ev, dirs = shooter._make_events(c)",
+        "ev = shooter._make_events(c)",
         "for bound in (1.0, 2.0, math.nan):",
         "    try:",
-        "        shooter._dop853(shooter._make_rhs(c), ev, dirs, 2.0, 0.5,",
-        "                        0.1, bound, 1e-10, False)",
+        "        shooter._dop853(shooter._make_rhs(c), ev, 2.0, 0.5, 0.1,",
+        "                        bound, 1e-10, False)",
         "    except ValueError as e:",
         "        print(e)"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
