@@ -35,7 +35,6 @@ def main():
     args = ap.parse_args()
 
     out = pathlib.Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
     triple = ["--N", str(args.N), "--p", repr(args.p), "--q", repr(args.q)]
     rc = cli.main(["constants", *triple, "--out", str(out / "constants.json")])
     if rc:

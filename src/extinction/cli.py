@@ -11,21 +11,22 @@ Exit codes; commands raise, and `main` maps every exception through
      "cannot read profile: ..."
   2  exponents outside the admissible box (N and p alone for qstar); the
      library's own input checks (a non-finite --a, --tol or --rmax,
-     --a <= 0, --tol <= 0, --rmax below the series start, an --a-tol
-     that is not finite and >= 0, a phase --span end that is not finite,
-     a phase --x0 component not finite or at or beyond the 1e12 blow-up
-     guard, bad --L/--M, a pde --T that is not finite and > 0 or whose
-     (T - t)^(alpha + beta) leaves double range, a --tend outside
-     (0, 0.8 T], a triple in the box whose K* overflows double precision);
-     an artifact that cannot be written (an --out that is a directory,
-     an --outdir that is a file): "cannot write output: ..."
+     --a <= 0, --tol <= 0, --rmax below the series start, a find
+     --rmax whose 16 --rmax overflows, an --a-tol that is not finite and
+     >= 0, a phase --span end that is not finite, a phase --x0 component
+     not finite or at or beyond the 1e12 blow-up guard, bad --L/--M, a
+     pde --T that is not finite and > 0 or whose (T - t)^(alpha + beta)
+     leaves double range, a --tend outside (0, 0.8 T], a triple in the
+     box whose K* overflows double precision); an artifact that cannot
+     be written (an --out that is a directory, an --outdir that is a
+     file): "cannot write output: ..."
   3  algorithmic failure: no bracket (a downward scan that reaches a
      series start not below r_max too), fit, certification, phase
      non-convergence, a phase --x0 integration past its budget of
      right-side evaluations, PDE
 
-Explicit flags always win over --config.  All commands are deterministic;
-reruns produce byte-identical files.
+Explicit flags always win over --config.  Files are made only by
+`_write_or_print` (a refused run makes none); reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -192,8 +193,6 @@ def cmd_shoot(args) -> int:
 
 def cmd_find(args) -> int:
     consts = _params(args)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     br = shooter.find_bracket(consts, args.rmax, args.tol)
     a_star, traj, rec = shooter.find_profile(
         consts, br, a_tol=args.a_tol, r_max=args.rmax, tol=args.tol)
@@ -218,12 +217,13 @@ def cmd_find(args) -> int:
             "reach at bisection-limited radii (double-precision parameter "
             "resolution departs from the tail branch before it settles)")
     # the certificate is written before the tail fit, which can fail
-    (outdir / "profile.csv").write_text(
-        shooter.trajectory_csv(traj, consts))
-    (outdir / "certify.json").write_text(exponents.json_text(report))
+    outdir = Path(args.outdir)
+    _write_or_print(outdir / "profile.csv",
+                    shooter.trajectory_csv(traj, consts))
+    _write_or_print(outdir / "certify.json", exponents.json_text(report))
     with _algorithmic():
         fit = tail.fit_tail(tail.w_transform(traj, consts), consts)
-    (outdir / "tailfit.json").write_text(tail.tailfit_json(fit))
+    _write_or_print(outdir / "tailfit.json", tail.tailfit_json(fit))
     _write_or_print(None, exponents.json_text(
         {"a_star": a_star, "certified": cert.ok,
          "theta_est": fit.theta_est, "A_est": fit.A_est}))
@@ -250,20 +250,19 @@ def cmd_phase(args) -> int:
         raise UsageError("--N/--p/--q do not apply to --from-profile: "
                          "the exponents come from the profile")
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.from_profile:
         consts, traj = _load_profile(args.from_profile)
         path = phase.map_to_phase(traj, consts)
-        (outdir / "phasepath.csv").write_text(phase.phasepath_csv(path))
+        _write_or_print(outdir / "phasepath.csv", phase.phasepath_csv(path))
         with _algorithmic():
             rates = phase.extract_rates(path, consts)
         text = phase.ratefit_json(rates)
-        (outdir / "ratefit.json").write_text(text)
+        _write_or_print(outdir / "ratefit.json", text)
         _write_or_print(None, text)
         return EXIT_OK
     consts = _params(args)
     pth = phase.integrate_phase(args.x0, args.span, consts, tol=args.tol)
-    (outdir / "phasepath.csv").write_text(phase.phasepath_csv(pth))
+    _write_or_print(outdir / "phasepath.csv", phase.phasepath_csv(pth))
     _write_or_print(None, exponents.json_text(
         {"source": pth.source, "detail": pth.detail, "n": len(pth)}))
     return EXIT_OK
@@ -287,8 +286,11 @@ def cmd_pde(args) -> int:
                          f"double range, got {args.T!r}")
     with _algorithmic():
         fld = pde.build_initial(traj, consts, args.T, grid)
-        metrics = pde.run_and_measure(fld, grid, t_end=args.tend,
-                                      snapshot_dir=args.snapshots)
+        metrics = pde.run_and_measure(fld, grid, t_end=args.tend)
+    if args.snapshots is not None:
+        for k, (t, u) in enumerate(metrics.snapshots):
+            _write_or_print(Path(args.snapshots) / f"snapshot_{k:03d}.csv",
+                            pde.snapshot_csv(t, grid, u))
     _write_or_print(args.out, pde.metrics_json(metrics))
     print(f"wall: {metrics.wall_s}s, steps: {metrics.steps}",
           file=sys.stderr)
@@ -296,8 +298,9 @@ def cmd_pde(args) -> int:
 
 
 def _write_or_print(out, text: str):
-    """Write an artifact's text to the file `out`, or to stdout."""
+    """Write text to the file `out`, making its directories, or to stdout."""
     if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)

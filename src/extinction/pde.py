@@ -30,17 +30,16 @@ of the self-similar slope field.  KAPPA is fixed, so metrics.json does
 not record it.
 
 SelfSimilarField.exact is the one reconstruction of the exact solution
-(initial data, Dirichlet ghost, reference of the self-similar error);
-metrics_json and the snapshots go through the writers of `exponents`.
+(initial data, Dirichlet ghost, reference of the self-similar error).
+The module writes no file: metrics_json and snapshot_csv return text.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import ipow
-from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +55,7 @@ __all__ = [
     "implicit_step",
     "run_and_measure",
     "metrics_json",
+    "snapshot_csv",
 ]
 
 NEG_CLIP_TOL = 1e-10
@@ -118,6 +118,7 @@ class ExtinctionMetrics:
     steps: int
     wall_s: float
     n_clipped: int
+    snapshots: list = field(default_factory=list, repr=False)
 
 
 def profile_interpolant(traj, consts: DerivedConstants, A_est: float):
@@ -340,25 +341,26 @@ def _schedule(T: float, t0: float, cks, dt_frac: float):
 
 
 def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
-                    dt_frac: float = 1e-3,
-                    snapshot_dir=None) -> ExtinctionMetrics:
-    """Evolve to t_end with implicit_step's kernel and measure exponents.
+                    dt_frac: float = 1e-3) -> ExtinctionMetrics:
+    """Evolve from t = 0 to t_end by implicit_step's kernel; fit exponents.
 
+    fld0 must be at t = 0, as build_initial gives it (else ValueError).
     eps(t) = KAPPA dx (T-t)^{alpha+beta}, taken at the end of each step.
     _schedule plans the steps, dt ~ dt_frac (T-t), through 24 geometric
-    checkpoints clustered toward t_end, where snapshots are taken:
-    backward Euler (BDF2 at omega = 0) for the first step and the one
-    after the 1e-6 T checkpoint, variable-step BDF2 for the rest.  The
-    schedule depends on t alone: one `exact` call gives all its Dirichlet
-    ghosts, and the step kernel is built once, so a step costs one kernel
-    call and no profile evaluation.  The kernel has implicit_step's
-    floating-point operations, and the clip threshold's sup (the max of the
-    last step's clipped values) is its max |u|, so the result is
-    bit-identical to calling implicit_step along the same schedule.  The
-    step follows the time scale T-t of the self-similar decay, so the step
-    count ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
-    ln sup u and ln of the r^{N-1}-weighted L1 norm against ln(T-t) are
-    taken over checkpoints with T-t < 0.9 T, past initial transients; a
+    checkpoints clustered toward t_end, hit bit for bit: backward Euler
+    (BDF2 at omega = 0) for the first step and the one after the 1e-6 T
+    checkpoint, variable-step BDF2 for the rest; each reached checkpoint's
+    (t, u) is returned in `snapshots`.  The schedule depends on t alone: one
+    `exact` call gives all its Dirichlet ghosts, and the step kernel is
+    built once, so a step costs one kernel call and no profile
+    evaluation.  The kernel has implicit_step's floating-point operations,
+    and the clip threshold's sup (the max of the last step's clipped
+    values) is its max |u|, so the result is bit-identical to calling
+    implicit_step along the same schedule.  The step follows the time
+    scale T-t of the self-similar decay, so the step count
+    ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
+    ln sup u and ln of the r^{N-1}-weighted L1 norm in ln(T-t) are
+    fitted over checkpoints with T-t < 0.9 T, past initial transients; a
     t_end that leaves fewer than two of them raises ValueError before any
     step is taken.  The time error is O(dt_frac^2): the alpha differences
     of a dt_frac ladder shrink by about 4 per halving.  The default
@@ -379,6 +381,8 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     on M scales like 1 / dt_frac (at 5e-4, 15,000 runs and 15,800 trips).
     """
     T = fld0.T
+    if fld0.t != 0.0:
+        raise ValueError(f"the run starts at t = 0, got t={fld0.t!r}")
     if not (0.0 < t_end <= 0.8 * T):
         raise ValueError("t_end must lie in (0, 0.8 T]")
     consts = fld0.consts
@@ -386,9 +390,10 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     xc = grid.centers()
     eps0 = KAPPA * grid.dx
 
-    cks = sorted(set((T - np.geomspace(T * 0.999999, T - t_end, 24)).tolist()))
+    cks = (T - np.geomspace(T * 0.999999, T - t_end, 24)).tolist()
     cks[-1] = t_end
-    in_fit = np.log(T - np.asarray(cks)) < math.log(0.9 * T)
+    lt = np.log(T - np.asarray(cks))
+    in_fit = lt < math.log(0.9 * T)
     n_fit = int(in_fit.sum())
     if n_fit < 2:
         raise ValueError(
@@ -398,11 +403,10 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     step = _make_step(grid, consts)
 
     wall0 = time.perf_counter()
-    times, dts, oms, hits = _schedule(T, fld0.t, cks, dt_frac)
+    times, dts, oms, hits = _schedule(T, 0.0, cks, dt_frac)
     # the Dirichlet ghost at the end of each step
     ghosts = fld0.exact(np.array(times[1:]), grid.L + 0.5 * grid.dx)
     out = []
-    nst = 0
     n_clipped = fld0.n_clipped
     stable = True
     u = u_prev = fld0.values
@@ -412,7 +416,6 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
         new, n_clip, top = step(u, u_prev, om, eps, dt, ghosts[k], top)
         u_prev, u = u, new
         n_clipped += n_clip
-        nst += 1
         if hit:
             if not np.all(np.isfinite(u)):
                 stable = False
@@ -424,37 +427,32 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     sel = 0.0
     l1 = []
     sup = []
-    ts = []
     for tt, uu in out:
         uex = fld0.exact(tt, xc)
         sel = max(sel, float(np.max(np.abs(uu - uex)) / uex.max()))
         l1.append(float(np.sum(uu * V)))
         sup.append(float(uu.max()))
-        ts.append(tt)
-    if snapshot_dir is not None:
-        d = Path(snapshot_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        for k, (tt, uu) in enumerate(out):
-            (d / f"snapshot_{k:03d}.csv").write_text(
-                csv_text([("t", tt)], {"x": xc, "u": uu}, ()))
     alpha_est = l1_est = math.nan
-    if stable and len(out) >= 4:
-        # every checkpoint was reached, so `in_fit` lines up with `ts`
-        lt = np.log(T - np.asarray(ts))
+    if stable:
+        # every checkpoint was reached, so `in_fit` lines up with `sup`
         alpha_est = float(np.polyfit(lt[in_fit], np.log(sup)[in_fit], 1)[0])
         l1_est = float(np.polyfit(lt[in_fit], np.log(l1)[in_fit], 1)[0])
-    else:
-        stable = False
     return ExtinctionMetrics(
         alpha_est=alpha_est, l1_exponent_est=l1_est, selfsim_error=sel,
         stable=stable, grid_L=grid.L, grid_M=grid.M, t_end=t_end,
-        steps=nst, wall_s=round(wall, 2), n_clipped=n_clipped)
+        steps=k + 1, wall_s=round(wall, 2), n_clipped=n_clipped,
+        snapshots=out)
 
 
 def metrics_json(m: ExtinctionMetrics) -> str:
-    d = asdict(m)
-    # wall_s stays out: serialized artifacts must be byte-identical
-    # across reruns
-    d.pop("wall_s")
+    # vars, not asdict: no deep copy of the snapshot arrays; wall_s
+    # stays out, so reruns are byte-identical
+    d = dict(vars(m))
+    del d["wall_s"], d["snapshots"]
     d["grid"] = {"L": d.pop("grid_L"), "M": d.pop("grid_M")}
     return json_text(d)
+
+
+def snapshot_csv(t: float, grid: RadialGrid, u: np.ndarray) -> str:
+    """One snapshot's CSV text: `# t,<t>`, then x and u at the cells."""
+    return csv_text([("t", t)], {"x": grid.centers(), "u": u}, ())

@@ -735,7 +735,8 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
     still undetermined at 16 r_max are assigned by the end-state rule of
     that same solve at tol: C when the gap Kstar - w closes faster than
     r^{-theta} there (classify's gap_exponent > theta), else A; the
-    transcript flags them.  The one dense solve is at a_star.
+    transcript flags them.  The one dense solve is at a_star.  An r_max
+    whose 16 r_max overflows raises ValueError before any solve.
 
     Graded tolerance.  A midpoint that halves [lo, hi] is solved at
     tol_m = max(tol, min(1e-4, 1e-2 (hi - lo) / lo)): a solve at tol_m
@@ -766,6 +767,8 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
     """
     if not 0.0 <= a_tol < math.inf:
         raise ValueError(f"a_tol must be finite and >= 0, got {a_tol!r}")
+    if not math.isfinite(16.0 * r_max):
+        raise ValueError(f"r_max must keep 16 r_max finite, got {r_max!r}")
     args = (consts, bracket.lo, bracket.hi, a_tol, r_max, tol)
     lo, hi, steps = _bisect(*args, graded=True)
     fallback = False

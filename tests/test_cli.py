@@ -240,6 +240,8 @@ class TestExitCodes:
          "cannot read profile: tol must be finite and > 0, got 0.0"),
         (2, ("find", *N1, "--a-tol", "-1", "--outdir", "{tmp}"),
          "a_tol must be finite and >= 0, got -1.0"),
+        (2, ("find", *N1, "--rmax", "1.2e307", "--outdir", "{tmp}"),
+         "r_max must keep 16 r_max finite, got 1.2e+307"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -297,6 +299,18 @@ class TestExitCodes:
         assert got == code
         assert needle in (err if code == 1
                           else json.loads(out).get("error", out))
+
+    # the library refuses these before the first artifact is written,
+    # and the directory is made only with it
+    @pytest.mark.parametrize("argv", [
+        ("find", *N1, "--a-tol", "-1", "--outdir", "{tmp}/new"),
+        ("phase", "--x0", "1e13,0,0", *N1, "--outdir", "{tmp}/new"),
+    ], ids=["find", "phase"])
+    def test_refused_run_creates_nothing(self, capsys, tmp_path, argv):
+        code, d, _ = run_json(capsys, *(a.format(tmp=tmp_path)
+                                        for a in argv))
+        assert code == 2 and not d["ok"]
+        assert not (tmp_path / "new").exists()
 
     # |lambda2| is 0.963 at q = 0.47 and 0.857 at q = 0.48, against
     # |lambda3| = theta = 1 at N = 1: only the first is within 0.1
@@ -751,8 +765,14 @@ class TestArtifactFormat:
           "--snapshots", "{tmp}/snaps", "--out", "{tmp}/metrics.json"), 0,
          ("metrics.json", "snaps/snapshot_000.csv",
           "snaps/snapshot_023.csv")),
+        (("tail", "--profile", "{profile}", "--out", "{tmp}/new/t.json"), 0,
+         ("new/t.json",)),
+        (("pde", "--profile", "{profile}", "--M", "20", "--tend", "0.3",
+          "--snapshots", "{tmp}/a/b"), 0,
+         tuple(f"a/b/snapshot_{k:03d}.csv" for k in range(24))),
     ], ids=["constants", "qstar", "classify", "report", "tail",
-            "phase-profile", "phase-x0", "pde"])
+            "phase-profile", "phase-x0", "pde", "tail-new-dir",
+            "pde-snapshot-dirs"])
     def test_command_artifacts(self, capsys, profile_csv1, tmp_path, argv,
                                code, files):
         got, out, _ = run(capsys, *(a.format(profile=profile_csv1,

@@ -574,18 +574,25 @@ class TestRunAndMeasure:
         with pytest.raises(ValueError, match="checkpoint"):
             run_and_measure(fld, grid, t_end=t_end)
 
-    def test_snapshots_written(self, field1, consts1, tmp_path):
+    @pytest.mark.parametrize("t", [0.5, 0.79, 0.9])
+    def test_start_other_than_zero_refused(self, field100, t):
+        # these once raised IndexError, ran to NaN exponents, or ran no
+        # step and reported unstable
+        fld, grid = field100
+        with pytest.raises(ValueError, match="starts at t = 0"):
+            run_and_measure(dataclasses.replace(fld, t=t), grid, t_end=0.8)
+
+    def test_snapshots_written(self, field1, consts1):
         fld, grid = field1
-        run_and_measure(fld, grid, t_end=0.5,
-                        snapshot_dir=tmp_path)
-        files = sorted(tmp_path.glob("snapshot_*.csv"))
-        assert len(files) >= 4
-        lines = files[0].read_text().splitlines()
+        m = run_and_measure(fld, grid, t_end=0.5)
+        assert len(m.snapshots) == 24
+        t, u = m.snapshots[0]
+        lines = pde.snapshot_csv(t, grid, u).splitlines()
         assert lines[0].startswith("# t,")
         assert lines[1] == "x,u"
         assert len(lines) == 2 + grid.M
 
-    def test_loop_equals_public_step(self, star1, consts1, tmp_path):
+    def test_loop_equals_public_step(self, star1, consts1):
         # the planned loop and implicit_step share one kernel: replaying
         # the schedule through the checkpoints the snapshots record (BE,
         # then BDF2 with the level before; eps at the new time on every
@@ -593,15 +600,10 @@ class TestRunAndMeasure:
         _, traj, _ = star1
         grid = RadialGrid(L=40.0, M=50, N=1)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
-        m = run_and_measure(fld, grid, t_end=0.3,
-                            snapshot_dir=tmp_path)
-        snaps = sorted(tmp_path.glob("snapshot_*.csv"))
-        cks = [float(f.read_text().splitlines()[0].split(",")[1])
-               for f in snaps]
-        u_last = np.loadtxt(snaps[-1], delimiter=",", comments="#",
-                            skiprows=2)[:, 1]
-        u_snaps = [np.loadtxt(f, delimiter=",", comments="#",
-                              skiprows=2)[:, 1] for f in snaps]
+        m = run_and_measure(fld, grid, t_end=0.3)
+        cks = [t for t, _ in m.snapshots]
+        u_snaps = [u for _, u in m.snapshots]
+        u_last = u_snaps[-1]
         times, dts, oms, hits = _schedule(1.0, 0.0, cks, 1e-3)
         assert [t for t, h in zip(times[1:], hits) if h] == cks
         eps0 = pde.KAPPA * grid.dx
