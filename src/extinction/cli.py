@@ -9,21 +9,23 @@ Exit codes; commands raise, and `main` maps every exception through
      an unreadable or malformed profile (shooter.load_profile's refusals,
      such as an a or tol that is not finite and > 0):
      "cannot read profile: ..."
-  2  exponents outside the admissible box (N and p alone for qstar); the
-     library's own input checks (a non-finite --a, --tol or --rmax,
-     --a <= 0, --tol <= 0, --rmax below the series start, a find
-     --rmax whose 16 --rmax overflows, an --a-tol that is not finite and
-     >= 0, a phase --span end that is not finite, a phase --x0 component
-     not finite or at or beyond the 1e12 blow-up guard, bad --L/--M, a
-     pde --T that is not finite and > 0 or whose (T - t)^(alpha + beta)
-     leaves double range, a --tend outside (0, 0.8 T], a triple in the
-     box whose K* overflows double precision); an artifact that cannot
-     be written (an --out that is a directory, an --outdir that is a
-     file): "cannot write output: ..."
+  2  exponents outside the admissible box (exponents.RangeViolation; N
+     and p alone for qstar); the library's own input checks (a
+     non-finite --a, --tol or --rmax, --a <= 0, --tol <= 0, --rmax below
+     the series start, a find --rmax whose 16 --rmax overflows, an
+     --a-tol that is not finite and >= 0, a phase --span end that is not
+     finite or two equal ends, a phase --x0 component not finite or at or
+     beyond the 1e12 blow-up guard, bad --L/--M, a pde --T that is not
+     finite and > 0 or whose (T - t)^(alpha + beta) leaves double range,
+     a --tend outside (0, 0.8 T], a triple in the box whose K* overflows
+     double precision); an artifact that cannot be written (an --out
+     that is a directory, an --outdir that is a file): "cannot write
+     output: ..."
   3  algorithmic failure: no bracket (a downward scan that reaches a
      series start not below r_max too), fit, certification, phase
-     non-convergence, a phase --x0 integration past its budget of
-     right-side evaluations, PDE
+     non-convergence (a profile with no sample that maps into phase
+     space too), a phase --x0 integration past its budget of right-side
+     evaluations, PDE
 
 Explicit flags always win over --config.  Files are made only by
 `_write_or_print` (a refused run makes none); reruns are byte-identical.
@@ -74,11 +76,6 @@ class UsageError(Exception):
     """Exit 1, reported as `error: ...` on stderr."""
 
 
-class RangeViolation(Exception):
-    """Exponents outside the admissible box: exit 2.  The one argument is
-    the tuple of violated inequalities, reported as `violations`."""
-
-
 @contextlib.contextmanager
 def _algorithmic():
     """A ValueError raised inside is an algorithmic failure (exit 3);
@@ -95,8 +92,8 @@ def _report(exc: Exception) -> int:
     if isinstance(exc, UsageError):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(exc, RangeViolation):
-        report, code = {"violations": exc.args[0]}, EXIT_RANGE
+    if isinstance(exc, exponents.RangeViolation):
+        report, code = {"violations": exc.violations}, EXIT_RANGE
     elif isinstance(exc, OSError):
         # a read turns its OSError into a UsageError, so this one came
         # from writing an artifact
@@ -129,20 +126,12 @@ def _require(args, *flags):
                          + ", ".join(missing))
 
 
-def _check_range(N, p, q=None):
-    """Exit 2 with the named violations where (N, p[, q]) leaves the box."""
-    if violations := exponents.validate_range(N, p, q):
-        raise RangeViolation(violations)
-
-
 def _params(args):
-    """Constants of the exponents --N/--p/--q, checked against the box.
-    Where the command takes --rmax and it was left out, fills in the
-    default."""
+    """Constants of the exponents --N/--p/--q (derive_constants refuses a
+    triple outside the box).  Where the command takes --rmax and it was
+    left out, fills in the default."""
     _require(args, "N", "p", "q")
-    _check_range(args.N, args.p, args.q)
-    consts = exponents.derive_constants(
-        exponents.ExponentParams(N=args.N, p=args.p, q=args.q))
+    consts = exponents.derive_constants(args.N, args.p, args.q)
     if "rmax" in vars(args) and args.rmax is None:
         # radius where the second-order tail term has decayed to 1% of Kstar
         args.rmax = 100.0 ** (1.0 / consts.theta)
@@ -167,7 +156,6 @@ def cmd_constants(args) -> int:
 
 def cmd_qstar(args) -> int:
     _require(args, "N", "p")
-    _check_range(args.N, args.p)
     lam = exponents.lambdastar(args.N, args.p)
     _write_or_print(args.out, exponents.json_text(
         {"N": args.N, "p": args.p, "lambdastar": lam,
@@ -270,7 +258,7 @@ def cmd_phase(args) -> int:
 
 def cmd_pde(args) -> int:
     consts, traj = _load_profile(args.profile)
-    grid = pde.RadialGrid(L=args.L, M=args.M, N=consts.N)
+    grid = pde.RadialGrid(L=args.L, M=args.M)
     if not (math.isfinite(args.T) and args.T > 0.0):
         raise ValueError(f"--T must be finite and > 0, got {args.T!r}")
     if not 0.0 < args.tend <= 0.8 * args.T:
@@ -420,8 +408,7 @@ def main(argv=None) -> int:
         # argparse exits on usage errors and -h; report as a return code
         # so in-process callers see the same contract as the shell.
         return int(e.code or 0)
-    except (UsageError, RangeViolation, ValueError, RuntimeError,
-            OSError) as e:
+    except (UsageError, ValueError, RuntimeError, OSError) as e:
         return _report(e)
 
 

@@ -5,14 +5,17 @@ PDE check) is parametrized by the triple (N, p, q) with
 
     2N/(N+1) < p < 2,      p - 1 < q < p/2.
 
-This module computes the derived constants and the spectrum of the
-phase-space linearization, and cross-checks them against exact algebraic
-identities.  It also holds what every other module shares: the
-numerical kernels of the tail and phase analyses (the 5-point derivative
-in ln r, the pinned-basis log regression, and the one fit of the Z-gap
-decay that both read theta and A from) and the two writers that fix the
-byte format of every artifact (`json_text`, `csv_text`).  Pure functions
-on value types throughout.
+The triple enters the library once, through `derive_constants(N, p, q)`,
+the one place that refuses a triple outside the box (RangeViolation);
+every other function takes the DerivedConstants it returns.  This module
+computes the derived constants and the spectrum of the phase-space
+linearization, and cross-checks them against exact algebraic identities.
+It also holds what every other module shares: the numerical kernels of
+the tail and phase analyses (the 5-point derivative in ln r, the
+pinned-basis log regression, and the one fit of the Z-gap decay that
+both read theta and A from) and the two writers that fix the byte format
+of every artifact (`json_text`, `csv_text`).  Pure functions on value
+types throughout.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 __all__ = [
-    "ExponentParams",
+    "RangeViolation",
     "DerivedConstants",
     "Spectrum",
     "validate_range",
@@ -39,11 +42,13 @@ __all__ = [
     "csv_text",
 ]
 
-@dataclass(frozen=True)
-class ExponentParams:
-    N: int
-    p: float
-    q: float
+
+class RangeViolation(ValueError):
+    """Exponents outside the box; `violations` as validate_range gives."""
+
+    def __init__(self, violations: tuple[str, ...]):
+        super().__init__("exponent range violation: " + "; ".join(violations))
+        self.violations = violations
 
 
 def validate_range(N, p, q=None) -> tuple[str, ...]:
@@ -88,8 +93,9 @@ class DerivedConstants:
     zeta: float
 
 
-def derive_constants(params: ExponentParams) -> DerivedConstants:
-    """All closed-form constants of the self-similar profile problem.
+def derive_constants(N: int, p: float, q: float) -> DerivedConstants:
+    """All closed-form constants of the self-similar profile problem; the
+    one constructor of DerivedConstants, so each is inside the box.
 
     alpha, beta   time/space self-similarity exponents
     mu            fast tail decay power, f ~ K* r^{-mu}
@@ -100,9 +106,8 @@ def derive_constants(params: ExponentParams) -> DerivedConstants:
     nu            (q-p+1)/(p-1)
     zeta          N(p-1) + q*Zstar
     """
-    N, p, q = params.N, params.p, params.q
     if violations := validate_range(N, p, q):
-        raise ValueError("exponent range violation: " + "; ".join(violations))
+        raise RangeViolation(violations)
     alpha = (p - q) / (p - 2.0 * q)
     beta = (q - p + 1.0) / (p - 2.0 * q)
     mu = (p - q) / (q - p + 1.0)
@@ -139,8 +144,11 @@ class Spectrum:
 def lambdastar(N: int, p: float) -> float:
     """Root of P(lam) = (N-1)lam^2 - 3(p-1)lam + (2-p)(p-1) in (0, (2-p)/2).
 
-    P is linear for N=1; for N >= 2 exactly one root lies in that interval.
+    P is linear for N=1; for N >= 2 exactly one root lies in that interval
+    (RangeViolation for an (N, p) outside the box).
     """
+    if violations := validate_range(N, p):
+        raise RangeViolation(violations)
     if N == 1:
         return (2.0 - p) / 3.0
     a, b, c = N - 1.0, -3.0 * (p - 1.0), (2.0 - p) * (p - 1.0)

@@ -67,9 +67,9 @@ _OMEGA_MAX = 1.0 + math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class RadialGrid:
+    """M cells on [0, L]; face areas and volumes take the profile's N."""
     L: float
     M: int
-    N: int
     dx: float = field(init=False)
 
     def __post_init__(self):
@@ -83,12 +83,12 @@ class RadialGrid:
     def faces(self) -> np.ndarray:
         return np.arange(self.M + 1) * self.dx
 
-    def face_areas(self) -> np.ndarray:
-        return self.faces() ** (self.N - 1)
+    def face_areas(self, N: int) -> np.ndarray:
+        return self.faces() ** (N - 1)
 
-    def cell_volumes(self) -> np.ndarray:
+    def cell_volumes(self, N: int) -> np.ndarray:
         rf = self.faces()
-        return (rf[1:] ** self.N - rf[:-1] ** self.N) / self.N
+        return (rf[1:] ** N - rf[:-1] ** N) / N
 
 
 @dataclass
@@ -177,8 +177,6 @@ def build_initial(traj, consts: DerivedConstants, T: float,
     and the Dirichlet ghost are only exact for that branch), and L must be
     large enough that u(0, L) <= 1e-3 u(0, 0).
     """
-    if grid.N != consts.N:
-        raise ValueError("grid dimension differs from the profile's")
     cert = certify_B(traj, consts)
     if not cert.ok:
         bad = [k for k, v in cert.checks.items() if not v]
@@ -203,7 +201,7 @@ def _make_step(grid: RadialGrid, consts: DerivedConstants):
     from scipy.linalg.lapack import dgtsv
 
     M, dx, q, e_mob = grid.M, grid.dx, consts.q, 0.5 * (consts.p - 2.0)
-    V, Af1 = grid.cell_volumes(), grid.face_areas()[1:]
+    V, Af1 = grid.cell_volumes(consts.N), grid.face_areas(consts.N)[1:]
     ext, s, w = np.empty(M + 1), np.zeros(M + 1), np.zeros(M + 1)
     mob, ab, tmp, off = np.empty(M), np.empty(M), np.empty(M), np.empty(M - 1)
     us, ext1 = ext[:M], ext[1:]
@@ -423,7 +421,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
             out.append((times[k + 1], u))
     wall = time.perf_counter() - wall0
 
-    V = grid.cell_volumes()
+    V = grid.cell_volumes(consts.N)
     sel = 0.0
     l1 = []
     sup = []

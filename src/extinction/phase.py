@@ -150,14 +150,16 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     """Free integration of the autonomous system, sampled at 2001 points
     uniform in eta.  The right side is quadratic with no singularity; a
     |x| >= 1e12 guard stops runaway along the unstable direction, so x0
-    must lie inside it.  Both ends of eta_span must be finite, and tol
-    finite and > 0 (a positive tol below 100 ulp is raised to it, with
-    scipy's warning).  Raises RuntimeError once the integration has used
-    RHS_BUDGET right-side evaluations."""
+    must lie inside it.  The ends of eta_span must be finite and differ,
+    and tol finite and > 0 (a positive tol below 100 ulp is raised to it,
+    with scipy's warning).  Raises RuntimeError once the integration has
+    used RHS_BUDGET right-side evaluations."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not all(map(math.isfinite, eta_span)):
         raise ValueError(f"eta_span ends must be finite, got {eta_span!r}")
+    if eta_span[0] == eta_span[1]:
+        raise ValueError(f"eta_span ends must differ, got {eta_span!r}")
     if not all(abs(c) < BLOWUP_GUARD for c in x0):
         raise ValueError(f"x0 components must be finite and below the "
                          f"blow-up guard {BLOWUP_GUARD:g}, got {x0!r}")
@@ -226,6 +228,8 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     Zst = consts.Zstar
     spec = spectral_data(consts)
     eta, Y, Z = path.eta, path.Y, path.Z
+    if not len(path):
+        raise ValueError("path does not converge: it holds no samples")
     dist = math.sqrt((path.X[-1]) ** 2 + (Y[-1]) ** 2
                      + (Z[-1] - Zst) ** 2)
     if not np.isfinite(dist) or dist > 0.05 * Zst:

@@ -49,8 +49,7 @@ from math import fsum
 
 import numpy as np
 
-from .exponents import (DerivedConstants, ExponentParams, csv_text,
-                        derive_constants, deta, validate_range)
+from .exponents import DerivedConstants, csv_text, derive_constants, deta
 
 __all__ = [
     "ProfileTrajectory",
@@ -462,7 +461,8 @@ def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
     error such a step gives it: stages 0 and 5-11 enter the error sums,
     stages 1-4 reach stage 5 through nonzero weights (and each stage
     taken at a non-finite state is non-finite), and stage 12, which the
-    error rows weigh by 0, is tested on its own.
+    error rows weigh by 0, is tested on its own; so is an accepted step
+    whose interpolant's extra stages overflow (at a loose rtol).
 
     Returns (status, r_end, f_end, F_end, k, segments): status 0 when
     r_bound is reached, 1 when event k fires at r_end, -1 when the step
@@ -505,6 +505,13 @@ def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
                     err = 0.0
                 else:
                     err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+                if err < 1:
+                    g_new = events(r_new, f_new, F_new)
+                    fired = [k for k, v in enumerate(g)
+                             if v <= 0 <= g_new[k]]
+                    if dense or fired:
+                        seg = _dense_segment(rhs, r, h, f, F, f_new, F_new,
+                                             Kf, KF)
             except (OverflowError, ZeroDivisionError, ValueError):
                 err = math.nan   # inf - inf in fsum is a ValueError
             # scipy's SAFETY 0.9, MIN_FACTOR 0.2, MAX_FACTOR 10 and error
@@ -517,12 +524,8 @@ def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        g_new = events(r_new, f_new, F_new)
-        fired = [k for k, v in enumerate(g) if v <= 0 <= g_new[k]]
-        if dense or fired:
-            seg = _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF)
-            if dense:
-                segments.append(seg)
+        if dense:
+            segments.append(seg)
         if fired:
             r_end, k = min((_event_root(events, k, seg, r, r_new), k)
                            for k in fired)
@@ -560,8 +563,6 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
         raise ValueError(f"a must be positive and finite, got {a!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if violations := validate_range(consts.N, consts.p, consts.q):
-        raise ValueError("; ".join(violations))
     if not math.isfinite(consts.Kstar):
         raise ValueError(
             "Kstar overflows double precision (q too close to p-1): the "
@@ -867,7 +868,8 @@ def load_profile(text: str):
     `# r0` line of older files) are ignored: r0 is the first r.  ValueError
     where read_profile_csv refuses the text, a parameter is missing, N is
     not a finite integer, a or tol is not finite and > 0, a sample read or
-    derived is not finite, or r is not > 0 and strictly increasing."""
+    derived is not finite, r is not > 0 and strictly increasing, or the
+    triple leaves the box (RangeViolation)."""
     meta, cols, events = read_profile_csv(text)
     if missing := [k for k in PROFILE_META if k not in meta]:
         raise ValueError(f"missing parameters: {', '.join(missing)}")
@@ -877,8 +879,7 @@ def load_profile(text: str):
     for k in ("a", "tol"):
         if not 0.0 < meta[k] < math.inf:
             raise ValueError(f"{k} must be finite and > 0, got {meta[k]!r}")
-    consts = derive_constants(ExponentParams(N=int(N), p=meta["p"],
-                                             q=meta["q"]))
+    consts = derive_constants(int(N), meta["p"], meta["q"])
     with np.errstate(over="ignore"):
         traj = _trajectory(consts, meta["a"], *cols.values(), events,
                            meta["tol"])

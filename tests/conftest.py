@@ -10,7 +10,6 @@ bisections are expensive, so the located trajectories are session-scoped.
 import pytest
 
 from extinction import (
-    ExponentParams,
     derive_constants,
     find_bracket,
     find_profile,
@@ -19,23 +18,13 @@ from extinction import (
 
 
 @pytest.fixture(scope="session")
-def params1():
-    return ExponentParams(N=1, p=1.2, q=0.5)
+def consts1():
+    return derive_constants(1, 1.2, 0.5)
 
 
 @pytest.fixture(scope="session")
-def consts1(params1):
-    return derive_constants(params1)
-
-
-@pytest.fixture(scope="session")
-def params2():
-    return ExponentParams(N=2, p=1.5, q=0.6)
-
-
-@pytest.fixture(scope="session")
-def consts2(params2):
-    return derive_constants(params2)
+def consts2():
+    return derive_constants(2, 1.5, 0.6)
 
 
 @pytest.fixture(scope="session")

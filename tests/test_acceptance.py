@@ -126,7 +126,7 @@ def test_criterion_7_extinction_rates(star1, consts1):
     sel = {}
     m800 = None
     for M in (200, 400, 800):
-        grid = RadialGrid(L=40.0, M=M, N=1)
+        grid = RadialGrid(L=40.0, M=M)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
         m = run_and_measure(fld, grid, t_end=0.8)
         assert m.stable
@@ -144,7 +144,7 @@ def test_criterion_7_extinction_rates(star1, consts1):
           f"{sel[200]:.4f} > {sel[400]:.4f} > {sel[800]:.4f}, {dt:.0f}s")
 
 
-def test_criterion_8_property_suites(star1, params1, consts1):
+def test_criterion_8_property_suites(star1, consts1):
     _, btraj, _ = star1
     # energy monotone on A-, B- and C-class trajectories
     for a in (0.01, 0.5, btraj.a, 10.0, 100.0):
@@ -165,11 +165,11 @@ def test_criterion_8_property_suites(star1, params1, consts1):
     assert fit.theta_est == pytest.approx(1.0, abs=1e-6)
     assert fit.A_est == pytest.approx(0.7, abs=1e-6)
     # PDE ordering preserved over 100 steps
-    grid = RadialGrid(L=40.0, M=100, N=1)
+    grid = RadialGrid(L=40.0, M=100)
     lo = build_initial(btraj, consts1, T=1.0, grid=grid)
     hi = dataclasses.replace(lo, values=lo.values + 0.05 * lo.values.max())
     eps = 0.016 * grid.dx
-    step_dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
+    step_dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - consts1.p)
     for _ in range(100):
         lo = implicit_step(lo, grid, eps, step_dt)
         hi = implicit_step(hi, grid, eps, step_dt)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extinction import cli, trajectory_csv
+from extinction import cli, load_profile, trajectory_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,10 +96,11 @@ class TestExitCodes:
     # F = 1e300 at data row 3000 (f' = -F^5 overflows), {seven} the
     # shared profile under the seven-column header of the old layout, and
     # {aneg}, {anan} and {tolzero} the shared profile with its header's a
-    # set to -1 and nan and its tol to 0.
+    # set to -1 and nan and its tol to 0, and {Fzero} the shared profile
+    # with F = 0 at every row (no sample maps into phase space).
     # A failure prints its needle in "error"; a run that ends with a
-    # written but unaccepted result has no "error" and prints the needle
-    # itself.
+    # written but unaccepted result, or succeeds, has no "error" and
+    # prints the needle itself.
     @pytest.mark.parametrize("code, argv, needle", [
         (1, ("phase", "--x0", "0.1,0.2", *N1, "--outdir", "{tmp}"), "--x0"),
         (1, ("phase", "--x0", "0.1,0.1,0.6", "--span", "5", *N1,
@@ -242,6 +243,19 @@ class TestExitCodes:
          "a_tol must be finite and >= 0, got -1.0"),
         (2, ("find", *N1, "--rmax", "1.2e307", "--outdir", "{tmp}"),
          "r_max must keep 16 r_max finite, got 1.2e+307"),
+        (0, ("classify", *N1, "--a", "0.1", "--tol", "0.5"), '"label": "C"'),
+        (0, ("classify", *N1, "--a", "1", "--tol", "0.5"), '"label": "C"'),
+        (0, ("classify", *N1, "--a", "10", "--tol", "0.5"), '"label": "A"'),
+        (3, ("find", *N1, "--tol", "0.5", "--outdir", "{tmp}"),
+         "tail exponent off theory"),
+        pytest.param(
+            3, ("phase", "--from-profile", "{Fzero}", "--outdir", "{tmp}"),
+            "path does not converge: it holds no samples",
+            marks=pytest.mark.filterwarnings("ignore:skipped 4000 sample")),
+        (2, ("phase", "--x0=0.15,0.35,0.6667", "--span=5,5", *N1,
+             "--outdir", "{tmp}"),
+         "eta_span ends must differ, got (5.0, 5.0)"),
+        (2, ("qstar", "--N", "2", "--p", "2.5"), "p < 2 fails"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -255,7 +269,7 @@ class TestExitCodes:
                  "fnan": tmp_path / "fnan.csv", "rback": tmp_path / "rback.csv",
                  **{k: tmp_path / f"{k}.csv"
                     for k in ("rzero", "rneg", "Fhuge", "seven", "aneg",
-                              "anan", "tolzero")},
+                              "anan", "tolzero", "Fzero")},
                  "tmp": tmp_path}
         files["empty"].write_text("# N,1\nr,f,F\n")
         files["swapped"].write_text(files["profile"].read_text().replace(
@@ -283,6 +297,11 @@ class TestExitCodes:
         files["rzero"].write_text(edited(1, "r", "0"))
         files["rneg"].write_text(edited(1, "r", "-1"))
         files["Fhuge"].write_text(edited(3000, "F", "1e300"))
+        files["Fzero"].write_text("".join(
+            lines[:head + 1]
+            + [ln if ln.startswith("#") else
+               ",".join(ln.split(",")[:-1] + ["0\n"])
+               for ln in lines[head + 1:]]))
 
         def header(key, value):
             """The shared profile with its header's `key` set to `value`."""
@@ -299,6 +318,15 @@ class TestExitCodes:
         assert got == code
         assert needle in (err if code == 1
                           else json.loads(out).get("error", out))
+
+    def test_loose_tol_shoot_writes_its_profile(self, capsys, tmp_path):
+        # at --tol 0.5 the interpolant of an accepted step once overflowed
+        # in an uncaught OverflowError: such a step is now rejected
+        out = tmp_path / "shoot.csv"
+        assert run(capsys, "shoot", *N1, "--a", "1", "--tol", "0.5",
+                   "--out", str(out))[0] == 0
+        _, traj = load_profile(out.read_text())
+        assert [k for k, _ in traj.events] == ["W_EXCEEDS_KSTAR"]
 
     # the library refuses these before the first artifact is written,
     # and the directory is made only with it

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extinction import (
-    ExponentParams,
+    RangeViolation,
     derive_constants,
     validate_range,
     spectral_data,
@@ -37,17 +37,17 @@ def sample_params(rng):
         pc = 2.0 * N / (N + 1.0)
         p = pc + (2.0 - pc) * rng.uniform(0.05, 0.95)
         q = (p - 1.0) + (p / 2.0 - (p - 1.0)) * rng.uniform(0.05, 0.95)
-        c = derive_constants(ExponentParams(N, p, q))
+        c = derive_constants(N, p, q)
         vals = [c.alpha, c.beta, c.mu, c.Kstar, c.theta, c.Zstar, c.zeta]
         if all(np.isfinite(v) and abs(v) < 1e100 for v in vals):
-            return ExponentParams(N, p, q)
+            return (N, p, q)
 
 
 def check_identities(params, rtol=1e-10):
     """The five structural identities; returns worst relative error."""
-    c = derive_constants(params)
+    c = derive_constants(*params)
     s = spectral_data(c)
-    N, p, q = params.N, params.p, params.q
+    N, p, q = params
     base = (p - 1.0) * (c.mu + 1.0) - N + 1.0
     errs = [
         abs((c.mu * c.Kstar) ** (q - p + 1.0) - base) / abs(base),
@@ -68,7 +68,7 @@ def check_identities(params, rtol=1e-10):
 class TestDerivedConstantsN1:
     # N=1, p=1.2, q=0.5: every constant is an exact rational.
     def setup_method(self):
-        self.c = derive_constants(ExponentParams(1, 1.2, 0.5))
+        self.c = derive_constants(1, 1.2, 0.5)
 
     def test_alpha_beta(self):
         assert self.c.alpha == pytest.approx(3.5, rel=1e-14)
@@ -97,7 +97,7 @@ class TestDerivedConstantsN1:
 class TestDerivedConstantsN2:
     # N=2, p=1.5, q=0.6: mu+1 = 10 makes Z* = base = 4 exact.
     def setup_method(self):
-        self.c = derive_constants(ExponentParams(2, 1.5, 0.6))
+        self.c = derive_constants(2, 1.5, 0.6)
 
     def test_values(self):
         c = self.c
@@ -111,20 +111,20 @@ class TestDerivedConstantsN2:
 
 class TestSpectrum:
     def test_eigenvalues_n1(self):
-        s = spectral_data(derive_constants(ExponentParams(1, 1.2, 0.5)))
+        s = spectral_data(derive_constants(1, 1.2, 0.5))
         assert s.lambda1 == pytest.approx(5.0 / 3.0, rel=1e-13)
         assert s.lambda2 == pytest.approx(-2.0 / 3.0, rel=1e-13)
         assert s.lambda3 == pytest.approx(-1.0, rel=1e-13)
         assert s.LambdaMax == pytest.approx(-2.0 / 3.0, rel=1e-13)
 
     def test_eigenvectors_n1(self):
-        s = spectral_data(derive_constants(ExponentParams(1, 1.2, 0.5)))
+        s = spectral_data(derive_constants(1, 1.2, 0.5))
         assert np.allclose(s.V1, (8.0 / 15.0, 0.0, 0.7), rtol=1e-13)
         assert np.allclose(s.V2, (0.3, 0.7, 0.0), rtol=1e-13)
         assert s.V3 == (0.0, 0.0, 1.0)
 
     def test_jacobian_origin_n1(self):
-        c = derive_constants(ExponentParams(1, 1.2, 0.5))
+        c = derive_constants(1, 1.2, 0.5)
         M = np.array(jacobian_origin(c))
         want = np.array([[5.0 / 3.0, -1.0, 0.0],
                          [0.0, -2.0 / 3.0, 0.0],
@@ -132,7 +132,7 @@ class TestSpectrum:
         assert np.allclose(M, want, rtol=1e-12, atol=1e-14)
 
     def test_eigenvalues_n2(self):
-        s = spectral_data(derive_constants(ExponentParams(2, 1.5, 0.6)))
+        s = spectral_data(derive_constants(2, 1.5, 0.6))
         assert s.lambda1 == pytest.approx(6.0, rel=1e-12)
         assert s.lambda2 == pytest.approx(-3.0, rel=1e-13)
         assert s.lambda3 == pytest.approx(-0.8, rel=1e-12)
@@ -146,7 +146,7 @@ class TestCrossover:
                                                    rel=1e-14)
 
     def test_qstar_n1(self):
-        s = spectral_data(derive_constants(ExponentParams(1, 1.2, 0.5)))
+        s = spectral_data(derive_constants(1, 1.2, 0.5))
         assert s.qstar == pytest.approx(0.4666666666666666, rel=1e-13)
 
     def test_lambdastar_n2_quadratic_root(self):
@@ -160,9 +160,9 @@ class TestCrossover:
         # above q* the ordering is reversed and lambda2 governs the tail
         for N, p in ((1, 1.2), (2, 1.5), (3, 1.7)):
             qs = spectral_data(
-                derive_constants(ExponentParams(N, p, p / 2 * 0.999))).qstar
-            lo = spectral_data(derive_constants(ExponentParams(N, p, qs - 0.02)))
-            hi = spectral_data(derive_constants(ExponentParams(N, p, qs + 0.02)))
+                derive_constants(N, p, p / 2 * 0.999)).qstar
+            lo = spectral_data(derive_constants(N, p, qs - 0.02))
+            hi = spectral_data(derive_constants(N, p, qs + 0.02))
             assert abs(lo.lambda2) > abs(lo.lambda3)
             assert abs(hi.lambda2) < abs(hi.lambda3)
             assert lo.LambdaMax == lo.lambda3
@@ -211,8 +211,21 @@ class TestValidateRange:
         assert validate_range(N, 1.5, 0.6) == ("N integer fails",)
 
     def test_derive_constants_raises_out_of_range(self):
-        with pytest.raises(ValueError):
-            derive_constants(ExponentParams(1, 2.5, 0.5))
+        with pytest.raises(RangeViolation) as exc:
+            derive_constants(1, 2.5, 0.5)
+        assert exc.value.violations == ("p < 2 fails", "q > p-1 fails")
+        assert str(exc.value) == ("exponent range violation: p < 2 fails; "
+                                  "q > p-1 fails")
+        # still a ValueError: a profile header outside the box is a
+        # malformed profile
+        assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("N, p", [(1, 3.0), (1, 0.5), (2, 2.5)])
+    def test_lambdastar_raises_out_of_range(self, N, p):
+        # once -1/3 and 0.5 silently, and an ArithmeticError at N = 2
+        with pytest.raises(RangeViolation) as exc:
+            lambdastar(N, p)
+        assert exc.value.violations == validate_range(N, p) != ()
 
 
 class TestIdentities:
@@ -228,8 +241,8 @@ class TestIdentities:
         pc = 2.0 * N / (N + 1.0)
         p = pc + (2.0 - pc) * up
         q = (p - 1.0) + (p / 2.0 - (p - 1.0)) * uq
-        params = ExponentParams(N, p, q)
-        c = derive_constants(params)
+        params = (N, p, q)
+        c = derive_constants(*params)
         vals = [c.alpha, c.beta, c.mu, c.Kstar, c.theta, c.Zstar, c.zeta]
         if not all(np.isfinite(v) and abs(v) < 1e100 for v in vals):
             return  # representable-magnitude guard, same as sample_params
@@ -240,12 +253,12 @@ class TestIdentities:
         rng = np.random.default_rng(7)
         for _ in range(20):
             prm = sample_params(rng)
-            c = derive_constants(prm)
+            c = derive_constants(*prm)
             assert c.alpha == pytest.approx(c.mu * c.beta, rel=1e-12)
 
 
 def test_constants_json_flat_and_sorted():
-    c = derive_constants(ExponentParams(1, 1.2, 0.5))
+    c = derive_constants(1, 1.2, 0.5)
     s = spectral_data(c)
     txt = constants_json(c, s)
     d = json.loads(txt)

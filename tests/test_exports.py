@@ -1,5 +1,5 @@
 """The public API: the package re-exports exactly the modules' public names,
-and the shooter and the PDE solver take the exponent triple once."""
+and no module downstream of `exponents` takes the exponent triple again."""
 
 import inspect
 import types
@@ -26,17 +26,14 @@ def test_no_name_outside_the_module_lists():
     assert public == listed
 
 
-@pytest.mark.parametrize("mod", (shooter, pde), ids=lambda m: m.__name__)
+@pytest.mark.parametrize("mod", (shooter, tail, phase, pde),
+                         ids=lambda m: m.__name__)
 def test_triple_is_named_once(mod):
-    # DerivedConstants carries N, p and q: no public callable of the
-    # shooter or the PDE solver also takes an ExponentParams.  The modules
-    # use postponed annotations, so the annotations are strings.
-    offending = []
-    for name in mod.__all__:
-        obj = getattr(mod, name)
-        if not callable(obj):
-            continue
-        for par in inspect.signature(obj).parameters.values():
-            if par.name == "params" or "ExponentParams" in str(par.annotation):
-                offending.append(f"{name}({par.name})")
+    # the triple enters through exponents.derive_constants, and the
+    # DerivedConstants it returns carries N, p and q: no public callable
+    # downstream also takes one of them, or a record of them, on its own
+    offending = [f"{name}({par})" for name in mod.__all__
+                 if callable(obj := getattr(mod, name))
+                 for par in inspect.signature(obj).parameters
+                 if par in ("N", "p", "q", "params")]
     assert not offending

@@ -35,7 +35,7 @@ def interp1(star1, consts1):
 @pytest.fixture(scope="module")
 def field1(star1, consts1):
     _, traj, _ = star1
-    grid = RadialGrid(L=40.0, M=200, N=1)
+    grid = RadialGrid(L=40.0, M=200)
     return build_initial(traj, consts1, T=1.0, grid=grid), grid
 
 
@@ -49,34 +49,34 @@ def run200(field1, consts1):
 @pytest.fixture(scope="module")
 def field100(star1, consts1):
     _, traj, _ = star1
-    grid = RadialGrid(L=40.0, M=100, N=1)
+    grid = RadialGrid(L=40.0, M=100)
     return build_initial(traj, consts1, T=1.0, grid=grid), grid
 
 
 class TestRadialGrid:
     def test_geometry_n1(self):
-        g = RadialGrid(L=40.0, M=200, N=1)
+        g = RadialGrid(L=40.0, M=200)
         assert g.dx == 0.2
         assert g.centers()[0] == pytest.approx(0.1)
         assert len(g.faces()) == 201
-        assert np.all(g.face_areas() == 1.0)
-        assert np.allclose(g.cell_volumes(), g.dx, rtol=1e-14)
+        assert np.all(g.face_areas(1) == 1.0)
+        assert np.allclose(g.cell_volumes(1), g.dx, rtol=1e-14)
 
     def test_geometry_n2(self):
-        g = RadialGrid(L=10.0, M=50, N=2)
+        g = RadialGrid(L=10.0, M=50)
         rf = g.faces()
-        assert np.allclose(g.face_areas(), rf, rtol=1e-14)
-        assert np.allclose(g.cell_volumes(),
+        assert np.allclose(g.face_areas(2), rf, rtol=1e-14)
+        assert np.allclose(g.cell_volumes(2),
                            0.5 * (rf[1:] ** 2 - rf[:-1] ** 2), rtol=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialGrid(L=0.0, M=10, N=1)
+            RadialGrid(L=0.0, M=10)
         with pytest.raises(ValueError):
-            RadialGrid(L=1.0, M=0, N=1)
+            RadialGrid(L=1.0, M=0)
         for L in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite L"):
-                RadialGrid(L=L, M=10, N=1)
+                RadialGrid(L=L, M=10)
 
 
 class TestProfileInterpolant:
@@ -141,7 +141,7 @@ class TestProfileInterpolant:
 class TestBuildInitial:
     def test_values_and_scaling(self, star1, consts1, interp1):
         _, traj, _ = star1
-        grid = RadialGrid(L=40.0, M=200, N=1)
+        grid = RadialGrid(L=40.0, M=200)
         fld = build_initial(traj, consts1, T=2.0, grid=grid)
         al, be = consts1.alpha, consts1.beta
         xc = grid.centers()
@@ -150,67 +150,62 @@ class TestBuildInitial:
         assert fld.exact(0.0, np.array([0.0]))[0] == pytest.approx(
             2.0 ** 3.5 * A_STAR_N1, rel=1e-9)
 
-    def test_grid_dimension_mismatch(self, star1, consts1):
-        _, traj, _ = star1
-        with pytest.raises(ValueError, match="dimension"):
-            build_initial(traj, consts1, 1.0, RadialGrid(L=40.0, M=100, N=2))
-
     def test_L_too_small(self, star1, consts1):
         _, traj, _ = star1
         with pytest.raises(ValueError, match="L too small"):
-            build_initial(traj, consts1, 1.0, RadialGrid(L=4.0, M=40, N=1))
+            build_initial(traj, consts1, 1.0, RadialGrid(L=4.0, M=40))
 
     def test_uncertified_profile_rejected(self, consts1):
         traj = integrate_profile(consts1, 0.9 * A_STAR_N1, 100.0,
                                  n_samples=2048)
         with pytest.raises(ValueError, match="not certified"):
-            build_initial(traj, consts1, 1.0, RadialGrid(L=40.0, M=100, N=1))
+            build_initial(traj, consts1, 1.0, RadialGrid(L=40.0, M=100))
 
     def test_candidate_n2_not_certified(self, star2, consts2):
         # the N=2 candidate fails the certificate, which is always checked
         _, traj, _ = star2
         with pytest.raises(ValueError, match="not certified"):
-            build_initial(traj, consts2, 1.0, RadialGrid(L=10.0, M=50, N=2))
+            build_initial(traj, consts2, 1.0, RadialGrid(L=10.0, M=50))
 
 
 class TestStep:
     # implicit_step at dt = 0.3 dx^2 eps^{2-p}, inside the diffusion
     # bound of an explicit update with the same fluxes
-    def test_zero_data_stays_zero(self, params1, consts1):
-        grid = RadialGrid(L=40.0, M=100, N=1)
+    def test_zero_data_stays_zero(self, consts1):
+        grid = RadialGrid(L=40.0, M=100)
         zero = lambda r: np.zeros_like(np.asarray(r, float))
         fld = SelfSimilarField(T=1.0, t=0.0, values=np.zeros(100),
                                profile=zero, consts=consts1)
         eps = 0.016 * grid.dx
         new = implicit_step(fld, grid, eps, dt=0.3 * grid.dx ** 2
-                            * eps ** (2.0 - params1.p))
+                            * eps ** (2.0 - consts1.p))
         assert np.all(new.values == 0.0)
         assert new.n_clipped == 0
 
-    def test_sup_decreases(self, field1, params1):
+    def test_sup_decreases(self, field1, consts1):
         fld, grid = field1
         eps = 0.016 * grid.dx
-        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
+        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - consts1.p)
         new = implicit_step(fld, grid, eps, dt)
         assert new.values.max() < fld.values.max()
         assert new.t == pytest.approx(dt, rel=1e-14)
 
-    def test_no_spurious_clipping(self, field1, params1):
+    def test_no_spurious_clipping(self, field1, consts1):
         fld, grid = field1
         eps = 0.016 * grid.dx
-        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
+        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - consts1.p)
         cur = fld
         for _ in range(20):
             cur = implicit_step(cur, grid, eps, dt)
         assert cur.n_clipped == 0
 
-    def test_ordering_preserved(self, field1, params1):
+    def test_ordering_preserved(self, field1, consts1):
         # comparison principle: data ordered initially stay ordered
         fld, grid = field1
         hi0 = dataclasses.replace(
             fld, values=fld.values + 0.05 * fld.values.max())
         eps = 0.016 * grid.dx
-        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
+        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - consts1.p)
         lo, hi = fld, hi0
         for _ in range(100):
             lo = implicit_step(lo, grid, eps, dt)
@@ -218,18 +213,17 @@ class TestStep:
             assert np.all(lo.values <= hi.values + 1e-14)
 
     @pytest.mark.parametrize("N", [1, 2])
-    def test_mass_budget(self, star1, star2, consts1, consts2, params1,
-                         params2, N):
+    def test_mass_budget(self, star1, star2, consts1, consts2, N):
         # conservative fluxes: the mass change of one step is the inflow
         # through the outer face (ghost at the new time, mobility lagged at
         # the old values with that ghost) minus the absorbed mass, which
         # is positive
         if N == 1:
-            (_, traj, _), consts, params = star1, consts1, params1
-            grid = RadialGrid(L=40.0, M=200, N=1)
+            (_, traj, _), consts = star1, consts1
+            grid = RadialGrid(L=40.0, M=200)
         else:
-            (_, traj, _), consts, params = star2, consts2, params2
-            grid = RadialGrid(L=10.0, M=50, N=2)
+            (_, traj, _), consts = star2, consts2
+            grid = RadialGrid(L=10.0, M=50)
         # build_initial's sampling without its certificate, which the
         # N=2 candidate fails: the budget holds for any data
         f_of = profile_interpolant(
@@ -237,13 +231,13 @@ class TestStep:
         fld = SelfSimilarField(T=1.0, t=0.0, values=None, profile=f_of,
                                consts=consts)
         fld.values = fld.exact(0.0, grid.centers())
-        p, q, dx, M = params.p, params.q, grid.dx, grid.M
+        p, q, dx, M = consts.p, consts.q, grid.dx, grid.M
         eps = 0.016 * dx
         dt = 0.3 * dx ** 2 * eps ** (2.0 - p)
         new = implicit_step(fld, grid, eps, dt)
         assert new.n_clipped == 0
 
-        u, V = fld.values, grid.cell_volumes()
+        u, V = fld.values, grid.cell_volumes(N)
         g_new = fld.exact(dt, grid.L + 0.5 * dx)
         s = np.zeros(M + 1)
         s[1:M] = np.diff(u) / dx
@@ -270,17 +264,17 @@ class TestImplicitStep:
     }
 
     @pytest.mark.parametrize("M", [100, 200])
-    def test_agrees_with_explicit_step(self, star1, params1, consts1, M):
+    def test_agrees_with_explicit_step(self, star1, consts1, M):
         # same spatial discretization: over 0.02 time units the two
         # kernels agree to 1e-4 of sup, over an order below their shared
         # distance to the exact solution, and closer as the implicit
         # dt shrinks
         _, traj, _ = star1
         n_ex, t_ex, sup, exact_err = self.EXPLICIT[M]
-        grid = RadialGrid(L=40.0, M=M, N=1)
+        grid = RadialGrid(L=40.0, M=M)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
         eps = 0.016 * grid.dx
-        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - params1.p)
+        dt = 0.3 * grid.dx ** 2 * eps ** (2.0 - consts1.p)
         n = round(0.02 / dt)
         assert n == n_ex
         diffs = []
@@ -294,13 +288,13 @@ class TestImplicitStep:
         assert diffs[0] <= 0.05 * exact_err
         assert diffs[1] < diffs[0]
 
-    def test_no_diffusion_step_bound(self, field1, params1):
+    def test_no_diffusion_step_bound(self, field1, consts1):
         # 100x the diffusion bound 0.4 dx^2 / ((p-1) eps^{p-2}) of an
         # explicit update: finite, nonnegative, decaying
         fld, grid = field1
         eps = 0.016 * grid.dx
-        dt = 100 * 0.4 * grid.dx ** 2 / ((params1.p - 1.0)
-                                         * eps ** (params1.p - 2.0))
+        dt = 100 * 0.4 * grid.dx ** 2 / ((consts1.p - 1.0)
+                                         * eps ** (consts1.p - 2.0))
         new = implicit_step(fld, grid, eps, dt)
         assert np.all(np.isfinite(new.values))
         assert new.values.min() >= 0.0
@@ -313,18 +307,19 @@ class TestImplicitStep:
             implicit_step(fld, grid, eps, dt=1.0)
 
     @pytest.mark.parametrize("N", [1, 2])
-    def test_dense_reference_and_clip_count(self, params1, consts1, N):
+    def test_dense_reference_and_clip_count(self, consts1, consts2, N):
         # a cliff on a coarse grid undershoots at its foot; the update
         # and its clip count match a dense solve of the stated system,
         # whose mobility and absorption take the Dirichlet ghost at the
         # new time.  The far field sits at the old ghost, so only the new
         # one makes the last cell absorb, and that cell is not clipped
-        p, q = params1.p, params1.q
-        grid = RadialGrid(L=100.0, M=10, N=N)
+        consts = consts1 if N == 1 else consts2
+        p, q = consts.p, consts.q
+        grid = RadialGrid(L=100.0, M=10)
         flat = lambda r: np.full_like(np.asarray(r, float), 0.01)
         u = np.where(np.arange(10) < 5, 1.0, 0.01)
         fld = SelfSimilarField(T=1.0, t=0.0, values=u,
-                               profile=flat, consts=consts1, n_clipped=3)
+                               profile=flat, consts=consts, n_clipped=3)
         eps, dt, dx = 0.016 * grid.dx, 0.1, grid.dx
         new = implicit_step(fld, grid, eps, dt)
 
@@ -334,8 +329,8 @@ class TestImplicitStep:
         s[10] = (g_new - u[-1]) / dx
         k = (s ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
         k[0] = 0.0
-        w = dt / dx * grid.face_areas() * k
-        V = grid.cell_volumes()
+        w = dt / dx * grid.face_areas(N) * k
+        V = grid.cell_volumes(N)
         K = (np.diag(V + w[:-1] + w[1:])
              - np.diag(w[1:10], 1) - np.diag(w[1:10], -1))
         rhs = V * (u - dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q)
@@ -403,22 +398,23 @@ class TestBDF2Step:
         assert fld.values.tobytes() == before
 
     @pytest.mark.parametrize("N", [1, 2])
-    def test_dense_reference_and_m_matrix(self, params1, consts1, N,
-                                               monkeypatch):
+    def test_dense_reference_and_m_matrix(self, consts1, consts2, N,
+                                          monkeypatch):
         # the BDF2 update at omega = 0.8 matches a dense solve of
         #   a0 V u' + dt K(u*) u' = V h - dt V |s(u*)|^q + (ghost term),
         # with k and s at u* = (1+w) u - w u_prev and the ghost at the new
         # time; the matrix handed to dgtsv is that a0 V + dt K, and it is
         # an M-matrix
         import scipy.linalg.lapack as lapack
-        p, q = params1.p, params1.q
-        grid = RadialGrid(L=100.0, M=10, N=N)
+        consts = consts1 if N == 1 else consts2
+        p, q = consts.p, consts.q
+        grid = RadialGrid(L=100.0, M=10)
         M, dx = grid.M, grid.dx
         flat = lambda r: np.full_like(np.asarray(r, float), 0.05)
         u_prev = np.where(np.arange(M) < 5, 1.1, 0.0)
         u = np.where(np.arange(M) < 6, 1.0, 0.0)
         prev = SelfSimilarField(T=1.0, t=0.0, values=u_prev, profile=flat,
-                                consts=consts1)
+                                consts=consts)
         fld = dataclasses.replace(prev, t=0.125, values=u, n_clipped=3)
         eps, dt = 0.016 * dx, 0.1
         real, calls = lapack.dgtsv, []
@@ -440,8 +436,8 @@ class TestBDF2Step:
         s[M] = (g_new - us[-1]) / dx
         k = (s ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
         k[0] = 0.0
-        w = dt / dx * grid.face_areas() * k
-        V = grid.cell_volumes()
+        w = dt / dx * grid.face_areas(N) * k
+        V = grid.cell_volumes(N)
         A = (np.diag(a0 * V + w[:-1] + w[1:])
              - np.diag(w[1:M], 1) - np.diag(w[1:M], -1))
         rhs = V * (h - dt * np.abs(0.5 * (s[:-1] + s[1:])) ** q)
@@ -550,11 +546,10 @@ class TestRunAndMeasure:
         assert m.n_clipped > 0
         assert json.loads(metrics_json(m))["n_clipped"] == m.n_clipped
 
-    def test_l1_exponent_matches_closed_form(self, run200, params1,
-                                             consts1):
+    def test_l1_exponent_matches_closed_form(self, run200, consts1):
         # integral exponent alpha - N beta = 3.5 - 1.5 = 2 in dimension 1
         m = run200
-        want = consts1.alpha - params1.N * consts1.beta
+        want = consts1.alpha - consts1.N * consts1.beta
         assert m.l1_exponent_est == pytest.approx(want, abs=0.2)
 
     def test_deterministic_rerun(self, run200, field1, consts1):
@@ -598,7 +593,7 @@ class TestRunAndMeasure:
         # then BDF2 with the level before; eps at the new time on every
         # step) gives the same bits
         _, traj, _ = star1
-        grid = RadialGrid(L=40.0, M=50, N=1)
+        grid = RadialGrid(L=40.0, M=50)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
         m = run_and_measure(fld, grid, t_end=0.3)
         cks = [t for t, _ in m.snapshots]
@@ -631,7 +626,7 @@ class TestRunAndMeasure:
         # one call for every Dirichlet ghost of the run, plus one per
         # checkpoint for the self-similar error: nothing per step
         _, traj, _ = star1
-        grid = RadialGrid(L=40.0, M=M, N=1)
+        grid = RadialGrid(L=40.0, M=M)
         fld = build_initial(traj, consts1, T=1.0, grid=grid)
         calls = []
 

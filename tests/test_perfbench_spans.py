@@ -48,7 +48,7 @@ def test_find_profile_extra(spans, star1, consts1):
 
 def test_run_and_measure_extra(spans, star1, consts1):
     # called as cli.cmd_pde calls it: field and grid positional
-    grid = RadialGrid(L=40.0, M=100, N=1)
+    grid = RadialGrid(L=40.0, M=100)
     fld = build_initial(star1[1], consts1, T=1.0, grid=grid)
     metrics = run_and_measure(fld, grid, t_end=0.8)
     extra = spans._extra("pde.run_and_measure", (fld, grid),

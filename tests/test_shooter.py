@@ -25,11 +25,10 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 from extinction import (
-    ExponentParams,
     classify,
     derive_constants,
     energy,
@@ -55,13 +54,13 @@ A_STAR_N2 = 1.0571865673537144
 # the box-scan triple whose bisection reaches the end-state rule (three
 # midpoints undetermined out to 16 r_max); a* and the rule's labels frozen
 # at commit 1850253, where a second dense solve decided them
-HEURISTIC = ExponentParams(N=1, p=1.5, q=0.675)
+HEURISTIC = (1, 1.5, 0.675)
 A_STAR_HEURISTIC = 0.000183491783308147
-BISECTION_TRIPLES = [ExponentParams(N=1, p=1.2, q=0.5), HEURISTIC]
+BISECTION_TRIPLES = [(1, 1.2, 0.5), HEURISTIC]
 
 
 def _triple_id(pr):
-    return f"{pr.N}-{pr.p}-{pr.q}"
+    return "-".join(map(str, pr))
 
 
 class TestSeriesStart:
@@ -116,6 +115,19 @@ class TestClassify:
             seen_A = seen_A or lab == "A"
             assert not (seen_A and lab == "C"), labels
 
+    # a and tol log-uniform over [1e-2, 1e2] and [1e-12, 0.9]: every solve
+    # ends in a label, however loose the tolerance.  At tol = 0.5 the
+    # interpolant of an accepted step once overflowed in `rhs`
+    @pytest.mark.parametrize("triple", [(1, 1.2, 0.5), (2, 1.5, 0.6)],
+                             ids=_triple_id)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(a=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+           tol=st.floats(-12.0, math.log10(0.9)).map(lambda e: 10.0 ** e))
+    @example(a=1.0, tol=0.5)
+    def test_property_always_labels(self, triple, a, tol):
+        cl = classify(derive_constants(*triple), a, 50.0, tol)
+        assert cl.label in ("A", "C", "UNDETERMINED")
+
 
 class TestIntegrateProfile:
     def test_input_validation(self, consts1):
@@ -145,12 +157,12 @@ class TestIntegrateProfile:
         assert np.all(traj.f > 0)
         assert np.all(traj.fprime < 0)
 
-    def test_slope_lower_bound(self, params1, consts1):
+    def test_slope_lower_bound(self, consts1):
         # f' >= -(a alpha)^{1/q} wherever f > 0
         for a in (0.01, 1.0, 100.0):
             traj = integrate_profile(consts1, a, 50.0,
                                      n_samples=512)
-            bound = (a * consts1.alpha) ** (1.0 / params1.q)
+            bound = (a * consts1.alpha) ** (1.0 / consts1.q)
             ok = traj.f > 0
             assert np.all(traj.fprime[ok] >= -bound * (1 + 1e-9))
 
@@ -169,12 +181,12 @@ class TestEnergy:
         assert np.all(np.diff(e) <= 1e-12 * e[0])
 
     @pytest.mark.parametrize("a", [0.01, A_STAR_N1, 100.0])
-    def test_growth_bound(self, params1, consts1, a):
+    def test_growth_bound(self, consts1, a):
         # E(r) <= E(r0) + (beta r0)^{-(q+1)/(1-q)} r for sampled r >= r0
         traj = integrate_profile(consts1, a, 50.0, n_samples=2048)
         k = len(traj.r) // 3
         r0, e0 = traj.r[k], traj.energy[k]
-        coef = (consts1.beta * r0) ** (-(params1.q + 1.0) / (1.0 - params1.q))
+        coef = (consts1.beta * r0) ** (-(consts1.q + 1.0) / (1.0 - consts1.q))
         assert np.all(traj.energy[k:] <= e0 + coef * traj.r[k:] + 1e-12)
 
 
@@ -202,7 +214,7 @@ class TestBisection:
         orig = shooter._default_r0
         monkeypatch.setattr(shooter, "_default_r0",
                             lambda c, a: 1e-3 * orig(c, a))
-        consts = derive_constants(params)
+        consts = derive_constants(*params)
         br = find_bracket(consts, r_max=100.0)
         a_star, traj, _ = find_profile(consts, br, a_tol=1e-10, r_max=100.0)
         assert traj.r[0] == 1e-3 * orig(consts, a_star)
@@ -246,7 +258,7 @@ class TestBisection:
 
     @pytest.mark.parametrize("params", BISECTION_TRIPLES, ids=_triple_id)
     def test_one_classify_per_step(self, params, monkeypatch):
-        consts = derive_constants(params)
+        consts = derive_constants(*params)
         br = find_bracket(consts, r_max=100.0)
         calls = []
         orig = shooter.classify
@@ -270,7 +282,7 @@ class TestBisection:
     def test_each_a_solved_once(self, params, monkeypatch):
         # across the bracket scan and the bisection, no shooting parameter
         # is solved twice, and the one dense solve samples a*
-        consts = derive_constants(params)
+        consts = derive_constants(*params)
         solves = []
         orig = shooter._shoot
 
@@ -289,7 +301,7 @@ class TestBisection:
         # the three undetermined midpoints are labelled C, A, A from their
         # own solve: the gap's decay exponent r w'/(Kstar - w) against
         # theta = 1
-        consts = derive_constants(HEURISTIC)
+        consts = derive_constants(*HEURISTIC)
         br = find_bracket(consts, r_max=100.0)
         found = []
         orig = shooter.classify
@@ -366,7 +378,7 @@ def _graded_law(lo, hi, tol=1e-10):
 
 # (params, bracket-scan r_max, a_tol, bisection r_max), as star1 and star2
 GRADED_RUNS = [(pr, 100.0, 1e-10, 100.0) for pr in BISECTION_TRIPLES] + [
-    (ExponentParams(N=2, p=1.5, q=0.6), 30.0, 3e-16, 60.0)]
+    ((2, 1.5, 0.6), 30.0, 3e-16, 60.0)]
 
 
 class TestGradedBisection:
@@ -374,7 +386,7 @@ class TestGradedBisection:
                              ids=[_triple_id(run[0]) for run in GRADED_RUNS])
     def test_same_as_full_tolerance(self, params, r_scan, a_tol, r_max,
                                     monkeypatch):
-        consts = derive_constants(params)
+        consts = derive_constants(*params)
         br = find_bracket(consts, r_max=r_scan)
         a_g, _, g = find_profile(consts, br, a_tol=a_tol, r_max=r_max)
         _full_tolerance(monkeypatch)
@@ -535,8 +547,8 @@ def _reference_solve(consts, a, r_max, dense=False):
 
 _LABELS = {"W_PRIME_VANISHES": "A", "F_HITS_ZERO": "A",
            "W_EXCEEDS_KSTAR": "C"}
-_TRIPLES = {1: (ExponentParams(N=1, p=1.2, q=0.5), 100.0, A_STAR_N1),
-            2: (ExponentParams(N=2, p=1.5, q=0.6), 60.0, A_STAR_N2)}
+_TRIPLES = {1: ((1, 1.2, 0.5), 100.0, A_STAR_N1),
+            2: ((2, 1.5, 0.6), 60.0, A_STAR_N2)}
 
 
 class TestKernelAgainstSolveIvp:
@@ -545,7 +557,7 @@ class TestKernelAgainstSolveIvp:
     @pytest.mark.parametrize("N", [1, 2])
     def test_labels_and_witnesses(self, N):
         params, r_max, _ = _TRIPLES[N]
-        consts = derive_constants(params)
+        consts = derive_constants(*params)
         worst = 0.0
         for a in np.geomspace(1e-3, 1e3, 60):
             kind, r_e, _ = _reference_solve(consts, a, r_max)
@@ -561,7 +573,7 @@ class TestKernelAgainstSolveIvp:
     @pytest.mark.parametrize("N", [1, 2])
     def test_dense_samples_at_a_star(self, N):
         params, r_max, a_star = _TRIPLES[N]
-        consts = derive_constants(params)
+        consts = derive_constants(*params)
         traj = integrate_profile(consts, a_star, r_max)
         _, r_e, sol = _reference_solve(consts, a_star, r_max,
                                        dense=True)
@@ -855,8 +867,7 @@ class TestKstarOverflow:
     # in the box, but K* = exp(ln(mu K*)) / mu overflows: q is close to p-1
     @pytest.mark.parametrize("N, p, q", [(2, 1.5, 0.5001), (1, 1.2, 0.205)])
     def test_solve_is_refused(self, N, p, q):
-        params = ExponentParams(N=N, p=p, q=q)
-        consts = derive_constants(params)
+        consts = derive_constants(N, p, q)
         assert consts.Kstar == math.inf
         with pytest.raises(ValueError, match="Kstar overflows"):
             classify(consts, 1.0, 50.0)
@@ -865,8 +876,7 @@ class TestKstarOverflow:
 
     def test_events_do_not_raise(self):
         # mu = 99 with a finite K*: r^mu and |F|^{1/(p-1)} overflow floats
-        params = ExponentParams(N=1, p=1.5, q=0.51)
-        consts = derive_constants(params)
+        consts = derive_constants(1, 1.5, 0.51)
         assert math.isfinite(consts.Kstar)
         events = shooter._make_events(consts)
         g = events(1e6, 1.0, 1e300)
@@ -879,8 +889,8 @@ def test_nan_step_size_ends_the_solve():
     # keep a kernel that hangs from stalling the suite
     code = "\n".join([
         "import math",
-        "from extinction import ExponentParams, derive_constants, shooter",
-        "c = derive_constants(ExponentParams(N=1, p=1.2, q=0.5))",
+        "from extinction import derive_constants, shooter",
+        "c = derive_constants(1, 1.2, 0.5)",
         "r0 = shooter._default_r0(c, 1.0)",
         "f0, F0 = shooter.series_start(c, 1.0, r0)",
         "ev = shooter._make_events(c)",
@@ -899,8 +909,8 @@ def test_backward_bound_raises():
     # stalling the suite
     code = "\n".join([
         "import math",
-        "from extinction import ExponentParams, derive_constants, shooter",
-        "c = derive_constants(ExponentParams(N=1, p=1.2, q=0.5))",
+        "from extinction import derive_constants, shooter",
+        "c = derive_constants(1, 1.2, 0.5)",
         "ev = shooter._make_events(c)",
         "for bound in (1.0, 2.0, math.nan):",
         "    try:",
@@ -949,7 +959,7 @@ def test_default_sample_count_converged(star1, consts1):
 
 
 class TestCsvRoundTrip:
-    def test_header_and_exact_floats(self, params1, consts1):
+    def test_header_and_exact_floats(self, consts1):
         traj = integrate_profile(consts1, 0.01, 50.0,
                                  n_samples=128)
         text = trajectory_csv(traj, consts1)
@@ -958,8 +968,8 @@ class TestCsvRoundTrip:
         assert header == "r,f,F"
         meta, cols, events = read_profile_csv(text)
         assert meta["a"] == traj.a
-        assert meta["N"] == params1.N
-        assert meta["p"] == params1.p and meta["q"] == params1.q
+        assert meta["N"] == consts1.N
+        assert meta["p"] == consts1.p and meta["q"] == consts1.q
         # 17 significant digits round-trip doubles exactly
         assert np.array_equal(cols["r"], traj.r)
         assert np.array_equal(cols["f"], traj.f)
@@ -968,11 +978,11 @@ class TestCsvRoundTrip:
 
     # f' = -F^{1/(p-1)}: the exponent is 5 at N=1 and 2 at N=2
     @pytest.mark.parametrize("params, a", [
-        (ExponentParams(N=1, p=1.2, q=0.5), 2.3),
-        (ExponentParams(N=2, p=1.5, q=0.6), 1.05),
+        ((1, 1.2, 0.5), 2.3),
+        ((2, 1.5, 0.6), 1.05),
     ], ids=["N1", "N2"])
     def test_load_profile_inverts_trajectory_csv(self, params, a):
-        consts0 = derive_constants(params)
+        consts0 = derive_constants(*params)
         traj = integrate_profile(consts0, a, 50.0, n_samples=128)
         consts, back = load_profile(trajectory_csv(traj, consts0))
         assert consts == consts0
