@@ -25,8 +25,10 @@ Exit codes; commands raise, and `main` maps every exception through
      series start not below r_max too), fit, certification, phase
      non-convergence (a profile with no sample that maps into phase
      space too), a phase --x0 integration past its budget of right-side
-     evaluations, PDE
+     evaluations, PDE (an initial datum vanishing in the first cell too)
 
+The library prints nothing; `phase --from-profile` names the samples it
+skipped in one `warning: ...` line on stderr.
 Explicit flags always win over --config.  Files are made only by
 `_write_or_print` (a refused run makes none); reruns are byte-identical.
 """
@@ -148,9 +150,7 @@ def _load_profile(path):
 
 
 def cmd_constants(args) -> int:
-    consts = _params(args)
-    spec = exponents.spectral_data(consts)
-    _write_or_print(args.out, exponents.constants_json(consts, spec))
+    _write_or_print(args.out, exponents.constants_json(_params(args)))
     return EXIT_OK
 
 
@@ -210,7 +210,7 @@ def cmd_find(args) -> int:
                     shooter.trajectory_csv(traj, consts))
     _write_or_print(outdir / "certify.json", exponents.json_text(report))
     with _algorithmic():
-        fit = tail.fit_tail(tail.w_transform(traj, consts), consts)
+        fit = tail.fit_tail(traj, consts)
     _write_or_print(outdir / "tailfit.json", tail.tailfit_json(fit))
     _write_or_print(None, exponents.json_text(
         {"a_star": a_star, "certified": cert.ok,
@@ -224,9 +224,8 @@ def cmd_tail(args) -> int:
         raise UsageError("--window must be finite with lo < hi, got "
                          f"{args.window}")
     consts, traj = _load_profile(args.profile)
-    st = tail.w_transform(traj, consts)
     with _algorithmic():
-        fit = tail.fit_tail(st, consts, args.window)
+        fit = tail.fit_tail(traj, consts, args.window)
     _write_or_print(args.out, tail.tailfit_json(fit))
     return EXIT_OK if fit.accepted else EXIT_ALGO
 
@@ -241,6 +240,8 @@ def cmd_phase(args) -> int:
     if args.from_profile:
         consts, traj = _load_profile(args.from_profile)
         path = phase.map_to_phase(traj, consts)
+        if path.detail:
+            print(f"warning: {path.detail}", file=sys.stderr)
         _write_or_print(outdir / "phasepath.csv", phase.phasepath_csv(path))
         with _algorithmic():
             rates = phase.extract_rates(path, consts)

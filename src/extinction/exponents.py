@@ -144,21 +144,18 @@ class Spectrum:
 def lambdastar(N: int, p: float) -> float:
     """Root of P(lam) = (N-1)lam^2 - 3(p-1)lam + (2-p)(p-1) in (0, (2-p)/2).
 
-    P is linear for N=1; for N >= 2 exactly one root lies in that interval
-    (RangeViolation for an (N, p) outside the box).
+    P is linear for N=1.  For N >= 2 inside the box (else RangeViolation),
+    P(0) > 0 > P((2-p)/2) and N-1 > 0: the smaller root is the one.
     """
     if violations := validate_range(N, p):
         raise RangeViolation(violations)
     if N == 1:
         return (2.0 - p) / 3.0
     a, b, c = N - 1.0, -3.0 * (p - 1.0), (2.0 - p) * (p - 1.0)
-    disc = b * b - 4.0 * a * c
-    lam_lo = (-b - math.sqrt(disc)) / (2.0 * a)
-    lam_hi = (-b + math.sqrt(disc)) / (2.0 * a)
-    for lam in (lam_lo, lam_hi):
-        if 0.0 < lam < (2.0 - p) / 2.0:
-            return lam
-    raise ArithmeticError(f"no crossover root in (0, (2-p)/2) for N={N}, p={p}")
+    root = math.sqrt(b * b - 4.0 * a * c)
+    lam = (-b - root) / (2.0 * a)
+    # within 2 ulp of p = 2, -b - root cancels to 0: (c/a) / the larger root
+    return lam if lam > 0.0 else 2.0 * c / (-b + root)
 
 
 def spectral_data(consts: DerivedConstants) -> Spectrum:
@@ -221,15 +218,19 @@ def csv_text(comments, columns: dict, trailer) -> str:
     return "\n".join(lines) + "\n"
 
 
-def constants_json(consts: DerivedConstants, spec: Spectrum) -> str:
-    """Flat key-value JSON of DerivedConstants + Spectrum."""
-    return json_text({**asdict(consts), **asdict(spec)})
+def constants_json(consts: DerivedConstants) -> str:
+    """Flat key-value JSON of DerivedConstants + their Spectrum."""
+    return json_text({**asdict(consts), **asdict(spectral_data(consts))})
 
 
-def deta(y: np.ndarray, h: float) -> np.ndarray:
-    """d/d(ln r) by 5-point central differences on samples uniform in ln r
-    with spacing h; returns the len(y) - 4 interior values."""
-    return (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12.0 * h)
+def deta(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dy/d(eta), eta = ln r, by 5-point central differences on at least 5
+    samples whose spacings agree to 1e-8 relative (else ValueError);
+    returns the len(y) - 4 interior values."""
+    h = np.diff(eta)
+    if len(eta) < 5 or not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
+        raise ValueError("need >= 5 samples uniformly spaced in ln r")
+    return (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12.0 * h[0])
 
 
 def log_fit(x: np.ndarray, y: np.ndarray, rates=()) -> np.ndarray:

@@ -44,7 +44,7 @@ from operator import ipow
 import numpy as np
 
 from .exponents import DerivedConstants, csv_text, json_text
-from .tail import certify_B, fit_tail, w_transform
+from .tail import certify_B, fit_tail
 
 __all__ = [
     "RadialGrid",
@@ -175,17 +175,20 @@ def build_initial(traj, consts: DerivedConstants, T: float,
 
     The trajectory must certify as fast-decay, always (the tail extension
     and the Dirichlet ghost are only exact for that branch), and L must be
-    large enough that u(0, L) <= 1e-3 u(0, 0).
+    large enough that u(0, L) <= 1e-3 u(0, 0) and small enough that
+    u(0, x) > 0 in the first cell.
     """
     cert = certify_B(traj, consts)
     if not cert.ok:
         bad = [k for k, v in cert.checks.items() if not v]
         raise ValueError(f"profile not certified fast-decay: {bad}")
-    fit = fit_tail(w_transform(traj, consts), consts)
+    fit = fit_tail(traj, consts)
     f_of = profile_interpolant(traj, consts, fit.A_est)
     fld = SelfSimilarField(T=T, t=0.0, values=None, profile=f_of,
                            consts=consts)
     u0 = fld.values = fld.exact(0.0, grid.centers())
+    if not u0[0] > 0.0:
+        raise ValueError(f"L too large: u(0,x) = {u0[0]:.3g} in cell 0")
     if u0[-1] > 1e-3 * u0[0]:
         raise ValueError(
             f"L too small: u(0,L)/u(0,0) = {u0[-1] / u0[0]:.3g} > 1e-3")
@@ -306,9 +309,9 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
                             n_clipped=fld.n_clipped + n_clip)
 
 
-def _schedule(T: float, t0: float, cks, dt_frac: float):
-    """Step times from t0 through the checkpoints cks, and the BDF2 step
-    ratio of each step.
+def _schedule(T: float, cks, dt_frac: float):
+    """Step times from t = 0 through the checkpoints cks, and the BDF2
+    step ratio of each step.
 
     Each checkpoint interval is split into ceil(d tau / dt_frac) equal
     steps of tau = ln(T / (T - t)), so dt ~ dt_frac (T - t) and a step
@@ -321,8 +324,8 @@ def _schedule(T: float, t0: float, cks, dt_frac: float):
     step k goes from times[k] to times[k+1] by dts[k] at ratio oms[k], and
     hits[k] says it ends on a checkpoint.
     """
-    times, dts, oms, hits = [t0], [], [], []
-    t = t0
+    times, dts, oms, hits = [0.0], [], [], []
+    t = 0.0
     for c in cks:
         dtau = math.log((T - t) / (T - c))
         n = math.ceil(dtau / dt_frac)
@@ -401,7 +404,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     step = _make_step(grid, consts)
 
     wall0 = time.perf_counter()
-    times, dts, oms, hits = _schedule(T, 0.0, cks, dt_frac)
+    times, dts, oms, hits = _schedule(T, cks, dt_frac)
     # the Dirichlet ghost at the end of each step
     ghosts = fld0.exact(np.array(times[1:]), grid.L + 0.5 * grid.dx)
     out = []
@@ -422,14 +425,14 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     wall = time.perf_counter() - wall0
 
     V = grid.cell_volumes(consts.N)
-    sel = 0.0
-    l1 = []
-    sup = []
+    errs, l1, sup = [], [], []
     for tt, uu in out:
         uex = fld0.exact(tt, xc)
-        sel = max(sel, float(np.max(np.abs(uu - uex)) / uex.max()))
+        errs.append(float(np.max(np.abs(uu - uex)) / uex.max()))
         l1.append(float(np.sum(uu * V)))
         sup.append(float(uu.max()))
+    # np.max, not max: a NaN error (an underflowed exact solution) stays
+    sel = float(np.max(errs, initial=0.0))
     alpha_est = l1_est = math.nan
     if stable:
         # every checkpoint was reached, so `in_fit` lines up with `sup`

@@ -16,7 +16,6 @@ Uinf, Vinf.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -75,16 +74,13 @@ class RateFit:
 
 def map_to_phase(traj, consts: DerivedConstants) -> PhasePath:
     """Map profile samples into (X, Y, Z).  Samples where the mapping is
-    undefined (f' = 0, or f <= 0) are skipped with a warning."""
+    undefined (f' = 0, or f <= 0) are skipped and counted in `detail`."""
     p, q = consts.p, consts.q
     r = np.asarray(traj.r, float)
     f = np.asarray(traj.f, float)
     fp = np.asarray(traj.fprime, float)
     good = (f > 0.0) & (fp < 0.0)
     n_bad = int((~good).sum())
-    if n_bad:
-        warnings.warn(f"skipped {n_bad} sample(s) with f' = 0 or f <= 0 "
-                      "(phase map undefined there)", stacklevel=2)
     r, f, fp = r[good], f[good], fp[good]
     m = -fp
     X = r * f * m ** (1.0 - p)
@@ -92,7 +88,8 @@ def map_to_phase(traj, consts: DerivedConstants) -> PhasePath:
     Z = r * m ** (q - p + 1.0)
     return PhasePath(eta=np.log(r), X=X, Y=Y, Z=Z,
                      source="mapped-from-profile",
-                     detail=f"skipped={n_bad}" if n_bad else "")
+                     detail=f"skipped {n_bad} sample(s) with f' = 0 or "
+                     "f <= 0 (phase map undefined there)" if n_bad else "")
 
 
 def _ycoeffs(consts: DerivedConstants) -> tuple[float, float]:
@@ -151,11 +148,12 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     uniform in eta.  The right side is quadratic with no singularity; a
     |x| >= 1e12 guard stops runaway along the unstable direction, so x0
     must lie inside it.  The ends of eta_span must be finite and differ,
-    and tol finite and > 0 (a positive tol below 100 ulp is raised to it,
-    with scipy's warning).  Raises RuntimeError once the integration has
-    used RHS_BUDGET right-side evaluations."""
+    and tol finite and > 0; a positive tol below 100 ulp is raised to it,
+    as scipy would (here without its warning).  Raises RuntimeError once
+    the integration has used RHS_BUDGET right-side evaluations."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    tol = max(tol, 100 * np.finfo(float).eps)
     if not all(map(math.isfinite, eta_span)):
         raise ValueError(f"eta_span ends must be finite, got {eta_span!r}")
     if eta_span[0] == eta_span[1]:
@@ -267,16 +265,14 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
 def path_dynamics_residual(path: PhasePath, consts: DerivedConstants) -> float:
     """rms mismatch between the numerical eta-derivative of a mapped path
     and the analytic vector field, on the final decade of r.  Requires
-    uniform eta spacing; uses 5-point central differences.  Residuals are
-    measured relative to the local velocity scale."""
+    at least 9 samples uniform in eta; 5-point central differences (`deta`).
+    Residuals are measured relative to the local velocity scale."""
     eta = path.eta
-    h = np.diff(eta)
-    if len(eta) < 9 or not np.allclose(h, h[0], rtol=1e-8):
-        raise ValueError("need >= 9 uniformly spaced samples in eta")
-    hs = float(h[0])
+    if len(eta) < 9:
+        raise ValueError("need >= 9 samples in eta")
     Xm, Ym, Zm = path.X[2:-2], path.Y[2:-2], path.Z[2:-2]
     em = eta[2:-2]
-    dX, dY, dZ = deta(path.X, hs), deta(path.Y, hs), deta(path.Z, hs)
+    dX, dY, dZ = deta(eta, path.X), deta(eta, path.Y), deta(eta, path.Z)
     fX, fY, fZ = vector_field(np.vstack([Xm, Ym, Zm]), consts)
     scale = np.maximum.reduce([np.abs(fX), np.abs(fY), np.abs(fZ),
                                np.abs(dX), np.abs(dY), np.abs(dZ),

@@ -808,13 +808,13 @@ def ode_residual(traj: ProfileTrajectory, consts: DerivedConstants) -> float:
     r, f, F = traj.r, traj.f, traj.F
     q, N = consts.q, consts.N
     al, be = consts.alpha, consts.beta
-    h = math.log(r[1] / r[0])
+    eta = np.log(r)
     rm = r[2:-2]
     fm, Fm, slope = f[2:-2], F[2:-2], traj.fprime[2:-2]
     dF_rhs = al * fm - (N - 1.0) * Fm / rm + be * rm * slope \
         - np.abs(slope) ** q
-    dF_num = deta(F, h) / rm
-    df_num = deta(f, h) / rm
+    dF_num = deta(eta, F) / rm
+    df_num = deta(eta, f) / rm
     scale_F = np.maximum.reduce([np.abs(al * fm), np.abs(dF_num),
                                  np.full_like(fm, 1e-300)])
     scale_f = np.maximum(np.abs(slope), 1e-300)

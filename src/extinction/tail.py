@@ -43,9 +43,6 @@ class WState:
     w: np.ndarray
     Wtail: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.r)
-
 
 def _wprime(st: WState, mu: float) -> np.ndarray:
     # exact identity r w' = mu w + r^{mu+1} f'
@@ -82,8 +79,9 @@ def w_transform(traj, consts: DerivedConstants) -> WState:
     return WState(r=r, w=w, Wtail=Wtail)
 
 
-def w_residual(states: WState, consts: DerivedConstants) -> float:
-    """Normalized rms residual of the w-equation in first-order form.
+def w_residual(traj, consts: DerivedConstants) -> float:
+    """Normalized rms residual of the w-equation in first-order form, on
+    the w_transform of a trajectory sampled uniformly in ln r.
 
     With W = r w' - mu w the second-order w-equation is equivalent to
 
@@ -103,16 +101,12 @@ def w_residual(states: WState, consts: DerivedConstants) -> float:
     for arbitrary (w, W) data, so that residual is always rounding noise
     and certifies nothing.
     """
-    if len(states) < 5:
-        raise ValueError("need at least 5 samples")
     N, p, q = consts.N, consts.p, consts.q
     mu, al, be, Zst = consts.mu, consts.alpha, consts.beta, consts.Zstar
-    r, w, W = states.r, states.w, states.Wtail
+    st = w_transform(traj, consts)
+    r, w, W = st.r, st.w, st.Wtail
     eta = np.log(r)
-    h = np.diff(eta)
-    if not np.allclose(h, h[0], rtol=1e-8):
-        raise ValueError("samples must be uniform in ln r")
-    hs = float(h[0])
+    d1, d2 = deta(eta, w), deta(eta, W)
     rm, wm, Wm = r[2:-2], w[2:-2], W[2:-2]
     aW = np.abs(Wm)
     rhs1 = mu * wm + Wm
@@ -120,7 +114,6 @@ def w_residual(states: WState, consts: DerivedConstants) -> float:
         -(N - 1.0) * Wm + aW ** (q - p + 2.0)
         - (al * wm + be * Wm) * aW ** (2.0 - p)
         * rm ** (Zst + N - mu)) / (p - 1.0)
-    d1, d2 = deta(w, hs), deta(W, hs)
     s1 = np.maximum.reduce([np.abs(d1), np.abs(mu * wm), np.abs(Wm),
                             np.full_like(wm, 1e-300)])
     s2 = np.maximum.reduce([np.abs(d2), np.abs((mu + 1.0) * Wm),
@@ -168,10 +161,10 @@ def certify_B(traj, consts: DerivedConstants) -> CertReport:
                       r_end=float(st.r[-1]), w_end=w_end)
 
 
-def fit_tail(states: WState, consts: DerivedConstants,
+def fit_tail(traj, consts: DerivedConstants,
              window: tuple[float, float] | None = None) -> TailFit:
-    """Fit w = Kstar - A r^{-theta} on the window (default [r_max/10,
-    r_max]); K_est is always Kstar.
+    """Fit w = Kstar - A r^{-theta}, w the w_transform of a trajectory,
+    on the window (default [r_max/10, r_max]); K_est is always Kstar.
 
     Samples with |Kstar - w| <= K_ROUND Kstar are left out: a profile cut
     at the W_EXCEEDS_KSTAR event ends on one, where the sign of the gap
@@ -187,6 +180,7 @@ def fit_tail(states: WState, consts: DerivedConstants,
     A theta_est more than THETA_REL_TOL (50 %) from consts.theta raises
     ValueError: neither estimator has measured the second-order term.
     """
+    states = w_transform(traj, consts)
     r_all = states.r
     if window is None:
         window = (r_all[-1] / 10.0, r_all[-1])

@@ -28,7 +28,6 @@ from extinction import (
     path_dynamics_residual,
     run_and_measure,
     trajectory_csv,
-    w_transform,
 )
 
 from test_exponents import check_identities, sample_params
@@ -74,11 +73,10 @@ def test_criterion_3_B_certification(star1, consts1):
 def test_criterion_4_second_order_tail(star1, consts1, star2, consts2):
     t0 = time.perf_counter()
     _, traj, _ = star1
-    states = w_transform(traj, consts1)
-    fit = fit_tail(states, consts1)
+    fit = fit_tail(traj, consts1)
     assert abs(fit.theta_est - 1.0) <= 0.05
     assert fit.A_est > 0
-    shifted = fit_tail(states, consts1, window=(5.0, 50.0))
+    shifted = fit_tail(traj, consts1, window=(5.0, 50.0))
     drift = abs(fit.theta_est - shifted.theta_est)
     assert drift <= 1e-3
     dt1 = time.perf_counter() - t0
@@ -86,7 +84,7 @@ def test_criterion_4_second_order_tail(star1, consts1, star2, consts2):
 
     t0 = time.perf_counter()
     _, traj2, _ = star2
-    fit2 = fit_tail(w_transform(traj2, consts2), consts2)
+    fit2 = fit_tail(traj2, consts2)
     assert abs(fit2.theta_est - 0.80) <= 0.04
     dt2 = time.perf_counter() - t0
     assert dt2 < 60.0
@@ -106,7 +104,7 @@ def test_criterion_5_phase_dynamics(star1, consts1):
     u_target = ((consts1.mu * consts1.Kstar) ** (2.0 - consts1.p)
                 / (consts1.p - consts1.q))
     assert rates.Uinf_est == pytest.approx(u_target, rel=0.02)
-    A_est = fit_tail(w_transform(traj, consts1), consts1).A_est
+    A_est = fit_tail(traj, consts1).A_est
     assert rates.A_from_Vinf == pytest.approx(A_est, rel=0.10)
     print(f"criterion 5 PASS: residual {res:.2e}, lambda2 "
           f"{rates.lambda2_est:.6f}, lambda3 {rates.lambda3_est:.6f}, "
@@ -161,7 +159,7 @@ def test_criterion_8_property_suites(star1, consts1):
     wp = 0.7 * r ** -2.0
     synth = SimpleNamespace(r=r, f=w * r ** -mu,
                             fprime=(r * wp - mu * w) / r ** (mu + 1.0))
-    fit = fit_tail(w_transform(synth, consts1), consts1, (10.0, 100.0))
+    fit = fit_tail(synth, consts1, (10.0, 100.0))
     assert fit.theta_est == pytest.approx(1.0, abs=1e-6)
     assert fit.A_est == pytest.approx(0.7, abs=1e-6)
     # PDE ordering preserved over 100 steps

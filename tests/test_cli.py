@@ -248,14 +248,16 @@ class TestExitCodes:
         (0, ("classify", *N1, "--a", "10", "--tol", "0.5"), '"label": "A"'),
         (3, ("find", *N1, "--tol", "0.5", "--outdir", "{tmp}"),
          "tail exponent off theory"),
-        pytest.param(
-            3, ("phase", "--from-profile", "{Fzero}", "--outdir", "{tmp}"),
-            "path does not converge: it holds no samples",
-            marks=pytest.mark.filterwarnings("ignore:skipped 4000 sample")),
+        (3, ("phase", "--from-profile", "{Fzero}", "--outdir", "{tmp}"),
+         "path does not converge: it holds no samples"),
         (2, ("phase", "--x0=0.15,0.35,0.6667", "--span=5,5", *N1,
              "--outdir", "{tmp}"),
          "eta_span ends must differ, got (5.0, 5.0)"),
         (2, ("qstar", "--N", "2", "--p", "2.5"), "p < 2 fails"),
+        (3, ("pde", "--profile", "{profile}", "--M", "50", "--L", "1e200"),
+         "L too large: u(0,x) = 0 in cell 0"),
+        (0, ("qstar", "--N", "2", "--p", "1.9999999999999998"),
+         '"lambdastar": 7.401486830834378e-17'),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -318,6 +320,10 @@ class TestExitCodes:
         assert got == code
         assert needle in (err if code == 1
                           else json.loads(out).get("error", out))
+        if "{Fzero}" in argv:
+            # the skipped samples are named once, on stderr
+            assert err == ("warning: skipped 4000 sample(s) with f' = 0 or "
+                           "f <= 0 (phase map undefined there)\n")
 
     def test_loose_tol_shoot_writes_its_profile(self, capsys, tmp_path):
         # at --tol 0.5 the interpolant of an accepted step once overflowed

@@ -7,10 +7,11 @@ an independent sympy evaluation.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extinction import (
     RangeViolation,
@@ -19,6 +20,7 @@ from extinction import (
     spectral_data,
     lambdastar,
     constants_json,
+    deta,
     log_fit,
     jacobian_origin,
 )
@@ -155,6 +157,27 @@ class TestCrossover:
         assert lam == pytest.approx((1.5 - math.sqrt(1.25)) / 2.0, rel=1e-13)
         assert 0.0 < lam < (2.0 - 1.5) / 2.0
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(N=st.integers(2, 40),
+           u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           k=st.sampled_from([1, 4, 16]))
+    @example(N=2, u=1.0 - 2.0 ** -53, k=1)    # p one ulp below 2
+    @example(N=40, u=2.0 ** -1000, k=1)       # p one ulp above p_c
+    def test_property_root_in_interval(self, N, u, k):
+        # p in (p_c, 2), weighted toward p_c by the power k; at either end
+        # of the range it is the nearest double inside the box
+        pc = 2.0 * N / (N + 1.0)
+        p = min(max(pc + (2.0 - pc) * u ** k, math.nextafter(pc, 2.0)),
+                math.nextafter(2.0, 0.0))
+        lam = lambdastar(N, p)
+        assert 0.0 < lam < (2.0 - p) / 2.0
+        # P(lam), exactly in rationals, is zero up to the rounding of the
+        # root formula: an absolute error of a few ulp of 3(p-1)/(N-1)
+        x, pf = Fraction(lam), Fraction(p)
+        P = (N - 1) * x * x - 3 * (pf - 1) * x + (2 - pf) * (pf - 1)
+        eps = 2.0 ** -52
+        assert abs(float(P)) <= 4.0 * eps * (3.0 * (p - 1.0)) ** 2 / (N - 1)
+
     def test_qstar_swaps_rate_ordering(self):
         # below q* the drift rate lambda2 decays faster than lambda3;
         # above q* the ordering is reversed and lambda2 governs the tail
@@ -257,15 +280,28 @@ class TestIdentities:
             assert c.alpha == pytest.approx(c.mu * c.beta, rel=1e-12)
 
 
+def test_deta_exact_on_quartics_and_refuses_bad_grids():
+    # the 5-point stencil differentiates a quartic exactly
+    eta = np.linspace(0.0, 1.0, 9)
+    assert np.allclose(deta(eta, eta ** 4), 4.0 * eta[2:-2] ** 3,
+                       rtol=1e-12, atol=1e-13)
+    with pytest.raises(ValueError, match="need >= 5 samples"):
+        deta(eta[:4], eta[:4])
+    # uniformity is relative: spacings of 1e-9 that vary by 50 % are
+    # refused, not passed by an absolute 1e-8 allowance
+    jitter = np.cumsum(np.random.default_rng(0).uniform(0.5e-9, 1.5e-9, 50))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        deta(jitter, jitter)
+
+
 def test_constants_json_flat_and_sorted():
     c = derive_constants(1, 1.2, 0.5)
-    s = spectral_data(c)
-    txt = constants_json(c, s)
+    txt = constants_json(c)
     d = json.loads(txt)
     assert d["alpha"] == pytest.approx(3.5, rel=1e-14)
     assert d["qstar"] == pytest.approx(0.4666666666666666, rel=1e-13)
     assert list(d) == sorted(d)
-    assert txt == constants_json(c, s)
+    assert txt == constants_json(c)
 
 
 def test_json_text_writes_non_finite_as_null():

@@ -17,7 +17,6 @@ from extinction import (
     metrics_json,
     profile_interpolant,
     run_and_measure,
-    w_transform,
 )
 from extinction import pde
 from extinction.pde import _schedule
@@ -28,7 +27,7 @@ A_STAR_N1 = 2.3028967658101465
 @pytest.fixture(scope="module")
 def interp1(star1, consts1):
     _, traj, _ = star1
-    fit = fit_tail(w_transform(traj, consts1), consts1)
+    fit = fit_tail(traj, consts1)
     return profile_interpolant(traj, consts1, fit.A_est)
 
 
@@ -92,7 +91,7 @@ class TestProfileInterpolant:
         # interpolant built from every other sample must reproduce the
         # withheld samples of the same solution
         _, traj, _ = star1
-        fit = fit_tail(w_transform(traj, consts1), consts1)
+        fit = fit_tail(traj, consts1)
         sub = dataclasses.replace(traj, r=traj.r[::2], f=traj.f[::2],
                                   fprime=traj.fprime[::2], F=traj.F[::2],
                                   energy=traj.energy[::2])
@@ -121,7 +120,7 @@ class TestProfileInterpolant:
     def test_tail_extension(self, interp1, consts1, star1, fit=None):
         _, traj, _ = star1
         from extinction import fit_tail as ft
-        fit = ft(w_transform(traj, consts1), consts1)
+        fit = ft(traj, consts1)
         r = 1000.0
         want = (consts1.Kstar * r ** -consts1.mu
                 * (1.0 - fit.A_est / consts1.Kstar * r ** -fit.theta_est))
@@ -227,7 +226,7 @@ class TestStep:
         # build_initial's sampling without its certificate, which the
         # N=2 candidate fails: the budget holds for any data
         f_of = profile_interpolant(
-            traj, consts, fit_tail(w_transform(traj, consts), consts).A_est)
+            traj, consts, fit_tail(traj, consts).A_est)
         fld = SelfSimilarField(T=1.0, t=0.0, values=None, profile=f_of,
                                consts=consts)
         fld.values = fld.exact(0.0, grid.centers())
@@ -470,7 +469,7 @@ class TestSchedule:
 
     def test_hits_checkpoints_and_bounds_omega(self):
         cks = self.checkpoints(0.8)
-        times, dts, oms, hits = _schedule(1.0, 0.0, cks, 1e-3)
+        times, dts, oms, hits = _schedule(1.0, cks, 1e-3)
         assert len(dts) == 1611
         assert [t for t, h in zip(times[1:], hits) if h] == cks
         assert all(times[k + 1] == times[k] + dt for k, dt in enumerate(dts))
@@ -599,7 +598,7 @@ class TestRunAndMeasure:
         cks = [t for t, _ in m.snapshots]
         u_snaps = [u for _, u in m.snapshots]
         u_last = u_snaps[-1]
-        times, dts, oms, hits = _schedule(1.0, 0.0, cks, 1e-3)
+        times, dts, oms, hits = _schedule(1.0, cks, 1e-3)
         assert [t for t, h in zip(times[1:], hits) if h] == cks
         eps0 = pde.KAPPA * grid.dx
         expo = consts1.alpha + consts1.beta

@@ -18,7 +18,6 @@ from extinction import (
     phasepath_csv,
     ratefit_json,
     vector_field,
-    w_transform,
 )
 
 A_EST_N1 = 4.153e-4
@@ -98,6 +97,17 @@ class TestExplicitOrbit:
         assert np.abs(path.Y).max() == 0.0
         assert np.abs(path.Z - consts1.Zstar).max() == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_tol_below_100_ulp_raised_without_warning(self, consts1):
+        # scipy would warn that rtol is too small and raise it to 100 ulp;
+        # integrate_phase raises it first, to the same value
+        x0, span = (0.15, 0.35, 0.6667), (0.0, 3.0)
+        tiny = integrate_phase(x0, span, consts1, tol=1e-20)
+        floor = integrate_phase(x0, span, consts1,
+                                tol=100 * np.finfo(float).eps)
+        for name in ("eta", "X", "Y", "Z"):
+            assert np.array_equal(getattr(tiny, name), getattr(floor, name))
+
 
 class TestMappedPath:
     def test_nonnegative_coordinates(self, star1, consts1):
@@ -126,9 +136,10 @@ class TestMappedPath:
         fp[5] = 0.0
         f[7] = -f[7]
         bad = SimpleNamespace(r=traj.r, f=f, fprime=fp)
-        with pytest.warns(UserWarning, match="skipped 2"):
-            path = map_to_phase(bad, consts1)
+        path = map_to_phase(bad, consts1)
         assert len(path.eta) == len(traj.r) - 2
+        assert path.detail == ("skipped 2 sample(s) with f' = 0 or f <= 0 "
+                               "(phase map undefined there)")
 
 
 class TestExtractRates:
@@ -156,7 +167,7 @@ class TestExtractRates:
         # rounding of Z's two computations separates them
         _, traj, _ = star1
         rates = extract_rates(map_to_phase(traj, consts1), consts1)
-        fit = fit_tail(w_transform(traj, consts1), consts1)
+        fit = fit_tail(traj, consts1)
         assert -rates.lambda3_est == pytest.approx(fit.theta_est, rel=1e-9)
         assert rates.A_from_Vinf == pytest.approx(fit.A_est, rel=1e-9)
         assert rates.Vinf_est < 0

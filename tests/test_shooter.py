@@ -43,7 +43,6 @@ from extinction import (
     read_profile_csv,
     series_start,
     trajectory_csv,
-    w_transform,
 )
 from extinction import cli, shooter
 
@@ -941,6 +940,16 @@ def test_ode_residual_flags_corruption(star1, consts1):
     assert ode_residual(bad, consts1) > 1e-4
 
 
+def test_ode_residual_needs_log_uniform_grid(star1, consts1):
+    # the differences are taken in ln r: a grid uniform in r is refused
+    _, traj, _ = star1
+    import copy
+    bad = copy.copy(traj)
+    bad.r = np.linspace(traj.r[0], traj.r[-1], len(traj.r))
+    with pytest.raises(ValueError, match="uniformly spaced in ln r"):
+        ode_residual(bad, consts1)
+
+
 def test_default_sample_count_converged(star1, consts1):
     # the downstream values of find's profile move by less than their
     # reporting accuracy when the default sample count is doubled
@@ -949,7 +958,7 @@ def test_default_sample_count_converged(star1, consts1):
     assert len(traj.r) == n
     fine = integrate_profile(consts1, a_star, 100.0, traj.tol,
                              n_samples=2 * n)
-    fits = [fit_tail(w_transform(t, consts1), consts1) for t in (traj, fine)]
+    fits = [fit_tail(t, consts1) for t in (traj, fine)]
     rates = [extract_rates(map_to_phase(t, consts1), consts1)
              for t in (traj, fine)]
     assert fits[0].theta_est == pytest.approx(fits[1].theta_est, rel=1e-6)
