@@ -39,7 +39,7 @@ def main():
     rc = cli.main(["constants", *triple, "--out", str(out / "constants.json")])
     if rc:
         return rc
-    rc = cli.main(["find", *triple, "--rmax", "100", "--outdir", str(out)])
+    rc = cli.main(["find", *triple, "--outdir", str(out)])
     if rc:
         return rc
     c = json.loads((out / "constants.json").read_text())

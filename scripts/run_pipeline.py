@@ -40,7 +40,8 @@ def main():
     ap.add_argument("--N", type=int, default=1)
     ap.add_argument("--p", type=float, default=1.2)
     ap.add_argument("--q", type=float, default=0.5)
-    ap.add_argument("--rmax", type=float, default=100.0)
+    # find's own default, 100^(1/theta), where --rmax is not given
+    ap.add_argument("--rmax", type=float, default=None)
     ap.add_argument("--a-tol", type=float, default=1e-10)
     ap.add_argument("--outdir", default="runs/pipeline")
     args = ap.parse_args()
@@ -56,8 +57,9 @@ def main():
           f"alpha = {c['alpha']:.6f}, mu = {c['mu']:.6f}, "
           f"K* = {c['Kstar']:.6f}")
 
-    rc, rep = _run("find", *triple, "--rmax", repr(args.rmax),
-                   "--a-tol", repr(args.a_tol), "--outdir", str(out))
+    rmax = [] if args.rmax is None else ["--rmax", repr(args.rmax)]
+    rc, rep = _run("find", *triple, *rmax, "--a-tol", repr(args.a_tol),
+                   "--outdir", str(out))
     if "error" in rep:
         print(f"find failed: {rep['error']}", file=sys.stderr)
         return rc

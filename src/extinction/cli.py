@@ -18,9 +18,9 @@ Exit codes; commands raise, and `main` maps every exception through
      beyond the 1e12 blow-up guard, bad --L/--M, a pde --T that is not
      finite and > 0 or whose (T - t)^(alpha + beta) leaves double range,
      a --tend outside (0, 0.8 T], a triple in the box whose K* overflows
-     double precision); an artifact that cannot be written (an --out
-     that is a directory, an --outdir that is a file): "cannot write
-     output: ..."
+     double precision, an --a whose series start overflows it); an
+     artifact that cannot be written (an --out that is a directory, an
+     --outdir that is a file): "cannot write output: ..."
   3  algorithmic failure: no bracket (a downward scan that reaches a
      series start not below r_max too), fit, certification, phase
      non-convergence (a profile with no sample that maps into phase

@@ -145,17 +145,17 @@ def lambdastar(N: int, p: float) -> float:
     """Root of P(lam) = (N-1)lam^2 - 3(p-1)lam + (2-p)(p-1) in (0, (2-p)/2).
 
     P is linear for N=1.  For N >= 2 inside the box (else RangeViolation),
-    P(0) > 0 > P((2-p)/2) and N-1 > 0: the smaller root is the one.
+    P(0) > 0 > P((2-p)/2) and N-1 > 0: the smaller root is the one.  It
+    is formed as 2c / (-b + sqrt(b^2 - 4ac)), (c/a) over the larger root,
+    which does not cancel: (-b - sqrt(...)) / 2a loses the root's
+    relative accuracy as c -> 0 at p -> 2.
     """
     if violations := validate_range(N, p):
         raise RangeViolation(violations)
     if N == 1:
         return (2.0 - p) / 3.0
     a, b, c = N - 1.0, -3.0 * (p - 1.0), (2.0 - p) * (p - 1.0)
-    root = math.sqrt(b * b - 4.0 * a * c)
-    lam = (-b - root) / (2.0 * a)
-    # within 2 ulp of p = 2, -b - root cancels to 0: (c/a) / the larger root
-    return lam if lam > 0.0 else 2.0 * c / (-b + root)
+    return 2.0 * c / (-b + math.sqrt(b * b - 4.0 * a * c))
 
 
 def spectral_data(consts: DerivedConstants) -> Spectrum:

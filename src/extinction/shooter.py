@@ -20,9 +20,9 @@ The fast-decay profile sits on the A/C boundary and is located by bisection.
 A midpoint still undetermined at the bisection's largest radius is put on
 a side by the end-state rule: C when the gap Kstar - w closes there faster
 than the pure power r^{-theta}, i.e. r w' > theta (Kstar - w), else A.
-The bisection solves midpoints far from a* at a looser tolerance and still
-returns the full-tolerance a*, bit for bit; `find_profile` states the law
-and the argument.
+The bracket scan and the midpoints far from a* are solved at a looser
+tolerance, and the search still returns the full-tolerance a*, bit for
+bit; `find_profile` states the law and the argument.
 
 Every solve runs through one scalar DOP853 kernel, `_dop853`: a plain
 Python loop over the two floats (f, F) that keeps scipy's DOP853 method
@@ -33,10 +33,13 @@ overhead (array wrapping, small dot products, event bookkeeping) rather
 than arithmetic.  The Butcher tableau is scipy's (scipy.integrate.DOP853),
 written here as float literals and checked bit for bit by a test, so the
 module imports no scipy and the kernel can be checked against scipy's own
-solver.  The step's stage sums and the interpolant's are generated from
-those literals at import (`_step`, `_dense_segment`): each is one literal
-correctly rounded sum, fsum((k0 * c0, k3 * c3, ...)), over the nonzero
-coefficients only, so no step loops over the tableau.  Event roots are
+solver.  The step and the interpolant are generated from those literals
+and from the right side's one source template at import (`_step`,
+`_dense_segment`): every stage is inlined, and each tableau row is one
+literal sum over its nonzero coefficients, k0 * c0 + k3 * c3 + ..., left
+to right, except the rows that sum to zero (the error estimate's and the
+interpolant's), which are correctly rounded, fsum((k0 * c0, ...)).  So
+no step loops over the tableau or calls the right side.  Event roots are
 found on the step's interpolant by `_illinois`, regula falsi with the
 Illinois modification, to brentq's stopping width at xtol = rtol = 4 eps.
 """
@@ -114,6 +117,10 @@ class Classification:
 class Bracket:
     lo: float   # classified C
     hi: float   # classified A
+    # the radius and tolerance of the solves that labelled lo and hi; a
+    # bracket given without them is taken as labelled at any tol
+    r_max: float = math.inf
+    tol: float = 0.0
 
 
 def series_start(consts: DerivedConstants, a: float,
@@ -124,13 +131,20 @@ def series_start(consts: DerivedConstants, a: float,
     F grows linearly, F'(0) = alpha*a/N, and the profile bends like
     f(r0) = a - ((p-1)/p) (alpha a/N)^{1/(p-1)} r0^{p/(p-1)}.  The dropped
     terms of F' (the absorption |f'|^q and the drift beta r f') are left
-    out; `_default_r0` states the margin its radius keeps on a*.
+    out; `_default_r0` states the margin its radius keeps on a*.  Where a
+    factor of the bend overflows (a huge a, or a huge r0) the start has
+    no double to take: ValueError names a and r0.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
     p, N = consts.p, consts.N
     c0 = consts.alpha * a / N
-    f0 = a - (p - 1.0) / p * c0 ** (1.0 / (p - 1.0)) * r0 ** (p / (p - 1.0))
+    try:
+        f0 = a - (p - 1.0) / p * c0 ** (1.0 / (p - 1.0)) \
+            * r0 ** (p / (p - 1.0))
+    except OverflowError:
+        raise ValueError(f"the series start at a={a!r}, r0={r0:.6g} "
+                         "overflows double precision") from None
     return f0, c0 * r0
 
 
@@ -143,22 +157,6 @@ def _default_r0(consts: DerivedConstants, a: float) -> float:
     return 1e-5 * a ** (-(2.0 - consts.p) / consts.p)
 
 
-def _make_rhs(consts: DerivedConstants):
-    """The right side (f', F') of the first-order system, on floats."""
-    p, q, N = consts.p, consts.q, consts.N
-    al, be = consts.alpha, consts.beta
-    e1 = 1.0 / (p - 1.0)
-    e2 = q / (p - 1.0)
-
-    def rhs(r, f, F):
-        aF = abs(F)
-        slope = -math.copysign(aF ** e1, F)
-        dF = al * f - (N - 1.0) * F / r + be * r * slope - aF ** e2
-        return slope, dF
-
-    return rhs
-
-
 def _pow(x: float, e: float) -> float:
     """x ** e for x >= 0, inf where the float power overflows."""
     try:
@@ -167,17 +165,26 @@ def _pow(x: float, e: float) -> float:
         return math.inf
 
 
+def _slope(F: float, e1: float) -> float:
+    """The slope f' = -sign(F)|F|^e1 at momentum F, e1 = 1/(p-1):
+    infinite where the power overflows."""
+    return -math.copysign(_pow(abs(F), e1), F)
+
+
 def _make_events(consts: DerivedConstants):
     """The four event functions, in _EVENT_KINDS order, as one function
-    of (r, f, F).  Each is signed to fire as it crosses 0 upward, so the
-    two that fire downward, w' and F, are negated: negation is exact, and
-    `_illinois` finds the same root of -g as of g.  Every event is
-    terminal."""
+    of (r, f, F) and the slope f' there.  The kernel passes the slope of
+    a step's last stage; where it is not given (the root search on the
+    interpolant) it is formed from F.  Each event is signed to fire as
+    it crosses 0 upward, so the two that fire downward, w' and F, are
+    negated: negation is exact, and `_illinois` finds the same root of
+    -g as of g.  Every event is terminal."""
     mu, Kst = consts.mu, consts.Kstar
     e1 = 1.0 / (consts.p - 1.0)
 
-    def events(r, f, F):
-        slope = -math.copysign(_pow(abs(F), e1), F)
+    def events(r, f, F, slope=None):
+        if slope is None:
+            slope = _slope(F, e1)
         # the sign of -w' = -r^{mu-1} (mu f + r f')
         return (-(r * slope + mu * f),
                 _pow(r, mu) * f - Kst,
@@ -302,32 +309,57 @@ def _initial_step(rhs, r0, f0, F0, k0f, k0F, r_bound, rtol):
     return min(100 * h0, h1, span)
 
 
+# The right side (f', F') at (r, f, F), written once as source: the
+# `rhs` closure and the stages inlined into `_step` and `_dense_segment`
+# are generated from it.  Its constants are al = alpha, be = beta,
+# Nm1 = N - 1, e1 = 1/(p-1) and e2 = q/(p-1) (`_rhs_constants`).  A power
+# that overflows raises OverflowError, which rejects a trial step.
+_RHS = ("aF = abs({F}); {kf} = -copysign(aF ** e1, {F}); "
+        "{kF} = al * {f} - Nm1 * {F} / {r} + be * {r} * {kf} - aF ** e2")
+
+
+def _rhs_constants(consts: DerivedConstants):
+    """(al, be, Nm1, e1, e2) of `_RHS` for the triple."""
+    p = consts.p
+    return (consts.alpha, consts.beta, consts.N - 1.0, 1.0 / (p - 1.0),
+            consts.q / (p - 1.0))
+
+
 def _sum_src(k, row):
-    """Source of the correctly rounded sum of row[i] * k<i> over the
-    nonzero row[i] only.
+    """Source of the sum of row[i] * k<i> over the nonzero row[i] only.
 
-    The tableau's error rows sum to zero, so on a near-constant
-    derivative the error estimate is a cancelling sum: fsum makes it
-    independent of summation order (and of the Python version, whose
-    sum() changed algorithm in 3.12).  A zero coefficient would add a
-    +-0 term, which fsum ignores, so while the stages are finite the sum
-    is the same double as over the whole row."""
-    return "fsum((%s,))" % ", ".join(
-        f"{k}{i} * {c!r}" for i, c in enumerate(row) if c)
+    A row that sums to c_s or 1 is a plain sum, left to right in row
+    order: its terms are dominated by the state's own scale, and Python
+    never reassociates a literal expression.  A row whose coefficients
+    sum to zero, to the rounding of their literals (the error rows and
+    the interpolant's), is fsum, correctly rounded: on a near-constant
+    derivative its value is pure cancellation, so the error estimate,
+    and with it the step control, does not depend on summation order."""
+    terms = [f"{k}{i} * {c!r}" for i, c in enumerate(row) if c]
+    if abs(fsum(row)) <= _EPS * fsum(map(abs, row)):
+        return "fsum((%s,))" % ", ".join(terms)
+    return "(%s)" % " + ".join(terms)
 
 
-def _stage_src(s, a, c):
-    """Source of stage s: the right side at r + c h, at the state
-    advanced by h times the combination `a` of the stages before it."""
-    return (f"    kf{s}, kF{s} = rhs(r + {c!r} * h, "
-            f"f + {_sum_src('kf', a)} * h, F + {_sum_src('kF', a)} * h)")
+def _stage_src(s, r, a=None):
+    """Source of stage s: the right side at radius r, at the state
+    advanced by h times the combination `a` of the stages before it, or
+    at (f_new, F_new) without one."""
+    if a is None:
+        head, f, F = "", "f_new", "F_new"
+    else:
+        head = (f"fs = f + {_sum_src('kf', a)} * h; "
+                f"Fs = F + {_sum_src('kF', a)} * h; ")
+        f, F = "fs", "Fs"
+    return (f"    rs = {r}; {head}"
+            + _RHS.format(r="rs", f=f, F=F, kf=f"kf{s}", kF=f"kF{s}"))
 
 
 def _compile(name, lines):
-    """The function `name` defined by the source lines, with fsum in its
-    globals: built once at import, as dataclasses and namedtuple build
-    their methods."""
-    ns = {"fsum": fsum}
+    """The function `name` defined by the source lines, with fsum and
+    copysign in its globals: built once at import, as dataclasses and
+    namedtuple build their methods."""
+    ns = {"fsum": fsum, "copysign": math.copysign}
     exec("\n".join(lines), ns)
     return ns[name]
 
@@ -336,33 +368,47 @@ def _names(k, stages):
     return ", ".join(f"{k}{s}" for s in stages)
 
 
-# One trial step of size h from (r, f, F); Kf[0], KF[0] hold stage 0 on
-# entry, and stages 1-12 on return (stage 12 is the next step's stage 0,
-# and the interpolant reads them all).  Returns (f_new, F_new) and the
-# error rows' sums E5.Kf, E5.KF, E3.Kf, E3.KF.
-_step = _compile("_step", [
-    "def _step(rhs, r, h, f, F, Kf, KF):",
+# The right side as a closure over the constants of `_rhs_constants`.
+_rhs = _compile("_rhs", [
+    "def _rhs(al, be, Nm1, e1, e2):",
+    "    def rhs(r, f, F):",
+    "        " + _RHS.format(r="r", f="f", F="F", kf="kf", kF="kF"),
+    "        return kf, kF",
+    "    return rhs"])
+
+# One trial step of size h from (r, f, F), with the right side's
+# constants cs; Kf[0], KF[0] hold stage 0 on entry, and stages 1-12 on
+# return (stage 12 is (f', F') at the new point: the next step's stage 0
+# and the events' slope; the interpolant reads them all).  Returns
+# (f_new, F_new) and the error rows' sums E5.Kf, E5.KF, E3.Kf, E3.KF.
+# Its source lines are kept, for reading and for tests.
+_STEP_SRC = [
+    "def _step(r, h, f, F, Kf, KF, cs):",
+    "    al, be, Nm1, e1, e2 = cs",
     "    kf0, kF0 = Kf[0], KF[0]",
-    *(_stage_src(s, _A[s], _C[s]) for s in range(1, _N_STAGES)),
+    *(_stage_src(s, f"r + {_C[s]!r} * h", _A[s])
+      for s in range(1, _N_STAGES)),
     f"    f_new = f + h * {_sum_src('kf', _B)}",
     f"    F_new = F + h * {_sum_src('kF', _B)}",
-    f"    kf{_N_STAGES}, kF{_N_STAGES} = rhs(r + h, f_new, F_new)",
+    _stage_src(_N_STAGES, "r + h"),
     f"    Kf[1:] = {_names('kf', range(1, _N_STAGES + 1))}",
     f"    KF[1:] = {_names('kF', range(1, _N_STAGES + 1))}",
     "    return (f_new, F_new,",
     *(f"            {_sum_src(k, e)}," for e in (_E5, _E3)
       for k in ("kf", "kF")),
-    "            )"])
+    "            )"]
+_step = _compile("_step", _STEP_SRC)
 
 # The 7th-order interpolant of the step of size h from (r, f, F) to
 # (f_new, F_new), whose 13 stages are in Kf, KF: the tuple (r, h, f, F,
 # seven f coefficients, seven F coefficients).  Its three extra stages
 # are computed here and kept nowhere else.
 _dense_segment = _compile("_dense_segment", [
-    "def _dense_segment(rhs, r, h, f, F, f_new, F_new, Kf, KF):",
+    "def _dense_segment(r, h, f, F, f_new, F_new, Kf, KF, cs):",
+    "    al, be, Nm1, e1, e2 = cs",
     f"    {_names('kf', range(_N_STAGES + 1))} = Kf",
     f"    {_names('kF', range(_N_STAGES + 1))} = KF",
-    *(_stage_src(s, a, c) for s, (a, c) in
+    *(_stage_src(s, f"r + {c!r} * h", a) for s, (a, c) in
       enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1)),
     "    df, dF = f_new - f, F_new - F",
     "    return (r, h, f, F,",
@@ -440,29 +486,35 @@ def _event_root(events, k, seg, r_old, r_new):
                      r_old, r_new)
 
 
-def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
-    """Integrate (f, F)' = rhs(r, f, F) from r towards r_bound with
-    DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5), on floats.
+def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
+    """Integrate the first-order system of consts from (r, f, F) towards
+    r_bound with DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
+    on floats.
 
     This is scipy's DOP853 solver, driven the way scipy drives it with
     atol = 0 and every event terminal: the same initial step, error
     norm, step factors and step-size floor, and the same event rule.
-    Event k fires when events(r, f, F)[k] crosses 0 upward over a step,
-    from <= 0 to >= 0; its root is found by _illinois on the step's
-    interpolant, and the earliest root among the events that fired ends
-    the solve.
-    Two departures: tableau combinations are correctly rounded sums, and
-    an event root is held to brentq's stopping width, not to brentq's
-    own iterates.  The sums are generated (`_step`, `_dense_segment`) over
-    the nonzero coefficients only.  fsum rounds the exact sum of its
-    terms once, so the same rounded products give the same double in any
-    order, and a zero coefficient would only add a +-0 term.  A trial
-    step with a non-finite stage is rejected, as scipy rejects the NaN
-    error such a step gives it: stages 0 and 5-11 enter the error sums,
-    stages 1-4 reach stage 5 through nonzero weights (and each stage
-    taken at a non-finite state is non-finite), and stage 12, which the
-    error rows weigh by 0, is tested on its own; so is an accepted step
-    whose interpolant's extra stages overflow (at a loose rtol).
+    Event k fires when the events' value k (`_make_events`) crosses 0
+    upward over a step, from <= 0 to >= 0; its root is found by
+    _illinois on the step's interpolant, and the earliest root among the
+    events that fired ends the solve.  The events of an accepted step
+    take its slope from stage 12, f' at the new point, and the list of
+    those that fired is formed only where a value reached 0.
+    Two departures: the tableau's sums are generated (`_step`,
+    `_dense_segment`) over the nonzero coefficients only, and correctly
+    rounded (fsum) only where the row sums to zero, and an event root is
+    held to brentq's stopping width, not to brentq's own iterates.  The
+    rows that cancel are the error rows and the interpolant's; fsum
+    rounds the exact sum of their terms once, so the error estimate and
+    the step control do not depend on summation order.  The stage and
+    solution rows (summing to c_s and 1) are plain left-to-right sums,
+    which differ from BLAS's dot by rounding only.  A trial step with a
+    non-finite stage is rejected, as scipy rejects the NaN error such a
+    step gives it: stages 0 and 5-11 enter the error sums, stages 1-4
+    reach stage 5 through nonzero weights (and each stage taken at a
+    non-finite state is non-finite), and stage 12, which the error rows
+    weigh by 0, is tested on its own; so is an accepted step whose
+    interpolant's extra stages overflow (at a loose rtol).
 
     Returns (status, r_end, f_end, F_end, k, segments): status 0 when
     r_bound is reached, 1 when event k fires at r_end, -1 when the step
@@ -475,10 +527,13 @@ def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
         raise ValueError(f"r_bound must exceed the start r={r!r}, "
                          f"got {r_bound!r}")
     rtol = max(rtol, 100 * _EPS)
+    cs = _rhs_constants(consts)
+    rhs = _rhs(*cs)
+    events = _make_events(consts)
     Kf, KF = [0.0] * (_N_STAGES + 1), [0.0] * (_N_STAGES + 1)
     Kf[0], KF[0] = rhs(r, f, F)
     h_abs = _initial_step(rhs, r, f, F, Kf[0], KF[0], r_bound, rtol)
-    g = events(r, f, F)
+    g = events(r, f, F, Kf[0])
     segments = [] if dense else None
     while True:
         min_step = 10 * abs(math.nextafter(r, math.inf) - r)
@@ -491,8 +546,8 @@ def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
             h = r_new - r
             h_abs = abs(h)
             try:
-                f_new, F_new, e5f, e5F, e3f, e3F = _step(rhs, r, h, f, F,
-                                                         Kf, KF)
+                f_new, F_new, e5f, e5F, e3f, e3F = _step(r, h, f, F,
+                                                         Kf, KF, cs)
                 sf = max(abs(f), abs(f_new)) * rtol
                 sF = max(abs(F), abs(F_new)) * rtol
                 e5f, e5F, e3f, e3F = e5f / sf, e5F / sF, e3f / sf, e3F / sF
@@ -506,12 +561,12 @@ def _dop853(rhs, events, r, f, F, r_bound, rtol, dense):
                 else:
                     err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
                 if err < 1:
-                    g_new = events(r_new, f_new, F_new)
-                    fired = [k for k, v in enumerate(g)
-                             if v <= 0 <= g_new[k]]
+                    g_new = events(r_new, f_new, F_new, Kf[12])
+                    fired = () if max(g_new) < 0 else [
+                        k for k, v in enumerate(g) if v <= 0 <= g_new[k]]
                     if dense or fired:
-                        seg = _dense_segment(rhs, r, h, f, F, f_new, F_new,
-                                             Kf, KF)
+                        seg = _dense_segment(r, h, f, F, f_new, F_new,
+                                             Kf, KF, cs)
             except (OverflowError, ZeroDivisionError, ValueError):
                 err = math.nan   # inf - inf in fsum is a ValueError
             # scipy's SAFETY 0.9, MIN_FACTOR 0.2, MAX_FACTOR 10 and error
@@ -572,8 +627,7 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
         raise ValueError("r_max must be finite and exceed the series-start "
                          f"radius {r0:.6g}, got {r_max!r}")
     status, r_end, f_end, F_end, k, segments = _dop853(
-        _make_rhs(consts), _make_events(consts), r0,
-        *series_start(consts, a, r0), r_max, tol, dense)
+        consts, r0, *series_start(consts, a, r0), r_max, tol, dense)
     if status == 1:
         kind = _EVENT_KINDS[k]
     else:
@@ -627,7 +681,7 @@ def classify(consts: DerivedConstants, a: float, r_max: float,
         return Classification("C", r_end, kind)
     mu = consts.mu
     w = _pow(r_end, mu) * f_end
-    fprime = -math.copysign(_pow(abs(F_end), 1.0 / (consts.p - 1.0)), F_end)
+    fprime = _slope(F_end, 1.0 / (consts.p - 1.0))
     rwp = mu * w + _pow(r_end, mu + 1.0) * fprime
     gap = consts.Kstar - w
     if kind == "RMAX_REACHED":
@@ -641,11 +695,26 @@ def classify(consts: DerivedConstants, a: float, r_max: float,
                           rwp / gap if gap > 0 else math.inf)
 
 
+# the graded tolerance of a solve that labels an a, from the bracket it
+# halves: max(tol, min(_TOL_CAP, _TOL_SLOPE * (hi - lo) / lo)); the
+# bracket scan labels its powers of ten at the cap
+_TOL_SLOPE = 1e-2
+_TOL_CAP = 1e-4
+
+
 def find_bracket(consts: DerivedConstants, r_max: float,
                  tol: float = 1e-10) -> Bracket:
     """Scan a over powers of ten until one C (low side) and one A (high
     side) are found.  The series start grows as a falls (p < 2), so the
-    downward scan ends at the first a whose start is not below r_max."""
+    downward scan ends at the first a whose start is not below r_max.
+    Each power is labelled by one solve at max(tol, 1e-4), the cap of the
+    graded law; `find_profile` re-solves at tol an end that stays in its
+    final bracket."""
+    return _scan(consts, r_max, max(tol, _TOL_CAP))
+
+
+def _scan(consts: DerivedConstants, r_max: float, tol: float) -> Bracket:
+    """find_bracket's scan, every power labelled at tol."""
     lo = hi = None
     for k in range(0, 13):
         lab = classify(consts, 10.0 ** k, r_max, tol).label
@@ -669,13 +738,7 @@ def find_bracket(consts: DerivedConstants, r_max: float,
     if lo is None or hi is None:
         raise RuntimeError(
             f"bracket scan exhausted (|k| <= 12): lo={lo}, hi={hi}")
-    return Bracket(lo=lo, hi=hi)
-
-
-# the graded tolerance of a bisection midpoint, from the bracket it halves:
-# max(tol, min(_TOL_CAP, _TOL_SLOPE * (hi - lo) / lo))
-_TOL_SLOPE = 1e-2
-_TOL_CAP = 1e-4
+    return Bracket(lo, hi, r_max, tol)
 
 
 def _midpoint_step(consts: DerivedConstants, m: float, r_max: float,
@@ -747,9 +810,10 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
     no solve is loose.  A loose solve that ends undetermined is repeated
     at tol before the end-state rule reads it.  After the loop, each end
     of the final bracket that was labelled at a looser tolerance is
-    solved again at tol; if its label or heuristic flag changes, the
-    whole bisection is run again from the bracket at tol (the
-    transcript's `fallback`).
+    solved again at tol: a midpoint as it was, a scan end (labelled at
+    the cap by `find_bracket`) by the scan's own solve.  If a label or
+    heuristic flag changes, the scan, where it was loose, and the whole
+    bisection are run again at tol (the transcript's `fallback`).
 
     Why a_star is the full-tolerance value, bit for bit.  The bisection
     is deterministic, so if every loose label equals the label at tol,
@@ -758,8 +822,19 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
     let m be the last midpoint whose loose label is wrong, say C where
     tol gives A.  Every later midpoint lies above m, so above the switch,
     and is labelled A: m stays the final lo, and its re-solve at tol
-    catches the error (A symmetrically).  The fallback then is the
-    full-tolerance run itself.
+    catches the error (A symmetrically).  The bracket scan extends the
+    argument: it is deterministic too, so with every scan label as at
+    tol the bracket is the full-tolerance run's.  A scan end whose label
+    is wrong, with every midpoint right, has no midpoint on its side (a
+    scan label decided before the scan's radius is the bisection's label
+    too): it stays, and its re-solve catches the error.  The fallback
+    then is the full-tolerance run itself.  Two loose scan labels are
+    not re-solved: one that is not an end of the bracket, and an end that
+    tol leaves undetermined at the scan's radius, which a midpoint solved
+    out to 16 r_max may replace.  Either needs a power of ten within the
+    cap's O(1e-4) switch-point error of the scan's label boundaries; a
+    test checks the scan's labels at the cap against tol at the
+    reference triples and on the benchmark's box grid.
 
     Returns (a_star, trajectory at r_max with integrate_profile's default
     sampling, transcript): the transcript holds the final `lo` and `hi`,
@@ -770,8 +845,9 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
         raise ValueError(f"a_tol must be finite and >= 0, got {a_tol!r}")
     if not math.isfinite(16.0 * r_max):
         raise ValueError(f"r_max must keep 16 r_max finite, got {r_max!r}")
-    args = (consts, bracket.lo, bracket.hi, a_tol, r_max, tol)
-    lo, hi, steps = _bisect(*args, graded=True)
+    args = (a_tol, r_max, tol)
+    lo, hi, steps = _bisect(consts, bracket.lo, bracket.hi, *args,
+                            graded=True)
     fallback = False
     for i, step in enumerate(steps):
         if step["a"] in (lo, hi) and step["tol"] > tol:
@@ -781,8 +857,16 @@ def find_profile(consts: DerivedConstants, bracket: Bracket,
                 fallback = True
                 break
             steps[i] = full
+    if bracket.tol > tol and not fallback:
+        fallback = any(
+            end in (lo, hi)
+            and classify(consts, end, bracket.r_max, tol).label != lab
+            for end, lab in ((bracket.lo, "C"), (bracket.hi, "A")))
     if fallback:
-        lo, hi, steps = _bisect(*args, graded=False)
+        if bracket.tol > tol:
+            bracket = _scan(consts, bracket.r_max, tol)
+        lo, hi, steps = _bisect(consts, bracket.lo, bracket.hi, *args,
+                                graded=False)
     a_star = 0.5 * (lo + hi)
     traj = integrate_profile(consts, a_star, r_max, tol)
     return a_star, traj, {"lo": lo, "hi": hi, "steps": steps,

@@ -258,6 +258,16 @@ class TestExitCodes:
          "L too large: u(0,x) = 0 in cell 0"),
         (0, ("qstar", "--N", "2", "--p", "1.9999999999999998"),
          '"lambdastar": 7.401486830834378e-17'),
+        (2, ("classify", *N1, "--a", "1e100"),
+         "the series start at a=1e+100, r0=2.15443e-72 overflows double "
+         "precision"),
+        (2, ("shoot", *N1, "--a", "1e300", "--out", "{tmp}/s.csv"),
+         "the series start at a=1e+300, r0=1e-205 overflows double "
+         "precision"),
+        (2, ("classify", "--N", "2", "--p", "1.5", "--q", "0.6",
+             "--a", "1e200"),
+         "the series start at a=1e+200, r0=2.15443e-72 overflows double "
+         "precision"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -622,36 +632,39 @@ class TestPhase:
 # phasepath.csv was unchanged by it and ratefit.json moved then, so any
 # later move of either is a change of the phase map or of that fit.
 # phasepath.csv was re-frozen when its Wshift column (Z - Zstar) was
-# deleted: the parent's file without that field.
+# deleted: the parent's file without that field.  All six were re-frozen
+# when the DOP853 stage and solution sums became plain left-to-right sums
+# (a* kept its bits; the samples moved by rounding).
 # A change that alters one of these outputs on purpose re-freezes its
 # digest here and records the change in CHANGES.md.
 FROZEN_SHA256 = {
     "profile.csv":
-        "3ff941f98987f8199f0b30e30cfad7511a89fdead6694b3258f48fd351cd9c8c",
+        "6bbb0f17ad1c5d84a20b521ba24ac20e5cd1273684527652c18af1872c39557b",
     "certify.json":
-        "0a83aee02a090b8caaa3ba3f6cd3af26aaaf8db50c1fdd4eebd72cf7850d66ca",
+        "edd148d13dd5abc2940aa7db91eba66915f76a2b1c0364eb2719929260ca6141",
     "tailfit.json":
-        "abd8a33184b4142c491418743c34c86df862e8ff6fe0a59c161ab85d82d809d9",
+        "34585dd74b590664603feb5fec5cfa76b944667288578ea2d3bec21045fa23cf",
     "metrics.json":
-        "1090006b7c8c1927172091e1112334eba783d61e7af8dc7019e8ba29cca8e43f",
+        "186137d77fd6e5196d46b406b092d89190fb53d358fe28101a2f9686ce4575e1",
     "phasepath.csv":
-        "adc36373ab4770a0841eaa9a0833b6621dfb143886022719b8410a738130db55",
+        "f402a29bee879f26cbdbb6550cc4ec30ae975719734463c06df8c7e50520c511",
     "ratefit.json":
-        "fd0a327bde20dd37bcf21696487bca04b73a8aaf4c05d96661ec3c7819a5ef05",
+        "6c72c4a68a26ce3a66111c1aa43cfd9f988b9acff38e1e6c026afa52ec1a96a8",
 }
 
 
 # sha256 of `find --N 1 --p 1.5 --q 0.675`, the one benchmark triple whose
 # bisection reaches the end-state rule (exit 3: not certified), frozen at
 # commit 1850253 on the same versions; profile.csv re-frozen with the
-# one above, both times.  Same rules as above.
+# one above, both times, and all three with the plain stage sums.  Same
+# rules as above.
 FROZEN_SHA256_END_STATE = {
     "profile.csv":
-        "7cba11969d1b7e25288ec5abee10ada8779ce61dd1c15e463024fd1b2f3e4533",
+        "e2067795299000d41a2d87b6d3c4af2bfa6742dc98ddeccdbca2c9dc1b0600cb",
     "certify.json":
-        "ddcde637c42e1d3a3ace1da6c4ad14bb2a01960dc04282707ca661d46acbd48b",
+        "80ef059d9e16370516ca506d5ecc8ad1bd6cf54db8b494f90c2c91acc249e122",
     "tailfit.json":
-        "9fbd209c67f580986f21357e2e7f7125573b17169224a5fac8243330dff08c79",
+        "fef53dd11e4e9a8ac4e6ae1cf25a873e8b4068a0d7a2d588c2278512c161e715",
 }
 
 

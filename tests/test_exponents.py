@@ -9,6 +9,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -156,6 +157,18 @@ class TestCrossover:
         lam = lambdastar(2, 1.5)
         assert lam == pytest.approx((1.5 - math.sqrt(1.25)) / 2.0, rel=1e-13)
         assert 0.0 < lam < (2.0 - 1.5) / 2.0
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_lambdastar_accurate_near_2(self, N):
+        # as p -> 2 the root falls to 0 with c = (2-p)(p-1), where
+        # (-b - sqrt(disc)) / 2a cancels: a relative error of 2.2e-4 at
+        # N = 2, p = 2 - 1e-12; the exact root is taken at 60 digits
+        p = 2.0 - 1e-12
+        with mpmath.workdps(60):
+            pm = mpmath.mpf(p)
+            a, b, c = N - 1, -3 * (pm - 1), (2 - pm) * (pm - 1)
+            exact = (-b - mpmath.sqrt(b * b - 4 * a * c)) / (2 * a)
+            assert abs(lambdastar(N, p) / exact - 1) <= 2.0 ** -51
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(N=st.integers(2, 40),
