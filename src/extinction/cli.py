@@ -2,30 +2,21 @@
 -> tail fit -> phase rates -> PDE check.
 
 Exit codes; commands raise, and `main` maps every exception through
-`_report`:
+`_report`, by its type alone:
 
   0  success
-  1  usage: bad flags or config (a tail --window not finite with lo < hi);
-     an unreadable or malformed profile (shooter.load_profile's refusals,
-     such as an a or tol that is not finite and > 0):
-     "cannot read profile: ..."
-  2  exponents outside the admissible box (exponents.RangeViolation; N
-     and p alone for qstar); the library's own input checks (a
-     non-finite --a, --tol or --rmax, --a <= 0, --tol <= 0, --rmax below
-     the series start, a find --rmax whose 16 --rmax overflows, an
-     --a-tol that is not finite and >= 0, a phase --span end that is not
-     finite or two equal ends, a phase --x0 component not finite or at or
-     beyond the 1e12 blow-up guard, bad --L/--M, a pde --T that is not
-     finite and > 0 or whose (T - t)^(alpha + beta) leaves double range,
-     a --tend outside (0, 0.8 T], a triple in the box whose K* overflows
-     double precision, an --a whose series start overflows it); an
-     artifact that cannot be written (an --out that is a directory, an
-     --outdir that is a file): "cannot write output: ..."
-  3  algorithmic failure: no bracket (a downward scan that reaches a
-     series start not below r_max too), fit, certification, phase
-     non-convergence (a profile with no sample that maps into phase
-     space too), a phase --x0 integration past its budget of right-side
-     evaluations, PDE (an initial datum vanishing in the first cell too)
+  1  usage (UsageError): bad flags or config (a tail --window not finite
+     with lo < hi); an unreadable or malformed profile (any refusal of
+     shooter.load_profile): "cannot read profile: ..."
+  2  a bad argument (ValueError): exponents outside the admissible box
+     (exponents.RangeViolation) or any other input check of the library
+     or of a pde flag; an artifact that cannot be written (OSError):
+     "cannot write output: ..."
+  3  a computation that cannot give its result (RuntimeError): no
+     bracket (shooter.find_bracket), a solve past the kernel's step
+     budget, fit, certification, phase non-convergence, a phase --x0
+     integration past its budget of right-side evaluations, PDE (initial
+     datum, absorption bound, tridiagonal solve)
 
 The library prints nothing; `phase --from-profile` names the samples it
 skipped in one `warning: ...` line on stderr.
@@ -36,7 +27,6 @@ Explicit flags always win over --config.  Files are made only by
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 from pathlib import Path
@@ -78,33 +68,22 @@ class UsageError(Exception):
     """Exit 1, reported as `error: ...` on stderr."""
 
 
-@contextlib.contextmanager
-def _algorithmic():
-    """A ValueError raised inside is an algorithmic failure (exit 3);
-    outside, it is one of the library's own input checks (exit 2)."""
-    try:
-        yield
-    except ValueError as e:
-        raise RuntimeError(str(e)) from e
-
-
 def _report(exc: Exception) -> int:
     """The one failure path: print the report for `exc` and return its
-    exit code."""
+    exit code, which the exception's type alone decides."""
     if isinstance(exc, UsageError):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(exc, exponents.RangeViolation):
-        report, code = {"violations": exc.violations}, EXIT_RANGE
+        report = {"violations": exc.violations}
     elif isinstance(exc, OSError):
         # a read turns its OSError into a UsageError, so this one came
         # from writing an artifact
-        report, code = {"error": f"cannot write output: {exc}"}, EXIT_RANGE
+        report = {"error": f"cannot write output: {exc}"}
     else:
         report = {"error": str(exc)}
-        code = EXIT_ALGO if isinstance(exc, RuntimeError) else EXIT_RANGE
     _write_or_print(None, exponents.json_text({"ok": False, **report}))
-    return code
+    return EXIT_ALGO if isinstance(exc, RuntimeError) else EXIT_RANGE
 
 
 def _config_defaults(args) -> dict:
@@ -184,8 +163,7 @@ def cmd_find(args) -> int:
     br = shooter.find_bracket(consts, args.rmax, args.tol)
     a_star, traj, rec = shooter.find_profile(
         consts, br, a_tol=args.a_tol, r_max=args.rmax, tol=args.tol)
-    with _algorithmic():
-        cert = tail.certify_B(traj, consts)
+    cert = tail.certify_B(traj, consts)
     report = {
         "a_star": a_star,
         "bracket": [rec["lo"], rec["hi"]],
@@ -209,8 +187,7 @@ def cmd_find(args) -> int:
     _write_or_print(outdir / "profile.csv",
                     shooter.trajectory_csv(traj, consts))
     _write_or_print(outdir / "certify.json", exponents.json_text(report))
-    with _algorithmic():
-        fit = tail.fit_tail(traj, consts)
+    fit = tail.fit_tail(traj, consts)
     _write_or_print(outdir / "tailfit.json", tail.tailfit_json(fit))
     _write_or_print(None, exponents.json_text(
         {"a_star": a_star, "certified": cert.ok,
@@ -224,8 +201,7 @@ def cmd_tail(args) -> int:
         raise UsageError("--window must be finite with lo < hi, got "
                          f"{args.window}")
     consts, traj = _load_profile(args.profile)
-    with _algorithmic():
-        fit = tail.fit_tail(traj, consts, args.window)
+    fit = tail.fit_tail(traj, consts, args.window)
     _write_or_print(args.out, tail.tailfit_json(fit))
     return EXIT_OK if fit.accepted else EXIT_ALGO
 
@@ -243,8 +219,7 @@ def cmd_phase(args) -> int:
         if path.detail:
             print(f"warning: {path.detail}", file=sys.stderr)
         _write_or_print(outdir / "phasepath.csv", phase.phasepath_csv(path))
-        with _algorithmic():
-            rates = phase.extract_rates(path, consts)
+        rates = phase.extract_rates(path, consts)
         text = phase.ratefit_json(rates)
         _write_or_print(outdir / "ratefit.json", text)
         _write_or_print(None, text)
@@ -273,9 +248,8 @@ def cmd_pde(args) -> int:
             > sys.float_info.min_10_exp):
         raise ValueError(f"--T must keep (T - t)^(alpha + beta) within "
                          f"double range, got {args.T!r}")
-    with _algorithmic():
-        fld = pde.build_initial(traj, consts, args.T, grid)
-        metrics = pde.run_and_measure(fld, grid, t_end=args.tend)
+    fld = pde.build_initial(traj, consts, args.T, grid)
+    metrics = pde.run_and_measure(fld, grid, t_end=args.tend)
     if args.snapshots is not None:
         for k, (t, u) in enumerate(metrics.snapshots):
             _write_or_print(Path(args.snapshots) / f"snapshot_{k:03d}.csv",

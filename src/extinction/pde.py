@@ -173,24 +173,26 @@ def build_initial(traj, consts: DerivedConstants, T: float,
                   grid: RadialGrid) -> SelfSimilarField:
     """Sample u(0, x) = T^alpha f(x T^beta) onto the grid.
 
-    The trajectory must certify as fast-decay, always (the tail extension
-    and the Dirichlet ghost are only exact for that branch), and L must be
-    large enough that u(0, L) <= 1e-3 u(0, 0) and small enough that
-    u(0, x) > 0 in the first cell.
+    T must be finite and > 0 (ValueError).  The trajectory must certify
+    as fast-decay (the tail extension and the Dirichlet ghost are only
+    exact for that branch), and L must make u(0, L) <= 1e-3 u(0, 0) and
+    u(0, x) > 0 in the first cell (RuntimeError).
     """
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     cert = certify_B(traj, consts)
     if not cert.ok:
         bad = [k for k, v in cert.checks.items() if not v]
-        raise ValueError(f"profile not certified fast-decay: {bad}")
+        raise RuntimeError(f"profile not certified fast-decay: {bad}")
     fit = fit_tail(traj, consts)
     f_of = profile_interpolant(traj, consts, fit.A_est)
     fld = SelfSimilarField(T=T, t=0.0, values=None, profile=f_of,
                            consts=consts)
     u0 = fld.values = fld.exact(0.0, grid.centers())
     if not u0[0] > 0.0:
-        raise ValueError(f"L too large: u(0,x) = {u0[0]:.3g} in cell 0")
+        raise RuntimeError(f"L too large: u(0,x) = {u0[0]:.3g} in cell 0")
     if u0[-1] > 1e-3 * u0[0]:
-        raise ValueError(
+        raise RuntimeError(
             f"L too small: u(0,L)/u(0,0) = {u0[-1] / u0[0]:.3g} > 1e-3")
     return fld
 
@@ -223,7 +225,8 @@ def _make_step(grid: RadialGrid, consts: DerivedConstants):
         # absorption CFL, G = max |s| (NaN first); argmax beats a reduce
         G = float(max(s[s.argmax()], -s[s.argmin()]))
         if G > 0.0 and dt > (cfl := 0.4 * dx / (q * G ** (q - 1.0))):
-            raise ValueError(f"dt={dt:.3g} violates absorption CFL {cfl:.3g}")
+            raise RuntimeError(f"dt={dt:.3g} violates absorption CFL "
+                               f"{cfl:.3g}")
         # mobilities; ipow is `**=`, dispatched as `**` is (0.5: np.sqrt)
         np.multiply(s1, s1, out=mob)
         np.add(mob, eps * eps, out=mob)
@@ -246,7 +249,7 @@ def _make_step(grid: RadialGrid, consts: DerivedConstants):
         np.negative(wm, out=off)
         new, info = dgtsv(off, tmp, off, h, overwrite_d=1, overwrite_b=1)[3:]
         if info != 0:
-            raise ValueError(f"tridiagonal solve failed: info={info}")
+            raise RuntimeError(f"tridiagonal solve failed: info={info}")
         n_clip = int(np.count_nonzero(new < -NEG_CLIP_TOL * (sup or 1.0)))
         np.maximum(new, 0.0, out=new)
         return new, n_clip, float(new[new.argmax()])
@@ -281,8 +284,8 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
     so eps_reg should be the mobility floor there.  a0 V + dt K is a
     symmetric M-matrix, so diffusion sets no step bound; the explicit
     absorption keeps its bound dt <= 0.4 dx / (q G^{q-1}) (G the max slope
-    magnitude), which is enforced.  Negative values below -1e-10 ||u||_inf
-    are counted before all negatives are clipped.  This is the
+    magnitude), which is enforced (RuntimeError).  Negative values below
+    -1e-10 ||u||_inf are counted before all negatives are clipped.  This is the
     lagged-diffusivity idea of Vogel & Oman (SIAM J. Sci. Comput. 17,
     1996), applied once per step.  The kernel (_make_step) is built per
     call here and once per run by run_and_measure; both run the same
@@ -362,19 +365,19 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
     ln sup u and ln of the r^{N-1}-weighted L1 norm in ln(T-t) are
     fitted over checkpoints with T-t < 0.9 T, past initial transients; a
-    t_end that leaves fewer than two of them raises ValueError before any
-    step is taken.  The time error is O(dt_frac^2): the alpha differences
-    of a dt_frac ladder shrink by about 4 per halving.  The default
-    dt_frac = 1e-3 (1611 steps to t_end = 0.8 T) puts alpha within 1e-4
-    of its Richardson dt -> 0 value and the self-similar error within
-    1e-4 of every finer rung down to 1e-4, at M = 400 and 800.
+    t_end that leaves fewer than two of them raises RuntimeError before
+    any step is taken.  The time error is O(dt_frac^2): the alpha
+    differences of a dt_frac ladder shrink by about 4 per halving.  The
+    default dt_frac = 1e-3 (1611 steps to t_end = 0.8 T) puts alpha
+    within 1e-4 of its Richardson dt -> 0 value and the self-similar error
+    within 1e-4 of every finer rung down to 1e-4, at M = 400 and 800.
 
     n_clipped counts, over all steps, the cells clipped from below
     -1e-10 ||u||_inf.  The clipping is not rounding-scale: in the far
     field, where u is near 1e-8 of its sup, the explicit absorption
     undershoots by up to a few 1e-8 sup per step (tens of thousands of
     cell-steps at M = 200-800 with the default dt_frac).
-    A step that violates the absorption bound raises ValueError.  The
+    A step that violates the absorption bound raises RuntimeError.  The
     planned steps cannot see the slopes, so the bound caps the grid: on
     the N=1 profile (1, 1.2, 0.5) with L = 40 and the default dt_frac it
     trips near t_end from M of about 7,800 (dx = 5.1e-3): M = 6,400 runs
@@ -397,7 +400,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     in_fit = lt < math.log(0.9 * T)
     n_fit = int(in_fit.sum())
     if n_fit < 2:
-        raise ValueError(
+        raise RuntimeError(
             f"t_end={t_end:.3g} leaves {n_fit} checkpoint(s) with "
             "T-t < 0.9 T; the exponent fits need at least 2")
     # the first import of scipy in a process stays out of the timed wall

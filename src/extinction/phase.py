@@ -220,18 +220,19 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     final decade, the same fit `tail.fit_tail` reads theta and A from:
     lambda3 = -theta, Vinf = -Zstar s0 (Z - Zstar ~ Vinf e^{lambda3 eta};
     a fast-decay path approaches Zstar from below), and A_from_Vinf is
-    its A.
+    its A.  A path that ends off the critical point, or a window with
+    fewer than 10 samples, raises RuntimeError.
     """
     p, q = consts.p, consts.q
     Zst = consts.Zstar
     spec = spectral_data(consts)
     eta, Y, Z = path.eta, path.Y, path.Z
     if not len(path):
-        raise ValueError("path does not converge: it holds no samples")
+        raise RuntimeError("path does not converge: it holds no samples")
     dist = math.sqrt((path.X[-1]) ** 2 + (Y[-1]) ** 2
                      + (Z[-1] - Zst) ** 2)
     if not np.isfinite(dist) or dist > 0.05 * Zst:
-        raise ValueError(
+        raise RuntimeError(
             f"path does not converge to the critical point "
             f"(terminal distance {dist:.3g} > 0.05*Zstar)")
     e_max = eta[-1]
@@ -240,7 +241,7 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
 
     m2 = (eta >= win2[0]) & (eta <= win2[1]) & (Y > 0.0)
     if m2.sum() < 10:
-        raise ValueError("lambda2 window holds fewer than 10 samples")
+        raise RuntimeError("lambda2 window holds fewer than 10 samples")
     co2 = log_fit(eta[m2], np.log(Y[m2]))
     lam2 = float(co2[1])
     Uinf = math.exp(co2[0]) / (p - q)
@@ -248,8 +249,8 @@ def extract_rates(path: PhasePath, consts: DerivedConstants) -> RateFit:
     m3 = (eta >= win3[0]) & (eta <= win3[1])
     fit3 = zgap_fit(eta[m3], Z[m3], consts)
     if fit3 is None:
-        raise ValueError("lambda3 window holds fewer than 10 samples "
-                         "with 0 < Z < Zstar")
+        raise RuntimeError("lambda3 window holds fewer than 10 samples "
+                           "with 0 < Z < Zstar")
     theta, s0, A = fit3
 
     flags = []

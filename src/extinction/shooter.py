@@ -29,19 +29,10 @@ Python loop over the two floats (f, F) that keeps scipy's DOP853 method
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5) -- its initial step,
 error norm, step control and event location.  On a two-component system
 scipy's array-based driver spends most of its time on numpy call
-overhead (array wrapping, small dot products, event bookkeeping) rather
-than arithmetic.  The Butcher tableau is scipy's (scipy.integrate.DOP853),
-written here as float literals and checked bit for bit by a test, so the
-module imports no scipy and the kernel can be checked against scipy's own
-solver.  The step and the interpolant are generated from those literals
-and from the right side's one source template at import (`_step`,
-`_dense_segment`): every stage is inlined, and each tableau row is one
-literal sum over its nonzero coefficients, k0 * c0 + k3 * c3 + ..., left
-to right, except the rows that sum to zero (the error estimate's and the
-interpolant's), which are correctly rounded, fsum((k0 * c0, ...)).  So
-no step loops over the tableau or calls the right side.  Event roots are
-found on the step's interpolant by `_illinois`, regula falsi with the
-Illinois modification, to brentq's stopping width at xtol = rtol = 4 eps.
+overhead rather than arithmetic.  The step and the interpolant are
+generated at import from scipy's tableau, as literals (`_A` ...), and
+the right side's one source template (`_RHS`, `_sum_src`).  `_dop853`
+states its departures from scipy and its step budget.
 """
 
 from __future__ import annotations
@@ -71,6 +62,11 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
+# budgets: trial steps (accepted plus rejected) of one solve, and regula
+# falsi points of one event root before `_illinois` bisects; the 17
+# benchmark finds take at most 125 and 26 (over 519 solves, 503 roots)
+STEP_BUDGET = 100_000
+_SECANT_POINTS = 50
 
 # profile.csv's comment-header parameters and its columns (the ODE state)
 PROFILE_META = ("a", "N", "p", "q", "tol")
@@ -444,20 +440,23 @@ def _sample(segments, r_end, rs):
     return _interpolate(seg[k].T, rs)
 
 
-def _illinois(g, a, b, maxiter=100):
+def _illinois(g, a, b, maxiter=_SECANT_POINTS + 1100):
     """A root of g in [a, b], a < b, by regula falsi with the Illinois
     modification (Dowell & Jarratt, BIT 11, 1971): the secant through the
-    bracket's ends, with the value at an end kept twice in a row halved.
+    bracket's ends, with the value at an end kept twice in a row halved;
+    past _SECANT_POINTS trial points, bisection, which cannot stall on one
+    end (Brent, Algorithms for Minimization without Derivatives, ch. 4).
     Each trial point is held 2 eps (1 + max |r|) inside the bracket, so
     the bracket shrinks on every step; once it is at most 4 eps (1 + min
     |r|) wide (brentq's stopping width at xtol = rtol = 4 eps), the end
     with the smaller |g|, as halved, is returned, or earlier a zero of g.
-    Raises ValueError when g(a) and g(b) have the same sign or g returns
-    NaN, RuntimeError after maxiter trial points."""
+    maxiter leaves room for 1,075 halvings, 2^1025 to 2^-50.  Raises
+    ValueError when g(a) and g(b) have the same sign, RuntimeError when g
+    returns NaN or after maxiter trial points."""
     def call(x):
         gx = g(x)
         if math.isnan(gx):
-            raise ValueError(f"g({x!r}) is NaN")
+            raise RuntimeError(f"g({x!r}) is NaN")
         return gx
 
     ga, gb = call(a), call(b)
@@ -466,11 +465,13 @@ def _illinois(g, a, b, maxiter=100):
     if (ga > 0) == (gb > 0):
         raise ValueError("g(a) and g(b) must have different signs")
     kept = 0   # -1 or +1 when the last trial point replaced b or a
-    for _ in range(maxiter):
+    for i in range(maxiter):
         if b - a <= 4 * _EPS * (1 + min(abs(a), abs(b))):
             return a if abs(ga) <= abs(gb) else b
         tol = 2 * _EPS * (1 + max(abs(a), abs(b)))
-        x = min(b - tol, max(a + tol, a + ga / (ga - gb) * (b - a)))
+        x = (a + ga / (ga - gb) * (b - a) if i < _SECANT_POINTS
+             else 0.5 * a + 0.5 * b)
+        x = min(b - tol, max(a + tol, x))
         gx = call(x)
         if gx == 0:
             return x
@@ -521,7 +522,8 @@ def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
     size falls below ten ulps of r.  segments holds every step's
     interpolant (for _sample) when `dense` is set, else is None.  The
     solve runs forward only: r_bound <= r raises ValueError, where the
-    step loop would otherwise never reach it.
+    step loop would otherwise never reach it.  A solve past STEP_BUDGET
+    trial steps raises RuntimeError (a tiny a with a huge r_max).
     """
     if not r < r_bound:   # a NaN bound too
         raise ValueError(f"r_bound must exceed the start r={r!r}, "
@@ -535,6 +537,7 @@ def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
     h_abs = _initial_step(rhs, r, f, F, Kf[0], KF[0], r_bound, rtol)
     g = events(r, f, F, Kf[0])
     segments = [] if dense else None
+    budget = STEP_BUDGET
     while True:
         min_step = 10 * abs(math.nextafter(r, math.inf) - r)
         h_abs = max(h_abs, min_step)
@@ -542,6 +545,10 @@ def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
         while True:
             if not h_abs >= min_step:   # a NaN step too
                 return -1, r, f, F, None, segments
+            budget -= 1
+            if budget < 0:
+                raise RuntimeError(f"step budget of {STEP_BUDGET} trial "
+                                   f"steps exhausted at r={r!r}")
             r_new = min(r + h_abs, r_bound)
             h = r_new - r
             h_abs = abs(h)
@@ -626,8 +633,11 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
     if not r0 < r_max < math.inf:
         raise ValueError("r_max must be finite and exceed the series-start "
                          f"radius {r0:.6g}, got {r_max!r}")
-    status, r_end, f_end, F_end, k, segments = _dop853(
-        consts, r0, *series_start(consts, a, r0), r_max, tol, dense)
+    try:
+        status, r_end, f_end, F_end, k, segments = _dop853(
+            consts, r0, *series_start(consts, a, r0), r_max, tol, dense)
+    except RuntimeError as e:
+        raise RuntimeError(f"the solve at a={a!r} failed: {e}") from None
     if status == 1:
         kind = _EVENT_KINDS[k]
     else:
@@ -705,11 +715,11 @@ _TOL_CAP = 1e-4
 def find_bracket(consts: DerivedConstants, r_max: float,
                  tol: float = 1e-10) -> Bracket:
     """Scan a over powers of ten until one C (low side) and one A (high
-    side) are found.  The series start grows as a falls (p < 2), so the
-    downward scan ends at the first a whose start is not below r_max.
-    Each power is labelled by one solve at max(tol, 1e-4), the cap of the
-    graded law; `find_profile` re-solves at tol an end that stays in its
-    final bracket."""
+    side) are found; RuntimeError at an a whose series start overflows
+    double precision or, on the downward scan (the start grows as a
+    falls, p < 2), is not below r_max.  Each power is labelled by one
+    solve at max(tol, 1e-4), the cap of the graded law; `find_profile`
+    re-solves at tol an end that stays in its final bracket."""
     return _scan(consts, r_max, max(tol, _TOL_CAP))
 
 
@@ -717,7 +727,7 @@ def _scan(consts: DerivedConstants, r_max: float, tol: float) -> Bracket:
     """find_bracket's scan, every power labelled at tol."""
     lo = hi = None
     for k in range(0, 13):
-        lab = classify(consts, 10.0 ** k, r_max, tol).label
+        lab = _scan_label(consts, 10.0 ** k, r_max, tol)
         if lab == "A":
             hi = 10.0 ** k
             break
@@ -733,12 +743,23 @@ def _scan(consts: DerivedConstants, r_max: float, tol: float) -> Bracket:
                 f"bracket scan exhausted at a={a:g}: its series-start "
                 f"radius {r0:.6g} is not below r_max={r_max:.6g} "
                 f"(hi={hi})")
-        if classify(consts, a, r_max, tol).label == "C":
+        if _scan_label(consts, a, r_max, tol) == "C":
             lo = a
     if lo is None or hi is None:
         raise RuntimeError(
             f"bracket scan exhausted (|k| <= 12): lo={lo}, hi={hi}")
     return Bracket(lo, hi, r_max, tol)
+
+
+def _scan_label(consts: DerivedConstants, a: float, r_max, tol) -> str:
+    """classify's label of the scan's power a; RuntimeError where its
+    series start overflows, as the scan, not the caller, chose a."""
+    try:
+        series_start(consts, a, _default_r0(consts, a))
+    except ValueError:
+        raise RuntimeError(f"bracket scan exhausted at a={a:g}: its series "
+                           "start overflows double precision") from None
+    return classify(consts, a, r_max, tol).label
 
 
 def _midpoint_step(consts: DerivedConstants, m: float, r_max: float,

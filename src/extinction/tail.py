@@ -169,7 +169,7 @@ def fit_tail(traj, consts: DerivedConstants,
     Samples with |Kstar - w| <= K_ROUND Kstar are left out: a profile cut
     at the W_EXCEEDS_KSTAR event ends on one, where the sign of the gap
     is rounding (certify_B's allowance).  Any other Kstar - w <= 0 in the
-    window raises ValueError.
+    window raises RuntimeError, as does a window of fewer than 10 samples.
 
     Stage 1 regresses ln(Kstar - w) on ln r.  Its residual is at rounding
     level (rms <= 1e-9 Kstar) only on an exact power law.  Every real
@@ -178,7 +178,7 @@ def fit_tail(traj, consts: DerivedConstants,
     against the known next-order contamination that `phase.extract_rates`
     also reads (stage 1 again if it has too few samples).
     A theta_est more than THETA_REL_TOL (50 %) from consts.theta raises
-    ValueError: neither estimator has measured the second-order term.
+    RuntimeError: neither estimator has measured the second-order term.
     """
     states = w_transform(traj, consts)
     r_all = states.r
@@ -189,12 +189,12 @@ def fit_tail(traj, consts: DerivedConstants,
     mask = ((r_all >= lo) & (r_all <= hi)
             & (np.abs(Kst - states.w) > K_ROUND * Kst))
     if int(mask.sum()) < 10:
-        raise ValueError("fit window holds fewer than 10 samples")
+        raise RuntimeError("fit window holds fewer than 10 samples")
     r = r_all[mask]
     w = states.w[mask]
     gap = Kst - w
     if np.any(gap <= 0.0):
-        raise ValueError("Kstar - w must stay positive inside the window")
+        raise RuntimeError("Kstar - w must stay positive inside the window")
 
     def rms_of(A, th):
         return float(np.sqrt(np.mean((w - (Kst - A * r ** (-th))) ** 2)))
@@ -211,7 +211,7 @@ def fit_tail(traj, consts: DerivedConstants,
             th, _, A = ref
     rms = rms_of(A, th)
     if abs(th / consts.theta - 1.0) > THETA_REL_TOL:
-        raise ValueError(
+        raise RuntimeError(
             f"tail exponent off theory: theta_est = {th:.6g} is more than "
             f"{THETA_REL_TOL:.0%} from theta = {consts.theta:.6g}")
     return TailFit(K_est=Kst, A_est=A, theta_est=th, window=(float(lo),

@@ -268,6 +268,25 @@ class TestExitCodes:
              "--a", "1e200"),
          "the series start at a=1e+200, r0=2.15443e-72 overflows double "
          "precision"),
+        # the bracket scan's own power of ten overflows the series start:
+        # the scan chose that a, so these triples of the box exit 3
+        (3, ("find", "--N", "1", "--p", "1.01", "--q", "0.3",
+             "--outdir", "{tmp}"),
+         "bracket scan exhausted at a=1000: its series start overflows "
+         "double precision"),
+        (3, ("find", "--N", "1", "--p", "1.01", "--q", "0.5",
+             "--outdir", "{tmp}"),
+         "bracket scan exhausted at a=100: its series start overflows "
+         "double precision"),
+        (3, ("find", "--N", "1", "--p", "1.02", "--q", "0.461",
+             "--outdir", "{tmp}"),
+         "bracket scan exhausted at a=1e+06: its series start overflows "
+         "double precision"),
+        # the C event fires, and its root search once gave up after 100
+        # trial points (exit 3, "no root to tolerance")
+        (0, ("classify", "--N", "1", "--p", "1.9", "--q", "0.93",
+             "--a", "1e-270", "--rmax", "1e100"),
+         '"witness_r": 3417047348.761572'),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -410,6 +429,18 @@ class TestExitCodes:
         res = _cli_subprocess(tmp_path, argv)
         assert res.returncode == 3
         assert needle in json.loads(res.stdout)["error"]
+        assert "Traceback" not in res.stderr
+
+
+    # far from the profile the kernel's steps stay a small fraction of r:
+    # without shooter.STEP_BUDGET this solve ran for minutes
+    def test_step_budget_is_3(self, tmp_path):
+        res = _cli_subprocess(tmp_path, ("classify", *N1, "--a", "1e-30",
+                                         "--rmax", "1e100"))
+        assert res.returncode == 3
+        assert json.loads(res.stdout)["error"].startswith(
+            "the solve at a=1e-30 failed: step budget of 100000 trial steps "
+            "exhausted at r=")
         assert "Traceback" not in res.stderr
 
 

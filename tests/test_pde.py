@@ -151,19 +151,27 @@ class TestBuildInitial:
 
     def test_L_too_small(self, star1, consts1):
         _, traj, _ = star1
-        with pytest.raises(ValueError, match="L too small"):
+        with pytest.raises(RuntimeError, match="L too small"):
             build_initial(traj, consts1, 1.0, RadialGrid(L=4.0, M=40))
+
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.nan, math.inf])
+    def test_T_not_finite_and_positive_refused(self, star1, consts1, T):
+        # these once went on to "L too small" (T = -1, a complex ratio) or
+        # "L too large" (u(0, x) = 0 or nan)
+        _, traj, _ = star1
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            build_initial(traj, consts1, T, RadialGrid(L=40.0, M=100))
 
     def test_uncertified_profile_rejected(self, consts1):
         traj = integrate_profile(consts1, 0.9 * A_STAR_N1, 100.0,
                                  n_samples=2048)
-        with pytest.raises(ValueError, match="not certified"):
+        with pytest.raises(RuntimeError, match="not certified"):
             build_initial(traj, consts1, 1.0, RadialGrid(L=40.0, M=100))
 
     def test_candidate_n2_not_certified(self, star2, consts2):
         # the N=2 candidate fails the certificate, which is always checked
         _, traj, _ = star2
-        with pytest.raises(ValueError, match="not certified"):
+        with pytest.raises(RuntimeError, match="not certified"):
             build_initial(traj, consts2, 1.0, RadialGrid(L=10.0, M=50))
 
 
@@ -302,7 +310,7 @@ class TestImplicitStep:
     def test_absorption_cfl_violation_raises(self, field1):
         fld, grid = field1
         eps = 0.016 * grid.dx
-        with pytest.raises(ValueError, match="absorption CFL"):
+        with pytest.raises(RuntimeError, match="absorption CFL"):
             implicit_step(fld, grid, eps, dt=1.0)
 
     @pytest.mark.parametrize("N", [1, 2])
@@ -521,7 +529,7 @@ class TestRunAndMeasure:
 
     def test_absorption_cfl_violation_raises(self, field1, consts1):
         fld, grid = field1
-        with pytest.raises(ValueError, match="absorption CFL"):
+        with pytest.raises(RuntimeError, match="absorption CFL"):
             run_and_measure(fld, grid, t_end=0.8,
                             dt_frac=0.05)
 
@@ -565,7 +573,7 @@ class TestRunAndMeasure:
     def test_too_short_for_the_exponent_fit(self, field100, consts1, t_end):
         # no checkpoint has T-t < 0.9 T: the fits would have no points
         fld, grid = field100
-        with pytest.raises(ValueError, match="checkpoint"):
+        with pytest.raises(RuntimeError, match="checkpoint"):
             run_and_measure(fld, grid, t_end=t_end)
 
     @pytest.mark.parametrize("t", [0.5, 0.79, 0.9])

@@ -174,7 +174,7 @@ class TestExtractRates:
 
     def test_nonconverged_path_rejected(self, consts1):
         path = integrate_phase((2.0, 0.1, 1.0), (0.0, 3.0), consts1)
-        with pytest.raises(ValueError, match="converge"):
+        with pytest.raises(RuntimeError, match="converge"):
             extract_rates(path, consts1)
 
     def test_json_schema(self, star1, consts1):

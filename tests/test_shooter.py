@@ -1035,9 +1035,23 @@ class TestBrent:
             shooter._illinois(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=3)
 
     def test_nan_raises(self):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(RuntimeError, match="NaN"):
             shooter._illinois(lambda x: math.nan if x > 0.5 else x - 0.7,
                               0.0, 1.0)
+
+    def test_stalled_regula_falsi_bisects(self):
+        # |g| differs by 300 decades across the root: the Illinois halving
+        # of g(a) would need about 1,000 trial points to move the secant
+        # off b, and 100 once ended the search with no root
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            return -1.0 if x < 0.3 else 1e-300
+
+        root = shooter._illinois(g, 0.0, 1.0)
+        assert abs(root - 0.3) <= 4 * shooter._EPS * 1.3
+        assert len(xs) <= shooter._SECANT_POINTS + 60
 
 
 class TestKstarOverflow:
@@ -1058,6 +1072,19 @@ class TestKstarOverflow:
         events = shooter._make_events(consts)
         g = events(1e6, 1.0, 1e300)
         assert g[0] == math.inf and g[1] == math.inf
+
+
+@pytest.mark.parametrize("budget, raises", [(27, True), (28, False)])
+def test_step_budget_counts_trial_steps(budget, raises, monkeypatch):
+    # the solve of test_trial_step_counts[N1-a10] takes 28 trial steps
+    monkeypatch.setattr(shooter, "STEP_BUDGET", budget)
+    consts = derive_constants(1, 1.2, 0.5)
+    if raises:
+        with pytest.raises(RuntimeError, match=r"the solve at a=10\.0 "
+                           r"failed: step budget of 27 trial steps"):
+            classify(consts, 10.0, 100.0)
+    else:
+        assert classify(consts, 10.0, 100.0).label == "A"
 
 
 def test_nan_step_size_ends_the_solve():
