@@ -37,13 +37,13 @@ The module writes no file: metrics_json and snapshot_csv return text.
 from __future__ import annotations
 
 import math
-import time
+import sys
 from dataclasses import dataclass, field
 from operator import ipow
 
 import numpy as np
 
-from .exponents import DerivedConstants, csv_text, json_text
+from .exponents import DerivedConstants, csv_text, json_text, log_fit
 from .tail import certify_B, fit_tail
 
 __all__ = [
@@ -116,7 +116,6 @@ class ExtinctionMetrics:
     grid_M: int
     t_end: float
     steps: int
-    wall_s: float
     n_clipped: int
     snapshots: list = field(default_factory=list, repr=False)
 
@@ -169,17 +168,24 @@ def profile_interpolant(traj, consts: DerivedConstants, A_est: float):
     return f_of
 
 
+def _scale_ok(s: float, consts: DerivedConstants) -> bool:
+    e = (consts.alpha + consts.beta) * math.log10(s) if s > 0.0 else -math.inf
+    return sys.float_info.min_10_exp < e < sys.float_info.max_10_exp
+
+
 def build_initial(traj, consts: DerivedConstants, T: float,
                   grid: RadialGrid) -> SelfSimilarField:
     """Sample u(0, x) = T^alpha f(x T^beta) onto the grid.
 
-    T must be finite and > 0 (ValueError).  The trajectory must certify
-    as fast-decay (the tail extension and the Dirichlet ghost are only
-    exact for that branch), and L must make u(0, L) <= 1e-3 u(0, 0) and
-    u(0, x) > 0 in the first cell (RuntimeError).
+    T must be finite and > 0 with T^(alpha + beta), the run's largest
+    power of T - t (the mobility floor's), a normal double (ValueError).
+    The trajectory must certify as fast-decay (the tail extension and the
+    Dirichlet ghost are only exact for that branch), and L must make
+    u(0, L) <= 1e-3 u(0, 0) and u(0, x) > 0 in cell 0 (RuntimeError).
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"T must be finite and > 0, got {T!r}")
+    if not _scale_ok(T, consts):
+        raise ValueError("T must be finite and > 0 with T^(alpha + beta) a "
+                         f"normal double, got {T!r}")
     cert = certify_B(traj, consts)
     if not cert.ok:
         bad = [k for k, v in cert.checks.items() if not v]
@@ -348,7 +354,8 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
                     dt_frac: float = 1e-3) -> ExtinctionMetrics:
     """Evolve from t = 0 to t_end by implicit_step's kernel; fit exponents.
 
-    fld0 must be at t = 0, as build_initial gives it (else ValueError).
+    fld0 must be at t = 0 (as build_initial gives it) and t_end in
+    (0, 0.8 T] with (T - t_end)^(alpha+beta) a normal double (ValueError).
     eps(t) = KAPPA dx (T-t)^{alpha+beta}, taken at the end of each step.
     _schedule plans the steps, dt ~ dt_frac (T-t), through 24 geometric
     checkpoints clustered toward t_end, hit bit for bit: backward Euler
@@ -388,8 +395,11 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     if fld0.t != 0.0:
         raise ValueError(f"the run starts at t = 0, got t={fld0.t!r}")
     if not (0.0 < t_end <= 0.8 * T):
-        raise ValueError("t_end must lie in (0, 0.8 T]")
+        raise ValueError(f"t_end must lie in (0, 0.8 T], got {t_end!r}")
     consts = fld0.consts
+    if not _scale_ok(T - t_end, consts):
+        raise ValueError("t_end must keep (T - t_end)^(alpha + beta) a "
+                         f"normal double, got {t_end!r}")
     al, be = consts.alpha, consts.beta
     xc = grid.centers()
     eps0 = KAPPA * grid.dx
@@ -403,10 +413,7 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
         raise RuntimeError(
             f"t_end={t_end:.3g} leaves {n_fit} checkpoint(s) with "
             "T-t < 0.9 T; the exponent fits need at least 2")
-    # the first import of scipy in a process stays out of the timed wall
     step = _make_step(grid, consts)
-
-    wall0 = time.perf_counter()
     times, dts, oms, hits = _schedule(T, cks, dt_frac)
     # the Dirichlet ghost at the end of each step
     ghosts = fld0.exact(np.array(times[1:]), grid.L + 0.5 * grid.dx)
@@ -425,7 +432,6 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
                 stable = False
                 break
             out.append((times[k + 1], u))
-    wall = time.perf_counter() - wall0
 
     V = grid.cell_volumes(consts.N)
     errs, l1, sup = [], [], []
@@ -439,20 +445,18 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     alpha_est = l1_est = math.nan
     if stable:
         # every checkpoint was reached, so `in_fit` lines up with `sup`
-        alpha_est = float(np.polyfit(lt[in_fit], np.log(sup)[in_fit], 1)[0])
-        l1_est = float(np.polyfit(lt[in_fit], np.log(l1)[in_fit], 1)[0])
+        alpha_est = float(log_fit(lt[in_fit], np.log(sup)[in_fit])[1])
+        l1_est = float(log_fit(lt[in_fit], np.log(l1)[in_fit])[1])
     return ExtinctionMetrics(
         alpha_est=alpha_est, l1_exponent_est=l1_est, selfsim_error=sel,
         stable=stable, grid_L=grid.L, grid_M=grid.M, t_end=t_end,
-        steps=k + 1, wall_s=round(wall, 2), n_clipped=n_clipped,
-        snapshots=out)
+        steps=k + 1, n_clipped=n_clipped, snapshots=out)
 
 
 def metrics_json(m: ExtinctionMetrics) -> str:
-    # vars, not asdict: no deep copy of the snapshot arrays; wall_s
-    # stays out, so reruns are byte-identical
+    # vars, not asdict: no deep copy of the snapshot arrays
     d = dict(vars(m))
-    del d["wall_s"], d["snapshots"]
+    del d["snapshots"]
     d["grid"] = {"L": d.pop("grid_L"), "M": d.pop("grid_M")}
     return json_text(d)
 

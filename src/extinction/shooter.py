@@ -518,12 +518,13 @@ def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
     interpolant's extra stages overflow (at a loose rtol).
 
     Returns (status, r_end, f_end, F_end, k, segments): status 0 when
-    r_bound is reached, 1 when event k fires at r_end, -1 when the step
-    size falls below ten ulps of r.  segments holds every step's
-    interpolant (for _sample) when `dense` is set, else is None.  The
-    solve runs forward only: r_bound <= r raises ValueError, where the
-    step loop would otherwise never reach it.  A solve past STEP_BUDGET
-    trial steps raises RuntimeError (a tiny a with a huge r_max).
+    r_bound is reached, 1 when event k fires at r_end, -1 when the step size
+    falls below ten ulps of r; an event already > 0 at the start, which no
+    crossing reports, fires there (the guard first).  segments holds every
+    step's interpolant (for _sample) when `dense` is set, else None.  The
+    solve runs forward only: r_bound <= r raises ValueError, where the step
+    loop would otherwise never reach it.  A solve past STEP_BUDGET trial
+    steps raises RuntimeError (a tiny a with a huge r_max).
     """
     if not r < r_bound:   # a NaN bound too
         raise ValueError(f"r_bound must exceed the start r={r!r}, "
@@ -534,9 +535,11 @@ def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
     events = _make_events(consts)
     Kf, KF = [0.0] * (_N_STAGES + 1), [0.0] * (_N_STAGES + 1)
     Kf[0], KF[0] = rhs(r, f, F)
-    h_abs = _initial_step(rhs, r, f, F, Kf[0], KF[0], r_bound, rtol)
     g = events(r, f, F, Kf[0])
     segments = [] if dense else None
+    if max(g) > 0:
+        return 1, r, f, F, max(k for k, v in enumerate(g) if v > 0), segments
+    h_abs = _initial_step(rhs, r, f, F, Kf[0], KF[0], r_bound, rtol)
     budget = STEP_BUDGET
     while True:
         min_step = 10 * abs(math.nextafter(r, math.inf) - r)
@@ -658,9 +661,13 @@ def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
     2,000 gives 1.9e-8) and puts the tail, phase and PDE values within
     1.5e-6 relative of their 32,000-sample values.  A solve the integrator
     gives up on ends in an INTEGRATOR_FAILURE event, in profile.csv too.
+    A solve that ends at its start has no step to sample (RuntimeError).
     """
     r0, events, r_end, _, _, segments = _shoot(consts, a, r_max, tol,
                                                dense=True)
+    if not segments:
+        raise RuntimeError(f"no step to sample: the solve at a={a!r} ends "
+                           f"at its series start on {events[0][0]}")
     rs = np.geomspace(r0, r_end, n_samples)
     return _trajectory(consts, a, rs, *_sample(segments, r_end, rs),
                        events, tol)

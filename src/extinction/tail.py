@@ -165,6 +165,7 @@ def fit_tail(traj, consts: DerivedConstants,
              window: tuple[float, float] | None = None) -> TailFit:
     """Fit w = Kstar - A r^{-theta}, w the w_transform of a trajectory,
     on the window (default [r_max/10, r_max]); K_est is always Kstar.
+    A window that is not finite with lo < hi raises ValueError.
 
     Samples with |Kstar - w| <= K_ROUND Kstar are left out: a profile cut
     at the W_EXCEEDS_KSTAR event ends on one, where the sign of the gap
@@ -185,6 +186,8 @@ def fit_tail(traj, consts: DerivedConstants,
     if window is None:
         window = (r_all[-1] / 10.0, r_all[-1])
     lo, hi = window
+    if not -math.inf < lo < hi < math.inf:   # a NaN end too
+        raise ValueError(f"window must be finite with lo < hi, got {window}")
     Kst = consts.Kstar
     mask = ((r_all >= lo) & (r_all <= hi)
             & (np.abs(Kst - states.w) > K_ROUND * Kst))

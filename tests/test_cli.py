@@ -5,6 +5,7 @@ stdout can be asserted without subprocess overhead, except the inputs
 that once hung the shooter: those run in a subprocess under a timeout.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -136,19 +137,22 @@ class TestExitCodes:
         (2, ("qstar", "--N", "0", "--p", "1.5"), "N >= 1 fails"),
         (2, ("qstar", "--N", "0", "--p", "0.5"), "N >= 1 fails"),
         (2, ("pde", "--profile", "{profile}", "--tend", "0.9"),
-         "--tend must lie in (0, 0.8 T]"),
+         "t_end must lie in (0, 0.8 T], got 0.9"),
         (2, ("pde", "--profile", "{profile}", "--tend", "nan"),
-         "--tend must lie in (0, 0.8 T]"),
+         "t_end must lie in (0, 0.8 T], got nan"),
         (2, ("pde", "--profile", "{profile}", "--T", "0.5", "--tend", "0.8"),
-         "--tend must lie in (0, 0.8 T]"),
+         "t_end must lie in (0, 0.8 T], got 0.8"),
         (2, ("pde", "--profile", "{profile}", "--T", "-1"),
-         "--T must be finite and > 0"),
+         "T must be finite and > 0 with T^(alpha + beta) a normal double, "
+         "got -1.0"),
         (2, ("pde", "--profile", "{profile}", "--T", "inf"),
-         "--T must be finite and > 0"),
+         "T must be finite and > 0 with T^(alpha + beta) a normal double, "
+         "got inf"),
         (2, ("pde", "--profile", "{profile}", "--L", "nan"), "finite L > 0"),
         (2, ("pde", "--profile", "{profile}", "--M", "50", "--T", "1e300",
              "--tend", "0.5"),
-         "--T must keep (T - t)^(alpha + beta) within double range"),
+         "T must be finite and > 0 with T^(alpha + beta) a normal double, "
+         "got 1e+300"),
         (2, ("classify", *N1, "--a", "1", "--tol", "0"),
          "tol must be finite and > 0"),
         (2, ("classify", *N1, "--a", "1", "--tol", "-1"),
@@ -180,10 +184,10 @@ class TestExitCodes:
          "cannot read profile: event line must be"),
         (1, ("pde", "--profile", "{noradius}", "--M", "10"),
          "cannot read profile: event line must be"),
-        (1, ("tail", "--profile", "{profile}", "--window", "100,10"),
-         "--window must be finite with lo < hi"),
-        (1, ("tail", "--profile", "{profile}", "--window=nan,50"),
-         "--window must be finite with lo < hi"),
+        (2, ("tail", "--profile", "{profile}", "--window", "100,10"),
+         "window must be finite with lo < hi, got (100.0, 10.0)"),
+        (2, ("tail", "--profile", "{profile}", "--window=nan,50"),
+         "window must be finite with lo < hi, got (nan, 50.0)"),
         (1, ("tail", "--profile", "{fnan}"),
          "cannot read profile: column f has a sample that is not finite"),
         (1, ("phase", "--from-profile", "{fnan}", "--outdir", "{tmp}"),
@@ -287,6 +291,16 @@ class TestExitCodes:
         (0, ("classify", "--N", "1", "--p", "1.9", "--q", "0.93",
              "--a", "1e-270", "--rmax", "1e100"),
          '"witness_r": 3417047348.761572'),
+        # w(r0) = 3.7e12 > Kstar = 3.42e11 already at the series start: the
+        # C event has been passed there, and the solve ends at r0
+        (0, ("classify", "--N", "1", "--p", "1.15", "--q", "0.1925",
+             "--a", "1e-8"), '"detail": "W_EXCEEDS_KSTAR"'),
+        (3, ("shoot", "--N", "1", "--p", "1.15", "--q", "0.1925",
+             "--a", "1e-8"),
+         "no step to sample: the solve at a=1e-08 ends at its series start "
+         "on W_EXCEEDS_KSTAR"),
+        (0, ("classify", "--N", "1", "--p", "1.85", "--q", "0.9",
+             "--a", "9.9e11"), "overflow guard tripped"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -432,15 +446,17 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
 
 
-    # far from the profile the kernel's steps stay a small fraction of r:
-    # without shooter.STEP_BUDGET this solve ran for minutes
+    # far from the profile the kernel's steps stay a small fraction of r
+    # (about 1e-5 here, from r0 = 1e59): without shooter.STEP_BUDGET this
+    # solve runs for minutes
     def test_step_budget_is_3(self, tmp_path):
-        res = _cli_subprocess(tmp_path, ("classify", *N1, "--a", "1e-30",
-                                         "--rmax", "1e100"))
+        res = _cli_subprocess(tmp_path, (
+            "classify", "--N", "1", "--p", "1.6", "--q", "0.79",
+            "--a", "1e-256", "--tol", "1e-14", "--rmax", "1e100"))
         assert res.returncode == 3
         assert json.loads(res.stdout)["error"].startswith(
-            "the solve at a=1e-30 failed: step budget of 100000 trial steps "
-            "exhausted at r=")
+            "the solve at a=1e-256 failed: step budget of 100000 trial "
+            "steps exhausted at r=")
         assert "Traceback" not in res.stderr
 
 
@@ -452,6 +468,20 @@ def _cli_subprocess(tmp_path, argv):
         [sys.executable, "-m", "extinction.cli",
          *(a.format(tmp=tmp_path) for a in argv)],
         env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_commands_check_no_value():
+    # the CLI parses, the library checks: a command raises only UsageError
+    # (a flag combination) itself, and every value check, with the math it
+    # takes, lives in the library function that first uses the value
+    tree = ast.parse((ROOT / "src" / "extinction" / "cli.py").read_text())
+    raised = {(fn.name, node.exc.func.id)
+              for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and fn.name.startswith("cmd_")
+              for node in ast.walk(fn) if isinstance(node, ast.Raise)}
+    assert raised == {("cmd_phase", "UsageError")}
+    assert "math" not in {a.name for node in tree.body
+                          if isinstance(node, ast.Import) for a in node.names}
 
 
 def test_non_finite_is_strict_json_null(capsys):

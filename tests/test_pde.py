@@ -162,6 +162,14 @@ class TestBuildInitial:
         with pytest.raises(ValueError, match="T must be finite and > 0"):
             build_initial(traj, consts1, T, RadialGrid(L=40.0, M=100))
 
+    @pytest.mark.parametrize("T", [1e300, 1e-300])
+    def test_T_power_outside_double_range_refused(self, star1, consts1, T):
+        # T^(alpha + beta) = T^5 overflows or underflows: these once raised
+        # OverflowError and "L too large: u(0,x) = 0"
+        _, traj, _ = star1
+        with pytest.raises(ValueError, match=r"got 1e[+-]300$"):
+            build_initial(traj, consts1, T, RadialGrid(L=40.0, M=100))
+
     def test_uncertified_profile_rejected(self, consts1):
         traj = integrate_profile(consts1, 0.9 * A_STAR_N1, 100.0,
                                  n_samples=2048)
@@ -568,6 +576,19 @@ class TestRunAndMeasure:
         fld, grid = field1
         with pytest.raises(ValueError, match="t_end"):
             run_and_measure(fld, grid, t_end=0.9)
+
+    def test_t_end_power_outside_double_range_refused(self, field100):
+        # T^5 = 1e-305 is a normal double, (T - t_end)^5 = 3.2e-309 is not
+        fld, grid = field100
+        with pytest.raises(ValueError, match=r"\(T - t_end\)\^\(alpha \+ "
+                           r"beta\) a normal double, got 8e-62"):
+            run_and_measure(dataclasses.replace(fld, T=1e-61), grid,
+                            t_end=0.8e-61)
+
+    def test_run_keeps_no_clock(self, run200):
+        # the run's result is deterministic; a caller times the call
+        assert "wall_s" not in vars(run200)
+        assert "time" not in pde.__dict__
 
     @pytest.mark.parametrize("t_end", [0.05, 0.1])
     def test_too_short_for_the_exponent_fit(self, field100, consts1, t_end):

@@ -115,6 +115,24 @@ class TestClassify:
             seen_A = seen_A or lab == "A"
             assert not (seen_A and lab == "C"), labels
 
+    # at (1, 1.15, 0.1925) and a = 1e-8 the series start lies beyond the
+    # C event, w(r0) = 3.7e12 > Kstar = 3.42e11; at a = 1e13 |f| + |F| is
+    # beyond the overflow guard.  No crossing reports either, so the
+    # solve ends at r0, on the guard where both have been passed
+    def test_start_past_an_event_ends_there(self, monkeypatch):
+        consts = derive_constants(1, 1.15, 0.1925)
+        for a, label, detail in ((1e-8, "C", "W_EXCEEDS_KSTAR"),
+                                 (1e13, "UNDETERMINED",
+                                  "overflow guard tripped")):
+            cl = classify(consts, a, 100.0)
+            assert (cl.label, cl.detail) == (label, detail)
+            assert cl.witness_r == shooter._default_r0(consts, a)
+        with pytest.raises(RuntimeError, match="no step to sample"):
+            integrate_profile(consts, 1e-8, 100.0)
+        monkeypatch.setattr(shooter, "OVERFLOW_GUARD", 1e-9)
+        assert classify(consts, 1e-8, 100.0).detail == \
+            "overflow guard tripped"
+
     # a and tol log-uniform over [1e-2, 1e2] and [1e-12, 0.9]: every solve
     # ends in a label, however loose the tolerance.  At tol = 0.5 the
     # interpolant of an accepted step once overflowed in `rhs`

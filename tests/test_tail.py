@@ -1,6 +1,7 @@
 """w-transform, fast-decay certificate, and second-order tail fitting."""
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -176,6 +177,16 @@ class TestFitTail:
         model = model_states(consts1, consts1.Kstar, 0.7, 1.0, n=30)
         with pytest.raises(RuntimeError):
             fit_tail(model, consts1, window=(99.0, 100.0))
+
+    @pytest.mark.parametrize("window", [(100.0, 10.0), (math.nan, 50.0),
+                                        (10.0, math.inf), (50.0, 50.0)])
+    def test_window_not_finite_with_lo_below_hi_refused(self, consts1,
+                                                         window):
+        # (100, 10) once raised RuntimeError, "fewer than 10 samples"
+        model = model_states(consts1, consts1.Kstar, 0.7, 1.0)
+        with pytest.raises(ValueError, match="window must be finite with "
+                           r"lo < hi, got \("):
+            fit_tail(model, consts1, window=window)
 
     def test_gap_must_stay_positive(self, consts1):
         model = model_states(consts1, consts1.Kstar * 1.5, 0.7, 1.0)
