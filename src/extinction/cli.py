@@ -14,9 +14,9 @@ Exit codes; commands raise, and `main` maps every exception through
      output: ..."
   3  a computation that cannot give its result (RuntimeError): no
      bracket (shooter.find_bracket), a solve past the kernel's step
-     budget, fit, certification, phase non-convergence, a phase --x0
-     integration past its budget of right-side evaluations, PDE (initial
-     datum, absorption bound, tridiagonal solve)
+     budget (a phase --x0 integration too), fit, certification, phase
+     non-convergence, PDE (initial datum, absorption bound, tridiagonal
+     solve)
 
 The library prints nothing; `phase --from-profile` names the samples it
 skipped in one `warning: ...` line on stderr.

@@ -11,15 +11,22 @@ lambda1 = N + Zstar > 0 (unstable), lambda2 = -(p-2q)/(q-p+1) and
 lambda3 = -theta (stable), and the decay rates of Y and Z - Zstar along a
 converging orbit read off lambda2, lambda3 together with the limits
 Uinf, Vinf.
+
+The system's right side is written once, as the source template
+`_FIELD`: `vector_field` evaluates it, and `integrate_phase` solves it
+on `shooter`'s DOP853 driver with a kernel generated from it, as the
+profile's (f, F) system is solved, so the program has one integrator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import shooter
 from .exponents import (DerivedConstants, csv_text, deta, json_text,
                         log_fit, spectral_data, zgap_fit)
 
@@ -39,12 +46,6 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e12
-# right-side evaluations one integrate_phase may make: 56 times the most
-# the test suite takes (1,772, `phase --x0 0.15,0.35,0.6667` over
-# eta in [0, 10]; criterion 6's orbits take 1,040).  Far from P0 but
-# inside the guard the system is stiff for RK45, whose step then shrinks
-# to the stiff rate's reciprocal: the budget bounds such a run.
-RHS_BUDGET = 100_000
 
 
 @dataclass
@@ -92,30 +93,48 @@ def map_to_phase(traj, consts: DerivedConstants) -> PhasePath:
                      "f <= 0 (phase map undefined there)" if n_bad else "")
 
 
-def _ycoeffs(consts: DerivedConstants) -> tuple[float, float]:
-    # c0, c1 of the Y equation, Ydot = c0 Y + c1 (alpha X - beta Y - Z) Y
+# The velocity (Xdot, Ydot, Zdot) at (X, Y, Z), written once as source
+# (`shooter._kernel`'s template): `vector_field` and the kernels of
+# `integrate_phase` are generated from it.  Its constants are those of
+# `_field_constants`.
+_FIELD = ("{kX} = N * {X} - {Y} - al * {X} * {X} + be * {X} * {Y} "
+          "+ {X} * {Z}; "
+          "{kY} = c0 * {Y} + c1 * (al * {X} - be * {Y} - {Z}) * {Y}; "
+          "{kZ} = nu * {Z} * (Zst - {Z}) + nu * (al * {X} - be * {Y}) * {Z}")
+_FIELD_CONSTANTS = "N, al, be, nu, Zst, c0, c1"
+_XYZ = ("X", "Y", "Z")
+
+
+def _field_constants(consts: DerivedConstants) -> tuple:
+    """(N, al, be, nu, Zst, c0, c1) of `_FIELD`; c0 and c1 are the Y
+    equation's, Ydot = c0 Y + c1 (alpha X - beta Y - Z) Y."""
     N, p = consts.N, consts.p
-    return 2.0 - (2.0 - p) * (N - 1.0) / (p - 1.0), (2.0 - p) / (p - 1.0)
+    return (N, consts.alpha, consts.beta, consts.nu, consts.Zstar,
+            2.0 - (2.0 - p) * (N - 1.0) / (p - 1.0), (2.0 - p) / (p - 1.0))
+
+
+@functools.cache
+def _kernel(backward: bool):
+    """The DOP853 kernel of `_FIELD`, or of the field negated, for a span
+    run backward in t = -eta: generated on first use, so that importing
+    phase compiles nothing.  The absolute floor 1e-30 of the error scale,
+    far below any orbit amplitude, keeps the scale nonzero where a
+    component sits at 0 exactly (the critical point itself)."""
+    field = shooter._negated(_FIELD, _XYZ) if backward else _FIELD
+    return shooter._kernel(field, _XYZ, _FIELD_CONSTANTS, atol=1e-30,
+                           var="-eta" if backward else "eta")
 
 
 def vector_field(pt, consts: DerivedConstants):
-    """Velocity (Xdot, Ydot, Zdot) of the autonomous system."""
-    X, Y, Z = pt
-    N = consts.N
-    al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
-    c0, c1 = _ycoeffs(consts)
-    dX = N * X - Y - al * X * X + be * X * Y + X * Z
-    dY = c0 * Y + c1 * (al * X - be * Y - Z) * Y
-    dZ = nu * Z * (Zst - Z) + nu * (al * X - be * Y) * Z
-    return (dX, dY, dZ)
+    """Velocity (Xdot, Ydot, Zdot) of the autonomous system (`_FIELD`);
+    also takes arrays."""
+    return _kernel(False).rhs(*_field_constants(consts))(0.0, *pt)
 
 
 def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
     """Analytic Jacobian of the vector field at an arbitrary point."""
     X, Y, Z = pt
-    N = consts.N
-    al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
-    c0, c1 = _ycoeffs(consts)
+    N, al, be, nu, Zst, c0, c1 = _field_constants(consts)
     return np.array([
         [N - 2.0 * al * X + be * Y + Z, -1.0 + be * X, X],
         [c1 * al * Y, c0 + c1 * (al * X - 2.0 * be * Y - Z), -c1 * Y],
@@ -142,18 +161,35 @@ def jacobian_origin(consts: DerivedConstants) -> np.ndarray:
     ])
 
 
+def _guard(t, X, Y, Z, dX=None):
+    """The blow-up guard, the phase system's one event, in the form
+    `shooter._drive` takes events: max |x| - 1e12 crosses 0 upward."""
+    return (max(abs(X), abs(Y), abs(Z)) - BLOWUP_GUARD,)
+
+
+_guard.at = (lambda t, seg: _guard(t, *shooter._interpolate(seg, t))[0],)
+
+
 def integrate_phase(x0, eta_span, consts: DerivedConstants,
                     tol: float = 1e-10) -> PhasePath:
     """Free integration of the autonomous system, sampled at 2001 points
-    uniform in eta.  The right side is quadratic with no singularity; a
-    |x| >= 1e12 guard stops runaway along the unstable direction, so x0
-    must lie inside it.  The ends of eta_span must be finite and differ,
-    and tol finite and > 0; a positive tol below 100 ulp is raised to it,
-    as scipy would (here without its warning).  Raises RuntimeError once
-    the integration has used RHS_BUDGET right-side evaluations."""
+    uniform in eta, on `shooter._drive` with the kernel of `_FIELD`.  The
+    right side is quadratic with no singularity; a |x| >= 1e12 guard, the
+    one event, stops runaway along the unstable direction, so x0 must lie
+    inside it.  The ends of eta_span must be finite and differ, and tol
+    finite and > 0.  A span that runs backward is solved in t = -eta, on
+    the field negated.
+
+    tol is the error allowed at the span's end.  An error made early
+    grows along the unstable rate lambda1 = N + Zstar, by up to
+    e^{lambda1 |delta eta|} over the span, so every step is taken at the
+    local rtol tol e^{-lambda1 |delta eta|}, and at no less than the
+    kernel's floor of 100 ulp.  Raises RuntimeError past the kernel's
+    STEP_BUDGET trial steps (a start far from P0, where the orbit is
+    stiff for an explicit method), or where the step size falls below
+    ten ulps."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    tol = max(tol, 100 * np.finfo(float).eps)
     if not all(map(math.isfinite, eta_span)):
         raise ValueError(f"eta_span ends must be finite, got {eta_span!r}")
     if eta_span[0] == eta_span[1]:
@@ -161,41 +197,24 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     if not all(abs(c) < BLOWUP_GUARD for c in x0):
         raise ValueError(f"x0 components must be finite and below the "
                          f"blow-up guard {BLOWUP_GUARD:g}, got {x0!r}")
-    # imported here, not at module level, so that the commands that never
-    # integrate the phase system do not load scipy
-    from scipy.integrate import solve_ivp
-
-    X0, Y0, Z0 = x0
-
-    n_rhs = 0
-
-    def rhs(eta, x):
-        nonlocal n_rhs
-        n_rhs += 1
-        if n_rhs > RHS_BUDGET:
-            raise RuntimeError(
-                f"phase integration stopped at eta={eta:.6g}: it used its "
-                f"budget of {RHS_BUDGET} right-side evaluations (RK45 meets "
-                f"a stiff stretch of the orbit, or the span is too long)")
-        return vector_field(x, consts)
-
-    def guard(eta, x):
-        return max(abs(x[0]), abs(x[1]), abs(x[2])) - BLOWUP_GUARD
-    guard.terminal = True
-    guard.direction = 1
-
-    # atol floor keeps the error scale nonzero when a component sits at 0
-    # exactly (the critical point itself); far below any orbit amplitude
-    sol = solve_ivp(rhs, tuple(eta_span), (float(X0), float(Y0), float(Z0)),
-                    method="RK45", rtol=tol, atol=1e-30, dense_output=True,
-                    events=[guard])
-    detail = ""
-    if sol.status == 1:
-        detail = f"blow-up guard at eta={sol.t[-1]:.6g}"
-    etas = np.linspace(sol.t[0], sol.t[-1], 2001)
-    xs = sol.sol(etas)
-    return PhasePath(eta=etas, X=xs[0], Y=xs[1], Z=xs[2],
-                     source="free-integration", detail=detail)
+    eta0, eta1 = map(float, eta_span)
+    sign = 1.0 if eta1 > eta0 else -1.0
+    rtol = tol * math.exp(-spectral_data(consts).lambda1 * abs(eta1 - eta0))
+    try:
+        status, t_end, _, _, segments = shooter._drive(
+            _kernel(sign < 0), _field_constants(consts), _guard, sign * eta0,
+            tuple(map(float, x0)), sign * eta1, rtol, dense=True)
+    except RuntimeError as e:
+        raise RuntimeError(f"phase integration failed: {e}") from None
+    eta_end = sign * t_end
+    if status == -1:
+        raise RuntimeError(f"phase integration failed at eta={eta_end:.6g}: "
+                           "the step size fell below ten ulps")
+    etas = np.linspace(eta0, eta_end, 2001)
+    X, Y, Z = shooter._sample(segments, t_end, sign * etas)
+    return PhasePath(eta=etas, X=X, Y=Y, Z=Z, source="free-integration",
+                     detail=f"blow-up guard at eta={eta_end:.6g}"
+                     if status == 1 else "")
 
 
 def exact_orbit(consts: DerivedConstants, rho: float,

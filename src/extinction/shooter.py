@@ -24,20 +24,24 @@ The bracket scan and the midpoints far from a* are solved at a looser
 tolerance, and the search still returns the full-tolerance a*, bit for
 bit; `find_profile` states the law and the argument.
 
-Every solve runs through one scalar DOP853 kernel, `_dop853`: a plain
-Python loop over the two floats (f, F) that keeps scipy's DOP853 method
-(Hairer, Norsett & Wanner, Solving ODEs I, II.5) -- its initial step,
-error norm, step control and event location.  On a two-component system
+Every solve runs through one DOP853 driver, `_drive`: a plain Python
+loop over a tuple of floats that keeps scipy's DOP853 method (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5) -- its initial step, error norm,
+step control and event location.  On a two- or three-component system
 scipy's array-based driver spends most of its time on numpy call
-overhead rather than arithmetic.  The step and the interpolant are
-generated at import from scipy's tableau, as literals (`_A` ...), and
-the right side's one source template (`_RHS`, `_sum_src`).  `_dop853`
-states its departures from scipy and its step budget.
+overhead rather than arithmetic.  A system enters as its right side's
+source template and its component names (`_kernel`): the step, the
+interpolant and the error norm are generated from them and from scipy's
+tableau, as literals (`_A` ...), written out per component.  The (f, F)
+system's kernel (`_RHS`) is built at import; `phase` builds the (X, Y, Z)
+flow's on first use.  `_drive` states its departures from scipy and its
+step budget.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from math import fsum
 
@@ -62,9 +66,11 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
-# budgets: trial steps (accepted plus rejected) of one solve, and regula
-# falsi points of one event root before `_illinois` bisects; the 17
-# benchmark finds take at most 125 and 26 (over 519 solves, 503 roots)
+# budgets: trial steps (accepted plus rejected) of one solve of `_drive`,
+# the profile's or the phase flow's, and regula falsi points of one event
+# root before `_illinois` bisects; the 17 benchmark finds take at most 125
+# and 26 (over 519 solves, 503 roots), `phase --x0` over eta in [0, 10]
+# takes 129
 STEP_BUDGET = 100_000
 _SECANT_POINTS = 50
 
@@ -170,11 +176,17 @@ def _slope(F: float, e1: float) -> float:
 def _make_events(consts: DerivedConstants):
     """The four event functions, in _EVENT_KINDS order, as one function
     of (r, f, F) and the slope f' there.  The kernel passes the slope of
-    a step's last stage; where it is not given (the root search on the
-    interpolant) it is formed from F.  Each event is signed to fire as
-    it crosses 0 upward, so the two that fire downward, w' and F, are
-    negated: negation is exact, and `_illinois` finds the same root of
-    -g as of g.  Every event is terminal."""
+    a step's last stage; where it is not given it is formed from F.  Each
+    event is signed to fire as it crosses 0 upward, so the two that fire
+    downward, w' and F, are negated: negation is exact, and `_illinois`
+    finds the same root of -g as of g.  Every event is terminal.
+
+    The function's `at` holds each event alone, as a function of r on one
+    step's interpolant that interpolates only the components the event
+    reads (`_event_root`): f for w > Kstar, F for F = 0.  Their formulas
+    are the tuple's, written out again: the tuple is evaluated at every
+    accepted step, where a call per event would cost about 2 % of a
+    solve, and a test holds each to its tuple entry bit for bit."""
     mu, Kst = consts.mu, consts.Kstar
     e1 = 1.0 / (consts.p - 1.0)
 
@@ -187,6 +199,18 @@ def _make_events(consts: DerivedConstants):
                 -F,
                 abs(f) + abs(F) - OVERFLOW_GUARD)
 
+    def w_prime(r, seg):
+        slope = _slope(_component(seg, 1, r), e1)
+        return -(r * slope + mu * _component(seg, 0, r))
+
+    def guard(r, seg):
+        f, F = _interpolate(seg, r)
+        return abs(f) + abs(F) - OVERFLOW_GUARD
+
+    events.at = (w_prime,
+                 lambda r, seg: _pow(r, mu) * _component(seg, 0, r) - Kst,
+                 lambda r, seg: -_component(seg, 1, r),
+                 guard)
     return events
 
 
@@ -197,7 +221,7 @@ def energy(consts: DerivedConstants, f: np.ndarray,
     return (p - 1.0) / p * np.abs(fprime) ** p + 0.5 * consts.alpha * f ** 2
 
 
-# scipy's DOP853 tableau (scipy.integrate.DOP853's class attributes) as
+# scipy's DOP853 tableau (the class attributes of scipy's DOP853 solver) as
 # float literals, written with repr(float(x)); row s of A is cut to the s
 # stages it combines.  A test checks every literal against scipy's bit for
 # bit, so the kernel steps with the coefficients of scipy's own solver.
@@ -283,21 +307,26 @@ _C_EXTRA = (0.1, 0.2, 0.7777777777777778)
 _EPS = float(np.finfo(float).eps)
 
 
-def _rms(u, v):
-    return math.sqrt(u * u + v * v) / 2 ** 0.5
+def _rms(xs, scale):
+    """The rms of xs / scale, its squares summed left to right."""
+    s = 0.0
+    for x, c in zip(xs, scale):
+        u = x / c
+        s += u * u
+    return math.sqrt(s) / len(xs) ** 0.5
 
 
-def _initial_step(rhs, r0, f0, F0, k0f, k0F, r_bound, rtol):
-    """scipy's select_initial_step for an error estimator of order 7 and
-    atol = 0, on the two components."""
-    span = r_bound - r0
-    sf, sF = abs(f0) * rtol, abs(F0) * rtol
-    d0 = _rms(f0 / sf, F0 / sF)
-    d1 = _rms(k0f / sf, k0F / sF)
+def _initial_step(rhs, t0, y0, k0, t_bound, rtol, atol):
+    """scipy's select_initial_step for an error estimator of order 7, from
+    the state y0 and its derivative k0 at t0.  It runs once a solve, so
+    it loops over the components."""
+    span = t_bound - t0
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0, d1 = _rms(y0, scale), _rms(k0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    k1f, k1F = rhs(r0 + h0, f0 + h0 * k0f, F0 + h0 * k0F)
-    d2 = _rms((k1f - k0f) / sf, (k1F - k0F) / sF) / h0
+    k1 = rhs(t0 + h0, *[y + h0 * k for y, k in zip(y0, k0)])
+    d2 = _rms([b - a for a, b in zip(k0, k1)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -306,12 +335,14 @@ def _initial_step(rhs, r0, f0, F0, k0f, k0F, r_bound, rtol):
 
 
 # The right side (f', F') at (r, f, F), written once as source: the
-# `rhs` closure and the stages inlined into `_step` and `_dense_segment`
-# are generated from it.  Its constants are al = alpha, be = beta,
-# Nm1 = N - 1, e1 = 1/(p-1) and e2 = q/(p-1) (`_rhs_constants`).  A power
-# that overflows raises OverflowError, which rejects a trial step.
+# shooting kernel's `rhs` closure and the stages inlined into `_step` and
+# `_dense_segment` are generated from it (`_kernel`).  Its constants are
+# al = alpha, be = beta, Nm1 = N - 1, e1 = 1/(p-1) and e2 = q/(p-1)
+# (`_rhs_constants`).  A power that overflows raises OverflowError, which
+# rejects a trial step.
 _RHS = ("aF = abs({F}); {kf} = -copysign(aF ** e1, {F}); "
         "{kF} = al * {f} - Nm1 * {F} / {r} + be * {r} * {kf} - aF ** e2")
+_RHS_CONSTANTS = "al, be, Nm1, e1, e2"
 
 
 def _rhs_constants(consts: DerivedConstants):
@@ -337,103 +368,179 @@ def _sum_src(k, row):
     return "(%s)" % " + ".join(terms)
 
 
-def _stage_src(s, r, a=None):
-    """Source of stage s: the right side at radius r, at the state
-    advanced by h times the combination `a` of the stages before it, or
-    at (f_new, F_new) without one."""
+def _stage_src(rhs, ys, s, r, a=None):
+    """Source of stage s of the right side rhs over the components ys: rhs
+    at radius r, at the state advanced by h times the combination `a` of
+    the stages before it, or at the new state (y_new) without one."""
     if a is None:
-        head, f, F = "", "f_new", "F_new"
+        head, at = "", {y: f"{y}_new" for y in ys}
     else:
-        head = (f"fs = f + {_sum_src('kf', a)} * h; "
-                f"Fs = F + {_sum_src('kF', a)} * h; ")
-        f, F = "fs", "Fs"
+        head = "".join(f"{y}s = {y} + {_sum_src('k' + y, a)} * h; "
+                       for y in ys)
+        at = {y: f"{y}s" for y in ys}
     return (f"    rs = {r}; {head}"
-            + _RHS.format(r="rs", f=f, F=F, kf=f"kf{s}", kF=f"kF{s}"))
+            + rhs.format(r="rs", **at, **{f"k{y}": f"k{y}{s}" for y in ys}))
 
 
-def _compile(name, lines):
-    """The function `name` defined by the source lines, with fsum and
-    copysign in its globals: built once at import, as dataclasses and
-    namedtuple build their methods."""
-    ns = {"fsum": fsum, "copysign": math.copysign}
-    exec("\n".join(lines), ns)
-    return ns[name]
+def _list(fmt, ys):
+    """fmt formatted with each of ys (component names or stages),
+    comma-separated."""
+    return ", ".join(fmt.format(y) for y in ys)
 
 
-def _names(k, stages):
-    return ", ".join(f"{k}{s}" for s in stages)
+def _rhs_src(rhs, ys, cs):
+    """The right side as a closure over the constants cs."""
+    return [f"def _rhs({cs}):",
+            f"    def rhs(r, {_list('{}', ys)}):",
+            "        " + rhs.format(r="r", **{y: y for y in ys},
+                                    **{f"k{y}": f"k{y}" for y in ys}),
+            f"        return {_list('k{}', ys)}",
+            "    return rhs"]
 
 
-# The right side as a closure over the constants of `_rhs_constants`.
-_rhs = _compile("_rhs", [
-    "def _rhs(al, be, Nm1, e1, e2):",
-    "    def rhs(r, f, F):",
-    "        " + _RHS.format(r="r", f="f", F="F", kf="kf", kF="kF"),
-    "        return kf, kF",
-    "    return rhs"])
+def _step_src(rhs, ys, cs):
+    """One trial step of size h from (r, *ys), with the right side's
+    constants cs; K<y>[0] holds stage 0 of component y on entry, and
+    stages 1-12 on return (stage 12 is the derivative at the new point:
+    the next step's stage 0, and the events' slope; the interpolant reads
+    them all).  Returns the new state and the error rows' sums, E5 then
+    E3, each over the components in order."""
+    return [
+        f"def _step(r, h, {_list('{}', ys)}, {_list('K{}', ys)}, cs):",
+        f"    {cs} = cs",
+        f"    {_list('k{}0', ys)} = {_list('K{}[0]', ys)}",
+        *(_stage_src(rhs, ys, s, f"r + {_C[s]!r} * h", _A[s])
+          for s in range(1, _N_STAGES)),
+        *(f"    {y}_new = {y} + h * {_sum_src('k' + y, _B)}" for y in ys),
+        _stage_src(rhs, ys, _N_STAGES, "r + h"),
+        *(f"    K{y}[1:] = {_list(f'k{y}{{}}', range(1, _N_STAGES + 1))}"
+          for y in ys),
+        f"    return ({_list('{}_new', ys)},",
+        *(f"            {_sum_src('k' + y, e)}," for e in (_E5, _E3)
+          for y in ys),
+        "            )"]
 
-# One trial step of size h from (r, f, F), with the right side's
-# constants cs; Kf[0], KF[0] hold stage 0 on entry, and stages 1-12 on
-# return (stage 12 is (f', F') at the new point: the next step's stage 0
-# and the events' slope; the interpolant reads them all).  Returns
-# (f_new, F_new) and the error rows' sums E5.Kf, E5.KF, E3.Kf, E3.KF.
-# Its source lines are kept, for reading and for tests.
-_STEP_SRC = [
-    "def _step(r, h, f, F, Kf, KF, cs):",
-    "    al, be, Nm1, e1, e2 = cs",
-    "    kf0, kF0 = Kf[0], KF[0]",
-    *(_stage_src(s, f"r + {_C[s]!r} * h", _A[s])
-      for s in range(1, _N_STAGES)),
-    f"    f_new = f + h * {_sum_src('kf', _B)}",
-    f"    F_new = F + h * {_sum_src('kF', _B)}",
-    _stage_src(_N_STAGES, "r + h"),
-    f"    Kf[1:] = {_names('kf', range(1, _N_STAGES + 1))}",
-    f"    KF[1:] = {_names('kF', range(1, _N_STAGES + 1))}",
-    "    return (f_new, F_new,",
-    *(f"            {_sum_src(k, e)}," for e in (_E5, _E3)
-      for k in ("kf", "kF")),
-    "            )"]
-_step = _compile("_step", _STEP_SRC)
 
-# The 7th-order interpolant of the step of size h from (r, f, F) to
-# (f_new, F_new), whose 13 stages are in Kf, KF: the tuple (r, h, f, F,
-# seven f coefficients, seven F coefficients).  Its three extra stages
-# are computed here and kept nowhere else.
-_dense_segment = _compile("_dense_segment", [
-    "def _dense_segment(r, h, f, F, f_new, F_new, Kf, KF, cs):",
-    "    al, be, Nm1, e1, e2 = cs",
-    f"    {_names('kf', range(_N_STAGES + 1))} = Kf",
-    f"    {_names('kF', range(_N_STAGES + 1))} = KF",
-    *(_stage_src(s, f"r + {c!r} * h", a) for s, (a, c) in
-      enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1)),
-    "    df, dF = f_new - f, F_new - F",
-    "    return (r, h, f, F,",
-    "            df, h * kf0 - df, 2 * df - h * (kf12 + kf0),",
-    *(f"            h * {_sum_src('kf', d)}," for d in _D),
-    "            dF, h * kF0 - dF, 2 * dF - h * (kF12 + kF0),",
-    *(f"            h * {_sum_src('kF', d)}," for d in _D),
-    "            )"])
+def _segment_src(rhs, ys, cs):
+    """The 7th-order interpolant of the step of size h from (r, *ys) to
+    the new state, whose 13 stages are in the K lists: the tuple (r, h,
+    the state, seven coefficients per component).  Its three extra stages
+    are computed here and kept nowhere else."""
+    last = _N_STAGES
+    return [
+        f"def _dense_segment(r, h, {_list('{}', ys)}, {_list('{}_new', ys)}, "
+        f"{_list('K{}', ys)}, cs):",
+        f"    {cs} = cs",
+        *(f"    {_list(f'k{y}{{}}', range(last + 1))} = K{y}" for y in ys),
+        *(_stage_src(rhs, ys, s, f"r + {c!r} * h", a) for s, (a, c) in
+          enumerate(zip(_A_EXTRA, _C_EXTRA), start=last + 1)),
+        f"    {_list('d{}', ys)} = {_list('{0}_new - {0}', ys)}",
+        f"    return (r, h, {_list('{}', ys)},",
+        *(line for y in ys for line in (
+            f"            d{y}, h * k{y}0 - d{y}, "
+            f"2 * d{y} - h * (k{y}{last} + k{y}0),",
+            *(f"            h * {_sum_src('k' + y, d)}," for d in _D))),
+        "            )"]
+
+
+def _trial_src(ys, atol):
+    """One trial step: `_step`, called by name, from the state y at r,
+    then scipy's error norm on the scale atol + max(|y|, |y_new|) rtol.
+    Returns (err, y_new), err NaN where stage 12, which the error rows
+    weigh by 0, is not finite; a zero scale raises ZeroDivisionError."""
+    scale = " * rtol" + (f" + {atol!r}" if atol else "")
+    errs = [f"e{o}{y}" for o in (5, 3) for y in ys]
+    new = _list("{}_new", ys)
+    return [
+        "def _trial(r, h, y, K, cs, rtol):",
+        f"    {_list('{}', ys)} = y",
+        f"    {_list('K{}', ys)} = K",
+        f"    {new}, {', '.join(errs)} = _step(r, h, {_list('{}', ys)}, "
+        f"{_list('K{}', ys)}, cs)",
+        *(f"    s{y} = max(abs({y}), abs({y}_new)){scale}" for y in ys),
+        f"    {', '.join(errs)} = "
+        + ", ".join(f"{e} / s{e[2:]}" for e in errs),
+        *(f"    e{o} = " + " + ".join(f"e{o}{y} * e{o}{y}" for y in ys)
+          for o in (5, 3)),
+        "    if not (" + " and ".join(
+            f"isfinite(K{y}[{_N_STAGES}])" for y in ys) + "):",
+        f"        return nan, ({new})",
+        "    if e5 == 0 and e3 == 0:",
+        f"        return 0.0, ({new})",
+        f"    return abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {len(ys)}), ({new})"]
+
+
+# One system's generated DOP853 functions: the name its messages give the
+# independent variable, the absolute floor of its error scale, and
+# rhs(*cs) -> rhs(r, *y), segment, trial and carry (`_kernel`).
+_Kernel = namedtuple("_Kernel", "var atol rhs segment trial carry")
+
+
+def _kernel(rhs, ys, cs, atol=0.0, var="r", ns=None):
+    """The DOP853 kernel of the system whose right side is the source
+    template rhs: {r} is the independent variable, and for each component
+    name y in ys, {y} its value and {ky} the derivative rhs assigns.  cs
+    names the constants the caller passes as one tuple.  Each function is
+    written out per component, so no loop over components runs in a
+    step: `_rhs`, `_step`, `_dense_segment`, `_trial` (a call of `_step`
+    and its error norm on the scale atol + |y| rtol) and `_carry`, which
+    moves an accepted step's stage 12 to stage 0.  They are defined, once,
+    in the namespace ns (a new one if None), with the math they call, as
+    dataclasses and namedtuple build their methods; `_trial` reads
+    `_step` there by name."""
+    ns = {} if ns is None else ns
+    ns.update(fsum=fsum, copysign=math.copysign, isfinite=math.isfinite,
+              nan=math.nan, sqrt=math.sqrt)
+    for lines in (_rhs_src(rhs, ys, cs), _step_src(rhs, ys, cs),
+                  _segment_src(rhs, ys, cs), _trial_src(ys, atol),
+                  [f"def _carry({_list('K{}', ys)}):",
+                   *(f"    K{y}[0] = K{y}[{_N_STAGES}]" for y in ys)]):
+        exec("\n".join(lines), ns)
+    return _Kernel(var, atol, ns["_rhs"], ns["_dense_segment"], ns["_trial"],
+                   ns["_carry"])
+
+
+def _negated(rhs, ys):
+    """The template rhs negated, for a solve in t = -r: each derivative is
+    formed as rhs forms it, then its sign flipped, which is exact."""
+    return rhs + "".join(f"; {{k{y}}} = -{{k{y}}}" for y in ys)
+
+
+# The (f, F) system's kernel, built at import in this module's namespace:
+# `_rhs`, `_step`, `_dense_segment`, `_trial` and `_carry` are names here,
+# and every shooting trial calls the `_step` this module holds.
+# `_STEP_SRC`, the step's source lines, is kept for reading and for tests.
+_SHOOTING = _kernel(_RHS, ("f", "F"), _RHS_CONSTANTS, ns=globals())
+_STEP_SRC = _step_src(_RHS, ("f", "F"), _RHS_CONSTANTS)
+
+
+def _component(seg, i, r):
+    """Component i of one step's interpolant at r, evaluated as scipy's
+    Dop853DenseOutput does: from 0, the highest coefficient down, times x
+    and 1 - x in turn.  seg is `_dense_segment`'s tuple (r, h, the n
+    components, then seven coefficients a component).  Also takes arrays:
+    seg as columns, one step per radius in r."""
+    c = 2 + (len(seg) - 2) // 8 + 7 * i
+    x = (r - seg[0]) / seg[1]
+    u = 1 - x
+    y = (0.0 + seg[c + 6]) * x
+    y = (y + seg[c + 5]) * u
+    y = (y + seg[c + 4]) * x
+    y = (y + seg[c + 3]) * u
+    y = (y + seg[c + 2]) * x
+    y = (y + seg[c + 1]) * u
+    return (y + seg[c]) * x + seg[2 + i]
 
 
 def _interpolate(seg, r):
-    """One step's interpolant at r, evaluated as scipy's Dop853DenseOutput
-    does: from the highest coefficient down, times x and 1 - x in turn.
-    Also takes arrays: seg as columns, one step per radius in r."""
-    x = (r - seg[0]) / seg[1]
-    yf = yF = 0.0
-    for i in range(6, -1, -1):
-        yf += seg[4 + i]
-        yF += seg[11 + i]
-        w = x if i % 2 == 0 else 1 - x
-        yf *= w
-        yF *= w
-    return yf + seg[2], yF + seg[3]
+    """Every component of one step's interpolant at r (`_component`)."""
+    return tuple(_component(seg, i, r) for i in range((len(seg) - 2) // 8))
 
 
 def _sample(segments, r_end, rs):
-    """(f, F) at the ascending radii rs, vectorised: each radius takes the
-    earliest step whose closed interval holds it, as scipy's OdeSolution
-    picks."""
+    """The components at the ascending radii rs, vectorised: each radius
+    takes the earliest step whose closed interval holds it, as scipy's
+    OdeSolution picks."""
     seg = np.array(segments)
     ts = np.append(seg[:, 0], r_end)
     k = np.clip(np.searchsorted(ts, rs, side="left") - 1, 0, len(seg) - 1)
@@ -483,100 +590,92 @@ def _illinois(g, a, b, maxiter=_SECANT_POINTS + 1100):
 
 
 def _event_root(events, k, seg, r_old, r_new):
-    return _illinois(lambda r: events(r, *_interpolate(seg, r))[k],
-                     r_old, r_new)
+    """The root of event k on one step's interpolant seg, in [r_old,
+    r_new]: each trial point evaluates event k alone, from the components
+    it reads (`events.at`)."""
+    at = events.at[k]
+    return _illinois(lambda r: at(r, seg), r_old, r_new)
 
 
-def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
-    """Integrate the first-order system of consts from (r, f, F) towards
-    r_bound with DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
-    on floats.
+def _drive(kernel, cs, events, t, y, t_bound, rtol, dense):
+    """Integrate the system of `kernel` (`_kernel`), with constants cs,
+    from the state y at t towards t_bound with DOP853 (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.5), on floats: the one driver of every
+    solve.
 
     This is scipy's DOP853 solver, driven the way scipy drives it with
-    atol = 0 and every event terminal: the same initial step, error
-    norm, step factors and step-size floor, and the same event rule.
-    Event k fires when the events' value k (`_make_events`) crosses 0
-    upward over a step, from <= 0 to >= 0; its root is found by
-    _illinois on the step's interpolant, and the earliest root among the
-    events that fired ends the solve.  The events of an accepted step
-    take its slope from stage 12, f' at the new point, and the list of
-    those that fired is formed only where a value reached 0.
-    Two departures: the tableau's sums are generated (`_step`,
-    `_dense_segment`) over the nonzero coefficients only, and correctly
-    rounded (fsum) only where the row sums to zero, and an event root is
-    held to brentq's stopping width, not to brentq's own iterates.  The
-    rows that cancel are the error rows and the interpolant's; fsum
-    rounds the exact sum of their terms once, so the error estimate and
-    the step control do not depend on summation order.  The stage and
-    solution rows (summing to c_s and 1) are plain left-to-right sums,
-    which differ from BLAS's dot by rounding only.  A trial step with a
-    non-finite stage is rejected, as scipy rejects the NaN error such a
-    step gives it: stages 0 and 5-11 enter the error sums, stages 1-4
-    reach stage 5 through nonzero weights (and each stage taken at a
-    non-finite state is non-finite), and stage 12, which the error rows
-    weigh by 0, is tested on its own; so is an accepted step whose
-    interpolant's extra stages overflow (at a loose rtol).
+    every event terminal: the same initial step, error norm, step factors
+    and step-size floor, and the same event rule.  events(t, *y, dy0)
+    returns the events' values, dy0 the first component's derivative
+    there; its attribute `at` holds each event alone (`_event_root`).
+    Event k fires when value k crosses 0 upward over a step, from <= 0 to
+    >= 0; its root is found by _illinois on the step's interpolant, and
+    the earliest root among the events that fired ends the solve.  The
+    events of an accepted step take dy0 from stage 12, the derivative at
+    the new point, and the list of those that fired is formed only where
+    a value reached 0.  Two departures: the tableau's sums are generated
+    over the nonzero coefficients only, and correctly rounded (fsum) only
+    where the row sums to zero, and an event root is held to brentq's
+    stopping width, not to brentq's own iterates.  The rows that cancel
+    are the error rows and the interpolant's; fsum rounds the exact sum of
+    their terms once, so the error estimate and the step control do not
+    depend on summation order.  The stage and solution rows (summing to
+    c_s and 1) are plain left-to-right sums, which differ from BLAS's dot
+    by rounding only.  A trial step with a non-finite stage is rejected,
+    as scipy rejects the NaN error such a step gives it: stages 0 and
+    5-11 enter the error sums, stages 1-4 reach stage 5 through nonzero
+    weights (and each stage taken at a non-finite state is non-finite),
+    and stage 12, which the error rows weigh by 0, is tested on its own
+    (`_trial`); so is an accepted step whose interpolant's extra stages
+    overflow (at a loose rtol).  The state is a tuple, and every
+    component-wise operation of a step is generated (`_kernel`).
 
-    Returns (status, r_end, f_end, F_end, k, segments): status 0 when
-    r_bound is reached, 1 when event k fires at r_end, -1 when the step size
-    falls below ten ulps of r; an event already > 0 at the start, which no
+    Returns (status, t_end, y_end, k, segments): status 0 when t_bound is
+    reached, 1 when event k fires at t_end, -1 when the step size falls
+    below ten ulps of t; an event already > 0 at the start, which no
     crossing reports, fires there (the guard first).  segments holds every
     step's interpolant (for _sample) when `dense` is set, else None.  The
-    solve runs forward only: r_bound <= r raises ValueError, where the step
-    loop would otherwise never reach it.  A solve past STEP_BUDGET trial
-    steps raises RuntimeError (a tiny a with a huge r_max).
+    solve runs forward only: t_bound <= t raises ValueError, where the
+    step loop would otherwise never reach it.  A solve past STEP_BUDGET
+    trial steps raises RuntimeError.
     """
-    if not r < r_bound:   # a NaN bound too
-        raise ValueError(f"r_bound must exceed the start r={r!r}, "
-                         f"got {r_bound!r}")
+    var = kernel.var
+    if not t < t_bound:   # a NaN bound too
+        raise ValueError(f"{var}_bound must exceed the start {var}={t!r}, "
+                         f"got {t_bound!r}")
     rtol = max(rtol, 100 * _EPS)
-    cs = _rhs_constants(consts)
-    rhs = _rhs(*cs)
-    events = _make_events(consts)
-    Kf, KF = [0.0] * (_N_STAGES + 1), [0.0] * (_N_STAGES + 1)
-    Kf[0], KF[0] = rhs(r, f, F)
-    g = events(r, f, F, Kf[0])
+    segment, trial, carry = kernel.segment, kernel.trial, kernel.carry
+    rhs = kernel.rhs(*cs)
+    k0 = rhs(t, *y)
+    K = tuple([k] + [0.0] * _N_STAGES for k in k0)
+    g = events(t, *y, k0[0])
     segments = [] if dense else None
     if max(g) > 0:
-        return 1, r, f, F, max(k for k, v in enumerate(g) if v > 0), segments
-    h_abs = _initial_step(rhs, r, f, F, Kf[0], KF[0], r_bound, rtol)
+        return 1, t, y, max(k for k, v in enumerate(g) if v > 0), segments
+    h_abs = _initial_step(rhs, t, y, k0, t_bound, rtol, kernel.atol)
     budget = STEP_BUDGET
     while True:
-        min_step = 10 * abs(math.nextafter(r, math.inf) - r)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if not h_abs >= min_step:   # a NaN step too
-                return -1, r, f, F, None, segments
+                return -1, t, y, None, segments
             budget -= 1
             if budget < 0:
                 raise RuntimeError(f"step budget of {STEP_BUDGET} trial "
-                                   f"steps exhausted at r={r!r}")
-            r_new = min(r + h_abs, r_bound)
-            h = r_new - r
+                                   f"steps exhausted at {var}={t!r}")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
             h_abs = abs(h)
             try:
-                f_new, F_new, e5f, e5F, e3f, e3F = _step(r, h, f, F,
-                                                         Kf, KF, cs)
-                sf = max(abs(f), abs(f_new)) * rtol
-                sF = max(abs(F), abs(F_new)) * rtol
-                e5f, e5F, e3f, e3F = e5f / sf, e5F / sF, e3f / sf, e3F / sF
-                e5 = e5f * e5f + e5F * e5F
-                e3 = e3f * e3f + e3F * e3F
-                # stage 12 meets only zero weights in the error sums
-                if not (math.isfinite(Kf[12]) and math.isfinite(KF[12])):
-                    err = math.nan
-                elif e5 == 0 and e3 == 0:
-                    err = 0.0
-                else:
-                    err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+                err, y_new = trial(t, h, y, K, cs, rtol)
                 if err < 1:
-                    g_new = events(r_new, f_new, F_new, Kf[12])
+                    g_new = events(t_new, *y_new, K[0][12])
                     fired = () if max(g_new) < 0 else [
                         k for k, v in enumerate(g) if v <= 0 <= g_new[k]]
                     if dense or fired:
-                        seg = _dense_segment(r, h, f, F, f_new, F_new,
-                                             Kf, KF, cs)
+                        seg = segment(t, h, *y, *y_new, *K, cs)
             except (OverflowError, ZeroDivisionError, ValueError):
                 err = math.nan   # inf - inf in fsum is a ValueError
             # scipy's SAFETY 0.9, MIN_FACTOR 0.2, MAX_FACTOR 10 and error
@@ -592,21 +691,30 @@ def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
         if dense:
             segments.append(seg)
         if fired:
-            r_end, k = min((_event_root(events, k, seg, r, r_new), k)
+            t_end, k = min((_event_root(events, k, seg, t, t_new), k)
                            for k in fired)
-            return (1, r_end, *_interpolate(seg, r_end), k, segments)
-        if r_new >= r_bound:
-            return 0, r_new, f_new, F_new, None, segments
-        r, f, F, g = r_new, f_new, F_new, g_new
-        Kf[0], KF[0] = Kf[12], KF[12]
+            return 1, t_end, _interpolate(seg, t_end), k, segments
+        if t_new >= t_bound:
+            return 0, t_new, y_new, None, segments
+        t, y, g = t_new, y_new, g_new
+        carry(*K)
+
+
+def _dop853(consts: DerivedConstants, r, f, F, r_bound, rtol, dense):
+    """One solve of the (f, F) system of consts by `_drive`, from (r, f,
+    F) towards r_bound: (status, r_end, f_end, F_end, k, segments)."""
+    status, r_end, (f_end, F_end), k, segments = _drive(
+        _SHOOTING, _rhs_constants(consts),
+        _make_events(consts), r, (f, F), r_bound, rtol, dense)
+    return status, r_end, f_end, F_end, k, segments
 
 
 def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
            dense: bool):
-    """One solve of the scalar DOP853 kernel `_dop853` from the series
+    """One solve of the DOP853 kernel, `_dop853`, from the series
     start to the first decisive event or r_max.
 
-    The kernel's coefficients are scipy.integrate.DOP853's, as
+    The kernel's coefficients are those of scipy's DOP853 solver, as
     literals checked bit for bit against scipy's by a test, and its event
     radii match scipy's solver to about 1e-9 relative (its step sizes
     follow a cancelling error estimate, so they agree only to rounding

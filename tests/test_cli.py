@@ -432,12 +432,12 @@ class TestExitCodes:
         assert needle in json.loads(res.stdout)["error"]
         assert "Traceback" not in res.stderr
 
-    # inside the guard but far from P0, the orbit settles where RK45 is
-    # stiff (rate about 1e6): without phase.RHS_BUDGET the run took
-    # millions of right-side calls and minutes
+    # inside the guard but far from P0, the orbit settles where an
+    # explicit method is stiff (rate about 1e6): without the kernel's
+    # shooter.STEP_BUDGET the run would take minutes
     @pytest.mark.parametrize("argv, needle", [
         (("phase", "--x0=0.15,0.35,9e11", "--span=0,10", *N1,
-          "--outdir", "{tmp}"), "right-side evaluations"),
+          "--outdir", "{tmp}"), "step budget of 100000 trial steps"),
     ])
     def test_phase_rhs_budget_is_3(self, tmp_path, argv, needle):
         res = _cli_subprocess(tmp_path, argv)

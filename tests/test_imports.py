@@ -1,6 +1,6 @@
-"""scipy stays off the import path: the package, the command line and the
-commands that do not integrate the phase system or run the PDE load no
-scipy module, and the PDE run loads only what scipy.linalg.lapack does.
+"""scipy stays off the import path: the package, the command line and
+every command but the PDE run load no scipy module, and the PDE run loads
+only what scipy.linalg.lapack does.
 Each check runs in a fresh interpreter, so no other test's imports
 count; nothing is timed.
 """
@@ -40,6 +40,9 @@ run("find", ["find", "--N", "1", "--p", "1.2", "--q", "0.5",
 run("tail", ["tail", "--profile", prof, "--out", out + "/tail.json"])
 run("phase --from-profile", ["phase", "--from-profile", prof,
                              "--outdir", out])
+run("phase --x0", ["phase", "--x0=0.15,0.35,0.6667", "--span=0,10",
+                   "--N", "1", "--p", "1.2", "--q", "0.5",
+                   "--outdir", out + "/x0"])
 run("pde", ["pde", "--profile", prof, "--M", "50", "--tend", "0.3",
             "--out", out + "/metrics.json"])
 print(json.dumps(loaded))
@@ -61,10 +64,11 @@ def test_scipy_is_loaded_only_by_the_pde_run(tmp_path):
                          timeout=300)
     assert res.returncode == 0, res.stderr
     loaded = json.loads(res.stdout.splitlines()[-1])
-    for step in ("find", "tail", "phase --from-profile", "pde"):
+    for step in ("find", "tail", "phase --from-profile", "phase --x0",
+                 "pde"):
         assert loaded[step + ":exit"] == 0, step
     for step in ("import extinction", "import extinction.cli", "find",
-                 "tail", "phase --from-profile"):
+                 "tail", "phase --from-profile", "phase --x0"):
         assert loaded[step] == [], step
     # the PDE run loads scipy for LAPACK's dgtsv and for nothing else
     lapack = subprocess.run([sys.executable, "-c", LAPACK_ONLY],

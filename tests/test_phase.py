@@ -23,11 +23,17 @@ from extinction import (
 A_EST_N1 = 4.153e-4
 
 
-def orbit_error(consts, rho, eta_end=10.0):
+def orbit_error(consts, rho, eta_end=10.0, backward=False):
     """Max deviation from the explicit orbit, per-coordinate, relative to
-    the fixed initial amplitudes (|rho| beta, |rho| alpha, Zstar)."""
+    the fixed initial amplitudes (|rho| beta, |rho| alpha, Zstar) at
+    eta = 0; integrated from eta = 0 to eta_end, or, `backward`, from the
+    orbit's point at eta_end back to eta = 0."""
     x0 = (rho * consts.beta, rho * consts.alpha, consts.Zstar)
-    path = integrate_phase(x0, (0.0, eta_end), consts)
+    span = (0.0, eta_end)
+    if backward:
+        X, Y, Z = exact_orbit(consts, rho, np.array([eta_end]))
+        x0, span = (X[0], Y[0], Z[0]), (eta_end, 0.0)
+    path = integrate_phase(x0, span, consts)
     Xe, Ye, Ze = exact_orbit(consts, rho, path.eta)
     scale = abs(rho)
     return max(np.abs(path.X - Xe).max() / (scale * consts.beta),
@@ -89,6 +95,11 @@ class TestExplicitOrbit:
     @pytest.mark.parametrize("rho", [0.1, -0.1, 0.01, -0.01])
     def test_integration_matches_both_signs(self, consts1, rho):
         assert orbit_error(consts1, rho) <= 1e-7
+
+    @pytest.mark.parametrize("rho", [0.1, -0.1, 0.01, -0.01])
+    def test_backward_span_matches(self, consts1, rho):
+        # eta from 10 back to 0, solved in t = -eta on the field negated
+        assert orbit_error(consts1, rho, backward=True) <= 1e-7
 
     def test_critical_point_stays_fixed(self, consts1):
         path = integrate_phase((0.0, 0.0, consts1.Zstar), (0.0, 10.0),

@@ -1011,6 +1011,63 @@ class TestBrent:
         # plain bisection to the same width would take about 48
         assert sum(n_evals) / len(n_evals) <= 11
 
+    def test_event_root_reads_only_its_components(self, monkeypatch):
+        # each trial point of an event root interpolates only the
+        # components its event reads: f for w > Kstar, F for F = 0, both
+        # for w' = 0; evaluating all four events takes both at every point
+        reads = {0: 2, 1: 1, 2: 1, 3: 2}
+        component, illinois, root = (shooter._component, shooter._illinois,
+                                     shooter._event_root)
+        count = {"components": 0, "points": 0}
+        roots = []
+
+        def component_spy(seg, i, r):
+            count["components"] += 1
+            return component(seg, i, r)
+
+        def illinois_spy(g, a, b):
+            def point(x):
+                count["points"] += 1
+                return g(x)
+            return illinois(point, a, b)
+
+        def root_spy(events, k, seg, r_old, r_new):
+            count.update(components=0, points=0)
+            x = root(events, k, seg, r_old, r_new)
+            roots.append((k, count["components"], count["points"]))
+            return x
+
+        monkeypatch.setattr(shooter, "_component", component_spy)
+        monkeypatch.setattr(shooter, "_illinois", illinois_spy)
+        monkeypatch.setattr(shooter, "_event_root", root_spy)
+        consts = derive_constants(1, 1.2, 0.5)
+        labels = {classify(consts, A_STAR_N1 * f, 100.0).label
+                  for f in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)}
+        assert labels == {"A", "C"}
+        assert {k for k, _, _ in roots} >= {0, 1}
+        for k, n_components, n_points in roots:
+            assert n_points > 0
+            assert n_components == reads[k] * n_points
+        points = sum(n for _, _, n in roots)
+        assert sum(c for _, c, _ in roots) < 2 * points
+
+    @pytest.mark.parametrize("params", [(1, 1.2, 0.5), (2, 1.5, 0.6)],
+                             ids=_triple_id)
+    def test_each_event_alone_is_its_tuple_entry(self, params):
+        # `events.at[k]` on a step's interpolant is the tuple's value k at
+        # the interpolated state, bit for bit, at radii across every step
+        consts = derive_constants(*params)
+        events = shooter._make_events(consts)
+        rng = random.Random(7)
+        for a in (0.1, 1.0, 10.0):
+            *_, segments = shooter._shoot(consts, a, 60.0, 1e-10, dense=True)
+            for seg in segments:
+                for x in (0.0, rng.random(), 1.0):
+                    r = seg[0] + x * seg[1]
+                    want = events(r, *shooter._interpolate(seg, r))
+                    got = [at(r, seg) for at in events.at]
+                    assert _bits(got) == _bits(want)
+
     @settings(max_examples=300, deadline=None)
     @given(c=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
            kind=st.sampled_from(["cubic", "sin-exp", "atan-log"]),
