@@ -212,19 +212,19 @@ def cmd_phase(args) -> int:
     if args.from_profile:
         consts, traj = _load_profile(args.from_profile)
         path = phase.map_to_phase(traj, consts)
-        if path.detail:
-            print(f"warning: {path.detail}", file=sys.stderr)
-        _write_or_print(outdir / "phasepath.csv", phase.phasepath_csv(path))
-        rates = phase.extract_rates(path, consts)
-        text = phase.ratefit_json(rates)
-        _write_or_print(outdir / "ratefit.json", text)
-        _write_or_print(None, text)
+    else:
+        path = phase.integrate_phase(args.x0, args.span, _params(args),
+                                     tol=args.tol)
+    if path.detail:
+        print(f"warning: {path.detail}", file=sys.stderr)
+    _write_or_print(outdir / "phasepath.csv", phase.phasepath_csv(path))
+    if args.x0:
+        _write_or_print(None, exponents.json_text(
+            {"source": path.source, "detail": path.detail, "n": len(path)}))
         return EXIT_OK
-    consts = _params(args)
-    pth = phase.integrate_phase(args.x0, args.span, consts, tol=args.tol)
-    _write_or_print(outdir / "phasepath.csv", phase.phasepath_csv(pth))
-    _write_or_print(None, exponents.json_text(
-        {"source": pth.source, "detail": pth.detail, "n": len(pth)}))
+    text = phase.ratefit_json(phase.extract_rates(path, consts))
+    _write_or_print(outdir / "ratefit.json", text)
+    _write_or_print(None, text)
     return EXIT_OK
 
 

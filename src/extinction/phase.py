@@ -14,8 +14,8 @@ Uinf, Vinf.
 
 The system's right side is written once, as the source template
 `_FIELD`: `vector_field` evaluates it, and `integrate_phase` solves it
-on `shooter`'s DOP853 driver with a kernel generated from it, as the
-profile's (f, F) system is solved, so the program has one integrator.
+on `dop853`'s driver with a kernel generated from it, as the profile's
+(f, F) system is solved, so the program has one integrator.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import shooter
+from . import dop853
 from .exponents import (DerivedConstants, csv_text, deta, json_text,
                         log_fit, spectral_data, zgap_fit)
 
@@ -94,7 +94,7 @@ def map_to_phase(traj, consts: DerivedConstants) -> PhasePath:
 
 
 # The velocity (Xdot, Ydot, Zdot) at (X, Y, Z), written once as source
-# (`shooter._kernel`'s template): `vector_field` and the kernels of
+# (`dop853.kernel`'s template): `vector_field` and the kernels of
 # `integrate_phase` are generated from it.  Its constants are those of
 # `_field_constants`.
 _FIELD = ("{kX} = N * {X} - {Y} - al * {X} * {X} + be * {X} * {Y} "
@@ -120,9 +120,9 @@ def _kernel(backward: bool):
     phase compiles nothing.  The absolute floor 1e-30 of the error scale,
     far below any orbit amplitude, keeps the scale nonzero where a
     component sits at 0 exactly (the critical point itself)."""
-    field = shooter._negated(_FIELD, _XYZ) if backward else _FIELD
-    return shooter._kernel(field, _XYZ, _FIELD_CONSTANTS, atol=1e-30,
-                           var="-eta" if backward else "eta")
+    field = dop853.negated(_FIELD, _XYZ) if backward else _FIELD
+    return dop853.kernel(field, _XYZ, _FIELD_CONSTANTS, atol=1e-30,
+                         var="-eta" if backward else "eta")
 
 
 def vector_field(pt, consts: DerivedConstants):
@@ -163,17 +163,17 @@ def jacobian_origin(consts: DerivedConstants) -> np.ndarray:
 
 def _guard(t, X, Y, Z, dX=None):
     """The blow-up guard, the phase system's one event, in the form
-    `shooter._drive` takes events: max |x| - 1e12 crosses 0 upward."""
+    `dop853.drive` takes events: max |x| - 1e12 crosses 0 upward."""
     return (max(abs(X), abs(Y), abs(Z)) - BLOWUP_GUARD,)
 
 
-_guard.at = (lambda t, seg: _guard(t, *shooter._interpolate(seg, t))[0],)
+_guard.at = (lambda t, seg: _guard(t, *dop853.interpolate(seg, t))[0],)
 
 
 def integrate_phase(x0, eta_span, consts: DerivedConstants,
                     tol: float = 1e-10) -> PhasePath:
     """Free integration of the autonomous system, sampled at 2001 points
-    uniform in eta, on `shooter._drive` with the kernel of `_FIELD`.  The
+    uniform in eta, on `dop853.drive` with the kernel of `_FIELD`.  The
     right side is quadratic with no singularity; a |x| >= 1e12 guard, the
     one event, stops runaway along the unstable direction, so x0 must lie
     inside it.  The ends of eta_span must be finite and differ, and tol
@@ -183,11 +183,12 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     tol is the error allowed at the span's end.  An error made early
     grows along the unstable rate lambda1 = N + Zstar, by up to
     e^{lambda1 |delta eta|} over the span, so every step is taken at the
-    local rtol tol e^{-lambda1 |delta eta|}, and at no less than the
-    kernel's floor of 100 ulp.  Raises RuntimeError past the kernel's
-    STEP_BUDGET trial steps (a start far from P0, where the orbit is
-    stiff for an explicit method), or where the step size falls below
-    ten ulps."""
+    local rtol tol e^{-lambda1 |delta eta|}, and at no less than
+    dop853.RTOL_FLOOR, 100 ulp.  Where that floor binds, `detail` says so
+    and gives the bound 100 ulp e^{lambda1 |delta eta|} the run still
+    holds.  Raises RuntimeError past dop853.STEP_BUDGET trial steps (a
+    start far from P0, where the orbit is stiff for an explicit method),
+    or where the step size falls below ten ulps."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not all(map(math.isfinite, eta_span)):
@@ -199,9 +200,10 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
                          f"blow-up guard {BLOWUP_GUARD:g}, got {x0!r}")
     eta0, eta1 = map(float, eta_span)
     sign = 1.0 if eta1 > eta0 else -1.0
-    rtol = tol * math.exp(-spectral_data(consts).lambda1 * abs(eta1 - eta0))
+    growth = spectral_data(consts).lambda1 * abs(eta1 - eta0)
+    rtol = tol * math.exp(-growth)
     try:
-        status, t_end, _, _, segments = shooter._drive(
+        status, t_end, _, _, segments = dop853.drive(
             _kernel(sign < 0), _field_constants(consts), _guard, sign * eta0,
             tuple(map(float, x0)), sign * eta1, rtol, dense=True)
     except RuntimeError as e:
@@ -211,10 +213,15 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
         raise RuntimeError(f"phase integration failed at eta={eta_end:.6g}: "
                            "the step size fell below ten ulps")
     etas = np.linspace(eta0, eta_end, 2001)
-    X, Y, Z = shooter._sample(segments, t_end, sign * etas)
+    X, Y, Z = dop853.sample(segments, t_end, sign * etas)
+    notes = [f"blow-up guard at eta={eta_end:.6g}"] if status == 1 else []
+    if rtol < dop853.RTOL_FLOOR:
+        bound = tol / rtol * dop853.RTOL_FLOOR if rtol else math.inf
+        notes.append(f"tol={tol:g} not held: steps at the 100-ulp rtol floor "
+                     "bound the error only by 100 ulp e^(lambda1 |delta eta|)"
+                     f" = {bound:.3g}")
     return PhasePath(eta=etas, X=X, Y=Y, Z=Z, source="free-integration",
-                     detail=f"blow-up guard at eta={eta_end:.6g}"
-                     if status == 1 else "")
+                     detail="; ".join(notes))
 
 
 def exact_orbit(consts: DerivedConstants, rho: float,

@@ -434,7 +434,7 @@ class TestExitCodes:
 
     # inside the guard but far from P0, the orbit settles where an
     # explicit method is stiff (rate about 1e6): without the kernel's
-    # shooter.STEP_BUDGET the run would take minutes
+    # dop853.STEP_BUDGET the run would take minutes
     @pytest.mark.parametrize("argv, needle", [
         (("phase", "--x0=0.15,0.35,9e11", "--span=0,10", *N1,
           "--outdir", "{tmp}"), "step budget of 100000 trial steps"),
@@ -444,10 +444,12 @@ class TestExitCodes:
         assert res.returncode == 3
         assert needle in json.loads(res.stdout)["error"]
         assert "Traceback" not in res.stderr
+        # span 10 puts the local rtol at its floor, 100 ulp
+        assert "(rtol 2.22e-14, step " in json.loads(res.stdout)["error"]
 
 
     # far from the profile the kernel's steps stay a small fraction of r
-    # (about 1e-5 here, from r0 = 1e59): without shooter.STEP_BUDGET this
+    # (about 1e-5 here, from r0 = 1e59): without dop853.STEP_BUDGET this
     # solve runs for minutes
     def test_step_budget_is_3(self, tmp_path):
         res = _cli_subprocess(tmp_path, (
@@ -458,6 +460,11 @@ class TestExitCodes:
             "the solve at a=1e-256 failed: step budget of 100000 trial "
             "steps exhausted at r=")
         assert "Traceback" not in res.stderr
+        # the message names the rtol the solve ran at, --tol 1e-14 raised
+        # to the 100-ulp floor, and the step that crept (1.55e-7 r here)
+        step = re.search(r"\(rtol 2\.22e-14, step (\S+) \|r\|\)$",
+                         json.loads(res.stdout)["error"])
+        assert step and float(step[1]) < 1e-4
 
 
 def _cli_subprocess(tmp_path, argv):
@@ -664,6 +671,17 @@ class TestPhase:
         assert code == 0
         assert d["source"] == "free-integration"
         assert (tmp_path / "phasepath.csv").exists()
+
+    def test_free_integration_past_the_rtol_floor_warns(self, capsys,
+                                                        tmp_path):
+        # over eta in [0, 10] the local rtol sits at its 100-ulp floor:
+        # detail says so, and stderr repeats it as the one warning line
+        code, d, err = run_json(capsys, "phase", "--x0", "0.15,0.35,0.6667",
+                                "--span", "0,10", *N1,
+                                "--outdir", str(tmp_path))
+        assert code == 0
+        assert d["detail"].startswith("tol=1e-10 not held")
+        assert err == f"warning: {d['detail']}\n"
 
     def test_x0_without_params_is_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "phase", "--x0", "0.1,0.1,0.6",

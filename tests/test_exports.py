@@ -1,15 +1,19 @@
 """The public API: the package re-exports exactly the modules' public names,
-and no module downstream of `exponents` takes the exponent triple again."""
+no module downstream of `exponents` takes the exponent triple again, and
+no module reads another's private names."""
 
+import ast
 import inspect
+import pathlib
 import types
 
 import pytest
 
 import extinction
-from extinction import exponents, pde, phase, shooter, tail
+from extinction import dop853, exponents, pde, phase, shooter, tail
 
-MODULES = (exponents, shooter, tail, phase, pde)
+MODULES = (exponents, dop853, shooter, tail, phase, pde)
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "extinction"
 
 
 @pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
@@ -37,3 +41,34 @@ def test_triple_is_named_once(mod):
                  for par in inspect.signature(obj).parameters
                  if par in ("N", "p", "q", "params")]
     assert not offending
+
+
+def private_reads(path):
+    """`file:line module._name` of every `_`-prefixed name the module at
+    path reads from another module of the package: as an attribute of a
+    module it imported, or in a `from . import` list."""
+    tree = ast.parse(path.read_text())
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    reads.append(f"{path.name}:{node.lineno} "
+                                 f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.append(f"{path.name}:{node.lineno} "
+                         f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    # each module's surface is its `__all__` and its public constants;
+    # the source is read with `ast`, so every read counts
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 8
+    assert not [r for p in paths for r in private_reads(p)]

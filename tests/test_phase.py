@@ -101,6 +101,20 @@ class TestExplicitOrbit:
         # eta from 10 back to 0, solved in t = -eta on the field negated
         assert orbit_error(consts1, rho, backward=True) <= 1e-7
 
+    def test_span_past_the_rtol_floor_says_so(self, consts1):
+        # the local rtol tol e^{-lambda1 |delta eta|} reaches the 100-ulp
+        # floor past |delta eta| = ln(tol / 100 ulp) / lambda1 = 5.05 here
+        # (lambda1 = 5/3, tol 1e-10); detail then gives the bound
+        # 100 ulp e^{lambda1 |delta eta|} the run still holds, which the
+        # error on the explicit orbit keeps
+        x0 = (-0.1 * consts1.beta, -0.1 * consts1.alpha, consts1.Zstar)
+        assert integrate_phase(x0, (0.0, 5.0), consts1).detail == ""
+        bound = 100 * np.finfo(float).eps * np.exp(5.0 / 3.0 * 20.0)
+        assert integrate_phase(x0, (0.0, 20.0), consts1).detail == (
+            "tol=1e-10 not held: steps at the 100-ulp rtol floor bound the "
+            f"error only by 100 ulp e^(lambda1 |delta eta|) = {bound:.3g}")
+        assert 1e-3 < orbit_error(consts1, -0.1, eta_end=20.0) <= bound
+
     def test_critical_point_stays_fixed(self, consts1):
         path = integrate_phase((0.0, 0.0, consts1.Zstar), (0.0, 10.0),
                                consts1)

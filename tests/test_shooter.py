@@ -45,7 +45,7 @@ from extinction import (
     series_start,
     trajectory_csv,
 )
-from extinction import cli, shooter
+from extinction import cli, dop853, shooter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 A_STAR_N1 = 2.3028967658101465
@@ -343,13 +343,13 @@ class TestBisection:
         # a solve the kernel gives up on (status -1) shows in the profile's
         # events and so in profile.csv's trailer, and classifies as
         # UNDETERMINED with the failure named
-        orig = shooter._dop853
+        orig = dop853.drive
 
         def failing(*args):
-            _, r_end, f_end, F_end, _, segments = orig(*args)
-            return -1, r_end, f_end, F_end, None, segments
+            _, r_end, y_end, _, segments = orig(*args)
+            return -1, r_end, y_end, None, segments
 
-        monkeypatch.setattr(shooter, "_dop853", failing)
+        monkeypatch.setattr(dop853, "drive", failing)
         traj = integrate_profile(consts1, 1.0, 10.0, n_samples=64)
         assert traj.events == [("INTEGRATOR_FAILURE", traj.r_end)]
         text = trajectory_csv(traj, consts1)
@@ -622,21 +622,21 @@ STEP_COUNTS = [((1, 1.2, 0.5), 10.0, 100.0, 28),
 @pytest.mark.parametrize("params, a, r_max, n", STEP_COUNTS,
                          ids=["N1-a10", "N1-above", "N2-below"])
 def test_trial_step_counts(params, a, r_max, n, monkeypatch):
-    step = shooter._step
+    step = shooter._SHOOTING.ns["_step"]
     trials = []
 
     def spy(*args):
         trials.append(1)
         return step(*args)
 
-    monkeypatch.setattr(shooter, "_step", spy)
+    monkeypatch.setitem(shooter._SHOOTING.ns, "_step", spy)
     classify(derive_constants(*params), a, r_max)
     assert len(trials) == n
 
 
 def _rhs_of(consts):
     """The kernel's right side (f', F') of the triple, on floats."""
-    return shooter._rhs(*shooter._rhs_constants(consts))
+    return shooter._SHOOTING.rhs(*shooter._rhs_constants(consts))
 
 
 def _reference_solve(consts, a, r_max, dense=False):
@@ -713,17 +713,17 @@ class TestTableau:
     """The tableau literals are scipy's DOP853 coefficients, bit for bit."""
 
     def test_stage_count(self):
-        assert shooter._N_STAGES == DOP853.n_stages
+        assert dop853._N_STAGES == DOP853.n_stages
 
     @pytest.mark.parametrize("name", ["C", "B", "E3", "E5", "C_EXTRA"])
     def test_vectors(self, name):
-        lit = getattr(shooter, f"_{name}")
+        lit = getattr(dop853, f"_{name}")
         assert all(type(x) is float for x in lit)
         assert _bits(lit) == _bits(getattr(DOP853, name))
 
     def test_D(self):
-        assert len(shooter._D) == len(DOP853.D)
-        for lit, row in zip(shooter._D, DOP853.D):
+        assert len(dop853._D) == len(DOP853.D)
+        for lit, row in zip(dop853._D, DOP853.D):
             assert _bits(lit) == _bits(row)
 
     def test_fsum_on_the_rows_that_cancel(self):
@@ -732,19 +732,19 @@ class TestTableau:
         # the error rows and the interpolant's; every other row sums to
         # its node, each _A row to its _C, each _A_EXTRA row to its
         # _C_EXTRA, and _B to 1
-        eps = shooter._EPS
-        rows = {"E5": shooter._E5, "E3": shooter._E3, "B": shooter._B,
-                **{f"D{i}": d for i, d in enumerate(shooter._D)},
-                **{f"A{s}": a for s, a in enumerate(shooter._A) if a},
-                **{f"A_EXTRA{i}": a for i, a in enumerate(shooter._A_EXTRA)}}
+        eps = dop853._EPS
+        rows = {"E5": dop853._E5, "E3": dop853._E3, "B": dop853._B,
+                **{f"D{i}": d for i, d in enumerate(dop853._D)},
+                **{f"A{s}": a for s, a in enumerate(dop853._A) if a},
+                **{f"A_EXTRA{i}": a for i, a in enumerate(dop853._A_EXTRA)}}
         fsummed = {name for name, row in rows.items()
-                   if shooter._sum_src("k", row).startswith("fsum(")}
+                   if dop853._sum_src("k", row).startswith("fsum(")}
         zero = {name for name, row in rows.items()
                 if abs(fsum(row)) <= eps * fsum(map(abs, row))}
         assert fsummed == zero == {"E5", "E3", "D0", "D1", "D2", "D3"}
-        nodes = [*zip(shooter._A[1:], shooter._C[1:]),
-                 *zip(shooter._A_EXTRA, shooter._C_EXTRA),
-                 (shooter._B, 1.0)]
+        nodes = [*zip(dop853._A[1:], dop853._C[1:]),
+                 *zip(dop853._A_EXTRA, dop853._C_EXTRA),
+                 (dop853._B, 1.0)]
         for row, c in nodes:
             assert abs(fsum(row) - c) <= eps * fsum(map(abs, row))
 
@@ -752,7 +752,7 @@ class TestTableau:
         ("A", 0), ("A_EXTRA", DOP853.n_stages + 1)])
     def test_rows_cut_to_their_stages(self, name, start):
         # row s combines the s stages before it; the cut-off entries are 0
-        lit, full = getattr(shooter, f"_{name}"), getattr(DOP853, name)
+        lit, full = getattr(dop853, f"_{name}"), getattr(DOP853, name)
         assert len(lit) == len(full)
         for s, (row, ref) in enumerate(zip(lit, full), start=start):
             assert _bits(row) == _bits(ref[:s])
@@ -761,7 +761,7 @@ class TestTableau:
 
 # the rows whose coefficients sum to zero: the error rows and the
 # interpolant's, which the generated code sums with fsum
-_CANCELLING = (shooter._E5, shooter._E3, *shooter._D)
+_CANCELLING = (dop853._E5, dop853._E3, *dop853._D)
 
 
 def _loop_sum(K, row):
@@ -782,19 +782,19 @@ def _loop_step(rhs, r, h, f, F, k0f, k0F):
     the stages Kf, KF and (f_new, F_new, E5.Kf, E5.KF, E3.Kf, E3.KF)."""
     Kf, KF = [k0f] + [0.0] * 12, [k0F] + [0.0] * 12
     for s in range(1, 12):
-        Kf[s], KF[s] = rhs(r + shooter._C[s] * h,
-                           f + _loop_sum(Kf, shooter._A[s]) * h,
-                           F + _loop_sum(KF, shooter._A[s]) * h)
-    f_new = f + h * _loop_sum(Kf, shooter._B)
-    F_new = F + h * _loop_sum(KF, shooter._B)
+        Kf[s], KF[s] = rhs(r + dop853._C[s] * h,
+                           f + _loop_sum(Kf, dop853._A[s]) * h,
+                           F + _loop_sum(KF, dop853._A[s]) * h)
+    f_new = f + h * _loop_sum(Kf, dop853._B)
+    F_new = F + h * _loop_sum(KF, dop853._B)
     Kf[12], KF[12] = rhs(r + h, f_new, F_new)
     return Kf, KF, (f_new, F_new, *(_loop_sum(K, e)
-                                    for e in (shooter._E5, shooter._E3)
+                                    for e in (dop853._E5, dop853._E3)
                                     for K in (Kf, KF)))
 
 
 def _loop_step_err(rhs, r, h, f, F, k0f, k0F, rtol):
-    """The reference trial step's error norm as `_dop853` takes it, NaN
+    """The reference trial step's error norm as `dop853.drive` takes it, NaN
     where the step overflows."""
     try:
         _, _, (f_new, F_new, e5f, e5F, e3f, e3F) = _loop_step(
@@ -814,7 +814,7 @@ def _loop_dense(rhs, r, h, f, F, f_new, F_new, Kf, KF):
     """The reference interpolant in loop form, from the step's 13
     stages."""
     Kf, KF = list(Kf), list(KF)
-    for a, c in zip(shooter._A_EXTRA, shooter._C_EXTRA):
+    for a, c in zip(dop853._A_EXTRA, dop853._C_EXTRA):
         kf, kF = rhs(r + c * h, f + _loop_sum(Kf, a) * h,
                      F + _loop_sum(KF, a) * h)
         Kf.append(kf)
@@ -822,9 +822,9 @@ def _loop_dense(rhs, r, h, f, F, f_new, F_new, Kf, KF):
     df, dF = f_new - f, F_new - F
     return (r, h, f, F,
             df, h * Kf[0] - df, 2 * df - h * (Kf[12] + Kf[0]),
-            *(h * _loop_sum(Kf, d) for d in shooter._D),
+            *(h * _loop_sum(Kf, d) for d in dop853._D),
             dF, h * KF[0] - dF, 2 * dF - h * (KF[12] + KF[0]),
-            *(h * _loop_sum(KF, d) for d in shooter._D))
+            *(h * _loop_sum(KF, d) for d in dop853._D))
 
 
 def _magnitudes(rng, n, signed=True):
@@ -870,7 +870,7 @@ def _outcome(fn, *args):
 def _step_with(stage, k, value):
     """The generated step with component k ("f" or "F") of one stage set
     to value right after it is computed."""
-    lines = list(shooter._STEP_SRC)
+    lines = list(shooter._SHOOTING.src)
     at = next(i for i, line in enumerate(lines)
               if f"; k{k}{stage} = " in line)
     lines.insert(at + 1, f"    k{k}{stage} = VALUE")
@@ -889,10 +889,11 @@ class TestGeneratedSums:
         finite = 0
         for _ in range(1000):
             cs, Kf, KF, (r, h, f, F) = _random_case(rng, 1)
-            want = _outcome(_loop_step, shooter._rhs(*cs), r, h, f, F,
-                            Kf[0], KF[0])
+            want = _outcome(_loop_step, shooter._SHOOTING.rhs(*cs), r, h, f,
+                            F, Kf[0], KF[0])
             kf, kF = Kf + [0.0] * 12, KF + [0.0] * 12
-            got = _outcome(shooter._step, r, h, f, F, kf, kF, cs)
+            got = _outcome(shooter._SHOOTING.ns["_step"], r, h, f, F, kf, kF,
+                           cs)
             if isinstance(want, type):
                 assert got is want
                 continue
@@ -908,9 +909,9 @@ class TestGeneratedSums:
         for _ in range(1000):
             cs, Kf, KF, (r, h, f, F) = _random_case(rng, 13)
             f_new, F_new = f + rng.uniform(-1, 1), F + rng.uniform(-1, 1)
-            want = _outcome(_loop_dense, shooter._rhs(*cs), r, h, f, F,
-                            f_new, F_new, Kf, KF)
-            got = _outcome(shooter._dense_segment, r, h, f, F, f_new,
+            want = _outcome(_loop_dense, shooter._SHOOTING.rhs(*cs), r, h, f,
+                            F, f_new, F_new, Kf, KF)
+            got = _outcome(shooter._SHOOTING.segment, r, h, f, F, f_new,
                            F_new, Kf, KF, cs)
             if isinstance(want, type):
                 assert got is want
@@ -932,14 +933,14 @@ class TestGeneratedSums:
         # error rows, so the loop form's error stays finite there and
         # the test is the kernel's own.
         hit_step = _step_with(stage, "fF"[component], value)
-        step = shooter._step
+        step = shooter._SHOOTING.ns["_step"]
         trials = []
 
         def spy(r, h, f, F, Kf, KF, cs):
             trials.append((r, h))
             if len(trials) != 5:
                 return step(r, h, f, F, Kf, KF, cs)
-            rhs, seen = shooter._rhs(*cs), []
+            rhs, seen = shooter._SHOOTING.rhs(*cs), []
 
             def hit(r_, f_, F_):
                 k = list(rhs(r_, f_, F_))
@@ -954,11 +955,13 @@ class TestGeneratedSums:
                 assert all(map(math.isfinite, out))
             return out
 
-        monkeypatch.setattr(shooter, "_step", spy)
+        monkeypatch.setitem(shooter._SHOOTING.ns, "_step", spy)
         a = 2.3
         r0 = shooter._default_r0(consts1, a)
-        status = shooter._dop853(consts1, r0, *series_start(consts1, a, r0),
-                                 100.0, 1e-10, False)[0]
+        status = dop853.drive(
+            shooter._SHOOTING, shooter._rhs_constants(consts1),
+            shooter._make_events(consts1), r0, series_start(consts1, a, r0),
+            100.0, 1e-10, False)[0]
         assert status == 1
         (r5, h5), (r6, h6) = trials[4:6]
         assert r6 == r5
@@ -974,10 +977,10 @@ def _root_checked(g, a, b):
     def spy(x):
         seen.append((x, g(x)))
         return seen[-1][1]
-    x = shooter._illinois(spy, a, b)
+    x = dop853._illinois(spy, a, b)
     gx = g(x)
     assert a <= x <= b
-    assert gx == 0 or any(abs(y - x) <= 4 * shooter._EPS * (1 + abs(x))
+    assert gx == 0 or any(abs(y - x) <= 4 * dop853._EPS * (1 + abs(x))
                           and (gy > 0) != (gx > 0) for y, gy in seen)
     return len(seen)
 
@@ -993,20 +996,20 @@ class TestBrent:
          "--rmax", "60"]], ids=["N1", "N2"])
     def test_event_functions_of_find(self, flags, monkeypatch, tmp_path):
         calls = []
-        root = shooter._event_root
+        root = dop853._event_root
 
         def spy(events, k, seg, r_old, r_new):
             calls.append((events, k, seg, r_old, r_new))
             return root(events, k, seg, r_old, r_new)
 
-        monkeypatch.setattr(shooter, "_event_root", spy)
+        monkeypatch.setattr(dop853, "_event_root", spy)
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["find", *flags, "--outdir", str(tmp_path)])
         assert len(calls) > 20
         n_evals = []
         for events, k, seg, r_old, r_new in calls:
             def g(r):
-                return events(r, *shooter._interpolate(seg, r))[k]
+                return events(r, *dop853.interpolate(seg, r))[k]
             n_evals.append(_root_checked(g, r_old, r_new))
         # plain bisection to the same width would take about 48
         assert sum(n_evals) / len(n_evals) <= 11
@@ -1016,8 +1019,8 @@ class TestBrent:
         # components its event reads: f for w > Kstar, F for F = 0, both
         # for w' = 0; evaluating all four events takes both at every point
         reads = {0: 2, 1: 1, 2: 1, 3: 2}
-        component, illinois, root = (shooter._component, shooter._illinois,
-                                     shooter._event_root)
+        component, illinois, root = (dop853.component, dop853._illinois,
+                                     dop853._event_root)
         count = {"components": 0, "points": 0}
         roots = []
 
@@ -1037,9 +1040,9 @@ class TestBrent:
             roots.append((k, count["components"], count["points"]))
             return x
 
-        monkeypatch.setattr(shooter, "_component", component_spy)
-        monkeypatch.setattr(shooter, "_illinois", illinois_spy)
-        monkeypatch.setattr(shooter, "_event_root", root_spy)
+        monkeypatch.setattr(dop853, "component", component_spy)
+        monkeypatch.setattr(dop853, "_illinois", illinois_spy)
+        monkeypatch.setattr(dop853, "_event_root", root_spy)
         consts = derive_constants(1, 1.2, 0.5)
         labels = {classify(consts, A_STAR_N1 * f, 100.0).label
                   for f in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)}
@@ -1064,7 +1067,7 @@ class TestBrent:
             for seg in segments:
                 for x in (0.0, rng.random(), 1.0):
                     r = seg[0] + x * seg[1]
-                    want = events(r, *shooter._interpolate(seg, r))
+                    want = events(r, *dop853.interpolate(seg, r))
                     got = [at(r, seg) for at in events.at]
                     assert _bits(got) == _bits(want)
 
@@ -1093,25 +1096,25 @@ class TestBrent:
             return g(x) - g0
         if h(a) != 0 and h(b) != 0 and (h(a) > 0) == (h(b) > 0):
             with pytest.raises(ValueError, match="different signs"):
-                shooter._illinois(h, a, b)
+                dop853._illinois(h, a, b)
         else:
             _root_checked(h, a, b)
 
     def test_exact_zero_at_an_end(self):
-        assert shooter._illinois(lambda x: x - 0.3, 0.3, 2.0) == 0.3
-        assert shooter._illinois(lambda x: x - 0.3, -1.0, 0.3) == 0.3
+        assert dop853._illinois(lambda x: x - 0.3, 0.3, 2.0) == 0.3
+        assert dop853._illinois(lambda x: x - 0.3, -1.0, 0.3) == 0.3
 
     def test_same_sign_raises(self):
         with pytest.raises(ValueError, match="different signs"):
-            shooter._illinois(lambda x: x * x + 1.0, -1.0, 2.0)
+            dop853._illinois(lambda x: x * x + 1.0, -1.0, 2.0)
 
     def test_no_convergence_raises(self):
         with pytest.raises(RuntimeError):
-            shooter._illinois(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=3)
+            dop853._illinois(lambda x: x ** 3 - 2.0, 0.0, 2.0, maxiter=3)
 
     def test_nan_raises(self):
         with pytest.raises(RuntimeError, match="NaN"):
-            shooter._illinois(lambda x: math.nan if x > 0.5 else x - 0.7,
+            dop853._illinois(lambda x: math.nan if x > 0.5 else x - 0.7,
                               0.0, 1.0)
 
     def test_stalled_regula_falsi_bisects(self):
@@ -1124,9 +1127,9 @@ class TestBrent:
             xs.append(x)
             return -1.0 if x < 0.3 else 1e-300
 
-        root = shooter._illinois(g, 0.0, 1.0)
-        assert abs(root - 0.3) <= 4 * shooter._EPS * 1.3
-        assert len(xs) <= shooter._SECANT_POINTS + 60
+        root = dop853._illinois(g, 0.0, 1.0)
+        assert abs(root - 0.3) <= 4 * dop853._EPS * 1.3
+        assert len(xs) <= dop853._SECANT_POINTS + 60
 
 
 class TestKstarOverflow:
@@ -1152,7 +1155,7 @@ class TestKstarOverflow:
 @pytest.mark.parametrize("budget, raises", [(27, True), (28, False)])
 def test_step_budget_counts_trial_steps(budget, raises, monkeypatch):
     # the solve of test_trial_step_counts[N1-a10] takes 28 trial steps
-    monkeypatch.setattr(shooter, "STEP_BUDGET", budget)
+    monkeypatch.setattr(dop853, "STEP_BUDGET", budget)
     consts = derive_constants(1, 1.2, 0.5)
     if raises:
         with pytest.raises(RuntimeError, match=r"the solve at a=10\.0 "
@@ -1168,11 +1171,13 @@ def test_nan_step_size_ends_the_solve():
     # keep a kernel that hangs from stalling the suite
     code = "\n".join([
         "import math",
-        "from extinction import derive_constants, shooter",
+        "from extinction import derive_constants, dop853, shooter",
         "c = derive_constants(1, 1.2, 0.5)",
         "r0 = shooter._default_r0(c, 1.0)",
-        "f0, F0 = shooter.series_start(c, 1.0, r0)",
-        "print(shooter._dop853(c, r0, f0, F0, 10.0, math.nan, False)[0])"])
+        "y0 = shooter.series_start(c, 1.0, r0)",
+        "print(dop853.drive(shooter._SHOOTING, shooter._rhs_constants(c),",
+        "                   shooter._make_events(c), r0, y0, 10.0, math.nan,",
+        "                   False)[0])"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
@@ -1186,11 +1191,13 @@ def test_backward_bound_raises():
     # stalling the suite
     code = "\n".join([
         "import math",
-        "from extinction import derive_constants, shooter",
+        "from extinction import derive_constants, dop853, shooter",
         "c = derive_constants(1, 1.2, 0.5)",
         "for bound in (1.0, 2.0, math.nan):",
         "    try:",
-        "        shooter._dop853(c, 2.0, 0.5, 0.1, bound, 1e-10, False)",
+        "        dop853.drive(shooter._SHOOTING, shooter._rhs_constants(c),",
+        "                     shooter._make_events(c), 2.0, (0.5, 0.1),",
+        "                     bound, 1e-10, False)",
         "    except ValueError as e:",
         "        print(e)"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
