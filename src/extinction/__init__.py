@@ -9,7 +9,8 @@ other modules share: the 5-point ln-r derivative, the pinned-basis log
 regression, the one fit of the Z-gap decay that gives the tail's theta
 and A and the phase rates' lambda3 and Vinf, and the JSON and CSV
 writers that fix the byte format of every artifact), dop853 (the one ODE
-integrator, its kernels generated from a right side's source template),
+integrator, its kernels generated from a right side's source template,
+its solves run forward or backward towards their bound),
 shooter (profile ODE shooting and classification), tail (w-transform,
 certification, tail fitting), phase (autonomous phase-space system and
 rate extraction), pde (radial solver verifying the extinction rates),

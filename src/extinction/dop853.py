@@ -9,9 +9,10 @@ than arithmetic.  A system enters as its right side's source template and
 its component names (`kernel`): the step, the interpolant and the error
 norm are generated from them and from the tableau, as literals (`_A`
 ...), written out per component, so no loop over components runs in a
-step.  `drive` is the one driver; it states its departures from scipy
-and its step budget.  `interpolate`, `component` and `sample` read the
-7th-order interpolant of the steps a dense solve keeps.  Importing this
+step.  `drive` is the one driver, forward or backward; it states its
+departures from scipy and its step budget.  `interpolate`, `component`
+and `sample` read the 7th-order interpolant of the steps a dense solve
+keeps.  Importing this
 module generates nothing: each caller builds its kernels.
 """
 
@@ -23,7 +24,7 @@ from math import fsum
 
 import numpy as np
 
-__all__ = ["kernel", "negated", "drive", "sample", "interpolate",
+__all__ = ["kernel", "drive", "sample", "interpolate",
            "component", "STEP_BUDGET", "RTOL_FLOOR"]
 
 # budgets: trial steps (accepted plus rejected) of one solve of `drive`,
@@ -133,20 +134,21 @@ def _rms(xs, scale):
 
 def _initial_step(rhs, t0, y0, k0, t_bound, rtol, atol):
     """scipy's select_initial_step for an error estimator of order 7, from
-    the state y0 and its derivative k0 at t0.  It runs once a solve, so
-    it loops over the components."""
+    the state y0 and its derivative k0 at t0 towards t_bound, as a size.
+    It runs once a solve, so it loops over the components."""
     span = t_bound - t0
     scale = [atol + abs(y) * rtol for y in y0]
     d0, d1 = _rms(y0, scale), _rms(k0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    k1 = rhs(t0 + h0, *[y + h0 * k for y, k in zip(y0, k0)])
+    h0 = min(h0, abs(span))
+    h = math.copysign(h0, span)
+    k1 = rhs(t0 + h, *[y + h * k for y, k in zip(y0, k0)])
     d2 = _rms([b - a for a, b in zip(k0, k1)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, span)
+    return min(100 * h0, h1, abs(span))
 
 
 def _sum_src(k, row):
@@ -298,15 +300,6 @@ def kernel(template, names, constants, atol=0.0, var="r"):
                    ns["_carry"], ns, src)
 
 
-def negated(template, names):
-    """The template negated, for a solve in t = -r: r is read as -t, then
-    each derivative is formed as the template forms it and its sign
-    flipped, which is exact.  A template without {r} (an autonomous
-    field) only gains the sign flips."""
-    return template.replace("{r}", "(-{r})") + "".join(
-        f"; {{k{y}}} = -{{k{y}}}" for y in names)
-
-
 def component(seg, i, r):
     """Component i of one step's interpolant at r, evaluated as scipy's
     Dop853DenseOutput does: from 0, the highest coefficient down, times x
@@ -331,12 +324,14 @@ def interpolate(seg, r):
 
 
 def sample(segments, r_end, rs):
-    """The components at the ascending radii rs, vectorised: each radius
-    takes the earliest step whose closed interval holds it, as scipy's
-    OdeSolution picks."""
+    """The components at the radii rs, ordered as the solve ran,
+    vectorised: each radius takes the earliest step whose closed interval
+    holds it, as scipy's OdeSolution picks."""
     seg = np.array(segments)
+    d = math.copysign(1.0, seg[0, 1])
     ts = np.append(seg[:, 0], r_end)
-    k = np.clip(np.searchsorted(ts, rs, side="left") - 1, 0, len(seg) - 1)
+    k = np.clip(np.searchsorted(d * ts, d * rs, side="left") - 1, 0,
+                len(seg) - 1)
     return interpolate(seg[k].T, rs)
 
 
@@ -383,54 +378,57 @@ def _illinois(g, a, b, maxiter=_SECANT_POINTS + 1100):
 
 
 def _event_root(events, k, seg, r_old, r_new):
-    """The root of event k on one step's interpolant seg, in [r_old,
-    r_new]: each trial point evaluates event k alone, from the components
-    it reads (`events.at`)."""
+    """The root of event k on one step's interpolant seg, between r_old
+    and r_new: each trial point evaluates event k alone, from the
+    components it reads (`events.at`)."""
     at = events.at[k]
-    return _illinois(lambda r: at(r, seg), r_old, r_new)
+    return _illinois(lambda r: at(r, seg), *sorted((r_old, r_new)))
 
 
 def drive(system, cs, events, t, y, t_bound, rtol, dense):
     """Integrate the system of the kernel `system` (`kernel`), with
-    constants cs, from the state y at t towards t_bound with DOP853, on
-    floats: the one driver of every solve.
+    constants cs, from the state y at t towards t_bound, on either side
+    (a negative step size backward), with DOP853, on floats: the one
+    driver of every solve.
 
-    This is scipy's DOP853 solver, driven the way scipy drives it with
-    every event terminal: the same initial step, error norm, step factors,
+    This is scipy's DOP853 solver, driven the way scipy drives it with every
+    event terminal: the same initial step, error norm, step factors,
     step-size floor and rtol floor (RTOL_FLOOR), and the same event rule.
-    events(t, *y, dy0) returns the events' values, dy0 the first
-    component's derivative there; its attribute `at` holds each event
-    alone (`_event_root`).  Event k fires when value k crosses 0 upward
-    over a step, from <= 0 to >= 0; its root is found by _illinois on the
-    step's interpolant, and the earliest root among the events that fired
-    ends the solve.  The events of an accepted step take dy0 from stage
-    12, the derivative at the new point, and the list of those that fired
-    is formed only where a value reached 0.  Two departures: the tableau's
-    sums (`_sum_src`), which differ from BLAS's dot by rounding only, and
-    an event root held to brentq's stopping width, not to brentq's own
-    iterates.  A trial step with a non-finite stage is rejected, as scipy
-    rejects the NaN error such a step gives it: stages 0 and 5-11 enter
-    the error sums, stages 1-4 reach stage 5 through nonzero weights (and
-    each stage taken at a non-finite state is non-finite), and stage 12,
-    which the error rows weigh by 0, is tested on its own (`_trial`); so
+    events(t, *y, dy0) returns the events' values, dy0 the first component's
+    derivative there; its attribute `at` holds each event alone
+    (`_event_root`).  Event k fires when value k crosses 0 upward over a
+    step, from <= 0 to >= 0; its root is found by _illinois on the step's
+    interpolant, and the first root the solve reaches among the events that
+    fired ends the solve.  The events of an accepted step take dy0 from
+    stage 12, the derivative at the new point, and the list of those that
+    fired is formed only where a value reached 0.  Two departures: the
+    tableau's sums (`_sum_src`), which differ from BLAS's dot by rounding
+    only, and an event root held to brentq's stopping width, not to brentq's
+    own iterates.  A trial step with a non-finite stage is rejected, as
+    scipy rejects the NaN error such a step gives it: stages 0 and 5-11
+    enter the error sums, stages 1-4 reach stage 5 through nonzero weights
+    (and each stage taken at a non-finite state is non-finite), and stage
+    12, which the error rows weigh by 0, is tested on its own (`_trial`); so
     is an accepted step whose interpolant's extra stages overflow (at a
     loose rtol).  The state is a tuple, and every component-wise operation
     of a step is generated (`kernel`).
 
     Returns (status, t_end, y_end, k, segments): status 0 when t_bound is
     reached, 1 when event k fires at t_end, -1 when the step size falls
-    below ten ulps of t; an event already > 0 at the start, which no
-    crossing reports, fires there (the guard first).  segments holds every
-    step's interpolant (for `sample`) when `dense` is set, else None.  The
-    solve runs forward only: t_bound <= t raises ValueError, where the
-    step loop would otherwise never reach it.  A solve past STEP_BUDGET
-    trial steps raises RuntimeError, naming the rtol it ran at and its
-    step size as a fraction of |t|.
+    below ten ulps of t, measured towards t_bound; an event already > 0
+    at the start, which no crossing reports, fires there (the guard
+    first).  segments holds every step's interpolant (for `sample`) when
+    `dense` is set, else None.  A t_bound equal to t, or NaN, raises
+    ValueError, where the step loop would otherwise never reach it.  A
+    solve past STEP_BUDGET trial steps raises RuntimeError, naming the
+    rtol it ran at and its step size as a fraction of |t|.
     """
     var = system.var
-    if not t < t_bound:   # a NaN bound too
-        raise ValueError(f"{var}_bound must exceed the start {var}={t!r}, "
-                         f"got {t_bound!r}")
+    if not abs(t_bound - t) > 0:   # a NaN bound too
+        raise ValueError(f"{var}_bound must differ from the start "
+                         f"{var}={t!r}, got {t_bound!r}")
+    d = math.copysign(1.0, t_bound - t)
+    clip = min if d > 0 else max
     rtol = max(rtol, RTOL_FLOOR)
     segment, trial, carry = system.segment, system.trial, system.carry
     rhs = system.rhs(*cs)
@@ -443,7 +441,7 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
     h_abs = _initial_step(rhs, t, y, k0, t_bound, rtol, system.atol)
     budget = STEP_BUDGET
     while True:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -455,7 +453,7 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
                     f"step budget of {STEP_BUDGET} trial steps exhausted "
                     f"at {var}={t!r} (rtol {rtol:.3g}, step "
                     f"{h_abs / abs(t) if t else math.inf:.3g} |{var}|)")
-            t_new = min(t + h_abs, t_bound)
+            t_new = clip(t + d * h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
             try:
@@ -481,10 +479,10 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
         if dense:
             segments.append(seg)
         if fired:
-            t_end, k = min((_event_root(events, k, seg, t, t_new), k)
-                           for k in fired)
+            t_end, k = min(((_event_root(events, k, seg, t, t_new), k)
+                            for k in fired), key=lambda e: (d * e[0], e[1]))
             return 1, t_end, interpolate(seg, t_end), k, segments
-        if t_new >= t_bound:
+        if t_new == t_bound:
             return 0, t_new, y_new, None, segments
         t, y, g = t_new, y_new, g_new
         carry(*K)

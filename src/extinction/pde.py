@@ -208,13 +208,14 @@ def _make_step(grid: RadialGrid, consts: DerivedConstants):
     ghost, sup) -> (new, n_clip, max(new)), with sup = ||u||_inf; om = 0
     is backward Euler.  The work arrays ([u*, ghost], face slopes and
     weights, both 0 at face 0, mobilities, absorption) are made here
-    once; `new` is a fresh array."""
+    once; `new` is a fresh array.  The weights are stored negated, as the
+    matrix's off-diagonals."""
     from scipy.linalg.lapack import dgtsv
 
     M, dx, q, e_mob = grid.M, grid.dx, consts.q, 0.5 * (consts.p - 2.0)
     V, Af1 = grid.cell_volumes(consts.N), grid.face_areas(consts.N)[1:]
     ext, s, w = np.empty(M + 1), np.zeros(M + 1), np.zeros(M + 1)
-    mob, ab, tmp, off = np.empty(M), np.empty(M), np.empty(M), np.empty(M - 1)
+    mob, ab, tmp = np.empty(M), np.empty(M), np.empty(M)
     us, ext1 = ext[:M], ext[1:]
     s0, s1, w0, w1, wm = s[:-1], s[1:], w[:-1], w[1:], w[1:M]
 
@@ -245,15 +246,14 @@ def _make_step(grid: RadialGrid, consts: DerivedConstants):
         np.multiply(dt, ab, out=ab)
         np.subtract(h, ab, out=h)
         np.multiply(V, h, out=h)
-        np.multiply(dt / dx, Af1, out=w1)
+        np.multiply(-dt / dx, Af1, out=w1)
         np.multiply(w1, mob, out=w1)
-        h[-1] += w[M] * ghost
+        h[-1] -= w[M] * ghost
         np.multiply(a0, V, out=tmp)
-        np.add(tmp, w0, out=tmp)
-        np.add(tmp, w1, out=tmp)
+        np.subtract(tmp, w0, out=tmp)
+        np.subtract(tmp, w1, out=tmp)
         # both off-diagonals: dgtsv copies them (no overwrite flag)
-        np.negative(wm, out=off)
-        new, info = dgtsv(off, tmp, off, h, overwrite_d=1, overwrite_b=1)[3:]
+        new, info = dgtsv(wm, tmp, wm, h, overwrite_d=1, overwrite_b=1)[3:]
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed: info={info}")
         n_clip = int(np.count_nonzero(new < -NEG_CLIP_TOL * (sup or 1.0)))

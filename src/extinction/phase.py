@@ -114,21 +114,18 @@ def _field_constants(consts: DerivedConstants) -> tuple:
 
 
 @functools.cache
-def _kernel(backward: bool):
-    """The DOP853 kernel of `_FIELD`, or of the field negated, for a span
-    run backward in t = -eta: generated on first use, so that importing
-    phase compiles nothing.  The absolute floor 1e-30 of the error scale,
-    far below any orbit amplitude, keeps the scale nonzero where a
-    component sits at 0 exactly (the critical point itself)."""
-    field = dop853.negated(_FIELD, _XYZ) if backward else _FIELD
-    return dop853.kernel(field, _XYZ, _FIELD_CONSTANTS, atol=1e-30,
-                         var="-eta" if backward else "eta")
+def _kernel():
+    """The DOP853 kernel of `_FIELD`, generated on first use, so that
+    importing phase compiles nothing.  The absolute floor 1e-30 of the
+    error scale, far below any orbit amplitude, keeps the scale nonzero
+    where a component sits at 0 exactly (the critical point itself)."""
+    return dop853.kernel(_FIELD, _XYZ, _FIELD_CONSTANTS, atol=1e-30, var="eta")
 
 
 def vector_field(pt, consts: DerivedConstants):
     """Velocity (Xdot, Ydot, Zdot) of the autonomous system (`_FIELD`);
     also takes arrays."""
-    return _kernel(False).rhs(*_field_constants(consts))(0.0, *pt)
+    return _kernel().rhs(*_field_constants(consts))(0.0, *pt)
 
 
 def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
@@ -177,8 +174,7 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     right side is quadratic with no singularity; a |x| >= 1e12 guard, the
     one event, stops runaway along the unstable direction, so x0 must lie
     inside it.  The ends of eta_span must be finite and differ, and tol
-    finite and > 0.  A span that runs backward is solved in t = -eta, on
-    the field negated.
+    finite and > 0.  A span that runs backward is stepped backward.
 
     tol is the error allowed at the span's end.  An error made early
     grows along the unstable rate lambda1 = N + Zstar, by up to
@@ -188,7 +184,9 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     and gives the bound 100 ulp e^{lambda1 |delta eta|} the run still
     holds.  Raises RuntimeError past dop853.STEP_BUDGET trial steps (a
     start far from P0, where the orbit is stiff for an explicit method),
-    or where the step size falls below ten ulps."""
+    or where the step size falls below ten ulps before the first step.
+    Where it falls there later (a finite-time blow-up that outruns the
+    guard), the path ends as at the guard, and `detail` says so."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if not all(map(math.isfinite, eta_span)):
@@ -199,22 +197,22 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
         raise ValueError(f"x0 components must be finite and below the "
                          f"blow-up guard {BLOWUP_GUARD:g}, got {x0!r}")
     eta0, eta1 = map(float, eta_span)
-    sign = 1.0 if eta1 > eta0 else -1.0
     growth = spectral_data(consts).lambda1 * abs(eta1 - eta0)
     rtol = tol * math.exp(-growth)
     try:
-        status, t_end, _, _, segments = dop853.drive(
-            _kernel(sign < 0), _field_constants(consts), _guard, sign * eta0,
-            tuple(map(float, x0)), sign * eta1, rtol, dense=True)
+        status, eta_end, _, _, segments = dop853.drive(
+            _kernel(), _field_constants(consts), _guard, eta0,
+            tuple(map(float, x0)), eta1, rtol, dense=True)
     except RuntimeError as e:
         raise RuntimeError(f"phase integration failed: {e}") from None
-    eta_end = sign * t_end
-    if status == -1:
+    if status == -1 and not segments:
         raise RuntimeError(f"phase integration failed at eta={eta_end:.6g}: "
                            "the step size fell below ten ulps")
     etas = np.linspace(eta0, eta_end, 2001)
-    X, Y, Z = dop853.sample(segments, t_end, sign * etas)
-    notes = [f"blow-up guard at eta={eta_end:.6g}"] if status == 1 else []
+    X, Y, Z = dop853.sample(segments, eta_end, etas)
+    stop = {1: "blow-up guard", -1: "step size fell below ten ulps"}.get(
+        status)
+    notes = [f"{stop} at eta={eta_end:.6g}"] if stop else []
     if rtol < dop853.RTOL_FLOOR:
         bound = tol / rtol * dop853.RTOL_FLOOR if rtol else math.inf
         notes.append(f"tol={tol:g} not held: steps at the 100-ulp rtol floor "

@@ -301,6 +301,12 @@ class TestExitCodes:
          "on W_EXCEEDS_KSTAR"),
         (0, ("classify", "--N", "1", "--p", "1.85", "--q", "0.9",
              "--a", "9.9e11"), "overflow guard tripped"),
+        # the step size is below its ten-ulp floor before the first step:
+        # no path to sample
+        (3, ("phase", "--x0=0.15,0.35,9e11", "--span=20,0", *N1,
+             "--outdir", "{tmp}"),
+         "phase integration failed at eta=20: the step size fell below ten "
+         "ulps"),
     ])
     def test_exit_code_table(self, capsys, find_dir, tmp_path, code, argv,
                              needle):
@@ -683,6 +689,23 @@ class TestPhase:
         assert d["detail"].startswith("tol=1e-10 not held")
         assert err == f"warning: {d['detail']}\n"
 
+    def test_free_integration_to_the_step_floor_ends_the_path(self, capsys,
+                                                              tmp_path):
+        # backward in eta this orbit blows up in finite time: its step size
+        # reaches the ten-ulp floor near eta = 17.96, with Y about 2e11,
+        # before any component reaches the 1e12 guard; the path ends
+        # there, as at the guard, and the floor note heads the warning
+        code, d, err = run_json(capsys, "phase", "--x0", "0.15,0.35,0.6667",
+                                "--span=20,0", *N1, "--outdir", str(tmp_path))
+        assert code == 0
+        assert d["detail"].startswith(
+            "step size fell below ten ulps at eta=17.9573; ")
+        assert err == f"warning: {d['detail']}\n"
+        eta, _, Y, _ = map(float, (tmp_path / "phasepath.csv").read_text()
+                           .splitlines()[-1].split(","))
+        assert eta == pytest.approx(17.9573, abs=5e-5)
+        assert 1e11 < Y < 1e12
+
     def test_x0_without_params_is_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "phase", "--x0", "0.1,0.1,0.6",
                            "--outdir", str(tmp_path))
@@ -769,6 +792,20 @@ class TestFrozenDigests:
                          "--outdir", str(tmp_path)]) == 0
         for name in ("phasepath.csv", "ratefit.json"):
             assert sha256_of(tmp_path / name) == FROZEN_SHA256[name], name
+
+    # `phase --x0` from (0.15, 0.35, 0.6667) at N1, one span each way,
+    # frozen when a backward span came to be stepped backward (the file
+    # kept its bytes)
+    @pytest.mark.parametrize("span, digest", [
+        ("3,1",
+         "6971ba44faa85a45064fbd62bca2a01473aa3e09213e822a94d4a8e7df88010b"),
+        ("0,10",
+         "5560a1f4f0a92522235530f47a527770aecfff3947ff9de83d86acc553447c0c"),
+    ])
+    def test_phase_free_integration(self, tmp_path, span, digest):
+        assert cli.main(["phase", "--x0=0.15,0.35,0.6667", f"--span={span}",
+                         *N1, "--outdir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "phasepath.csv") == digest
 
     def test_pde_metrics(self, find_dir, tmp_path):
         out = tmp_path / "metrics.json"

@@ -98,7 +98,7 @@ class TestExplicitOrbit:
 
     @pytest.mark.parametrize("rho", [0.1, -0.1, 0.01, -0.01])
     def test_backward_span_matches(self, consts1, rho):
-        # eta from 10 back to 0, solved in t = -eta on the field negated
+        # eta from 10 back to 0, stepped backward
         assert orbit_error(consts1, rho, backward=True) <= 1e-7
 
     def test_span_past_the_rtol_floor_says_so(self, consts1):

@@ -1185,28 +1185,46 @@ def test_nan_step_size_ends_the_solve():
     assert res.stdout.strip() == "-1"
 
 
-def test_backward_bound_raises():
-    # a bound at or behind the start (or NaN) once spun the step loop
-    # without end; the subprocess and its timeout keep a regression from
-    # stalling the suite
+def _drive_in_subprocess(*lines):
+    """Run lines after the shooting kernel's drive arguments at (1, 1.2,
+    0.5) are set up as `args`, in a new process: a bound the step loop
+    never reaches once spun it without end, and the subprocess and its
+    timeout keep a regression from stalling the suite."""
     code = "\n".join([
         "import math",
         "from extinction import derive_constants, dop853, shooter",
         "c = derive_constants(1, 1.2, 0.5)",
-        "for bound in (1.0, 2.0, math.nan):",
-        "    try:",
-        "        dop853.drive(shooter._SHOOTING, shooter._rhs_constants(c),",
-        "                     shooter._make_events(c), 2.0, (0.5, 0.1),",
-        "                     bound, 1e-10, False)",
-        "    except ValueError as e:",
-        "        print(e)"])
+        "args = (shooter._SHOOTING, shooter._rhs_constants(c),",
+        "        shooter._make_events(c))", *lines])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [
-        f"r_bound must exceed the start r=2.0, got {b}"
-        for b in ("1.0", "2.0", "nan")]
+    return res.stdout.splitlines()
+
+
+def test_bound_at_the_start_raises():
+    assert _drive_in_subprocess(
+        "for bound in (2.0, math.nan):",
+        "    try:",
+        "        dop853.drive(*args, 2.0, (0.5, 0.1), bound, 1e-10, False)",
+        "    except ValueError as e:",
+        "        print(e)") == [
+        f"r_bound must differ from the start r=2.0, got {b}"
+        for b in ("2.0", "nan")]
+
+
+def test_bound_behind_the_start_integrates():
+    # out from the series start at a = 2.3 to r = 2, then back: f returns
+    # to a, both halves reaching their bounds
+    out = _drive_in_subprocess(
+        "r0 = shooter._default_r0(c, 2.3)",
+        "out = dop853.drive(*args, r0, shooter.series_start(c, 2.3, r0),",
+        "                   2.0, 1e-12, False)",
+        "back = dop853.drive(*args, 2.0, out[2], r0, 1e-12, False)",
+        "print(out[:2], back[:2] == (0, r0), back[2][0])")
+    assert out[0].startswith("(0, 2.0) True ")
+    assert float(out[0].split()[-1]) == pytest.approx(2.3, rel=1e-9)
 
 
 def test_ode_residual_small_on_profile(star1, consts1):
