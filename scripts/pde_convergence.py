@@ -6,8 +6,10 @@ profile, then `pde` on each grid of --M, and reports the fitted sup-norm
 and L1 extinction exponents against their exact values alpha and
 alpha - N beta, plus the self-similar shape error at the end of the run.
 The time steps are lagged-mobility implicit BDF2 steps with
-dt ~ 1e-3 (T-t), 1611 of them to t = 0.8 T, with a time error of
-O(dt_frac^2); the step count does not grow with M.  The shape error
+dt ~ 2e-3 (T-t) to t = 0.8 T, with a time error of O(dt_frac^2), and
+at most half the absorption bound at the self-similar largest slope; the
+step count grows with M only where that cap binds (from about M = 3,200
+on the N=1 profile at L = 40).  The shape error
 should shrink as M grows; the exponent fits saturate early because they
 average over checkpoints.  Artifacts land in --outdir: constants.json, the `find`
 files, metrics_M<M>.json per grid, and sweep.json.

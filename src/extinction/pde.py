@@ -19,9 +19,13 @@ mobility lagged and the absorption explicit, both at the extrapolated
 state (one tridiagonal solve per step); at step ratio 0 it is backward
 Euler.  run_and_measure steps through the same kernel at
 dt ~ dt_frac (T-t), planned in tau = ln(T/(T-t)), with a time error of
-O(dt_frac^2).  That schedule depends on t alone, so it is fixed before
-the first step: one `exact` call gives every Dirichlet ghost, one
-step kernel holds the grid geometry, and the loop advances a bare array.
+O(dt_frac^2).  The explicit absorption's bound dt <= 0.4 dx / (q G^{q-1})
+(G the largest slope) is planned in as a cap, half the bound at the
+self-similar slope G(t) = G0 ((T-t)/T)^{alpha+beta} from the initial
+datum's G0, and still checked on every step.  That schedule depends on t
+and the initial datum alone, so it is fixed before the first step: one
+`exact` call gives every Dirichlet ghost, one step kernel holds the grid
+geometry, and the loop advances a bare array.
 
 The mobility floor eps under-transports wherever the true |s| < eps, so a
 fixed eps stalls refinement; eps shrinks with both the mesh and the
@@ -63,6 +67,9 @@ NEG_CLIP_TOL = 1e-10
 KAPPA = 0.016
 # zero-stability limit of the variable-step BDF2 step ratio
 _OMEGA_MAX = 1.0 + math.sqrt(2.0)
+# explicit absorption bound dt <= _CFL dx / (q G^{q-1}), G the max slope:
+# checked on every step, and planned into run_and_measure's schedule
+_CFL = 0.4
 
 
 @dataclass(frozen=True)
@@ -231,7 +238,7 @@ def _make_step(grid: RadialGrid, consts: DerivedConstants):
         np.divide(s1, dx, out=s1)
         # absorption CFL, G = max |s| (NaN first); argmax beats a reduce
         G = float(max(s[s.argmax()], -s[s.argmin()]))
-        if G > 0.0 and dt > (cfl := 0.4 * dx / (q * G ** (q - 1.0))):
+        if G > 0.0 and dt > (cfl := _CFL * dx / (q * G ** (q - 1.0))):
             raise RuntimeError(f"dt={dt:.3g} violates absorption CFL "
                                f"{cfl:.3g}")
         # mobilities; ipow is `**=`, dispatched as `**` is (0.5: np.sqrt)
@@ -318,16 +325,39 @@ def implicit_step(fld: SelfSimilarField, grid: RadialGrid, eps_reg: float,
                             n_clipped=fld.n_clipped + n_clip)
 
 
-def _schedule(T: float, cks, dt_frac: float):
+def _absorption_cap(fld0: SelfSimilarField, grid: RadialGrid):
+    """The absorption bound planned as a cap on the tau-step: c(t) =
+    (1/2) _CFL dx / (q G(t)^{q-1}) / (T - t), with the self-similar
+    largest slope G(t) = G0 ((T - t) / T)^{alpha + beta} and G0 the
+    initial datum's largest slope over the faces between its cells.  A
+    step dt <= c(t) (T - t) is at most half the bound at G(t).  None for
+    G0 = 0: zero data has no absorption, and the per-step check skips
+    G = 0 as well."""
+    G0 = float(np.abs(np.diff(fld0.values)).max(initial=0.0)) / grid.dx
+    if not G0 > 0.0:
+        return None
+    T, q, ab = fld0.T, fld0.consts.q, fld0.consts.alpha + fld0.consts.beta
+    half = 0.5 * _CFL * grid.dx / q
+
+    def cap(t):
+        return half / (G0 * ((T - t) / T) ** ab) ** (q - 1.0) / (T - t)
+
+    return cap
+
+
+def _schedule(T: float, cks, dt_frac: float, cap=None):
     """Step times from t = 0 through the checkpoints cks, and the BDF2
     step ratio of each step.
 
-    Each checkpoint interval is split into ceil(d tau / dt_frac) equal
-    steps of tau = ln(T / (T - t)), so dt ~ dt_frac (T - t) and a step
-    ratio omega ~ 1 - dt_frac.  A time advances with the float operations
-    of a step, t + dt, and the last step of an interval is dt = c - t, so
-    every checkpoint is hit exactly (c - t is exact when t >= c / 2).
-    The first step, and any step with omega > 1 + sqrt(2) (the one after
+    Each checkpoint interval is split into ceil(d tau / h) equal steps of
+    tau = ln(T / (T - t)), where h = min(dt_frac, cap(t), cap(c)) at the
+    interval's ends t and c (h = dt_frac without a cap), so
+    dt ~ h (T - t) and a step ratio omega ~ 1 - h.  The cap is
+    _absorption_cap's c(t), a power of T - t, so its smaller end value
+    bounds it over the interval.  A time advances with the float
+    operations of a step, t + dt, and the last step of an interval is
+    dt = c - t, so every checkpoint is hit exactly (c - t is exact when
+    t >= c / 2).  The first step, and any step with omega > 1 + sqrt(2) (the one after
     a short first interval), are backward Euler, omega = 0; the others are
     BDF2 at omega = dt / (t - t_prev).  Returns (times, dts, oms, hits):
     step k goes from times[k] to times[k+1] by dts[k] at ratio oms[k], and
@@ -337,7 +367,8 @@ def _schedule(T: float, cks, dt_frac: float):
     t = 0.0
     for c in cks:
         dtau = math.log((T - t) / (T - c))
-        n = math.ceil(dtau / dt_frac)
+        h = dt_frac if cap is None else min(dt_frac, cap(t), cap(c))
+        n = math.ceil(dtau / h)
         shrink = -math.expm1(-dtau / n)
         for j in range(n):
             dt = c - t if j == n - 1 else (T - t) * shrink
@@ -351,7 +382,7 @@ def _schedule(T: float, cks, dt_frac: float):
 
 
 def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
-                    dt_frac: float = 1e-3) -> ExtinctionMetrics:
+                    dt_frac: float = 2e-3) -> ExtinctionMetrics:
     """Evolve from t = 0 to t_end by implicit_step's kernel; fit exponents.
 
     fld0 must be at t = 0 (as build_initial gives it) and t_end in
@@ -369,31 +400,42 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     values) is its max |u|, so the result is bit-identical to calling
     implicit_step along the same schedule.  The step follows the time
     scale T-t of the self-similar decay, so the step count
-    ~ ln(T/(T-t_end))/dt_frac is independent of the grid.  Slopes of
+    ~ ln(T/(T-t_end))/dt_frac is independent of the grid wherever the
+    absorption cap does not bind (below).  Slopes of
     ln sup u and ln of the r^{N-1}-weighted L1 norm in ln(T-t) are
     fitted over checkpoints with T-t < 0.9 T, past initial transients; a
     t_end that leaves fewer than two of them raises RuntimeError before
-    any step is taken.  The time error is O(dt_frac^2): the alpha
-    differences of a dt_frac ladder shrink by about 4 per halving.  The
-    default dt_frac = 1e-3 (1611 steps to t_end = 0.8 T) puts alpha
-    within 1e-4 of its Richardson dt -> 0 value and the self-similar error
-    within 1e-4 of every finer rung down to 1e-4, at M = 400 and 800.
+    any step is taken; so does a dt_frac that is not finite and > 0
+    (ValueError).  The time error is O(dt_frac^2): the alpha differences
+    of a dt_frac ladder shrink by about 4 per halving.  The default
+    dt_frac = 2e-3 (806 steps to t_end = 0.8 T) puts alpha within 3.9e-4
+    and the self-similar error within 4.3e-4 of the dt_frac = 5e-4 run at
+    M = 100, 200, 400 and 800 on the N=1 profile (1, 1.2, 0.5) with
+    L = 40 (3.6e-4 and 2.1e-4 at M = 400): about an eighth of their
+    change from M = 400 to 800 or less.
 
     n_clipped counts, over all steps, the cells clipped from below
     -1e-10 ||u||_inf.  The clipping is not rounding-scale: in the far
     field, where u is near 1e-8 of its sup, the explicit absorption
-    undershoots by up to a few 1e-8 sup per step (tens of thousands of
+    undershoots by up to a few 1e-8 sup per step (12,700-22,000
     cell-steps at M = 200-800 with the default dt_frac).
-    A step that violates the absorption bound raises RuntimeError.  The
-    planned steps cannot see the slopes, so the bound caps the grid: on
-    the N=1 profile (1, 1.2, 0.5) with L = 40 and the default dt_frac it
-    trips near t_end from M of about 7,800 (dx = 5.1e-3): M = 6,400 runs
-    and 9,600 trips at every floor from KAPPA = 1e-6 to 0.016.  The limit
-    on M scales like 1 / dt_frac (at 5e-4, 15,000 runs and 15,800 trips).
+    The absorption bound is planned as a cap (_absorption_cap): each
+    checkpoint interval's tau-step is at most half the bound at the
+    self-similar largest slope, over T - t, at both ends of the interval.
+    On that profile it binds from about M = 3,200 (869 steps; 1,220 at
+    M = 6,400, 1,662 at 9,600), so M = 8,000 and 9,600 run where dt_frac
+    alone trips the bound.  A step that still violates the bound raises
+    RuntimeError: the plan follows the exact solution's slopes, not the
+    discrete ones, and fails where the discrete solution has collapsed
+    far below the exact one.  At L = 40 the grids M = 30-32 trip at steps
+    755-804 of 806 (sup 2e-5, largest slope 2e-7), and on the profile
+    (1, 1.15, 0.4475) M = 100 trips at step 618.
     """
     T = fld0.T
     if fld0.t != 0.0:
         raise ValueError(f"the run starts at t = 0, got t={fld0.t!r}")
+    if not (math.isfinite(dt_frac) and dt_frac > 0.0):
+        raise ValueError(f"dt_frac must be finite and > 0, got {dt_frac!r}")
     if not (0.0 < t_end <= 0.8 * T):
         raise ValueError(f"t_end must lie in (0, 0.8 T], got {t_end!r}")
     consts = fld0.consts
@@ -414,7 +456,8 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
             f"t_end={t_end:.3g} leaves {n_fit} checkpoint(s) with "
             "T-t < 0.9 T; the exponent fits need at least 2")
     step = _make_step(grid, consts)
-    times, dts, oms, hits = _schedule(T, cks, dt_frac)
+    times, dts, oms, hits = _schedule(T, cks, dt_frac,
+                                      _absorption_cap(fld0, grid))
     # the Dirichlet ghost at the end of each step
     ghosts = fld0.exact(np.array(times[1:]), grid.L + 0.5 * grid.dx)
     out = []

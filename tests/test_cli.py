@@ -723,12 +723,13 @@ class TestPhase:
 # (1, 1.2, 0.5), frozen at commit 188ddb4, and `pde --M 100` on its
 # profile, re-frozen when run_and_measure moved to BDF2 steps at
 # dt_frac = 1e-3, when the initial profile became the cubic Hermite
-# interpolant on the stored slopes, and when the backward Euler steps
-# took the new-time ghost as BDF2's do.  profile.csv was re-frozen when
-# it came to hold the ODE state (r, f, F) alone: the parent's file with
-# the fprime, w, Wtail and E fields deleted, and again when r0 became
-# r[0]: the parent's file without its `# r0` line.  A refactor must leave
-# every byte of them as it was.
+# interpolant on the stored slopes, when the backward Euler steps took
+# the new-time ghost as BDF2's do, and when the default became
+# dt_frac = 2e-3 with the absorption bound planned as a cap (806 steps).
+# profile.csv was re-frozen when it came to hold the ODE state (r, f, F)
+# alone: the parent's file with the fprime, w, Wtail and E fields
+# deleted, and again when r0 became r[0]: the parent's file without its
+# `# r0` line.  A refactor must leave every byte of them as it was.
 # `phase --from-profile` on that profile is pinned too, frozen when
 # lambda3, Vinf and A_from_Vinf became the Z-gap fit that fit_tail shares:
 # phasepath.csv was unchanged by it and ratefit.json moved then, so any
@@ -747,7 +748,7 @@ FROZEN_SHA256 = {
     "tailfit.json":
         "34585dd74b590664603feb5fec5cfa76b944667288578ea2d3bec21045fa23cf",
     "metrics.json":
-        "186137d77fd6e5196d46b406b092d89190fb53d358fe28101a2f9686ce4575e1",
+        "ee157d371d1540d089675487cfe4fe71b4f40f077d48e7c36f49110968d9df85",
     "phasepath.csv":
         "f402a29bee879f26cbdbb6550cc4ec30ae975719734463c06df8c7e50520c511",
     "ratefit.json":

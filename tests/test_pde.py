@@ -1,6 +1,7 @@
 """Radial finite-volume solver and extinction-rate measurement."""
 
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -50,6 +51,24 @@ def field100(star1, consts1):
     _, traj, _ = star1
     grid = RadialGrid(L=40.0, M=100)
     return build_initial(traj, consts1, T=1.0, grid=grid), grid
+
+
+@pytest.fixture(scope="module")
+def field400(star1, consts1):
+    _, traj, _ = star1
+    grid = RadialGrid(L=40.0, M=400)
+    return build_initial(traj, consts1, T=1.0, grid=grid), grid
+
+
+@pytest.fixture(scope="module")
+def field8000(star1, consts1):
+    """The M=8000 field, where the planned absorption cap binds."""
+    _, traj, _ = star1
+    grid = RadialGrid(L=40.0, M=8000)
+    return build_initial(traj, consts1, T=1.0, grid=grid), grid
+
+
+DT_FRAC = inspect.signature(run_and_measure).parameters["dt_frac"].default
 
 
 class TestRadialGrid:
@@ -502,6 +521,38 @@ class TestSchedule:
         assert max(bdf_om) <= 1.0 + math.sqrt(2.0)
         assert 0.998 < min(bdf_om) and max(bdf_om) < 1.0
 
+    def test_cap_is_half_the_planned_bound(self, field8000, consts1):
+        # every planned step is at most half the absorption bound at the
+        # self-similar largest slope G(t) = G0 (T - t)^{alpha + beta} at
+        # its start; at M=8000 the cap binds and adds steps
+        fld, grid = field8000
+        cks = self.checkpoints(0.8)
+        times, dts, _, _ = _schedule(1.0, cks, DT_FRAC,
+                                     pde._absorption_cap(fld, grid))
+        assert len(dts) > 806
+        G0 = np.abs(np.diff(fld.values)).max() / grid.dx
+        G = G0 * (1.0 - np.array(times[:-1])) ** (consts1.alpha
+                                                  + consts1.beta)
+        bound = 0.4 * grid.dx / (consts1.q * G ** (consts1.q - 1.0))
+        assert np.all(np.array(dts) <= 0.5 * bound)
+
+    def test_cap_that_does_not_bind_leaves_the_plan(self, field400):
+        # at M=400 the cap stays above dt_frac: the dt_frac-only plan
+        fld, grid = field400
+        cks = self.checkpoints(0.8)
+        plan = _schedule(1.0, cks, DT_FRAC)
+        assert len(plan[1]) == 806
+        assert _schedule(1.0, cks, DT_FRAC,
+                         pde._absorption_cap(fld, grid)) == plan
+
+    def test_zero_data_plans_no_cap(self, consts1):
+        # no slope, no absorption: the per-step check skips G = 0 too
+        grid = RadialGrid(L=40.0, M=100)
+        zero = lambda r: np.zeros_like(np.asarray(r, float))
+        fld = SelfSimilarField(T=1.0, t=0.0, values=np.zeros(100),
+                               profile=zero, consts=consts1)
+        assert pde._absorption_cap(fld, grid) is None
+
     def test_second_order_in_dt(self, field100):
         # alpha differences shrink by about 4 per halving of dt_frac
         fld, grid = field100
@@ -516,16 +567,17 @@ class TestRunAndMeasure:
     # dt = 0.35 dx^2 eps^{2-p}, a kernel since deleted, as the dt -> 0
     # reference of the implicit run: the BDF2 run at dt_frac = 1e-4
     # reproduces the M=200 exponents to 2e-4 and the M=100 ones to 1e-3,
-    # and at the default 1e-3 it stays within the tolerances below.
+    # and at the default 2e-3 it stays within the tolerances below.
     def test_frozen_coarse_run(self, run200):
         m = run200
         assert m.stable
         assert m.alpha_est == pytest.approx(3.6353, abs=5e-3)
         assert m.l1_exponent_est == pytest.approx(2.0163, abs=5e-3)
         assert m.selfsim_error == pytest.approx(0.19304, rel=1e-2)
-        # dt ~ 1e-3 (T-t): ceil(ln(5) / 23 / 1e-3) = 70 tau-steps in each
-        # of the 23 checkpoint intervals, plus the one step to the first
-        assert m.steps == 1611
+        # dt ~ 2e-3 (T-t): ceil(ln(5) / 23 / 2e-3) = 35 tau-steps in each
+        # of the 23 checkpoint intervals, plus the one step to the first:
+        # 23 * 35 + 1
+        assert m.steps == 806
 
     def test_matches_explicit_limit_m100(self, field100, consts1):
         # explicit-scheme values at M=100 (42002 steps)
@@ -535,11 +587,44 @@ class TestRunAndMeasure:
         assert m.l1_exponent_est == pytest.approx(1.9821, abs=5e-3)
         assert m.selfsim_error == pytest.approx(0.27851, rel=1e-2)
 
-    def test_absorption_cfl_violation_raises(self, field1, consts1):
-        fld, grid = field1
+    def test_absorption_cfl_violation_raises(self, star1, consts1):
+        # at M=30 the discrete solution collapses far below the planned
+        # slope G(t) (sup 2e-5, largest slope 2e-7), so the cap does not
+        # hold and the per-step guard trips late in the run; at
+        # dt_frac = 1e-3 the same grid runs
+        _, traj, _ = star1
+        grid = RadialGrid(L=40.0, M=30)
+        fld = build_initial(traj, consts1, T=1.0, grid=grid)
         with pytest.raises(RuntimeError, match="absorption CFL"):
-            run_and_measure(fld, grid, t_end=0.8,
-                            dt_frac=0.05)
+            run_and_measure(fld, grid, t_end=0.8)
+        assert run_and_measure(fld, grid, t_end=0.8, dt_frac=1e-3).stable
+
+    @pytest.mark.parametrize("dt_frac", [0.0, -1e-3, math.inf, math.nan])
+    def test_dt_frac_not_finite_and_positive_refused(self, field100,
+                                                     dt_frac):
+        # these once raised ZeroDivisionError, or ValueError "cannot
+        # convert float NaN to integer"
+        fld, grid = field100
+        with pytest.raises(ValueError,
+                           match="dt_frac must be finite and > 0, got"):
+            run_and_measure(fld, grid, t_end=0.8, dt_frac=dt_frac)
+
+    def test_cap_keeps_fine_grids(self, field8000):
+        # the doubled step without the cap trips the bound near t_end at
+        # M=8000; the planned cap adds steps where it binds
+        fld, grid = field8000
+        m = run_and_measure(fld, grid, t_end=0.8)
+        assert m.stable
+        assert m.steps > 806
+
+    def test_default_time_error_budget(self, field400):
+        # the docstring's budget: at M=400 the default's alpha and selfsim
+        # lie within 5e-4 of the dt_frac = 5e-4 run
+        fld, grid = field400
+        m = run_and_measure(fld, grid, t_end=0.8)
+        ref = run_and_measure(fld, grid, t_end=0.8, dt_frac=5e-4)
+        assert abs(m.alpha_est - ref.alpha_est) <= 5e-4
+        assert abs(m.selfsim_error - ref.selfsim_error) <= 5e-4
 
     def test_kappa_zero(self, field100, monkeypatch):
         # no floor: face 0 carries no flux and takes no power of its zero
@@ -627,7 +712,8 @@ class TestRunAndMeasure:
         cks = [t for t, _ in m.snapshots]
         u_snaps = [u for _, u in m.snapshots]
         u_last = u_snaps[-1]
-        times, dts, oms, hits = _schedule(1.0, cks, 1e-3)
+        times, dts, oms, hits = _schedule(1.0, cks, DT_FRAC,
+                                          pde._absorption_cap(fld, grid))
         assert [t for t, h in zip(times[1:], hits) if h] == cks
         eps0 = pde.KAPPA * grid.dx
         expo = consts1.alpha + consts1.beta
@@ -664,7 +750,7 @@ class TestRunAndMeasure:
 
         m = run_and_measure(dataclasses.replace(fld, profile=counting),
                             grid, t_end=0.8)
-        assert m.steps == 1611
+        assert m.steps == 806
         assert len(calls) <= 1 + 24
 
     def test_metrics_json_schema(self, run200):
