@@ -16,8 +16,8 @@ sink -eps^q) and break nonnegativity of compactly supported data.
 
 Time: implicit_step is one update formula, variable-step BDF2 with the
 mobility lagged and the absorption explicit, both at the extrapolated
-state (one tridiagonal solve per step); at step ratio 0 it is backward
-Euler.  run_and_measure steps through the same kernel at
+state (one tridiagonal solve per step, by LAPACK's dgtsv); at step ratio
+0 it is backward Euler.  run_and_measure steps through the same kernel at
 dt ~ dt_frac (T-t), planned in tau = ln(T/(T-t)), with a time error of
 O(dt_frac^2).  The explicit absorption's bound dt <= 0.4 dx / (q G^{q-1})
 (G the largest slope) is planned in as a cap, half the bound at the
@@ -36,10 +36,18 @@ not record it.
 SelfSimilarField.exact is the one reconstruction of the exact solution
 (initial data, Dirichlet ghost, reference of the self-similar error).
 The module writes no file: metrics_json and snapshot_csv return text.
+
+The tridiagonal solve calls LAPACK's dgtsv (Anderson et al., LAPACK
+Users' Guide, 3rd ed., SIAM 1999) through ctypes in the LAPACK that numpy
+links: the shared object of numpy.linalg.lapack_lite exports it as the
+ILP64 symbol scipy_dgtsv_64_, whose integer arguments are 64-bit.  With
+a numpy that lacks the symbol, building a step kernel raises RuntimeError.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -210,27 +218,65 @@ def build_initial(traj, consts: DerivedConstants, T: float,
     return fld
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK's dgtsv(n, nrhs, dl, d, du, b, ldb, info) from numpy's LAPACK,
+    every argument by reference and the integers 64-bit; looked up once."""
+    from numpy.linalg import lapack_lite
+    try:
+        fn = ctypes.CDLL(lapack_lite.__file__).scipy_dgtsv_64_
+    except AttributeError:
+        raise RuntimeError("numpy's LAPACK (numpy.linalg.lapack_lite) does "
+                           "not export scipy_dgtsv_64_") from None
+    fn.restype = None
+    return fn
+
+
+def _tridiagonal_solve(dl, d, du, b):
+    """solve() runs dgtsv on these float64 buffers in place: b becomes the
+    solution of the system with sub-, main and super-diagonals dl, d and
+    du, which it overwrites; info != 0 raises RuntimeError.  The arguments
+    (whose pointers keep their buffers alive) are built here once:
+    building them costs about three times the call."""
+    n, nrhs = ctypes.c_int64(d.size), ctypes.c_int64(1)
+    info = ctypes.c_int64()
+    args = (ctypes.byref(n), ctypes.byref(nrhs),
+            *(a.ctypes.data_as(ctypes.c_void_p) for a in (dl, d, du, b)),
+            ctypes.byref(n), ctypes.byref(info))
+    fn = _dgtsv()
+
+    def solve():
+        fn(*args)
+        if info.value != 0:
+            raise RuntimeError(f"tridiagonal solve failed: info={info.value}")
+
+    return solve
+
+
 def _make_step(grid: RadialGrid, consts: DerivedConstants):
     """implicit_step's update on `grid` as step(u, u_prev, om, eps, dt,
     ghost, sup) -> (new, n_clip, max(new)), with sup = ||u||_inf; om = 0
     is backward Euler.  The work arrays ([u*, ghost], face slopes and
-    weights, both 0 at face 0, mobilities, absorption) are made here
-    once; `new` is a fresh array.  The weights are stored negated, as the
-    matrix's off-diagonals."""
-    from scipy.linalg.lapack import dgtsv
-
+    weights, both 0 at face 0, mobilities, absorption, the right side) and
+    the dgtsv call on them (_tridiagonal_solve) are made here once; `new`
+    is a fresh array.  The weights are stored negated, as the matrix's
+    off-diagonals."""
     M, dx, q, e_mob = grid.M, grid.dx, consts.q, 0.5 * (consts.p - 2.0)
     V, Af1 = grid.cell_volumes(consts.N), grid.face_areas(consts.N)[1:]
     ext, s, w = np.empty(M + 1), np.zeros(M + 1), np.zeros(M + 1)
-    mob, ab, tmp = np.empty(M), np.empty(M), np.empty(M)
+    mob, ab, tmp, h = np.empty(M), np.empty(M), np.empty(M), np.empty(M)
+    du = np.empty(M - 1)
     us, ext1 = ext[:M], ext[1:]
     s0, s1, w0, w1, wm = s[:-1], s[1:], w[:-1], w[1:], w[1:M]
+    # dgtsv overwrites both off-diagonals: the sub one is w's interior
+    # faces, rebuilt every step, and the super one their copy in du
+    solve = _tridiagonal_solve(wm, tmp, du, h)
 
     def step(u, u_prev, om, eps, dt, ghost, sup):
         a0 = (1.0 + 2.0 * om) / (1.0 + om)
         np.multiply(1.0 + om, u, out=ab)
         np.multiply(om * om / (1.0 + om), u_prev, out=tmp)
-        h = ab - tmp
+        np.subtract(ab, tmp, out=h)
         np.multiply(om, u_prev, out=tmp)
         np.subtract(ab, tmp, out=us)
         ext[M] = ghost
@@ -259,12 +305,10 @@ def _make_step(grid: RadialGrid, consts: DerivedConstants):
         np.multiply(a0, V, out=tmp)
         np.subtract(tmp, w0, out=tmp)
         np.subtract(tmp, w1, out=tmp)
-        # both off-diagonals: dgtsv copies them (no overwrite flag)
-        new, info = dgtsv(wm, tmp, wm, h, overwrite_d=1, overwrite_b=1)[3:]
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed: info={info}")
-        n_clip = int(np.count_nonzero(new < -NEG_CLIP_TOL * (sup or 1.0)))
-        np.maximum(new, 0.0, out=new)
+        np.copyto(du, wm)
+        solve()
+        n_clip = int(np.count_nonzero(h < -NEG_CLIP_TOL * (sup or 1.0)))
+        new = np.maximum(h, 0.0)
         return new, n_clip, float(new[new.argmax()])
 
     return step
@@ -430,6 +474,11 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
     far below the exact one.  At L = 40 the grids M = 30-32 trip at steps
     755-804 of 806 (sup 2e-5, largest slope 2e-7), and on the profile
     (1, 1.15, 0.4475) M = 100 trips at step 618.
+
+    A run is stable until a checkpoint finds u not finite or its sup 0:
+    coarser still, at M = 11-16 at L = 40 on the N=1 profile, the
+    discrete solution dies out before t_end.  An unstable run stops at that
+    checkpoint, keeps the snapshots before it and fits no exponent (NaN).
     """
     T = fld0.T
     if fld0.t != 0.0:
@@ -470,8 +519,10 @@ def run_and_measure(fld0: SelfSimilarField, grid: RadialGrid, t_end: float,
         new, n_clip, top = step(u, u_prev, om, eps, dt, ghosts[k], top)
         u_prev, u = u, new
         n_clipped += n_clip
+        # a checkpoint with a NaN or inf, or where the discrete solution
+        # has died out (sup 0, whose log the fits cannot take), ends the run
         if hit:
-            if not np.all(np.isfinite(u)):
+            if not 0.0 < top < math.inf:
                 stable = False
                 break
             out.append((times[k + 1], u))

@@ -719,7 +719,7 @@ class TestPhase:
         assert code == 1
 
 
-# sha256 of the N=1 artifacts (numpy 2.4.6, scipy 1.17.1): `find` at
+# sha256 of the N=1 artifacts (numpy 2.4.6): `find` at
 # (1, 1.2, 0.5), frozen at commit 188ddb4, and `pde --M 100` on its
 # profile, re-frozen when run_and_measure moved to BDF2 steps at
 # dt_frac = 1e-3, when the initial profile became the cubic Hermite
@@ -826,6 +826,18 @@ class TestPde:
         d = json.loads(out.read_text())
         assert d["stable"]
         assert d["alpha_est"] == pytest.approx(3.67, abs=0.05)
+
+    def test_solution_that_dies_out_is_3(self, find_dir, tmp_path):
+        # at M = 12 (L = 40) the discrete solution dies out before t_end:
+        # the run is unstable, and no log is taken of its sup 0
+        res = _cli_subprocess(tmp_path, ("pde", "--profile",
+                                         str(find_dir / "profile.csv"),
+                                         "--M", "12"))
+        assert res.returncode == 3
+        d = json.loads(res.stdout)
+        assert d["stable"] is False
+        assert d["alpha_est"] is None and d["l1_exponent_est"] is None
+        assert "RuntimeWarning" not in res.stderr
 
     def test_too_short_is_3(self, capsys, find_dir):
         code, d, _ = run_json(capsys, "pde", "--profile",

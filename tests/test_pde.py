@@ -1,5 +1,6 @@
 """Radial finite-volume solver and extinction-rate measurement."""
 
+import ctypes
 import dataclasses
 import inspect
 import math
@@ -439,7 +440,6 @@ class TestBDF2Step:
         # with k and s at u* = (1+w) u - w u_prev and the ghost at the new
         # time; the matrix handed to dgtsv is that a0 V + dt K, and it is
         # an M-matrix
-        import scipy.linalg.lapack as lapack
         consts = consts1 if N == 1 else consts2
         p, q = consts.p, consts.q
         grid = RadialGrid(L=100.0, M=10)
@@ -451,13 +451,18 @@ class TestBDF2Step:
                                 consts=consts)
         fld = dataclasses.replace(prev, t=0.125, values=u, n_clipped=3)
         eps, dt = 0.016 * dx, 0.1
-        real, calls = lapack.dgtsv, []
+        real, calls = pde._dgtsv(), []
 
-        def spy(dl, d, du, b, **kw):
-            calls.append((dl.copy(), d.copy(), du.copy(), b.copy()))
-            return real(dl, d, du, b, **kw)
+        def spy(n, nrhs, *ptrs):
+            # dgtsv(n, nrhs, dl, d, du, b, ldb, info): read dl, d, du and
+            # b through their pointers before the real call
+            calls.append(tuple(
+                np.ctypeslib.as_array(ctypes.cast(a, dbl), (k,)).copy()
+                for a, k in zip(ptrs, (M - 1, M, M - 1, M))))
+            return real(n, nrhs, *ptrs)
 
-        monkeypatch.setattr(lapack, "dgtsv", spy)
+        dbl = ctypes.POINTER(ctypes.c_double)
+        monkeypatch.setattr(pde, "_dgtsv", lambda: spy)
         new = implicit_step(fld, grid, eps, dt, prev)
 
         om = dt / 0.125
@@ -491,6 +496,56 @@ class TestBDF2Step:
         assert new.n_clipped == 3 + n_neg
         assert np.allclose(new.values, np.maximum(x, 0.0),
                            rtol=1e-12, atol=1e-15)
+
+
+class TestTridiagonalSolve:
+    """pde's ctypes binding of LAPACK's dgtsv in numpy's LAPACK, against
+    scipy's wrapper of dgtsv as the reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 400])
+    def test_bits_match_scipy(self, n):
+        from scipy.linalg.lapack import dgtsv
+        rng = np.random.default_rng(n)
+        dl, du = -rng.random(n - 1), -rng.random(n - 1)
+        d, b = 2.0 + rng.random(n), rng.standard_normal(n)
+        # at n = 1 the binding takes empty off-diagonals, as on
+        # RadialGrid(M=1), and scipy's wrapper wants one unread element
+        pad = np.zeros(1)
+        ref, info = dgtsv(dl if n > 1 else pad, d, du if n > 1 else pad,
+                          b)[3:]
+        assert info == 0
+        bufs = [a.copy() for a in (dl, d, du, b)]
+        pde._tridiagonal_solve(*bufs)()
+        assert bufs[3].tobytes() == ref.tobytes()
+
+    def test_zero_pivot_raises(self):
+        zero = np.zeros(1)
+        solve = pde._tridiagonal_solve(zero, np.zeros(2), zero.copy(),
+                                       np.ones(2))
+        with pytest.raises(RuntimeError,
+                           match=r"tridiagonal solve failed: info=1$"):
+            solve()
+
+    def test_one_cell_step(self, consts1):
+        # RadialGrid(M=1) hands dgtsv empty off-diagonals: the step is
+        # V u' + w u' = V (u - dt |s/2|^q) + w ghost, w = dt A k / dx
+        grid = RadialGrid(L=1.0, M=1)
+        flat = lambda r: np.full_like(np.asarray(r, float), 0.1)
+        fld = SelfSimilarField(T=1.0, t=0.0, values=np.array([0.5]),
+                               profile=flat, consts=consts1)
+        eps, dt, p, q = 0.01, 1e-3, consts1.p, consts1.q
+        ghost = fld.exact(dt, 1.5)
+        s = ghost - 0.5
+        w = dt * (s * s + eps * eps) ** ((p - 2.0) / 2.0)
+        u = (0.5 - dt * abs(0.5 * s) ** q + w * ghost) / (1.0 + w)
+        new = implicit_step(fld, grid, eps, dt)
+        assert new.values == pytest.approx([u], rel=1e-14)
+
+    def test_missing_symbol_is_named(self, monkeypatch):
+        # a numpy whose LAPACK lacks the symbol: the lookup names it
+        monkeypatch.setattr(pde.ctypes, "CDLL", lambda path: object())
+        with pytest.raises(RuntimeError, match="scipy_dgtsv_64_"):
+            pde._dgtsv.__wrapped__()
 
 
 class TestSchedule:
