@@ -10,10 +10,9 @@ its component names (`kernel`): the step, the interpolant and the error
 norm are generated from them and from the tableau, as literals (`_A`
 ...), written out per component, so no loop over components runs in a
 step.  `drive` is the one driver, forward or backward; it states its
-departures from scipy and its step budget.  `interpolate`, `component`
-and `sample` read the 7th-order interpolant of the steps a dense solve
-keeps.  Importing this
-module generates nothing: each caller builds its kernels.
+departures from scipy and its step budget.  The kernel's `interp` and
+`sample` read the 7th-order interpolant of the steps a dense solve keeps.
+Importing this module generates nothing: each caller builds its kernels.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from math import fsum
 
 import numpy as np
 
-__all__ = ["kernel", "drive", "sample", "interpolate",
-           "component", "STEP_BUDGET", "RTOL_FLOOR"]
+__all__ = ["kernel", "drive", "sample", "STEP_BUDGET", "RTOL_FLOOR"]
 
 # budgets: trial steps (accepted plus rejected) of one solve of `drive`,
 # the profile's or the phase flow's, and regula falsi points of one event
@@ -242,6 +240,24 @@ def _segment_src(rhs, ys, cs):
         "            )"]
 
 
+def _interp_src(ys):
+    """Every component of one step's interpolant at r, from
+    `_dense_segment`'s tuple seg, evaluated as scipy's Dop853DenseOutput
+    does: from 0, the highest coefficient down, times x and 1 - x in
+    turn.  Also takes arrays: seg as columns, one step per radius in r."""
+    n = len(ys)
+    src = ["def _interp(seg, r):",
+           "    x = (r - seg[0]) / seg[1]",
+           "    u = 1 - x"]
+    for i, y in enumerate(ys):
+        c = 2 + n + 7 * i
+        src += [f"    {y} = (0.0 + seg[{c + 6}]) * x",
+                *(f"    {y} = ({y} + seg[{c + j}]) * {'xu'[j % 2]}"
+                  for j in range(5, 0, -1)),
+                f"    {y} = ({y} + seg[{c}]) * x + seg[{2 + i}]"]
+    return src + [f"    return {_list('{}', ys)}"]
+
+
 def _trial_src(ys, atol):
     """One trial step: `_step`, called by name, from the state y at r,
     then scipy's error norm on the scale atol + max(|y|, |y_new|) rtol.
@@ -271,8 +287,10 @@ def _trial_src(ys, atol):
 
 # A system's DOP853 kernel (`kernel`): var names the independent variable
 # in messages, atol floors the error scale, rhs(*cs) -> rhs(r, *y), then
-# segment, trial and carry; ns is their namespace, src the source run there.
-_Kernel = namedtuple("_Kernel", "var atol rhs segment trial carry ns src")
+# segment, trial, carry and interp; ns is their namespace, src the source
+# run there.
+_Kernel = namedtuple("_Kernel",
+                     "var atol rhs segment trial carry interp ns src")
 
 
 def kernel(template, names, constants, atol=0.0, var="r"):
@@ -283,10 +301,11 @@ def kernel(template, names, constants, atol=0.0, var="r"):
     tuple.  Each function is written out per component, so no loop over
     components runs in a step: `_rhs`, `_step`, `_dense_segment`,
     `_trial` (a call of `_step` and its error norm on the scale atol + |y|
-    rtol) and `_carry`, which moves an accepted step's stage 12 to stage
-    0.  They are defined, once, in a namespace of their own, with the math
-    they call, as dataclasses and namedtuple build their methods; `_trial`
-    reads `_step` there by name.  Every call generates and compiles anew,
+    rtol), `_carry`, which moves an accepted step's stage 12 to stage 0,
+    and `_interp`, every component of one step's interpolant.  They are
+    defined, once, in a namespace of their own, with the math they call,
+    as dataclasses and namedtuple build their methods; `_trial` reads
+    `_step` there by name.  Every call generates and compiles anew,
     so a caller builds each kernel once."""
     rhs, ys, cs = template, names, constants
     ns = dict(fsum=fsum, copysign=math.copysign, isfinite=math.isfinite,
@@ -294,45 +313,24 @@ def kernel(template, names, constants, atol=0.0, var="r"):
     src = (*_rhs_src(rhs, ys, cs), *_step_src(rhs, ys, cs),
            *_segment_src(rhs, ys, cs), *_trial_src(ys, atol),
            f"def _carry({_list('K{}', ys)}):",
-           *(f"    K{y}[0] = K{y}[{_N_STAGES}]" for y in ys))
+           *(f"    K{y}[0] = K{y}[{_N_STAGES}]" for y in ys),
+           *_interp_src(ys))
     exec("\n".join(src), ns)
     return _Kernel(var, atol, ns["_rhs"], ns["_dense_segment"], ns["_trial"],
-                   ns["_carry"], ns, src)
+                   ns["_carry"], ns["_interp"], ns, src)
 
 
-def component(seg, i, r):
-    """Component i of one step's interpolant at r, evaluated as scipy's
-    Dop853DenseOutput does: from 0, the highest coefficient down, times x
-    and 1 - x in turn.  seg is `_dense_segment`'s tuple (r, h, the n
-    components, then seven coefficients a component).  Also takes arrays:
-    seg as columns, one step per radius in r."""
-    c = 2 + (len(seg) - 2) // 8 + 7 * i
-    x = (r - seg[0]) / seg[1]
-    u = 1 - x
-    y = (0.0 + seg[c + 6]) * x
-    y = (y + seg[c + 5]) * u
-    y = (y + seg[c + 4]) * x
-    y = (y + seg[c + 3]) * u
-    y = (y + seg[c + 2]) * x
-    y = (y + seg[c + 1]) * u
-    return (y + seg[c]) * x + seg[2 + i]
-
-
-def interpolate(seg, r):
-    """Every component of one step's interpolant at r (`component`)."""
-    return tuple(component(seg, i, r) for i in range((len(seg) - 2) // 8))
-
-
-def sample(segments, r_end, rs):
-    """The components at the radii rs, ordered as the solve ran,
-    vectorised: each radius takes the earliest step whose closed interval
-    holds it, as scipy's OdeSolution picks."""
+def sample(system, segments, r_end, rs):
+    """The components at the radii rs of a dense solve of the kernel
+    `system`, ordered as the solve ran, vectorised: each radius takes the
+    earliest step whose closed interval holds it, as scipy's OdeSolution
+    picks."""
     seg = np.array(segments)
     d = math.copysign(1.0, seg[0, 1])
     ts = np.append(seg[:, 0], r_end)
     k = np.clip(np.searchsorted(d * ts, d * rs, side="left") - 1, 0,
                 len(seg) - 1)
-    return interpolate(seg[k].T, rs)
+    return system.interp(seg[k].T, rs)
 
 
 def _illinois(g, a, b, maxiter=_SECANT_POINTS + 1100):
@@ -377,14 +375,6 @@ def _illinois(g, a, b, maxiter=_SECANT_POINTS + 1100):
     raise RuntimeError(f"no root to tolerance after {maxiter} trial points")
 
 
-def _event_root(events, k, seg, r_old, r_new):
-    """The root of event k on one step's interpolant seg, between r_old
-    and r_new: each trial point evaluates event k alone, from the
-    components it reads (`events.at`)."""
-    at = events.at[k]
-    return _illinois(lambda r: at(r, seg), *sorted((r_old, r_new)))
-
-
 def drive(system, cs, events, t, y, t_bound, rtol, dense):
     """Integrate the system of the kernel `system` (`kernel`), with
     constants cs, from the state y at t towards t_bound, on either side
@@ -395,23 +385,23 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
     event terminal: the same initial step, error norm, step factors,
     step-size floor and rtol floor (RTOL_FLOOR), and the same event rule.
     events(t, *y, dy0) returns the events' values, dy0 the first component's
-    derivative there; its attribute `at` holds each event alone
-    (`_event_root`).  Event k fires when value k crosses 0 upward over a
-    step, from <= 0 to >= 0; its root is found by _illinois on the step's
-    interpolant, and the first root the solve reaches among the events that
-    fired ends the solve.  The events of an accepted step take dy0 from
-    stage 12, the derivative at the new point, and the list of those that
-    fired is formed only where a value reached 0.  Two departures: the
-    tableau's sums (`_sum_src`), which differ from BLAS's dot by rounding
-    only, and an event root held to brentq's stopping width, not to brentq's
-    own iterates.  A trial step with a non-finite stage is rejected, as
-    scipy rejects the NaN error such a step gives it: stages 0 and 5-11
-    enter the error sums, stages 1-4 reach stage 5 through nonzero weights
-    (and each stage taken at a non-finite state is non-finite), and stage
-    12, which the error rows weigh by 0, is tested on its own (`_trial`); so
-    is an accepted step whose interpolant's extra stages overflow (at a
-    loose rtol).  The state is a tuple, and every component-wise operation
-    of a step is generated (`kernel`).
+    derivative there, which events forms itself where it is not given.
+    Event k fires when value k crosses 0 upward over a step, from <= 0 to
+    >= 0; its root is found by _illinois on value k of events at the step's
+    interpolant (`_interp`), and the first root the solve reaches among the
+    events that fired ends the solve.  The events of an accepted step take
+    dy0 from stage 12, the derivative at the new point, and the list of
+    those that fired is formed only where a value reached 0.  Two
+    departures: the tableau's sums (`_sum_src`), which differ from BLAS's
+    dot by rounding only, and an event root held to brentq's stopping
+    width, not to brentq's own iterates.  A trial step with a non-finite
+    stage is rejected, as scipy rejects the NaN error such a step gives it:
+    stages 0 and 5-11 enter the error sums, stages 1-4 reach stage 5
+    through nonzero weights (and each stage taken at a non-finite state is
+    non-finite), and stage 12, which the error rows weigh by 0, is tested
+    on its own (`_trial`); so is an accepted step whose interpolant's extra
+    stages overflow (at a loose rtol).  The state is a tuple, and every
+    component-wise operation of a step is generated (`kernel`).
 
     Returns (status, t_end, y_end, k, segments): status 0 when t_bound is
     reached, 1 when event k fires at t_end, -1 when the step size falls
@@ -430,7 +420,8 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
     d = math.copysign(1.0, t_bound - t)
     clip = min if d > 0 else max
     rtol = max(rtol, RTOL_FLOOR)
-    segment, trial, carry = system.segment, system.trial, system.carry
+    segment, trial, carry, interp = (system.segment, system.trial,
+                                     system.carry, system.interp)
     rhs = system.rhs(*cs)
     k0 = rhs(t, *y)
     K = tuple([k] + [0.0] * _N_STAGES for k in k0)
@@ -479,9 +470,10 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
         if dense:
             segments.append(seg)
         if fired:
-            t_end, k = min(((_event_root(events, k, seg, t, t_new), k)
-                            for k in fired), key=lambda e: (d * e[0], e[1]))
-            return 1, t_end, interpolate(seg, t_end), k, segments
+            t_end, k = min(((_illinois(
+                lambda r: events(r, *interp(seg, r))[k], *sorted((t, t_new))),
+                k) for k in fired), key=lambda e: (d * e[0], e[1]))
+            return 1, t_end, interp(seg, t_end), k, segments
         if t_new == t_bound:
             return 0, t_new, y_new, None, segments
         t, y, g = t_new, y_new, g_new

@@ -36,7 +36,6 @@ __all__ = [
     "map_to_phase",
     "vector_field",
     "jacobian",
-    "jacobian_origin",
     "integrate_phase",
     "exact_orbit",
     "extract_rates",
@@ -140,31 +139,10 @@ def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
     ])
 
 
-def jacobian_origin(consts: DerivedConstants) -> np.ndarray:
-    """Linearization at P0 in (X, Y, Z - Zstar) coordinates, closed form:
-
-        [[N + Z*, -1, 0],
-         [0, -(p-2q)/(q-p+1), 0],
-         [alpha nu Z*, -beta nu Z*, -nu Z*]]
-
-    with the diagonal taken from spectral_data.
-    """
-    al, be, nu, Zst = consts.alpha, consts.beta, consts.nu, consts.Zstar
-    spec = spectral_data(consts)
-    return np.array([
-        [spec.lambda1, -1.0, 0.0],
-        [0.0, spec.lambda2, 0.0],
-        [al * nu * Zst, -be * nu * Zst, spec.lambda3],
-    ])
-
-
 def _guard(t, X, Y, Z, dX=None):
     """The blow-up guard, the phase system's one event, in the form
     `dop853.drive` takes events: max |x| - 1e12 crosses 0 upward."""
     return (max(abs(X), abs(Y), abs(Z)) - BLOWUP_GUARD,)
-
-
-_guard.at = (lambda t, seg: _guard(t, *dop853.interpolate(seg, t))[0],)
 
 
 def integrate_phase(x0, eta_span, consts: DerivedConstants,
@@ -209,7 +187,7 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
         raise RuntimeError(f"phase integration failed at eta={eta_end:.6g}: "
                            "the step size fell below ten ulps")
     etas = np.linspace(eta0, eta_end, 2001)
-    X, Y, Z = dop853.sample(segments, eta_end, etas)
+    X, Y, Z = dop853.sample(_kernel(), segments, eta_end, etas)
     stop = {1: "blow-up guard", -1: "step size fell below ten ulps"}.get(
         status)
     notes = [f"{stop} at eta={eta_end:.6g}"] if stop else []

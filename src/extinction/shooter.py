@@ -160,17 +160,11 @@ def _make_events(consts: DerivedConstants):
     a step's last stage; where it is not given it is formed from F.  Each
     event is signed to fire as it crosses 0 upward, so the two that fire
     downward, w' and F, are negated: negation is exact, and the root
-    search finds the same root of -g as of g.  Every event is terminal.
-
-    The function's `at` holds each event alone, as a function of r on one
-    step's interpolant that interpolates only the components the event
-    reads (`dop853.component`): f for w > Kstar, F for F = 0.  Their
-    formulas are the tuple's, written out again: the tuple is evaluated
-    at every accepted step, where a call per event would cost about 2 % of
-    a solve, and a test holds each to its tuple entry bit for bit."""
+    search finds the same root of -g as of g.  Every event is terminal,
+    and its root is found on this same function at a step's interpolant
+    (`dop853.drive`)."""
     mu, Kst = consts.mu, consts.Kstar
     e1 = 1.0 / (consts.p - 1.0)
-    component = dop853.component
 
     def events(r, f, F, slope=None):
         if slope is None:
@@ -181,18 +175,6 @@ def _make_events(consts: DerivedConstants):
                 -F,
                 abs(f) + abs(F) - OVERFLOW_GUARD)
 
-    def w_prime(r, seg):
-        slope = _slope(component(seg, 1, r), e1)
-        return -(r * slope + mu * component(seg, 0, r))
-
-    def guard(r, seg):
-        f, F = dop853.interpolate(seg, r)
-        return abs(f) + abs(F) - OVERFLOW_GUARD
-
-    events.at = (w_prime,
-                 lambda r, seg: _pow(r, mu) * component(seg, 0, r) - Kst,
-                 lambda r, seg: -component(seg, 1, r),
-                 guard)
     return events
 
 
@@ -293,7 +275,8 @@ def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
         raise RuntimeError(f"no step to sample: the solve at a={a!r} ends "
                            f"at its series start on {events[0][0]}")
     rs = np.geomspace(r0, r_end, n_samples)
-    return _trajectory(consts, a, rs, *dop853.sample(segments, r_end, rs),
+    return _trajectory(consts, a, rs,
+                       *dop853.sample(_SHOOTING, segments, r_end, rs),
                        events, tol)
 
 
@@ -330,8 +313,8 @@ def classify(consts: DerivedConstants, a: float, r_max: float,
     elif kind == "OVERFLOW_GUARD":
         detail = "overflow guard tripped"
     else:
-        detail = ("integrator failure: Required step size is less than "
-                  "spacing between numbers.")
+        detail = ("integrator failure: step size fell below ten ulps at "
+                  f"r={r_end:.6g}")
     return Classification("UNDETERMINED", r_end, detail,
                           rwp / gap if gap > 0 else math.inf)
 

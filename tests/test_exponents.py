@@ -23,7 +23,7 @@ from extinction import (
     constants_json,
     deta,
     log_fit,
-    jacobian_origin,
+    jacobian,
 )
 from extinction.exponents import json_text
 
@@ -58,7 +58,7 @@ def check_identities(params, rtol=1e-10):
         abs(s.lambda3 + c.theta) / abs(c.theta),
         abs(c.mu - (s.lambda1 - s.lambda2)) / c.mu,
     ]
-    M = np.array(jacobian_origin(c))
+    M = jacobian((0.0, 0.0, c.Zstar), c)
     for lam, V in ((s.lambda1, s.V1), (s.lambda2, s.V2), (s.lambda3, s.V3)):
         v = np.array(V)
         scale = np.abs(M).max() * np.abs(v).max()
@@ -128,7 +128,7 @@ class TestSpectrum:
 
     def test_jacobian_origin_n1(self):
         c = derive_constants(1, 1.2, 0.5)
-        M = np.array(jacobian_origin(c))
+        M = jacobian((0.0, 0.0, c.Zstar), c)
         want = np.array([[5.0 / 3.0, -1.0, 0.0],
                          [0.0, -2.0 / 3.0, 0.0],
                          [3.5, -1.5, -1.0]])

@@ -12,7 +12,6 @@ from extinction import (
     fit_tail,
     integrate_phase,
     jacobian,
-    jacobian_origin,
     map_to_phase,
     path_dynamics_residual,
     phasepath_csv,
@@ -64,11 +63,6 @@ class TestVectorField:
 
 
 class TestJacobian:
-    def test_matches_closed_form_at_critical_point(self, consts1):
-        J = jacobian((0.0, 0.0, consts1.Zstar), consts1)
-        assert np.allclose(J, jacobian_origin(consts1), rtol=1e-12,
-                           atol=1e-14)
-
     def test_finite_difference_agreement(self, consts1):
         rng = np.random.default_rng(11)
         h = 1e-6

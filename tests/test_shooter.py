@@ -357,7 +357,8 @@ class TestBisection:
             "# event,INTEGRATOR_FAILURE,")
         cl = classify(consts1, 1.0, 10.0)
         assert cl.label == "UNDETERMINED"
-        assert cl.detail.startswith("integrator failure")
+        assert cl.detail == ("integrator failure: step size fell below ten "
+                             f"ulps at r={cl.witness_r:.6g}")
         assert cl.witness_r == traj.r_end
 
     @pytest.mark.parametrize("k", range(2, 10))
@@ -968,6 +969,10 @@ class TestGeneratedSums:
         assert h6 == pytest.approx(0.2 * h5, rel=1e-9)
 
 
+# the solver itself, which a test may replace in dop853 by a spy
+_ILLINOIS = dop853._illinois
+
+
 def _root_checked(g, a, b):
     """_illinois's root of g on [a, b], checked: it lies in the bracket,
     and g is 0 there or has the other sign at a point the solver evaluated
@@ -977,7 +982,7 @@ def _root_checked(g, a, b):
     def spy(x):
         seen.append((x, g(x)))
         return seen[-1][1]
-    x = dop853._illinois(spy, a, b)
+    x = _ILLINOIS(spy, a, b)
     gx = g(x)
     assert a <= x <= b
     assert gx == 0 or any(abs(y - x) <= 4 * dop853._EPS * (1 + abs(x))
@@ -988,88 +993,28 @@ def _root_checked(g, a, b):
 class TestBrent:
     """The event roots' bracketing solver, `_illinois` (the class keeps the
     name of the Brent solver it replaced): a root within brentq's stopping
-    width at xtol = rtol = 4 eps, and the errors `_event_root` relies on."""
+    width at xtol = rtol = 4 eps, and the errors `dop853.drive` relies
+    on."""
 
     @pytest.mark.parametrize("flags", [
         ["--N", "1", "--p", "1.2", "--q", "0.5"],
         ["--N", "2", "--p", "1.5", "--q", "0.6", "--a-tol", "3e-16",
          "--rmax", "60"]], ids=["N1", "N2"])
     def test_event_functions_of_find(self, flags, monkeypatch, tmp_path):
-        calls = []
-        root = dop853._event_root
+        # every event root of a find, each checked as the solve finds it,
+        # while its g still reads the step and the event that fired
+        n_evals = []
 
-        def spy(events, k, seg, r_old, r_new):
-            calls.append((events, k, seg, r_old, r_new))
-            return root(events, k, seg, r_old, r_new)
+        def spy(g, a, b):
+            n_evals.append(_root_checked(g, a, b))
+            return _ILLINOIS(g, a, b)
 
-        monkeypatch.setattr(dop853, "_event_root", spy)
+        monkeypatch.setattr(dop853, "_illinois", spy)
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["find", *flags, "--outdir", str(tmp_path)])
-        assert len(calls) > 20
-        n_evals = []
-        for events, k, seg, r_old, r_new in calls:
-            def g(r):
-                return events(r, *dop853.interpolate(seg, r))[k]
-            n_evals.append(_root_checked(g, r_old, r_new))
+        assert len(n_evals) > 20
         # plain bisection to the same width would take about 48
         assert sum(n_evals) / len(n_evals) <= 11
-
-    def test_event_root_reads_only_its_components(self, monkeypatch):
-        # each trial point of an event root interpolates only the
-        # components its event reads: f for w > Kstar, F for F = 0, both
-        # for w' = 0; evaluating all four events takes both at every point
-        reads = {0: 2, 1: 1, 2: 1, 3: 2}
-        component, illinois, root = (dop853.component, dop853._illinois,
-                                     dop853._event_root)
-        count = {"components": 0, "points": 0}
-        roots = []
-
-        def component_spy(seg, i, r):
-            count["components"] += 1
-            return component(seg, i, r)
-
-        def illinois_spy(g, a, b):
-            def point(x):
-                count["points"] += 1
-                return g(x)
-            return illinois(point, a, b)
-
-        def root_spy(events, k, seg, r_old, r_new):
-            count.update(components=0, points=0)
-            x = root(events, k, seg, r_old, r_new)
-            roots.append((k, count["components"], count["points"]))
-            return x
-
-        monkeypatch.setattr(dop853, "component", component_spy)
-        monkeypatch.setattr(dop853, "_illinois", illinois_spy)
-        monkeypatch.setattr(dop853, "_event_root", root_spy)
-        consts = derive_constants(1, 1.2, 0.5)
-        labels = {classify(consts, A_STAR_N1 * f, 100.0).label
-                  for f in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0)}
-        assert labels == {"A", "C"}
-        assert {k for k, _, _ in roots} >= {0, 1}
-        for k, n_components, n_points in roots:
-            assert n_points > 0
-            assert n_components == reads[k] * n_points
-        points = sum(n for _, _, n in roots)
-        assert sum(c for _, c, _ in roots) < 2 * points
-
-    @pytest.mark.parametrize("params", [(1, 1.2, 0.5), (2, 1.5, 0.6)],
-                             ids=_triple_id)
-    def test_each_event_alone_is_its_tuple_entry(self, params):
-        # `events.at[k]` on a step's interpolant is the tuple's value k at
-        # the interpolated state, bit for bit, at radii across every step
-        consts = derive_constants(*params)
-        events = shooter._make_events(consts)
-        rng = random.Random(7)
-        for a in (0.1, 1.0, 10.0):
-            *_, segments = shooter._shoot(consts, a, 60.0, 1e-10, dense=True)
-            for seg in segments:
-                for x in (0.0, rng.random(), 1.0):
-                    r = seg[0] + x * seg[1]
-                    want = events(r, *dop853.interpolate(seg, r))
-                    got = [at(r, seg) for at in events.at]
-                    assert _bits(got) == _bits(want)
 
     @settings(max_examples=300, deadline=None)
     @given(c=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
