@@ -6,17 +6,19 @@ I, II.5) -- its tableau, initial step, error norm, step control and event
 location -- on plain floats: on a two- or three-component system scipy's
 array-based driver spends most of its time on numpy call overhead rather
 than arithmetic.  A system enters as its right side's source template and
-its component names (`kernel`): the step, the interpolant and the error
-norm are generated from them and from the tableau, as literals (`_A`
-...), written out per component, so no loop over components runs in a
-step.  `drive` is the one driver, forward or backward; it states its
-departures from scipy and its step budget.  The kernel's `interp` and
-`sample` read the 7th-order interpolant of the steps a dense solve keeps.
-Importing this module generates nothing: each caller builds its kernels.
+its component names (`kernel`): the trial step (its stages, new state
+and error norm) and the interpolant are generated from them and from the
+tableau, as literals (`_A` ...), written out per component, so no loop
+over components runs in a trial step.  `drive` is the one driver,
+forward or backward; it states its departures from scipy and its step
+budget.  The kernel's `interp` and `sample` read the 7th-order
+interpolant of the steps a dense solve keeps.  Importing this module
+generates nothing: `kernel` builds each system once, on its first call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from math import fsum
@@ -27,9 +29,11 @@ __all__ = ["kernel", "drive", "sample", "STEP_BUDGET", "RTOL_FLOOR"]
 
 # budgets: trial steps (accepted plus rejected) of one solve of `drive`,
 # the profile's or the phase flow's, and regula falsi points of one event
-# root before `_illinois` bisects; the 17 benchmark finds take at most 125
-# and 26 (over 519 solves, 503 roots), `phase --x0` over eta in [0, 10]
-# takes 129
+# root before `_illinois` bisects.  Counted as trial-step calls per `drive`
+# call and as calls of g per `_illinois` call less its two ends, the 17
+# benchmark finds make 537 solves, the largest of 162 trial steps, and 520
+# roots, the largest of 26 points; `phase --x0` over eta in [0, 10] takes
+# 129 trial steps
 STEP_BUDGET = 100_000
 _SECANT_POINTS = 50
 
@@ -195,15 +199,22 @@ def _rhs_src(rhs, ys, cs):
             "    return rhs"]
 
 
-def _step_src(rhs, ys, cs):
-    """One trial step of size h from (r, *ys), with the right side's
-    constants cs; K<y>[0] holds stage 0 of component y on entry, and
-    stages 1-12 on return (stage 12 is the derivative at the new point:
-    the next step's stage 0, and the events' slope; the interpolant reads
-    them all).  Returns the new state and the error rows' sums, E5 then
-    E3, each over the components in order."""
+def _trial_src(rhs, ys, cs, atol):
+    """One trial step of size h from the state y at r, with the right
+    side's constants cs: K<y>[0] holds stage 0 of component y on entry,
+    and stages 1-12 on return (stage 12 is the derivative at the new
+    point, the next step's stage 0; the interpolant reads them all).
+    Returns (err, y_new), err scipy's error norm on the scale
+    atol + max(|y|, |y_new|) rtol, NaN where stage 12, which the error
+    rows weigh by 0, is not finite; a zero scale raises
+    ZeroDivisionError."""
+    scale = " * rtol" + (f" + {atol!r}" if atol else "")
+    errs = [f"e{o}{y}" for o in (5, 3) for y in ys]
+    new = _list("{}_new", ys)
     return [
-        f"def _step(r, h, {_list('{}', ys)}, {_list('K{}', ys)}, cs):",
+        "def _trial(r, h, y, K, cs, rtol):",
+        f"    {_list('{}', ys)} = y",
+        f"    {_list('K{}', ys)} = K",
         f"    {cs} = cs",
         f"    {_list('k{}0', ys)} = {_list('K{}[0]', ys)}",
         *(_stage_src(rhs, ys, s, f"r + {_C[s]!r} * h", _A[s])
@@ -212,10 +223,20 @@ def _step_src(rhs, ys, cs):
         _stage_src(rhs, ys, _N_STAGES, "r + h"),
         *(f"    K{y}[1:] = {_list(f'k{y}{{}}', range(1, _N_STAGES + 1))}"
           for y in ys),
-        f"    return ({_list('{}_new', ys)},",
-        *(f"            {_sum_src('k' + y, e)}," for e in (_E5, _E3)
-          for y in ys),
-        "            )"]
+        f"    {', '.join(errs)} = "
+        + ", ".join(_sum_src("k" + y, e) for e in (_E5, _E3) for y in ys),
+        *(f"    s{y} = max(abs({y}), abs({y}_new)){scale}" for y in ys),
+        f"    {', '.join(errs)} = "
+        + ", ".join(f"{e} / s{e[2:]}" for e in errs),
+        *(f"    e{o} = " + " + ".join(f"e{o}{y} * e{o}{y}" for y in ys)
+          for o in (5, 3)),
+        "    if not (" + " and ".join(
+            f"isfinite(k{y}{_N_STAGES})" for y in ys) + "):",
+        f"        return nan, ({new})",
+        "    if e5 == 0 and e3 == 0:",
+        f"        return 0.0, ({new})",
+        f"    return abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {len(ys)}), "
+        f"({new})"]
 
 
 def _segment_src(rhs, ys, cs):
@@ -258,66 +279,34 @@ def _interp_src(ys):
     return src + [f"    return {_list('{}', ys)}"]
 
 
-def _trial_src(ys, atol):
-    """One trial step: `_step`, called by name, from the state y at r,
-    then scipy's error norm on the scale atol + max(|y|, |y_new|) rtol.
-    Returns (err, y_new), err NaN where stage 12, which the error rows
-    weigh by 0, is not finite; a zero scale raises ZeroDivisionError."""
-    scale = " * rtol" + (f" + {atol!r}" if atol else "")
-    errs = [f"e{o}{y}" for o in (5, 3) for y in ys]
-    new = _list("{}_new", ys)
-    return [
-        "def _trial(r, h, y, K, cs, rtol):",
-        f"    {_list('{}', ys)} = y",
-        f"    {_list('K{}', ys)} = K",
-        f"    {new}, {', '.join(errs)} = _step(r, h, {_list('{}', ys)}, "
-        f"{_list('K{}', ys)}, cs)",
-        *(f"    s{y} = max(abs({y}), abs({y}_new)){scale}" for y in ys),
-        f"    {', '.join(errs)} = "
-        + ", ".join(f"{e} / s{e[2:]}" for e in errs),
-        *(f"    e{o} = " + " + ".join(f"e{o}{y} * e{o}{y}" for y in ys)
-          for o in (5, 3)),
-        "    if not (" + " and ".join(
-            f"isfinite(K{y}[{_N_STAGES}])" for y in ys) + "):",
-        f"        return nan, ({new})",
-        "    if e5 == 0 and e3 == 0:",
-        f"        return 0.0, ({new})",
-        f"    return abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {len(ys)}), ({new})"]
-
-
 # A system's DOP853 kernel (`kernel`): var names the independent variable
 # in messages, atol floors the error scale, rhs(*cs) -> rhs(r, *y), then
-# segment, trial, carry and interp; ns is their namespace, src the source
-# run there.
-_Kernel = namedtuple("_Kernel",
-                     "var atol rhs segment trial carry interp ns src")
+# segment, trial and interp; src is the source that defines them.
+_Kernel = namedtuple("_Kernel", "var atol rhs segment trial interp src")
 
 
+@functools.cache
 def kernel(template, names, constants, atol=0.0, var="r"):
     """The DOP853 kernel of the system whose right side is the source
     template: {r} is the independent variable, and for each component
-    name y in names, {y} its value and {ky} the derivative the template
-    assigns.  constants names the constants the caller passes as one
-    tuple.  Each function is written out per component, so no loop over
-    components runs in a step: `_rhs`, `_step`, `_dense_segment`,
-    `_trial` (a call of `_step` and its error norm on the scale atol + |y|
-    rtol), `_carry`, which moves an accepted step's stage 12 to stage 0,
-    and `_interp`, every component of one step's interpolant.  They are
-    defined, once, in a namespace of their own, with the math they call,
-    as dataclasses and namedtuple build their methods; `_trial` reads
-    `_step` there by name.  Every call generates and compiles anew,
-    so a caller builds each kernel once."""
+    name y in names (a tuple), {y} its value and {ky} the derivative the
+    template assigns.  constants names the constants the caller passes as
+    one tuple.  Each function is written out per component, so no loop
+    over components runs in a trial step: `_rhs`, `_trial` (the 12
+    stages, the new state and the error norm on the scale atol + |y|
+    rtol), `_dense_segment` and `_interp`, every component of one step's
+    interpolant.  They are defined in a namespace of their own, with the
+    math they call, as dataclasses and namedtuple build their methods.
+    Each system is built once, on its first call; later calls with the
+    same arguments return the same kernel."""
     rhs, ys, cs = template, names, constants
     ns = dict(fsum=fsum, copysign=math.copysign, isfinite=math.isfinite,
               nan=math.nan, sqrt=math.sqrt)
-    src = (*_rhs_src(rhs, ys, cs), *_step_src(rhs, ys, cs),
-           *_segment_src(rhs, ys, cs), *_trial_src(ys, atol),
-           f"def _carry({_list('K{}', ys)}):",
-           *(f"    K{y}[0] = K{y}[{_N_STAGES}]" for y in ys),
-           *_interp_src(ys))
+    src = (*_rhs_src(rhs, ys, cs), *_trial_src(rhs, ys, cs, atol),
+           *_segment_src(rhs, ys, cs), *_interp_src(ys))
     exec("\n".join(src), ns)
     return _Kernel(var, atol, ns["_rhs"], ns["_dense_segment"], ns["_trial"],
-                   ns["_carry"], ns["_interp"], ns, src)
+                   ns["_interp"], src)
 
 
 def sample(system, segments, r_end, rs):
@@ -384,14 +373,12 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
     This is scipy's DOP853 solver, driven the way scipy drives it with every
     event terminal: the same initial step, error norm, step factors,
     step-size floor and rtol floor (RTOL_FLOOR), and the same event rule.
-    events(t, *y, dy0) returns the events' values, dy0 the first component's
-    derivative there, which events forms itself where it is not given.
-    Event k fires when value k crosses 0 upward over a step, from <= 0 to
-    >= 0; its root is found by _illinois on value k of events at the step's
+    events(t, *y) returns the events' values at the state y.  Event k
+    fires when value k crosses 0 upward over a step, from <= 0 to >= 0;
+    its root is found by _illinois on value k of events at the step's
     interpolant (`_interp`), and the first root the solve reaches among the
-    events that fired ends the solve.  The events of an accepted step take
-    dy0 from stage 12, the derivative at the new point, and the list of
-    those that fired is formed only where a value reached 0.  Two
+    events that fired ends the solve.  The list of the events that fired
+    over an accepted step is formed only where a value reached 0.  Two
     departures: the tableau's sums (`_sum_src`), which differ from BLAS's
     dot by rounding only, and an event root held to brentq's stopping
     width, not to brentq's own iterates.  A trial step with a non-finite
@@ -401,7 +388,9 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
     non-finite), and stage 12, which the error rows weigh by 0, is tested
     on its own (`_trial`); so is an accepted step whose interpolant's extra
     stages overflow (at a loose rtol).  The state is a tuple, and every
-    component-wise operation of a step is generated (`kernel`).
+    component-wise operation of a trial step is generated (`kernel`);
+    after an accepted step, drive moves each component's stage 12 to its
+    stage 0.
 
     Returns (status, t_end, y_end, k, segments): status 0 when t_bound is
     reached, 1 when event k fires at t_end, -1 when the step size falls
@@ -420,12 +409,11 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
     d = math.copysign(1.0, t_bound - t)
     clip = min if d > 0 else max
     rtol = max(rtol, RTOL_FLOOR)
-    segment, trial, carry, interp = (system.segment, system.trial,
-                                     system.carry, system.interp)
+    segment, trial, interp = system.segment, system.trial, system.interp
     rhs = system.rhs(*cs)
     k0 = rhs(t, *y)
     K = tuple([k] + [0.0] * _N_STAGES for k in k0)
-    g = events(t, *y, k0[0])
+    g = events(t, *y)
     segments = [] if dense else None
     if max(g) > 0:
         return 1, t, y, max(k for k, v in enumerate(g) if v > 0), segments
@@ -450,7 +438,7 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
             try:
                 err, y_new = trial(t, h, y, K, cs, rtol)
                 if err < 1:
-                    g_new = events(t_new, *y_new, K[0][12])
+                    g_new = events(t_new, *y_new)
                     fired = () if max(g_new) < 0 else [
                         k for k, v in enumerate(g) if v <= 0 <= g_new[k]]
                     if dense or fired:
@@ -477,4 +465,5 @@ def drive(system, cs, events, t, y, t_bound, rtol, dense):
         if t_new == t_bound:
             return 0, t_new, y_new, None, segments
         t, y, g = t_new, y_new, g_new
-        carry(*K)
+        for stages in K:   # the accepted step's stage 12 is the next stage 0
+            stages[0] = stages[_N_STAGES]

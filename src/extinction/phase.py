@@ -20,7 +20,6 @@ on `dop853`'s driver with a kernel generated from it, as the profile's
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -102,6 +101,10 @@ _FIELD = ("{kX} = N * {X} - {Y} - al * {X} * {X} + be * {X} * {Y} "
           "{kZ} = nu * {Z} * (Zst - {Z}) + nu * (al * {X} - be * {Y}) * {Z}")
 _FIELD_CONSTANTS = "N, al, be, nu, Zst, c0, c1"
 _XYZ = ("X", "Y", "Z")
+# the absolute floor of the kernel's error scale: far below any orbit
+# amplitude, it keeps the scale nonzero where a component sits at 0
+# exactly (the critical point itself)
+_ATOL = 1e-30
 
 
 def _field_constants(consts: DerivedConstants) -> tuple:
@@ -112,19 +115,12 @@ def _field_constants(consts: DerivedConstants) -> tuple:
             2.0 - (2.0 - p) * (N - 1.0) / (p - 1.0), (2.0 - p) / (p - 1.0))
 
 
-@functools.cache
-def _kernel():
-    """The DOP853 kernel of `_FIELD`, generated on first use, so that
-    importing phase compiles nothing.  The absolute floor 1e-30 of the
-    error scale, far below any orbit amplitude, keeps the scale nonzero
-    where a component sits at 0 exactly (the critical point itself)."""
-    return dop853.kernel(_FIELD, _XYZ, _FIELD_CONSTANTS, atol=1e-30, var="eta")
-
-
 def vector_field(pt, consts: DerivedConstants):
     """Velocity (Xdot, Ydot, Zdot) of the autonomous system (`_FIELD`);
     also takes arrays."""
-    return _kernel().rhs(*_field_constants(consts))(0.0, *pt)
+    system = dop853.kernel(_FIELD, _XYZ, _FIELD_CONSTANTS, atol=_ATOL,
+                           var="eta")
+    return system.rhs(*_field_constants(consts))(0.0, *pt)
 
 
 def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
@@ -139,7 +135,7 @@ def jacobian(pt, consts: DerivedConstants) -> np.ndarray:
     ])
 
 
-def _guard(t, X, Y, Z, dX=None):
+def _guard(t, X, Y, Z):
     """The blow-up guard, the phase system's one event, in the form
     `dop853.drive` takes events: max |x| - 1e12 crosses 0 upward."""
     return (max(abs(X), abs(Y), abs(Z)) - BLOWUP_GUARD,)
@@ -177,9 +173,11 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
     eta0, eta1 = map(float, eta_span)
     growth = spectral_data(consts).lambda1 * abs(eta1 - eta0)
     rtol = tol * math.exp(-growth)
+    system = dop853.kernel(_FIELD, _XYZ, _FIELD_CONSTANTS, atol=_ATOL,
+                           var="eta")
     try:
         status, eta_end, _, _, segments = dop853.drive(
-            _kernel(), _field_constants(consts), _guard, eta0,
+            system, _field_constants(consts), _guard, eta0,
             tuple(map(float, x0)), eta1, rtol, dense=True)
     except RuntimeError as e:
         raise RuntimeError(f"phase integration failed: {e}") from None
@@ -187,7 +185,7 @@ def integrate_phase(x0, eta_span, consts: DerivedConstants,
         raise RuntimeError(f"phase integration failed at eta={eta_end:.6g}: "
                            "the step size fell below ten ulps")
     etas = np.linspace(eta0, eta_end, 2001)
-    X, Y, Z = dop853.sample(_kernel(), segments, eta_end, etas)
+    X, Y, Z = dop853.sample(system, segments, eta_end, etas)
     stop = {1: "blow-up guard", -1: "step size fell below ten ulps"}.get(
         status)
     notes = [f"{stop} at eta={eta_end:.6g}"] if stop else []

@@ -156,8 +156,8 @@ def _slope(F: float, e1: float) -> float:
 
 def _make_events(consts: DerivedConstants):
     """The four event functions, in _EVENT_KINDS order, as one function
-    of (r, f, F) and the slope f' there.  The kernel passes the slope of
-    a step's last stage; where it is not given it is formed from F.  Each
+    of the state (r, f, F); the slope f' is formed from F by `_slope`,
+    with the float operations of the right side's f'.  Each
     event is signed to fire as it crosses 0 upward, so the two that fire
     downward, w' and F, are negated: negation is exact, and the root
     search finds the same root of -g as of g.  Every event is terminal,
@@ -166,11 +166,9 @@ def _make_events(consts: DerivedConstants):
     mu, Kst = consts.mu, consts.Kstar
     e1 = 1.0 / (consts.p - 1.0)
 
-    def events(r, f, F, slope=None):
-        if slope is None:
-            slope = _slope(F, e1)
+    def events(r, f, F):
         # the sign of -w' = -r^{mu-1} (mu f + r f')
-        return (-(r * slope + mu * f),
+        return (-(r * _slope(F, e1) + mu * f),
                 _pow(r, mu) * f - Kst,
                 -F,
                 abs(f) + abs(F) - OVERFLOW_GUARD)
@@ -186,7 +184,7 @@ def energy(consts: DerivedConstants, f: np.ndarray,
 
 
 # The right side (f', F') at (r, f, F), written once as source: the
-# shooting kernel's `rhs` closure and the stages inlined into `_step` and
+# shooting kernel's `rhs` closure and the stages inlined into `_trial` and
 # `_dense_segment` are generated from it (`dop853.kernel`).  Its constants are
 # al = alpha, be = beta, Nm1 = N - 1, e1 = 1/(p-1) and e2 = q/(p-1)
 # (`_rhs_constants`).  A power that overflows raises OverflowError, which
@@ -194,6 +192,7 @@ def energy(consts: DerivedConstants, f: np.ndarray,
 _RHS = ("aF = abs({F}); {kf} = -copysign(aF ** e1, {F}); "
         "{kF} = al * {f} - Nm1 * {F} / {r} + be * {r} * {kf} - aF ** e2")
 _RHS_CONSTANTS = "al, be, Nm1, e1, e2"
+_FF = ("f", "F")   # the state's components, as `_RHS` names them
 
 
 def _rhs_constants(consts: DerivedConstants):
@@ -201,11 +200,6 @@ def _rhs_constants(consts: DerivedConstants):
     p = consts.p
     return (consts.alpha, consts.beta, consts.N - 1.0, 1.0 / (p - 1.0),
             consts.q / (p - 1.0))
-
-
-# The (f, F) system's kernel, built once, at import: every shooting solve
-# runs on it.
-_SHOOTING = dop853.kernel(_RHS, ("f", "F"), _RHS_CONSTANTS)
 
 
 def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
@@ -243,8 +237,9 @@ def _shoot(consts: DerivedConstants, a: float, r_max: float, tol: float,
                          f"radius {r0:.6g}, got {r_max!r}")
     try:
         status, r_end, (f_end, F_end), k, segments = dop853.drive(
-            _SHOOTING, _rhs_constants(consts), _make_events(consts), r0,
-            series_start(consts, a, r0), r_max, tol, dense)
+            dop853.kernel(_RHS, _FF, _RHS_CONSTANTS), _rhs_constants(consts),
+            _make_events(consts), r0, series_start(consts, a, r0), r_max,
+            tol, dense)
     except RuntimeError as e:
         raise RuntimeError(f"the solve at a={a!r} failed: {e}") from None
     if status == 1:
@@ -275,9 +270,9 @@ def integrate_profile(consts: DerivedConstants, a: float, r_max: float,
         raise RuntimeError(f"no step to sample: the solve at a={a!r} ends "
                            f"at its series start on {events[0][0]}")
     rs = np.geomspace(r0, r_end, n_samples)
-    return _trajectory(consts, a, rs,
-                       *dop853.sample(_SHOOTING, segments, r_end, rs),
-                       events, tol)
+    f, F = dop853.sample(dop853.kernel(_RHS, _FF, _RHS_CONSTANTS), segments,
+                         r_end, rs)
+    return _trajectory(consts, a, rs, f, F, events, tol)
 
 
 def _trajectory(consts: DerivedConstants, a: float, r, f, F, events,

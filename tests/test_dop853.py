@@ -1,7 +1,7 @@
 """The DOP853 module on a system of its own: a right side that depends on
-the independent variable, run backward."""
+the independent variable, run backward; and its kernels, built once per
+system."""
 
-import functools
 import math
 
 import numpy as np
@@ -17,13 +17,26 @@ _TEMPLATE = "{ky} = {y} / {r}; {kz} = -{z}"
 _NEGATED = "{ky} = {y} / (-{r}); {kz} = -{z}; {ky} = -{ky}; {kz} = -{kz}"
 
 
-def _no_event(t, y, z, dy0=None):
+def _no_event(t, y, z):
     return (-1.0,)
 
 
-@functools.cache
 def _kernel(template):
     return dop853.kernel(template, ("y", "z"), "c0, c1")
+
+
+def test_kernel_is_built_once_per_system():
+    # the same record for the same system; a new one, with its own
+    # generated functions, for a different atol or var
+    kern = _kernel(_TEMPLATE)
+    assert _kernel(_TEMPLATE) is kern
+    for field, value in (("atol", 1e-30), ("var", "t")):
+        other = dop853.kernel(_TEMPLATE, ("y", "z"), "c0, c1",
+                              **{field: value})
+        assert other is not kern and other.trial is not kern.trial
+        assert getattr(other, field) == value != getattr(kern, field)
+        assert dop853.kernel(_TEMPLATE, ("y", "z"), "c0, c1",
+                             **{field: value}) is other
 
 
 def _solve(template, t0, t_bound, dense=False):

@@ -1,9 +1,11 @@
 """scipy stays off the import path: the package, the command line and
 every command, the PDE run included, load no scipy module (the PDE step
 reaches LAPACK's dgtsv through numpy's own LAPACK).  scipy serves only
-the tests, as their reference solvers.
-The check runs in a fresh interpreter, so no other test's imports
-count; nothing is timed.
+the tests, as their reference solvers.  And `dop853.kernel` builds each
+ODE system once, on first use: importing the command line builds none,
+`find` the shooting kernel, `phase --x0` the phase flow's.
+The check runs in a fresh interpreter, so no other test's imports or
+kernels count; nothing is timed.
 """
 
 import json
@@ -12,10 +14,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Runs each step in turn and prints, after each, the scipy modules loaded
-# so far as one JSON object {step: [module, ...]}.
+# so far and the number of kernels built, as one JSON object
+# {step: [module, ...], step + ":kernels": n}.
 CHILD = r"""
 import contextlib, io, json, sys
 out = sys.argv[1]
@@ -24,6 +29,9 @@ loaded = {}
 def note(step):
     loaded[step] = sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))
+    if "extinction.dop853" in sys.modules:
+        kernel = sys.modules["extinction.dop853"].kernel
+        loaded[step + ":kernels"] = kernel.cache_info().currsize
 
 def run(step, argv):
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -38,6 +46,8 @@ note("import extinction.cli")
 prof = out + "/profile.csv"
 run("find", ["find", "--N", "1", "--p", "1.2", "--q", "0.5",
              "--outdir", out])
+run("find again", ["find", "--N", "1", "--p", "1.2", "--q", "0.5",
+                   "--outdir", out + "/again"])
 run("tail", ["tail", "--profile", prof, "--out", out + "/tail.json"])
 run("phase --from-profile", ["phase", "--from-profile", prof,
                              "--outdir", out])
@@ -48,17 +58,34 @@ run("pde", ["pde", "--profile", prof, "--M", "50", "--tend", "0.3",
             "--out", out + "/metrics.json"])
 print(json.dumps(loaded))
 """
+STEPS = ("find", "find again", "tail", "phase --from-profile", "phase --x0",
+         "pde")
 
 
-def test_no_command_loads_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The child's record of every step, each command's exit code too."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)],
+    res = subprocess.run([sys.executable, "-c", CHILD,
+                          str(tmp_path_factory.mktemp("imports"))],
                          env=env, capture_output=True, text=True,
                          timeout=300)
     assert res.returncode == 0, res.stderr
     loaded = json.loads(res.stdout.splitlines()[-1])
-    steps = ("find", "tail", "phase --from-profile", "phase --x0", "pde")
-    for step in steps:
+    for step in STEPS:
         assert loaded[step + ":exit"] == 0, step
-    for step in ("import extinction", "import extinction.cli", *steps):
+    return loaded
+
+
+def test_no_command_loads_scipy(loaded):
+    for step in ("import extinction", "import extinction.cli", *STEPS):
         assert loaded[step] == [], step
+
+
+def test_kernels_are_built_once_on_first_use(loaded):
+    kernels = {step: loaded[step + ":kernels"]
+               for step in ("import extinction.cli", *STEPS)}
+    assert kernels == {"import extinction.cli": 0, "find": 1,
+                       "find again": 1, "tail": 1,
+                       "phase --from-profile": 1, "phase --x0": 2,
+                       "pde": 2}

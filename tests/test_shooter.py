@@ -5,10 +5,10 @@ was frozen from an independent run cross-checked against the gap-contraction
 rate of the tail; everything else is checked against structure (event kinds,
 monotonicity, energy decay) rather than numbers, or against scipy: the
 DOP853 tableau literals bit for bit, the kernel's event radii and samples
-against solve_ivp.  The generated step and interpolant are checked bit for
-bit against a loop form over the tableau rows, driven through the right
-side on random states: a left-to-right sum over the nonzero terms, fsum
-on the rows that sum to zero.
+against solve_ivp.  The generated trial step and interpolant are checked
+bit for bit against a loop form over the tableau rows, driven through the
+right side on random states: a left-to-right sum over the nonzero terms,
+fsum on the rows that sum to zero.
 """
 
 import contextlib
@@ -620,24 +620,33 @@ STEP_COUNTS = [((1, 1.2, 0.5), 10.0, 100.0, 28),
                ((2, 1.5, 0.6), A_STAR_N2 * 0.999, 60.0, 75)]
 
 
+def _shooting():
+    """The (f, F) system's kernel, as `shooter` builds it."""
+    return dop853.kernel(shooter._RHS, shooter._FF, shooter._RHS_CONSTANTS)
+
+
 @pytest.mark.parametrize("params, a, r_max, n", STEP_COUNTS,
                          ids=["N1-a10", "N1-above", "N2-below"])
 def test_trial_step_counts(params, a, r_max, n, monkeypatch):
-    step = shooter._SHOOTING.ns["_step"]
+    drive = dop853.drive
     trials = []
 
-    def spy(*args):
-        trials.append(1)
-        return step(*args)
+    def spied(system, *args):
+        trial = system.trial
 
-    monkeypatch.setitem(shooter._SHOOTING.ns, "_step", spy)
+        def spy(*step):
+            trials.append(1)
+            return trial(*step)
+        return drive(system._replace(trial=spy), *args)
+
+    monkeypatch.setattr(dop853, "drive", spied)
     classify(derive_constants(*params), a, r_max)
     assert len(trials) == n
 
 
 def _rhs_of(consts):
     """The kernel's right side (f', F') of the triple, on floats."""
-    return shooter._SHOOTING.rhs(*shooter._rhs_constants(consts))
+    return _shooting().rhs(*shooter._rhs_constants(consts))
 
 
 def _reference_solve(consts, a, r_max, dense=False):
@@ -794,19 +803,27 @@ def _loop_step(rhs, r, h, f, F, k0f, k0F):
                                     for K in (Kf, KF)))
 
 
+def _loop_trial(rhs, r, h, f, F, k0f, k0F, rtol):
+    """The reference trial step in loop form, from stage 0 (k0f, k0F): the
+    stages Kf, KF, the new state and scipy's error norm of the error rows'
+    sums on the scale max(|y|, |y_new|) rtol.  Stage 12, which the rows
+    weigh by 0, is not tested here."""
+    Kf, KF, (f_new, F_new, *sums) = _loop_step(rhs, r, h, f, F, k0f, k0F)
+    sf = max(abs(f), abs(f_new)) * rtol
+    sF = max(abs(F), abs(F_new)) * rtol
+    u5f, u5F, u3f, u3F = (e / s for e, s in zip(sums, (sf, sF, sf, sF)))
+    e5 = u5f * u5f + u5F * u5F
+    e3 = u3f * u3f + u3F * u3F
+    err = (0.0 if e5 == 0 and e3 == 0
+           else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2))
+    return Kf, KF, (f_new, F_new), err
+
+
 def _loop_step_err(rhs, r, h, f, F, k0f, k0F, rtol):
     """The reference trial step's error norm as `dop853.drive` takes it, NaN
     where the step overflows."""
     try:
-        _, _, (f_new, F_new, e5f, e5F, e3f, e3F) = _loop_step(
-            rhs, r, h, f, F, k0f, k0F)
-        sf = max(abs(f), abs(f_new)) * rtol
-        sF = max(abs(F), abs(F_new)) * rtol
-        e5 = (e5f / sf) ** 2 + (e5F / sF) ** 2
-        e3 = (e3f / sf) ** 2 + (e3F / sF) ** 2
-        if e5 == 0 and e3 == 0:
-            return 0.0
-        return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+        return _loop_trial(rhs, r, h, f, F, k0f, k0F, rtol)[3]
     except (OverflowError, ZeroDivisionError, ValueError):
         return math.nan
 
@@ -868,39 +885,48 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _step_with(stage, k, value):
-    """The generated step with component k ("f" or "F") of one stage set
-    to value right after it is computed."""
-    lines = list(shooter._SHOOTING.src)
+def _trial_with(stage, k, value):
+    """The generated trial step with component k ("f" or "F") of one stage
+    set to value right after it is computed."""
+    lines = list(_shooting().src)
     at = next(i for i, line in enumerate(lines)
               if f"; k{k}{stage} = " in line)
     lines.insert(at + 1, f"    k{k}{stage} = VALUE")
-    ns = {"fsum": fsum, "copysign": math.copysign, "VALUE": value}
+    ns = {"fsum": fsum, "copysign": math.copysign, "isfinite": math.isfinite,
+          "nan": math.nan, "sqrt": math.sqrt, "VALUE": value}
     exec("\n".join(lines), ns)
-    return ns["_step"]
+    return ns["_trial"]
 
 
 class TestGeneratedSums:
-    """The generated step and interpolant (`_step`, `_dense_segment`)
-    against the loop form, bit for bit, or the same exception: both
-    driven through the right side at random constants and states."""
+    """The generated trial step and interpolant (`_trial`,
+    `_dense_segment`) against the loop form, bit for bit, or the same
+    exception: both driven through the right side at random constants and
+    states."""
 
     def test_step(self):
+        # everything the trial step returns or writes: the error norm, the
+        # new state and stages 1-12, with the kernel's own rule that a
+        # non-finite stage 12 makes the error NaN
+        kern = _shooting()
         rng = random.Random(20)
         finite = 0
         for _ in range(1000):
             cs, Kf, KF, (r, h, f, F) = _random_case(rng, 1)
-            want = _outcome(_loop_step, shooter._SHOOTING.rhs(*cs), r, h, f,
-                            F, Kf[0], KF[0])
+            want = _outcome(_loop_trial, kern.rhs(*cs), r, h, f, F, Kf[0],
+                            KF[0], 1e-10)
             kf, kF = Kf + [0.0] * 12, KF + [0.0] * 12
-            got = _outcome(shooter._SHOOTING.ns["_step"], r, h, f, F, kf, kF,
-                           cs)
+            got = _outcome(kern.trial, r, h, (f, F), (kf, kF), cs, 1e-10)
             if isinstance(want, type):
                 assert got is want
                 continue
-            assert _bits(got) == _bits(want[2])
-            assert _bits(kf) == _bits(want[0]) and _bits(kF) == _bits(want[1])
-            finite += all(map(math.isfinite, got))
+            wKf, wKF, w_new, w_err = want
+            if not (math.isfinite(wKf[12]) and math.isfinite(wKF[12])):
+                w_err = math.nan
+            err, new = got
+            assert _bits([err, *new]) == _bits([w_err, *w_new])
+            assert _bits(kf) == _bits(wKf) and _bits(kF) == _bits(wKF)
+            finite += all(map(math.isfinite, (err, *new)))
         # the draws reach the sums, not only the powers' overflow
         assert finite >= 300
 
@@ -910,10 +936,10 @@ class TestGeneratedSums:
         for _ in range(1000):
             cs, Kf, KF, (r, h, f, F) = _random_case(rng, 13)
             f_new, F_new = f + rng.uniform(-1, 1), F + rng.uniform(-1, 1)
-            want = _outcome(_loop_dense, shooter._SHOOTING.rhs(*cs), r, h, f,
-                            F, f_new, F_new, Kf, KF)
-            got = _outcome(shooter._SHOOTING.segment, r, h, f, F, f_new,
-                           F_new, Kf, KF, cs)
+            want = _outcome(_loop_dense, _shooting().rhs(*cs), r, h, f, F,
+                            f_new, F_new, Kf, KF)
+            got = _outcome(_shooting().segment, r, h, f, F, f_new, F_new, Kf,
+                           KF, cs)
             if isinstance(want, type):
                 assert got is want
                 continue
@@ -925,23 +951,23 @@ class TestGeneratedSums:
                              ids=["inf", "nan"])
     @pytest.mark.parametrize("component", [0, 1], ids=["f", "F"])
     @pytest.mark.parametrize("stage", range(1, 13))
-    def test_non_finite_stage_rejects_the_step(self, consts1, monkeypatch,
-                                               stage, component, value):
+    def test_non_finite_stage_rejects_the_step(self, consts1, stage,
+                                               component, value):
         # one stage of the fifth trial step of a solve made non-finite,
-        # in the generated step and in the loop form: the loop form's
+        # in the generated trial step and in the loop form: the loop form's
         # error is NaN, and the kernel retries from the same r at 0.2 h,
         # scipy's MIN_FACTOR.  Stage 12 meets only zero weights in the
         # error rows, so the loop form's error stays finite there and
-        # the test is the kernel's own.
-        hit_step = _step_with(stage, "fF"[component], value)
-        step = shooter._SHOOTING.ns["_step"]
+        # the test is the kernel's own: a finite new state, a NaN error.
+        hit_trial = _trial_with(stage, "fF"[component], value)
+        kern = _shooting()
         trials = []
 
-        def spy(r, h, f, F, Kf, KF, cs):
+        def spy(r, h, y, K, cs, rtol):
             trials.append((r, h))
             if len(trials) != 5:
-                return step(r, h, f, F, Kf, KF, cs)
-            rhs, seen = shooter._SHOOTING.rhs(*cs), []
+                return kern.trial(r, h, y, K, cs, rtol)
+            rhs, seen = kern.rhs(*cs), []
 
             def hit(r_, f_, F_):
                 k = list(rhs(r_, f_, F_))
@@ -949,18 +975,17 @@ class TestGeneratedSums:
                 if len(seen) == stage:
                     k[component] = value
                 return tuple(k)
-            err = _loop_step_err(hit, r, h, f, F, Kf[0], KF[0], 1e-10)
+            err = _loop_step_err(hit, r, h, *y, K[0][0], K[1][0], rtol)
             assert math.isnan(err) == (stage < 12)
-            out = hit_step(r, h, f, F, Kf, KF, cs)
+            out = hit_trial(r, h, y, K, cs, rtol)
             if stage == 12:
-                assert all(map(math.isfinite, out))
+                assert math.isnan(out[0]) and all(map(math.isfinite, out[1]))
             return out
 
-        monkeypatch.setitem(shooter._SHOOTING.ns, "_step", spy)
         a = 2.3
         r0 = shooter._default_r0(consts1, a)
         status = dop853.drive(
-            shooter._SHOOTING, shooter._rhs_constants(consts1),
+            kern._replace(trial=spy), shooter._rhs_constants(consts1),
             shooter._make_events(consts1), r0, series_start(consts1, a, r0),
             100.0, 1e-10, False)[0]
         assert status == 1
@@ -1120,7 +1145,9 @@ def test_nan_step_size_ends_the_solve():
         "c = derive_constants(1, 1.2, 0.5)",
         "r0 = shooter._default_r0(c, 1.0)",
         "y0 = shooter.series_start(c, 1.0, r0)",
-        "print(dop853.drive(shooter._SHOOTING, shooter._rhs_constants(c),",
+        "kern = dop853.kernel(shooter._RHS, shooter._FF,",
+        "                     shooter._RHS_CONSTANTS)",
+        "print(dop853.drive(kern, shooter._rhs_constants(c),",
         "                   shooter._make_events(c), r0, y0, 10.0, math.nan,",
         "                   False)[0])"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -1139,8 +1166,10 @@ def _drive_in_subprocess(*lines):
         "import math",
         "from extinction import derive_constants, dop853, shooter",
         "c = derive_constants(1, 1.2, 0.5)",
-        "args = (shooter._SHOOTING, shooter._rhs_constants(c),",
-        "        shooter._make_events(c))", *lines])
+        "args = (dop853.kernel(shooter._RHS, shooter._FF,",
+        "                      shooter._RHS_CONSTANTS),",
+        "        shooter._rhs_constants(c), shooter._make_events(c))",
+        *lines])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
